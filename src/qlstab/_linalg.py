@@ -16,7 +16,9 @@ class Tolerances:
     """Package-wide numerical tolerances.
 
     rank_rtol is the relative singular-value cutoff: sigma counts as nonzero
-    iff sigma > rank_rtol * sigma_max * max(rows, cols).
+    iff sigma > rank_rtol * sigma_max * max(rows, cols). frame bounds the
+    unitarity defect of a circuit frame and the largest entry a channel's
+    Kraus operators may have off their monomial pattern in that frame.
     """
 
     rank_rtol: float = 1e-10
@@ -26,6 +28,7 @@ class Tolerances:
     closure_admit: float = 1e-8
     commutator: float = 1e-8
     entropy_floor: float = 1e-12
+    frame: float = 1e-9
 
 
 DEFAULT_TOL = Tolerances()

@@ -6,7 +6,9 @@ lazily at application time, which keeps memory at the local dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -125,6 +127,8 @@ def _apply_local(rho: np.ndarray, kraus, support, space: MultipartiteSpace) -> n
 
 
 def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
+    if not isinstance(ch, Channel):
+        raise ChannelError("permutation steps are applied only by `run`")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (space.total_dim, space.total_dim):
         raise ChannelError("density matrix does not match the space")
@@ -140,6 +144,8 @@ def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
 
 def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> list[np.ndarray]:
     """Images K_i |psi>; the output state is sum_i |v_i><v_i|."""
+    if not isinstance(ch, Channel):
+        raise ChannelError("permutation steps are applied only by `run`")
     psi = np.asarray(psi, dtype=complex)
     if len(ch.support) == space.n_subsystems:
         return [k @ psi for k in ch.kraus]
@@ -155,9 +161,106 @@ def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> lis
     ]
 
 
+def _act_left(k: np.ndarray, support, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
+    """(k on `support`, identity elsewhere) @ x for a D x N matrix x.
+
+    The tensor factors of k follow the sorted support, as in `apply`.
+    """
+    sup = sorted(support)
+    t = x.reshape(space.dims + (x.shape[1],))
+    kt = k.reshape(tuple(space.dims[i] for i in sup) * 2)
+    out = np.tensordot(kt, t, axes=(list(range(len(sup), 2 * len(sup))), sup))
+    return np.moveaxis(out, list(range(len(sup))), sup).reshape(x.shape)
+
+
+def _monomial_forms(ch: Channel, b: np.ndarray, space: MultipartiteSpace):
+    """Each Kraus operator of `ch` in the frame b, B^H K B, as (rows, cols, vals)
+    with B^H K B = sum_j vals[j] |rows[j]><cols[j]|, plus the largest entry
+    left off that pattern. Raises ChannelError unless every operator is
+    monomial (at most one entry above `DEFAULT_TOL.frame` per row and per
+    column) with nothing above it left over."""
+    tol = DEFAULT_TOL.frame
+    if space.dim_of(ch.support) != ch.local_dim:
+        raise ChannelError("channel support does not match the space")
+    forms = []
+    defect = 0.0
+    for k in ch.kraus:
+        kf = dagger(b) @ _act_left(k, ch.support, b, space)
+        cols = np.arange(kf.shape[1])
+        rows = np.argmax(np.abs(kf), axis=0)
+        vals = kf[rows, cols]
+        keep = np.abs(vals) > tol
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if np.unique(rows).size != rows.size:
+            raise ChannelError(f"channel {ch.label!r} is not monomial in the frame: a row holds two entries")
+        kf[rows, cols] = 0.0
+        defect = max(defect, float(np.max(np.abs(kf))))
+        forms.append((rows, cols, vals))
+    if defect > tol:
+        raise ChannelError(f"channel {ch.label!r} is not monomial in the frame, defect {defect:.3e}")
+    return tuple(forms), defect
+
+
+def _apply_monomial(forms, rho: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(rho)
+    for rows, cols, vals in forms:
+        out[np.ix_(rows, rows)] += vals[:, None] * rho[np.ix_(cols, cols)] * vals.conj()
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """An ordered basis shared by permutation steps: the columns of `basis`.
+
+    The frame caches each channel step's Kraus operators written in it, so a
+    circuit pays the O(D^3) change of basis once however often it runs.
+    """
+
+    basis: np.ndarray
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def unitary_defect(self) -> float:
+        b = self.basis
+        return float(np.max(np.abs(dagger(b) @ b - np.eye(len(b)))))
+
+    def monomial_kraus(self, ch: Channel, space: MultipartiteSpace):
+        """(forms, defect) of `ch` in this frame; see `_monomial_forms`."""
+        key = (id(ch), space.dims)
+        if key not in self._forms:
+            # holding `ch` keeps its id from being reused by another object
+            self._forms[key] = (ch, *_monomial_forms(ch, self.basis, space))
+        return self._forms[key][1:]
+
+
+@dataclass(frozen=True, eq=False)
+class PermutationStep:
+    """The unitary B[:, perm] @ B^H on the frame B, stored as its index array.
+
+    It sends frame vector j to frame vector perm[j]. Its support is the whole
+    space and it has no Kraus list; only `run` applies it.
+    """
+
+    perm: np.ndarray
+    frame: Frame
+    support: tuple[int, ...]
+    label: str = ""
+    kraus: ClassVar[tuple] = ()
+
+
+def permutation_step(perm, frame: Frame, space: MultipartiteSpace, label: str = "") -> PermutationStep:
+    perm = np.asarray(perm)
+    d = space.total_dim
+    if frame.basis.shape != (d, d):
+        raise ChannelError("frame does not match the space")
+    if perm.dtype.kind not in "iu" or perm.shape != (d,) or not np.array_equal(np.sort(perm), np.arange(d)):
+        raise ChannelError(f"not a permutation of 0..{d - 1}")
+    return PermutationStep(perm, frame, tuple(range(space.n_subsystems)), label)
+
+
 @dataclass(frozen=True)
 class Circuit:
-    steps: tuple[Channel, ...]
+    steps: tuple[Channel | PermutationStep, ...]
     space: MultipartiteSpace
 
     def __len__(self) -> int:
@@ -167,6 +270,32 @@ class Circuit:
         return all(
             any(set(ch.support) <= set(nk) for nk in nstruct) for ch in self.steps
         )
+
+    @property
+    def frame(self) -> Frame | None:
+        """The frame of the permutation steps; None if there are none."""
+        frames = {s.frame for s in self.steps if isinstance(s, PermutationStep)}
+        if len(frames) > 1:
+            raise ChannelError("permutation steps use more than one frame")
+        return next(iter(frames), None)
+
+
+def frame_defect(circuit: Circuit) -> float | None:
+    """Worst defect of the framed-run preconditions; None without a frame.
+
+    The frame must be unitary and every channel step monomial in it, each to
+    `DEFAULT_TOL.frame`, or ChannelError is raised.
+    """
+    frame = circuit.frame
+    if frame is None:
+        return None
+    defect = frame.unitary_defect
+    if defect > DEFAULT_TOL.frame:
+        raise ChannelError(f"frame is not unitary, defect {defect:.3e}")
+    for step in circuit.steps:
+        if isinstance(step, Channel):
+            defect = max(defect, frame.monomial_kraus(step, circuit.space)[1])
+    return defect
 
 
 @dataclass(frozen=True)
@@ -187,22 +316,48 @@ def run(
     target: np.ndarray | None = None,
     record: bool = True,
 ) -> tuple[np.ndarray, list[TrajectoryPoint]]:
-    """Apply the circuit steps in order; returns final state and trajectory."""
+    """Apply the circuit steps in order; returns final state and trajectory.
+
+    A circuit with permutation steps runs in their frame B: the state is
+    rotated in once and out once, permutation steps reindex it, and channel
+    steps act through their monomial frame forms, each at O(D^2). Rank and
+    trace distance are unitarily invariant, so the trajectory is computed
+    in the frame.
+    """
     rho = np.asarray(rho0, dtype=complex)
     space = circuit.space
+    if rho.shape != (space.total_dim, space.total_dim):
+        raise ChannelError("density matrix does not match the space")
+    frame = circuit.frame
+    if frame is not None:
+        frame_defect(circuit)
+        b = frame.basis
+        rho = dagger(b) @ rho @ b
+        if target is not None:
+            target = dagger(b) @ target
 
     def dist(r):
         if target is None:
             return None
         return trace_distance(r, np.outer(target, target.conj()))
 
+    def step(ch, r):
+        if isinstance(ch, PermutationStep):
+            inv = np.argsort(ch.perm)
+            return r[np.ix_(inv, inv)]
+        if frame is not None:
+            return _apply_monomial(frame.monomial_kraus(ch, space)[0], r)
+        return apply(ch, r, space)
+
     traj = []
     if record:
         traj.append(TrajectoryPoint(0, state_rank(rho), dist(rho)))
     for t, ch in enumerate(circuit.steps, start=1):
-        rho = apply(ch, rho, space)
+        rho = step(ch, rho)
         if record:
             traj.append(TrajectoryPoint(t, state_rank(rho), dist(rho)))
+    if frame is not None:
+        rho = b @ rho @ dagger(b)
     return rho, traj
 
 

@@ -27,6 +27,7 @@ from . import rfts as rfts_mod
 from . import scheduler as sched_mod
 from . import states as states_mod
 from . import subspaces as sub_mod
+from ._linalg import DEFAULT_TOL
 from .channels import CapExceeded, Channel, ChannelError, Circuit
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
@@ -44,25 +45,29 @@ def _c2j(z: complex):
 
 
 def _mat2j(m: np.ndarray):
-    return [[_c2j(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _vec2j(v: np.ndarray):
-    return [_c2j(z) for z in np.asarray(v, dtype=complex)]
-
-
-def _j2c(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InputError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _j2array(data, ndim: int) -> np.ndarray:
+    """Nested [re, im] pairs -> complex array with `ndim` axes."""
+    try:
+        a = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected nested [re, im] pairs: {exc}") from exc
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise InputError(f"expected a {'vector' if ndim == 1 else 'matrix'} of [re, im] pairs, "
+                         f"got an array of shape {a.shape}")
+    # reinterpret each (re, im) pair in place, bit for bit
+    return a.view(complex)[..., 0]
 
 
 def _j2vec(data) -> np.ndarray:
-    return np.array([_j2c(p) for p in data], dtype=complex)
+    return _j2array(data, 1)
 
 
 def _j2mat(data) -> np.ndarray:
-    return np.array([[_j2c(p) for p in row] for row in data], dtype=complex)
+    return _j2array(data, 2)
 
 
 def channel_to_json(ch: Channel) -> dict:
@@ -73,26 +78,74 @@ def channel_to_json(ch: Channel) -> dict:
     }
 
 
-def channel_from_json(data: dict) -> Channel:
+def _parse_support(data, space: MultipartiteSpace) -> list[int]:
+    """1-based support list -> 0-based indices, each in range and distinct."""
+    n = space.n_subsystems
+    if not isinstance(data, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= n for i in data
+    ):
+        raise InputError(f"support must list integers in 1..{n}, got {data!r}")
+    if len(set(data)) != len(data):
+        raise InputError(f"support repeats a subsystem: {data!r}")
+    return [i - 1 for i in data]
+
+
+def channel_from_json(data: dict, space: MultipartiteSpace) -> Channel:
     try:
-        support = [int(i) - 1 for i in data["support"]]
+        support = _parse_support(data["support"], space)
         kraus = [_j2mat(k) for k in data["kraus"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed channel object: {exc}") from exc
+    m = space.dim_of(support)
+    if any(k.shape != (m, m) for k in kraus):
+        raise InputError(f"Kraus operators on support {data['support']} must be {m} x {m}")
     return chan_mod.make_channel(kraus, support, label=data.get("label", ""))
 
 
 def circuit_to_json(circ: Circuit) -> dict:
-    return {
-        "dims": list(circ.space.dims),
-        "steps": [channel_to_json(c) for c in circ.steps],
-    }
+    """Channel steps carry their Kraus list; permutation steps carry 0-based
+    basis indices into the circuit's one `frame`, stored once."""
+    out: dict = {"dims": list(circ.space.dims)}
+    frame = circ.frame
+    if frame is not None:
+        out["frame"] = _mat2j(frame.basis)
+    out["steps"] = [
+        {"permutation": c.perm.tolist(), "label": c.label}
+        if isinstance(c, chan_mod.PermutationStep) else channel_to_json(c)
+        for c in circ.steps
+    ]
+    return out
 
 
 def circuit_from_json(data: dict) -> Circuit:
-    space = MultipartiteSpace(data["dims"])
-    steps = tuple(channel_from_json(s) for s in data["steps"])
-    return Circuit(steps=steps, space=space)
+    try:
+        space = MultipartiteSpace(data["dims"])
+        steps_data = list(data["steps"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed circuit object: {exc}") from exc
+    if not all(isinstance(s, dict) for s in steps_data):
+        raise InputError("every circuit step must be an object")
+    frame = None
+    if any("permutation" in s for s in steps_data):
+        if "frame" not in data:
+            raise InputError("permutation steps need a top-level frame")
+        d = space.total_dim
+        basis = _j2mat(data["frame"])
+        if basis.shape != (d, d):
+            raise InputError(f"frame must be {d} x {d}, got {basis.shape[0]} x {basis.shape[1]}")
+        frame = chan_mod.Frame(basis)
+        if frame.unitary_defect > DEFAULT_TOL.frame:
+            raise InputError(f"frame is not unitary, defect {frame.unitary_defect:.3e}")
+    steps = []
+    for s in steps_data:
+        if "permutation" not in s:
+            steps.append(channel_from_json(s, space))
+            continue
+        try:
+            steps.append(chan_mod.permutation_step(s["permutation"], frame, space, s.get("label", "")))
+        except ValueError as exc:  # ChannelError included
+            raise InputError(f"permutation step: {exc}") from exc
+    return Circuit(steps=tuple(steps), space=space)
 
 
 CONSTRUCTORS = {
@@ -195,7 +248,7 @@ def _report(task: str, verdict_true: bool, verdicts: dict, certificates: dict,
         "certificates": certificates,
         "tolerances": tolerances,
         "seed": seed,
-        "elapsed_seconds": round(time.time() - t0, 3),
+        "elapsed_seconds": round(time.perf_counter() - t0, 3),
         "version": __version__,
     }
 
@@ -225,7 +278,7 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst, options = load_problem(args.problem)
     tol = args.tol
     state = inst.psi if inst.psi is not None else inst.rho
@@ -330,7 +383,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst, options = load_problem(args.problem)
     if inst.psi is None:
         raise InputError("synthesis needs a pure target state")
@@ -352,7 +405,7 @@ def cmd_synth(args) -> int:
         ver = fts_mod.verify_fts(circ, inst.psi, trials=args.trials, seed=args.seed)
         if args.circuit:
             with open(args.circuit, "w") as fh:
-                json.dump(circuit_to_json(circ), fh)
+                fh.write(json.dumps(circuit_to_json(circ)))
         report = _report(
             "synth fts", ver.passed,
             {"synthesized": True, "verified": ver.passed},
@@ -362,8 +415,9 @@ def cmd_synth(args) -> int:
                 "cooling_rate": plan.cooling_rate,
                 "schmidt_dim": plan.schmidt_dim,
                 "final_distance": ver.max_final_distance,
+                "frame_defect": chan_mod.frame_defect(circ),
             },
-            {"tol": 1e-8}, args.seed, t0,
+            {"tol": 1e-8, "frame": DEFAULT_TOL.frame}, args.seed, t0,
         )
         _emit(report, args.output)
         return 0 if ver.passed else 1
@@ -387,7 +441,7 @@ def cmd_synth(args) -> int:
     if args.circuit:
         circ = Circuit(tuple(channels), inst.space)
         with open(args.circuit, "w") as fh:
-            json.dump(circuit_to_json(circ), fh)
+            fh.write(json.dumps(circuit_to_json(circ)))
     fac = res.factorization
     fac_json = {
         "factor_dims": list(fac.factor_dims),
@@ -412,7 +466,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with open(args.circuit) as fh:
             circ = circuit_from_json(json.load(fh))
@@ -459,15 +513,15 @@ def cmd_simulate(args) -> int:
         "simulate", ok,
         {"converged": ok},
         {"orders": len(orders), "final_distance": worst if target is not None else None,
-         "final_rank": rows[-1].rank},
-        {"tol": args.tol}, args.seed, t0,
+         "final_rank": rows[-1].rank, "frame_defect": chan_mod.frame_defect(circ)},
+        {"tol": args.tol, "frame": DEFAULT_TOL.frame}, args.seed, t0,
     )
     _emit(report, args.output)
     return 0 if ok else 1
 
 
 def cmd_mixing(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.no_go:
         l = mixing_mod.amplitude_damping_liouvillian(rate=1.0)
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -530,7 +584,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with open(args.lattice) as fh:
             data = json.load(fh)
@@ -745,7 +799,7 @@ REPRODUCTIONS = {
 
 
 def cmd_reproduce(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = sorted(REPRODUCTIONS) if args.all else [args.name]
     if not args.all and args.name not in REPRODUCTIONS:
         print(f"unknown reproduction '{args.name}'; available:", file=sys.stderr)
@@ -755,10 +809,10 @@ def cmd_reproduce(args) -> int:
     all_ok = True
     results = {}
     for name in names:
-        t1 = time.time()
+        t1 = time.perf_counter()
         ok, cert = REPRODUCTIONS[name](args.seed)
         results[name] = {"pass": ok, "certificates": cert,
-                         "elapsed_seconds": round(time.time() - t1, 3)}
+                         "elapsed_seconds": round(time.perf_counter() - t1, 3)}
         all_ok = all_ok and ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name} ({results[name]['elapsed_seconds']}s)")
     report = _report("reproduce", all_ok, {n: r["pass"] for n, r in results.items()},

@@ -3,7 +3,9 @@
 The synthesized circuit alternates a fixed dissipative neighborhood map with
 global basis-permutation unitaries that fix the target, so the running state
 stays diagonal in a fixed ordered basis and the whole construction can be
-tracked exactly on a weight vector.
+tracked exactly on a weight vector. Each permutation unitary is stored as an
+index array on that basis (`channels.PermutationStep`), never as a D x D
+matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import channels as ch
 from . import hilbert
 from . import subspaces
 from ._linalg import complete_basis, random_density, random_pure, trace_distance
-from .channels import Channel, Circuit, make_channel, unitary_channel
+from .channels import Channel, Circuit, make_channel
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
 
@@ -41,19 +43,6 @@ class FtsPlan:
     @property
     def local_dim(self) -> int:
         return self.local_blocks.shape[0]
-
-    @property
-    def copy_isometries(self) -> list[np.ndarray]:
-        """Isometries C_i mapping the base Schmidt span onto copy i."""
-        m, s, r = self.local_dim, self.schmidt_dim, self.cooling_rate
-        v0 = self.local_blocks[:, :s]
-        return [
-            self.local_blocks[:, i * s : (i + 1) * s] @ v0.conj().T for i in range(r)
-        ]
-
-    @property
-    def copies_per_group(self) -> int:
-        return self.cooling_rate
 
     @property
     def n_group_vectors(self) -> int:
@@ -214,9 +203,9 @@ def synthesize_fts(
         plan = plan_fts(psi, nstruct, space, force=force)
     d = space.total_dim
     w_channel = cooling_map(plan)
-    b = plan.basis_order
+    frame = ch.Frame(plan.basis_order)
     weights = np.full(d, 1.0 / d)
-    steps: list[Channel] = [w_channel]
+    steps: list[Channel | ch.PermutationStep] = [w_channel]
     weights = _cool_weights(weights, plan)
     ranks = [int(np.sum(weights > 1e-15))]
     guard = 4 * d
@@ -230,10 +219,7 @@ def synthesize_fts(
         rest = np.setdiff1d(np.arange(d), occupied, assume_unique=True)
         perm[rest] = np.arange(len(occupied), d)
         # unitary permuting ordered-basis vectors; fixes psi since occupied[0]=0
-        p = np.zeros((d, d))
-        p[perm, np.arange(d)] = 1.0
-        u = b @ p @ b.conj().T
-        steps.append(unitary_channel(u, list(range(space.n_subsystems)), label=f"U_{rounds}"))
+        steps.append(ch.permutation_step(perm, frame, space, label=f"U_{rounds}"))
         new_w = np.zeros(d)
         new_w[perm] = weights
         weights = _cool_weights(new_w, plan)

@@ -211,6 +211,64 @@ class TestComposeRun:
                 assert np.min(np.linalg.eigvalsh(diff)) > -1e-9
 
 
+
+class TestFramedRun:
+    def test_permutation_and_monomial_channel_match_dense(self, rng):
+        # frame = computational basis of three qubits, in a shuffled order;
+        # the local channels are monomial in any such frame
+        sp = uniform_space(3)
+        frame = ch.Frame(np.eye(8, dtype=complex)[:, rng.permutation(8)])
+        perm = rng.permutation(8)
+        steps = (
+            unitary_channel(X, [1]),
+            ch.permutation_step(perm, frame, sp, label="P"),
+            reset_channel(np.array([1.0, 0.0]), [2]),
+            make_channel([np.diag([1.0, 0.0]), np.array([[0, 0], [0, 1j]])], [0]),
+        )
+        rho0 = random_density(8, rng)
+        framed, traj = run(Circuit(steps, sp), rho0, target=np.eye(8)[0])
+        b = frame.basis
+        dense = [unitary_channel(b[:, perm] @ b.conj().T, range(3)) if s is steps[1] else s
+                 for s in steps]
+        ref, ref_traj = run(Circuit(tuple(dense), sp), rho0, target=np.eye(8)[0])
+        assert np.max(np.abs(framed - ref)) < 1e-12
+        assert [p.rank for p in traj] == [p.rank for p in ref_traj]
+        assert ch.frame_defect(Circuit(steps, sp)) == 0.0
+
+    def test_non_monomial_channel_rejected(self, rng):
+        from qlstab._linalg import random_unitary
+
+        sp = uniform_space(2)
+        frame = ch.Frame(random_unitary(4, rng))
+        circ = Circuit((ch.permutation_step([1, 0, 2, 3], frame, sp), unitary_channel(X, [0])), sp)
+        with pytest.raises(ChannelError, match="monomial"):
+            run(circ, np.eye(4) / 4)
+
+    def test_non_unitary_frame_rejected(self):
+        sp = uniform_space(2)
+        circ = Circuit((ch.permutation_step([0, 1, 2, 3], ch.Frame(2 * np.eye(4)), sp),), sp)
+        with pytest.raises(ChannelError, match="unitary"):
+            run(circ, np.eye(4) / 4)
+
+    def test_two_frames_rejected(self):
+        sp = uniform_space(2)
+        steps = tuple(ch.permutation_step([0, 1, 2, 3], ch.Frame(np.eye(4)), sp) for _ in range(2))
+        with pytest.raises(ChannelError, match="frame"):
+            run(Circuit(steps, sp), np.eye(4) / 4)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [1, 2, 3, 4], [0, 1, 2], [0.0, 1.0, 2.0, 3.0]])
+    def test_bad_permutation_rejected(self, perm):
+        with pytest.raises(ChannelError):
+            ch.permutation_step(perm, ch.Frame(np.eye(4)), uniform_space(2))
+
+    def test_generic_apply_refuses_permutation_step(self):
+        sp = uniform_space(2)
+        step = ch.permutation_step([0, 1, 2, 3], ch.Frame(np.eye(4)), sp)
+        with pytest.raises(ChannelError):
+            apply(step, np.eye(4) / 4, sp)
+        with pytest.raises(ChannelError):
+            ch.apply_to_pure(step, np.eye(4)[0], sp)
+
 from hypothesis import given, settings, strategies as st
 
 

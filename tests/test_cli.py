@@ -12,6 +12,7 @@ from qlstab.cli import (
     circuit_to_json,
     main,
 )
+from qlstab.channels import Circuit
 
 
 def write_json(tmp_path, name, data):
@@ -251,3 +252,101 @@ class TestShuffleSimulation:
         assert rc2 == 0
         assert out["certificates"]["orders"] == 6
         assert out["certificates"]["final_distance"] < 1e-9
+
+
+def _pairs(m):
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+_X = _pairs([[0, 1], [1, 0]])
+_I4 = _pairs(np.eye(4))
+
+# each file breaks one rule of the circuit format on the space dims [2, 2]
+MALFORMED_CIRCUITS = {
+    "support-zero": {"steps": [{"support": [0], "kraus": [_X]}]},
+    "support-out-of-range": {"steps": [{"support": [3], "kraus": [_X]}]},
+    "support-not-integer": {"steps": [{"support": ["a"], "kraus": [_X]}]},
+    "support-repeated": {"steps": [{"support": [1, 1], "kraus": [_I4]}]},
+    "kraus-side-mismatch": {"steps": [{"support": [1], "kraus": [_I4]}]},
+    "kraus-bad-pair": {"steps": [{"support": [1], "kraus": [[[[0, 0, 0], [1, 0]], [[1, 0], [0, 0]]]]}]},
+    "frame-wrong-shape": {"frame": _pairs(np.eye(2)), "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-not-unitary": {"frame": _pairs(2 * np.eye(4)), "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-missing": {"steps": [{"permutation": [0, 1, 2, 3]}]},
+    "permutation-repeats": {"frame": _I4, "steps": [{"permutation": [0, 0, 1, 2]}]},
+    "permutation-out-of-range": {"frame": _I4, "steps": [{"permutation": [1, 2, 3, 4]}]},
+    "permutation-too-short": {"frame": _I4, "steps": [{"permutation": [0, 1, 2]}]},
+    "permutation-not-integer": {"frame": _I4, "steps": [{"permutation": [0.0, 1.0, 2.0, 3.0]}]},
+}
+
+
+class TestMalformedCircuit:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CIRCUITS))
+    def test_exit_2(self, case, tmp_path, capsys):
+        path = write_json(tmp_path, "circuit.json", {"dims": [2, 2], **MALFORMED_CIRCUITS[case]})
+        rc = main(["simulate", path])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_well_formed_variants_load(self, tmp_path, capsys):
+        # the same skeletons with every rule kept run to exit code 0
+        path = write_json(tmp_path, "circuit.json", {"dims": [2, 2], "frame": _I4, "steps": [
+            {"support": [2], "kraus": [_X]}, {"permutation": [0, 2, 1, 3]},
+        ]})
+        assert main(["simulate", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["certificates"]["frame_defect"] == 0.0
+
+
+class TestFramedCircuitFile:
+    def _synth(self, tmp_path, capsys):
+        problem = dicke_problem(tmp_path)
+        circuit_path = str(tmp_path / "circuit.json")
+        rc = main(["synth", "fts", problem, "--circuit", circuit_path, "--force", "--trials", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        return problem, circuit_path, out
+
+    def test_file_holds_frame_and_index_lists(self, tmp_path, capsys):
+        _, circuit_path, out = self._synth(tmp_path, capsys)
+        assert out["certificates"]["frame_defect"] < 1e-12
+        with open(circuit_path) as fh:
+            data = json.load(fh)
+        assert np.shape(data["frame"]) == (16, 16, 2)
+        perms = [s["permutation"] for s in data["steps"] if "permutation" in s]
+        assert perms and all(sorted(p) == list(range(16)) for p in perms)
+        assert all("kraus" in s for s in data["steps"] if "permutation" not in s)
+
+    def test_round_trip_bit_identical(self, tmp_path, capsys):
+        from qlstab import states
+        from qlstab.fts import plan_fts, synthesize_fts
+
+        inst = states.vbs_1d(3)
+        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+        circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
+        circ2 = circuit_from_json(json.loads(json.dumps(circuit_to_json(circ))))
+        assert circ2.frame.basis.tobytes() == circ.frame.basis.tobytes()
+        assert len(circ2) == len(circ)
+        for a, b in zip(circ.steps, circ2.steps):
+            assert type(a) is type(b) and a.label == b.label and a.support == b.support
+            if hasattr(a, "perm"):
+                assert b.frame is circ2.frame
+                assert np.array_equal(a.perm, b.perm)
+            else:
+                assert all(ka.tobytes() == kb.tobytes() for ka, kb in zip(a.kraus, b.kraus))
+
+    def test_shuffle_matches_dense_file(self, tmp_path, capsys, densify):
+        problem, circuit_path, _ = self._synth(tmp_path, capsys)
+        with open(circuit_path) as fh:
+            circ = circuit_from_json(json.load(fh))
+        dense = Circuit(tuple(densify(circ)), circ.space)
+        dense_path = write_json(tmp_path, "dense.json", circuit_to_json(dense))
+        outs = []
+        for path in (circuit_path, dense_path):
+            main(["simulate", path, "--problem", problem, "--shuffle", "--trials", "4", "--seed", "3"])
+            outs.append(json.loads(capsys.readouterr().out)["certificates"])
+        framed, reference = outs
+        assert framed["orders"] == reference["orders"] == 4
+        assert framed["final_rank"] == reference["final_rank"] == 1
+        assert abs(framed["final_distance"] - reference["final_distance"]) < 1e-10
+        assert framed["frame_defect"] < 1e-12 and reference["frame_defect"] is None

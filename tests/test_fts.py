@@ -135,11 +135,11 @@ class TestSynthesize:
         assert cert.ranks[-1] == 1
         assert all(a > b for a, b in zip(cert.ranks, cert.ranks[1:]))
 
-    def test_dicke_unitaries_fix_target(self):
+    def test_dicke_unitaries_fix_target(self, densify):
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-        for step in circ.steps:
+        for step in densify(circ):
             rep = check_invariance(step, inst.psi, inst.space)
             assert rep.ok, (step.label, rep.defect)
 
@@ -192,3 +192,58 @@ class TestVerify:
             rep = verify_fts(circ, inst.psi, trials=2)
             assert rep.passed
             assert check_qls(inst.psi, inst.neighborhoods, inst.space).qls
+
+
+def _fts_circuit(inst):
+    plan = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+    circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
+    return circ
+
+
+class TestFramedRun:
+    """The framed run against the dense path: every permutation step as the
+    D x D unitary B[:, perm] @ B^H, every step through `channels.apply`."""
+
+    def _compare(self, inst, densify):
+        circ = _fts_circuit(inst)
+        assert circ.frame is not None
+        assert sum(isinstance(s, ch.PermutationStep) for s in circ.steps) == len(circ) // 2
+        d = inst.space.total_dim
+        target = inst.density()
+        for rho0 in (np.eye(d, dtype=complex) / d, random_density(d, np.random.default_rng(11))):
+            framed, traj = ch.run(circ, rho0, target=inst.psi)
+            rho = rho0
+            ranks = [ch.state_rank(rho)]
+            dists = [trace_distance(rho, target)]
+            for step in densify(circ):
+                rho = apply(step, rho, inst.space)
+                ranks.append(ch.state_rank(rho))
+                dists.append(trace_distance(rho, target))
+            assert np.max(np.abs(framed - rho)) < 1e-10
+            assert [p.rank for p in traj] == ranks
+            assert np.max(np.abs(np.array([p.trace_distance for p in traj]) - dists)) < 1e-10
+
+    def test_dicke(self, densify):
+        self._compare(states.dicke(4, 2), densify)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_vbs(self, n, densify):
+        self._compare(states.vbs_1d(n), densify)
+
+    def test_vbs6(self, densify):
+        # D = 729: about 4 s on 2 cores, so not marked slow
+        self._compare(states.vbs_1d(6), densify)
+
+    def test_frame_defect_small(self):
+        circ = _fts_circuit(states.vbs_1d(4))
+        assert ch.frame_defect(circ) < 1e-12
+
+    def test_shuffled_steps_match_dense(self, densify):
+        inst = states.dicke(4, 2)
+        circ = _fts_circuit(inst)
+        order = np.random.default_rng(5).permutation(len(circ))
+        shuffled = Circuit(tuple(circ.steps[i] for i in order), circ.space)
+        rho0 = random_density(16, np.random.default_rng(6))
+        framed, _ = ch.run(shuffled, rho0, record=False)
+        dense, _ = ch.run(Circuit(tuple(densify(shuffled)), circ.space), rho0, record=False)
+        assert np.max(np.abs(framed - dense)) < 1e-10

@@ -227,13 +227,13 @@ class TestRobustness:
         )
         assert rep.passed
 
-    def test_dicke_fts_steps_not_robust(self):
+    def test_dicke_fts_steps_not_robust(self, densify):
         from qlstab.fts import plan_fts, synthesize_fts
 
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-        rep = verify_robustness(list(circ.steps), inst.psi, inst.space, trials=20)
+        rep = verify_robustness(densify(circ), inst.psi, inst.space, trials=20)
         assert not rep.passed
 
     def test_single_channel(self, rng):
