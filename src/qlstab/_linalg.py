@@ -68,10 +68,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def is_hermitian(a: np.ndarray, atol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) < atol)
-
-
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part."""
     return 0.5 * (a + a.conj().T)
@@ -81,10 +77,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2)||a - b||_1 for Hermitian a, b via eigenvalues."""
     ev = np.linalg.eigvalsh(a - b)
     return 0.5 * float(np.sum(np.abs(ev)))
-
-
-def trace_distance_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    return trace_distance(rho, np.outer(psi, psi.conj()))
 
 
 def trace_distance_to_pure_bound(rho: np.ndarray, psi: np.ndarray) -> float:
@@ -124,15 +116,6 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def projector(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the span of the (orthonormal) columns."""
     return basis @ basis.conj().T
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Row-major vectorization; vec(A rho B) = (A kron B^T) vec(rho)."""
-    return a.reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape(dim, dim)
 
 
 def von_neumann_entropy(rho: np.ndarray, floor: float = DEFAULT_TOL.entropy_floor) -> float:

@@ -107,23 +107,19 @@ def compose(second: Channel, first: Channel, space: MultipartiteSpace, label: st
 
 
 def _apply_local(rho: np.ndarray, kraus, support, space: MultipartiteSpace) -> np.ndarray:
-    """Apply a channel given by local Kraus matrices; one permutation round trip."""
-    n = space.n_subsystems
-    dest = hilbert.front_permutation(support, space)
-    perm_space = MultipartiteSpace(hilbert.permuted_dims(dest, space))
-    rp = hilbert.permute_subsystems(rho, dest, space)
-    m = space.dim_of(support)
-    r = space.total_dim // m
-    rp = rp.reshape(m, r, m, r)
-    out = np.zeros_like(rp)
+    """Apply a channel given by local Kraus matrices; one regrouping round trip.
+
+    In the regrouped frame rho is (m, r, m, r). K acts on the first m index as
+    one GEMM on the m x (D^2 / m) view, and K-bar on the third as a batch of
+    m x m by m x r products over the (m, r) rows.
+    """
+    rp = hilbert.to_front(rho, support, space, sides=2)
+    m, r = rp.shape[:2]
+    rp = rp.reshape(m, -1)
+    out = np.zeros((m * r, m, r), dtype=complex)
     for k in kraus:
-        tmp = np.einsum("ab,bqcr->aqcr", k, rp, optimize=True)
-        out += np.einsum("aqcr,dc->aqdr", tmp, k.conj(), optimize=True)
-    out = out.reshape(space.total_dim, space.total_dim)
-    order = [0] * n
-    for i, p in enumerate(dest):
-        order[p] = i
-    return hilbert.permute_subsystems(out, order, perm_space)
+        out += np.matmul(k.conj(), (k @ rp).reshape(m * r, m, r))
+    return hilbert.from_front(out, support, space, sides=2)
 
 
 def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
@@ -149,28 +145,8 @@ def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> lis
     psi = np.asarray(psi, dtype=complex)
     if len(ch.support) == space.n_subsystems:
         return [k @ psi for k in ch.kraus]
-    dest = hilbert.front_permutation(ch.support, space)
-    perm_space = MultipartiteSpace(hilbert.permuted_dims(dest, space))
-    pp = hilbert.permute_subsystems(psi, dest, space).reshape(ch.local_dim, -1)
-    order = [0] * space.n_subsystems
-    for i, p in enumerate(dest):
-        order[p] = i
-    return [
-        hilbert.permute_subsystems((k @ pp).reshape(-1), order, perm_space)
-        for k in ch.kraus
-    ]
-
-
-def _act_left(k: np.ndarray, support, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
-    """(k on `support`, identity elsewhere) @ x for a D x N matrix x.
-
-    The tensor factors of k follow the sorted support, as in `apply`.
-    """
-    sup = sorted(support)
-    t = x.reshape(space.dims + (x.shape[1],))
-    kt = k.reshape(tuple(space.dims[i] for i in sup) * 2)
-    out = np.tensordot(kt, t, axes=(list(range(len(sup), 2 * len(sup))), sup))
-    return np.moveaxis(out, list(range(len(sup))), sup).reshape(x.shape)
+    pp = hilbert.to_front(psi, ch.support, space)
+    return [hilbert.from_front(k @ pp, ch.support, space) for k in ch.kraus]
 
 
 def _monomial_forms(ch: Channel, b: np.ndarray, space: MultipartiteSpace):
@@ -185,7 +161,7 @@ def _monomial_forms(ch: Channel, b: np.ndarray, space: MultipartiteSpace):
     forms = []
     defect = 0.0
     for k in ch.kraus:
-        kf = dagger(b) @ _act_left(k, ch.support, b, space)
+        kf = dagger(b) @ hilbert.act(k, ch.support, b, space)
         cols = np.arange(kf.shape[1])
         rows = np.argmax(np.abs(kf), axis=0)
         vals = kf[rows, cols]
@@ -406,13 +382,10 @@ def kraus_support(
         d_i = space.dims[g]
         trivially = True
         for k in ch.kraus:
-            dest = hilbert.front_permutation([pos], sub_space)
-            kp = hilbert.permute_subsystems(k, dest, sub_space)
-            rest = kp.shape[0] // d_i
-            kt = kp.reshape(d_i, rest, d_i, rest)
-            t = np.einsum("aras->rs", kt) / d_i
-            recon = np.einsum("ab,rs->arbs", np.eye(d_i), t).reshape(kp.shape)
-            if np.max(np.abs(kp - recon)) > tol * max(1.0, np.max(np.abs(k))):
+            kt = hilbert.to_front(k, [pos], sub_space, sides=2)
+            t = np.trace(kt, axis1=0, axis2=2) / d_i
+            recon = np.eye(d_i)[:, None, :, None] * t[None, :, None, :]
+            if np.max(np.abs(kt - recon)) > tol * max(1.0, np.max(np.abs(k))):
                 trivially = False
                 break
         if not trivially:
@@ -431,13 +404,9 @@ def restrict_to_support(ch: Channel, space: MultipartiteSpace, tol: float = 1e-9
     sup = list(ch.support)
     sub_space = MultipartiteSpace([space.dims[i] for i in sup])
     pos_keep = [sup.index(g) for g in actual]
-    dest = hilbert.front_permutation(pos_keep, sub_space)
-    dk = int(np.prod([space.dims[g] for g in actual]))
-    rest = sub_space.total_dim // dk
-    new_kraus = []
-    for k in ch.kraus:
-        kp = hilbert.permute_subsystems(k, dest, sub_space).reshape(dk, rest, dk, rest)
-        new_kraus.append(kp[:, 0, :, 0].copy())
+    new_kraus = [
+        hilbert.to_front(k, pos_keep, sub_space, sides=2)[:, 0, :, 0].copy() for k in ch.kraus
+    ]
     return make_channel(new_kraus, actual, label=ch.label)
 
 

@@ -906,14 +906,14 @@ def main(argv=None) -> int:
 
             threadpoolctl.threadpool_limits(args.threads)
         except ImportError:
-            pass
+            print("--threads ignored: threadpoolctl is not installed", file=sys.stderr)
     try:
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        print(f"cap exceeded: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
     except ChannelError as exc:
         print(f"input error: {exc}", file=sys.stderr)

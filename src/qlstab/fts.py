@@ -122,9 +122,7 @@ def _ordered_global_basis(psi, nk, space, local_blocks, s, r):
     """Columns: psi-led copy families interleaved by copy, remainder last."""
     m = space.dim_of(nk)
     rest = space.total_dim // m
-    dest = hilbert.front_permutation(nk, space)
-    perm_space = MultipartiteSpace(hilbert.permuted_dims(dest, space))
-    psip = hilbert.permute_subsystems(psi, dest, space).reshape(m, rest)
+    psip = hilbert.to_front(psi, nk, space)
     v0 = local_blocks[:, :s]
     # coordinates of psi inside (Schmidt span) x (rest): s*rest vector
     c0 = (v0.conj().T @ psip).reshape(-1)
@@ -143,14 +141,8 @@ def _ordered_global_basis(psi, nk, space, local_blocks, s, r):
             w[:, j] = vr[:, beta]
             cols.append(w.reshape(-1))
     b = np.stack(cols, axis=1)
-    order = [0] * space.n_subsystems
-    for i, p in enumerate(dest):
-        order[p] = i
     # permute the row index of every column back to the global ordering
-    t = b.reshape(perm_space.dims + (b.shape[1],))
-    axes = hilbert._axes_from_dest(order)
-    t = t.transpose(tuple(axes) + (space.n_subsystems,))
-    return t.reshape(space.total_dim, space.total_dim)
+    return hilbert.from_front(b.reshape(m, rest, -1), nk, space)
 
 
 def cooling_map(plan: FtsPlan) -> Channel:

@@ -121,13 +121,13 @@ class RegionOperator:
         object.__setattr__(self, "support", support)
 
 
-def _axes_from_dest(dest) -> list[int]:
-    """np.transpose axes such that output position dest[i] holds input axis i."""
-    n = len(dest)
-    axes = [0] * n
-    for i, p in enumerate(dest):
-        axes[p] = i
-    return axes
+def _reorder_factors(x: np.ndarray, dims, axes, sides: int, extra=()) -> np.ndarray:
+    """Split the first `sides` indices of x into factors `dims` and put factor
+    axes[j] at position j on each; trailing axes of shape `extra` stay."""
+    n = len(dims)
+    t = x.reshape(tuple(dims) * sides + tuple(extra))
+    perm = [s * n + a for s in range(sides) for a in axes]
+    return t.transpose(perm + list(range(sides * n, t.ndim)))
 
 
 def permute_subsystems(obj: np.ndarray, dest, space: MultipartiteSpace) -> np.ndarray:
@@ -139,32 +139,47 @@ def permute_subsystems(obj: np.ndarray, dest, space: MultipartiteSpace) -> np.nd
     dest = list(dest)
     if sorted(dest) != list(range(space.n_subsystems)):
         raise ValueError(f"not a permutation of 0..{space.n_subsystems - 1}: {dest}")
-    dims = space.dims
-    axes = _axes_from_dest(dest)
     obj = np.asarray(obj)
-    if obj.ndim == 1:
-        return obj.reshape(dims).transpose(axes).reshape(-1)
-    if obj.ndim == 2:
-        n = len(dims)
-        t = obj.reshape(dims + dims)
-        full_axes = axes + [a + n for a in axes]
-        return t.transpose(full_axes).reshape(obj.shape)
-    raise DimensionError("expected a vector or a square matrix")
+    if obj.ndim not in (1, 2):
+        raise DimensionError("expected a vector or a square matrix")
+    return _reorder_factors(obj, space.dims, np.argsort(dest), obj.ndim).reshape(obj.shape)
 
 
-def permuted_dims(dest, space: MultipartiteSpace) -> tuple[int, ...]:
-    axes = _axes_from_dest(list(dest))
-    return tuple(space.dims[a] for a in axes)
-
-
-def front_permutation(region, space: MultipartiteSpace) -> list[int]:
-    """dest permutation placing `region` (in sorted order) first."""
+def _front_order(region, space: MultipartiteSpace) -> list[int]:
     region = sorted(region)
-    rest = [i for i in range(space.n_subsystems) if i not in set(region)]
-    dest = [0] * space.n_subsystems
-    for pos, i in enumerate(region + rest):
-        dest[i] = pos
-    return dest
+    return region + list(space.complement(region))
+
+
+def to_front(x: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) -> np.ndarray:
+    """x with the tensor factors of the sorted `region` first.
+
+    sides=1 regroups the row index of a vector (D,) or a column stack (D, N),
+    giving (m, r) or (m, r, N) with m = dim(region), r = D // m. sides=2
+    regroups both indices of a D x D operator, giving (m, r, m, r).
+    """
+    x = np.asarray(x)
+    m = space.dim_of(region)
+    extra = x.shape[sides:]
+    t = _reorder_factors(x, space.dims, _front_order(region, space), sides, extra)
+    return t.reshape((m, space.total_dim // m) * sides + extra)
+
+
+def from_front(y: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) -> np.ndarray:
+    """Inverse of `to_front`: (m, r[, N]) -> (D[, N]) or (m, r, m, r) -> (D, D).
+
+    With sides=2, any array of D * D entries in the front ordering is accepted.
+    """
+    y = np.asarray(y)
+    order = _front_order(region, space)
+    extra = y.shape[2:] if sides == 1 else ()
+    t = _reorder_factors(y, [space.dims[i] for i in order], np.argsort(order), sides, extra)
+    return t.reshape((space.total_dim,) * sides + extra)
+
+
+def act(op: np.ndarray, region, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
+    """(op on the sorted `region`, identity elsewhere) @ x for x of shape (D,) or (D, N)."""
+    y = to_front(x, region, space)
+    return from_front((op @ y.reshape(y.shape[0], -1)).reshape(y.shape), region, space)
 
 
 def embed(op: RegionOperator, space: MultipartiteSpace) -> np.ndarray:
@@ -177,13 +192,8 @@ def embed(op: RegionOperator, space: MultipartiteSpace) -> np.ndarray:
         raise DimensionError(
             f"operator is {op.matrix.shape[0]}x{op.matrix.shape[1]}, support dimension is {m}"
         )
-    rest = space.complement(sup)
-    full = np.kron(op.matrix, np.eye(space.dim_of(rest), dtype=complex))
-    # `full` lives in the (support, complement) ordering; undo it
-    dest = front_permutation(sup, space)
-    inv = _axes_from_dest(dest)  # inverse permutation as dest list
-    perm_space = MultipartiteSpace(permuted_dims(dest, space))
-    return permute_subsystems(full, inv, perm_space)
+    full = np.kron(op.matrix, np.eye(space.total_dim // m, dtype=complex))
+    return from_front(full, sup, space, sides=2)
 
 
 def partial_trace(rho: np.ndarray, keep, space: MultipartiteSpace) -> np.ndarray:
@@ -210,10 +220,7 @@ def reduced_state_of_pure(psi: np.ndarray, keep, space: MultipartiteSpace) -> np
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("empty keep set")
-    dest = front_permutation(keep, space)
-    psip = permute_subsystems(np.asarray(psi), dest, space)
-    dk = space.dim_of(keep)
-    m = psip.reshape(dk, -1)
+    m = to_front(psi, keep, space)
     return m @ m.conj().T
 
 
@@ -268,10 +275,7 @@ def coarse_grain(space: MultipartiteSpace, nstruct: NeighborhoodStructure) -> Co
 def coarse_grain_state(psi: np.ndarray, cg: CoarseGraining, space: MultipartiteSpace) -> np.ndarray:
     """Reorder a state vector so grouped subsystems are contiguous per group."""
     order = [i for g in cg.groups for i in g]
-    dest = [0] * space.n_subsystems
-    for pos, i in enumerate(order):
-        dest[i] = pos
-    return permute_subsystems(np.asarray(psi), dest, space)
+    return permute_subsystems(np.asarray(psi), np.argsort(order), space)
 
 
 def neighborhood_expansion(nstruct: NeighborhoodStructure, region) -> tuple[int, ...]:

@@ -125,9 +125,7 @@ def neighborhood_stabilizer_algebra(
     m = space.dim_of(region)
     rest_dim = space.total_dim // m
     basis = antiherm_basis(m)
-    dest = hilbert.front_permutation(region, space)
-    perm_space = MultipartiteSpace(hilbert.permuted_dims(dest, space))
-    psip = hilbert.permute_subsystems(psi, dest, space).reshape(m, rest_dim)
+    psip = hilbert.to_front(psi, region, space)
     # constraint matrix: coefficients -> (I - P_psi)(X ⊗ I)|psi>
     cols = []
     psi_perm = psip.reshape(-1)
@@ -142,14 +140,11 @@ def neighborhood_stabilizer_algebra(
 
     r = rank_cutoff(s, areal.shape, rtol)
     null = vh[r:].T  # (m^2, n_null), orthonormal real columns
-    order = [0] * space.n_subsystems
-    for i, p in enumerate(dest):
-        order[p] = i
     elems = []
     for j in range(null.shape[1]):
         x_local = sum(c * e for c, e in zip(null[:, j], basis))
         x_glob = np.kron(x_local, np.eye(rest_dim, dtype=complex)) / np.sqrt(rest_dim)
-        elems.append(hilbert.permute_subsystems(x_glob, order, perm_space))
+        elems.append(hilbert.from_front(x_glob, region, space, sides=2))
     return LieBasis(tuple(elems))
 
 

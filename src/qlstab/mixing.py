@@ -133,14 +133,6 @@ class _Map:
         self.adjoint = adjoint_fn
 
 
-def _fixed_point_deflated(map_apply, rho_star, dim):
-    def ap(x):
-        y = map_apply(x)
-        return y - rho_star * np.trace(y)
-
-    return ap
-
-
 def _eta_lower(m: _Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int = 20) -> float:
     """sup over pure inputs of (1/2)||M(rho)||_1 by sampling plus alternating ascent."""
     d = m.dim

@@ -173,12 +173,6 @@ class LocalSupport:
 
         return kron_all(mats)
 
-    def restricted_space(self, region=None) -> MultipartiteSpace:
-        dims = self.restricted_dims
-        if region is not None:
-            dims = [dims[i] for i in sorted(region)]
-        return MultipartiteSpace(dims)
-
 
 def local_support(state, space: MultipartiteSpace, rtol: float = DEFAULT_TOL.rank_rtol) -> LocalSupport:
     """Per-subsystem supports supp(Tr_complement rho)."""
@@ -206,19 +200,15 @@ def _restricted_projector(psi, region, space, support: LocalSupport):
     return p, defect
 
 
-def _operator_schmidt_factors(op, axes_a, axes_b, dims):
-    """Operator Schmidt factors of `op` across a bipartition of its space.
+def _operator_schmidt_factors(op, region, space: MultipartiteSpace):
+    """Operator Schmidt factors of `op` across `region` and its complement.
 
-    Returns the A-side matrices of a decomposition op = sum_mu A_mu x B_mu
-    with orthogonal B_mu; indices in axes_a/axes_b refer to tensor factors of
-    `dims`.
+    Returns the region-side matrices of a decomposition op = sum_mu A_mu x B_mu
+    with orthogonal B_mu, each A_mu scaled by its singular value.
     """
-    da = int(np.prod([dims[i] for i in axes_a]))
-    db = int(np.prod([dims[i] for i in axes_b]))
-    n = len(dims)
-    t = op.reshape(tuple(dims) + tuple(dims))
-    perm = list(axes_a) + list(axes_b) + [n + i for i in axes_a] + [n + i for i in axes_b]
-    t = t.transpose(perm).reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    t = hilbert.to_front(op, region, space, sides=2)
+    da, db = t.shape[:2]
+    t = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, s, _ = np.linalg.svd(t, full_matrices=False)
     from ._linalg import rank_cutoff
 
@@ -263,14 +253,11 @@ def neighborhood_algebra(
                 f"(defect {defect:.2e}); local supports overlap degenerately"
             )
         overlap = sorted(set(nk) & set(nj))
-        rest = sorted(set(nk) - set(nj))
-        dims_k = [support.restricted_dims[i] for i in nk]
-        axes_a = [nk.index(i) for i in overlap]
-        axes_b = [nk.index(i) for i in rest]
-        if not axes_b:
+        if len(overlap) == len(nk):
             factors = [pk]
         else:
-            factors = _operator_schmidt_factors(pk, axes_a, axes_b, dims_k)
+            space_k = MultipartiteSpace([support.restricted_dims[i] for i in nk])
+            factors = _operator_schmidt_factors(pk, [nk.index(i) for i in overlap], space_k)
         # embed the overlap components into the neighborhood-j space
         sub_space = MultipartiteSpace(sub_dims)
         pos = [nj.index(i) for i in overlap]
@@ -428,50 +415,12 @@ class AlgebraicRftsResult:
     coarse: "hilbert.CoarseGraining | None" = None
 
 
-def _apply_local_restricted(cols: np.ndarray, op: np.ndarray, region, dims) -> np.ndarray:
-    """(op on region) applied to a stack of vectors over tensor factors `dims`.
-
-    cols: (prod(dims), q); region indices refer to positions in dims.
-    """
-    region = sorted(region)
-    n = len(dims)
-    q = cols.shape[1] if cols.ndim == 2 else 1
-    t = cols.reshape(tuple(dims) + (q,))
-    rest_axes = [i for i in range(n) if i not in region]
-    perm = region + rest_axes + [n]
-    t = t.transpose(perm)
-    m = int(np.prod([dims[i] for i in region]))
-    t = op @ t.reshape(m, -1)
-    t = t.reshape([dims[i] for i in region] + [dims[i] for i in rest_axes] + [q])
-    inv = np.argsort(perm)
-    return t.transpose(inv).reshape(-1, q)
-
-
-def _lift_algebra(basis: AlgebraBasis, region, support: LocalSupport, r: np.ndarray) -> AlgebraBasis:
+def _lift_algebra(
+    basis: AlgebraBasis, region, rspace: MultipartiteSpace, r: np.ndarray
+) -> AlgebraBasis:
     """Restrict (X on region) tensor I to the isometry r (columns in H~ coords)."""
-    dims = support.restricted_dims
-    q = r.shape[1]
-    lifted = []
-    for e in basis.elements:
-        er = _apply_local_restricted(r, e, region, dims)
-        lifted.append(r.conj().T @ er)
-    return _span_basis(lifted, q)
-
-
-def _front_kron_unitary(g_local: np.ndarray, region, dims) -> np.ndarray:
-    """(g_local on region) tensor I, rows reordered to the natural site order."""
-    region = sorted(region)
-    rest = [i for i in range(len(dims)) if i not in region]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(g_local, np.eye(d_rest, dtype=complex))
-    order = region + rest
-    perm_dims = [dims[i] for i in order]
-    axes = [0] * len(dims)
-    for pos, i in enumerate(order):
-        axes[i] = pos
-    t = big.reshape(tuple(perm_dims) + (big.shape[1],))
-    t = t.transpose(tuple(axes) + (len(dims),))
-    return t.reshape(big.shape)
+    lifted = [r.conj().T @ hilbert.act(e, region, r, rspace) for e in basis.elements]
+    return _span_basis(lifted, r.shape[1])
 
 
 def _extract_factorization(
@@ -484,7 +433,7 @@ def _extract_factorization(
     seed: int,
 ) -> Factorization:
     ht = support.h_tilde_dim
-    dims = support.restricted_dims
+    rspace = MultipartiteSpace(support.restricted_dims)
     levels: list[tuple[np.ndarray, int]] = []
     r: np.ndarray | None = None
     factor_order = [j for j in range(len(cn)) if fs[j] > 1]
@@ -494,9 +443,11 @@ def _extract_factorization(
             g_loc, floc, _ = factor_representation(algebras[j], seed=seed)
             if floc != f:
                 raise FactorizationError("local factor dimension mismatch")
-            g = _front_kron_unitary(g_loc, list(cn[j]), dims)
+            # (g_loc on cn[j]) tensor I; rows in site order, columns in front order
+            big = np.kron(g_loc, np.eye(ht // len(g_loc), dtype=complex))
+            g = hilbert.from_front(big.reshape(len(g_loc), -1, ht), cn[j], rspace)
         else:
-            lifted = _lift_algebra(algebras[j], list(cn[j]), support, r)
+            lifted = _lift_algebra(algebras[j], cn[j], rspace, r)
             g, floc, _ = factor_representation(lifted, seed=seed)
             if floc != f:
                 raise FactorizationError("restricted factor dimension mismatch")
@@ -552,9 +503,7 @@ def _projector_block_residual(
         v /= np.linalg.norm(v)
         w = fac.to_virtual(v).reshape(-1)
         for k, nk in enumerate(cn):
-            pv = _apply_local_restricted(
-                v[:, None], locals_[k], list(nk), cspace.dims
-            ).reshape(-1)
+            pv = hilbert.act(locals_[k], nk, v, cspace)
             lhs = fac.to_virtual(pv).reshape(fac.factor_dims)
             rhs = w.reshape(fac.factor_dims).copy()
             f = fac.factor_dims[k]
@@ -604,9 +553,8 @@ def reduce_full_rank_factors(
                     continue  # not full rank
                 rest_pos = [p for p in range(len(nk)) if p != pos]
                 rho_rest = hilbert.partial_trace(rho_nk, rest_pos, sub_space)
-                dest = hilbert.front_permutation(rest_pos, sub_space)
-                rho_perm = hilbert.permute_subsystems(rho_nk, dest, sub_space)
-                if np.max(np.abs(rho_perm - np.kron(rho_rest, rho_i))) < 1e-8:
+                rho_perm = hilbert.to_front(rho_nk, rest_pos, sub_space, sides=2)
+                if np.max(np.abs(rho_perm.reshape(rho_nk.shape) - np.kron(rho_rest, rho_i))) < 1e-8:
                     nk.remove(i)
                     drops.append((k, i))
                     changed = True
@@ -742,16 +690,11 @@ def _pairwise_algebra_commutation(algebras, cn, support: LocalSupport) -> float:
 def _overlap_components(algebra: AlgebraBasis, region, overlap, support: LocalSupport):
     """Overlap-side operator Schmidt factors of every basis element."""
     region = list(region)
-    dims = [support.restricted_dims[i] for i in region]
+    if len(overlap) == len(region):
+        return list(algebra.elements)
+    space = MultipartiteSpace([support.restricted_dims[i] for i in region])
     axes_a = [region.index(i) for i in overlap]
-    axes_b = [p for p in range(len(region)) if p not in axes_a]
-    out = []
-    for e in algebra.elements:
-        if axes_b:
-            out.extend(_operator_schmidt_factors(e, axes_a, axes_b, dims))
-        else:
-            out.append(e)
-    return out
+    return [f for e in algebra.elements for f in _operator_schmidt_factors(e, axes_a, space)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,7 @@ def schmidt_span(
     if len(region) == space.n_subsystems:
         # trivial complement: the span of the state itself
         return Subspace(psi[:, None] / np.linalg.norm(psi))
-    dest = hilbert.front_permutation(region, space)
-    m = hilbert.permute_subsystems(psi, dest, space).reshape(space.dim_of(region), -1)
+    m = hilbert.to_front(psi, region, space)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     r = rank_cutoff(s, m.shape, rtol)
     return Subspace(u[:, :r])
@@ -78,18 +77,10 @@ def extended_schmidt_span(
     local = schmidt_span(psi, region, space, rtol)
     if len(region) == space.n_subsystems:
         return local
-    rest = space.complement(region)
-    big = np.kron(local.basis, np.eye(space.dim_of(rest), dtype=complex))
+    m, r = local.ambient_dim, space.total_dim // local.ambient_dim
+    big = np.kron(local.basis, np.eye(r, dtype=complex))
     # column vectors live in the (region, complement) ordering; restore rows
-    dest = hilbert.front_permutation(region, space)
-    order = [0] * space.n_subsystems
-    for i, p in enumerate(dest):
-        order[p] = i
-    perm_dims = tuple(space.dims[i] for i in order)
-    axes = hilbert._axes_from_dest(order)
-    t = big.reshape(perm_dims + (big.shape[1],))
-    t = t.transpose(tuple(axes) + (space.n_subsystems,))
-    return Subspace(t.reshape(space.total_dim, big.shape[1]))
+    return Subspace(hilbert.from_front(big.reshape(m, r, -1), region, space))
 
 
 def intersect(
@@ -127,19 +118,6 @@ class QlsVerdict:
     contains_target: bool
 
 
-def _apply_local_projector(vt: np.ndarray, p_local: np.ndarray, region, space) -> np.ndarray:
-    """(P_local ⊗ I) v for a vector given as a dims-shaped tensor, in place-free form."""
-    dest = hilbert.front_permutation(region, space)
-    perm_space = MultipartiteSpace(hilbert.permuted_dims(dest, space))
-    v = hilbert.permute_subsystems(vt, dest, space)
-    m = v.reshape(p_local.shape[0], -1)
-    m = p_local @ m
-    order = [0] * space.n_subsystems
-    for i, p in enumerate(dest):
-        order[p] = i
-    return hilbert.permute_subsystems(m.reshape(-1), order, perm_space)
-
-
 def _intersection_dim_iterative(
     psi: np.ndarray,
     nstruct: NeighborhoodStructure,
@@ -164,7 +142,7 @@ def _intersection_dim_iterative(
         v = v.astype(complex)
         out = kcount * v
         for p_local, region in locals_:
-            out -= _apply_local_projector(v, p_local, region, space)
+            out -= hilbert.act(p_local, region, v, space)
         return out
 
     op = spla.LinearOperator((d, d), matvec=hv, dtype=complex)
@@ -351,13 +329,9 @@ def operator_schmidt_span(
     The returned basis lives on the doubled region factor (dim_region^2), i.e.
     its elements are vectorized region operators.
     """
-    region = sorted(set(region))
-    rest = space.complement(region)
-    # reorder row and column indices so the region comes first on both
-    dest = hilbert.front_permutation(region, space)
-    opp = hilbert.permute_subsystems(np.asarray(op, dtype=complex), dest, space)
-    da, db = space.dim_of(region), space.dim_of(rest)
-    t = opp.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    opp = hilbert.to_front(np.asarray(op, dtype=complex), sorted(set(region)), space, sides=2)
+    da, db = opp.shape[:2]
+    t = opp.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, s, _ = np.linalg.svd(t, full_matrices=False)
     r = rank_cutoff(s, t.shape, rtol)
     return Subspace(u[:, :r])

@@ -56,14 +56,29 @@ class TestApply:
         out = apply(c, np.eye(2) / 2, sp)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
-    def test_local_apply_matches_embedded(self, rng):
-        sp = MultipartiteSpace([2, 3, 2])
-        rho = random_density(12, rng)
-        k0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u, _ = np.linalg.qr(k0)
-        c = unitary_channel(u, [0, 2])
-        big = embed(RegionOperator(u, [0, 2]), sp)
-        expected = big @ rho @ big.conj().T
+    @pytest.mark.parametrize("dims, support, kind", [
+        pytest.param([2, 3, 2], [0, 2], "unitary", id="unitary-02-of-232"),
+        pytest.param([2, 3, 2], [1], "reset", id="reset-1-of-232"),
+        pytest.param([2, 3, 2, 3], [1, 3], "reset", id="reset-13-of-2323"),
+        pytest.param([2, 3, 2, 3], [3, 0], "three", id="three-03-of-2323"),
+        pytest.param([3, 2, 2], [0, 1, 2], "three", id="three-full-of-322"),
+    ])
+    def test_local_apply_matches_embedded(self, rng, dims, support, kind):
+        sp = MultipartiteSpace(dims)
+        m = sp.dim_of(support)
+        rho = random_density(sp.total_dim, rng)
+        if kind == "reset":
+            c = reset_channel(random_pure(m, rng), support)
+            assert len(c.kraus) == m
+        else:
+            nk = 1 if kind == "unitary" else 3
+            g = rng.normal(size=(nk * m, m)) + 1j * rng.normal(size=(nk * m, m))
+            v, _ = np.linalg.qr(g)
+            c = make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
+        expected = np.zeros_like(rho)
+        for k in c.kraus:
+            big = embed(RegionOperator(k, support), sp)
+            expected += big @ rho @ big.conj().T
         assert trace_distance(apply(c, rho, sp), expected) < 1e-10
 
     def test_output_is_state(self, rng):

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ class TestCheck:
     def test_bad_file_exit_2(self, capsys):
         rc = main(["check", "qls", "/nonexistent/problem.json"])
         assert rc == 2
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        from qlstab import lie
+
+        def oom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 13.1 GiB")
+
+        monkeypatch.setattr(lie, "check_unitary_generation", oom)
+        rc = main(["check", "ugen", dicke_problem(tmp_path)])
+        assert rc == 3
+        assert "cap exceeded: Unable to allocate 13.1 GiB" in capsys.readouterr().err
+
+    def test_threads_without_threadpoolctl_warns(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        rc = main(["check", "qls", dicke_problem(tmp_path), "--threads", "1"])
+        assert rc == 0
+        assert "--threads ignored: threadpoolctl is not installed" in capsys.readouterr().err
 
     def test_two_state_sources_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", {

@@ -58,6 +58,58 @@ def test_embed_matches_kron_ordering(rng):
     assert np.allclose(full, t)
 
 
+def _brute_front(region, dims):
+    """Axis order and dims of the (sorted region, complement) grouping."""
+    region = sorted(region)
+    order = region + [i for i in range(len(dims)) if i not in region]
+    return order, [dims[i] for i in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3, 2, 3), (3, 2, 2), (2, 2, 2, 2), (4,)]).flatmap(
+        lambda dims: st.tuples(
+            st.just(dims),
+            st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims), unique=True),
+        )
+    ),
+    st.integers(1, 3),
+)
+def test_region_primitive_matches_brute_force(case, ncols):
+    dims, region = case
+    sp = MultipartiteSpace(dims)
+    d, m = sp.total_dim, sp.dim_of(region)
+    r = d // m
+    n = len(dims)
+    order, fdims = _brute_front(region, list(dims))
+    rng = np.random.default_rng(len(region) * 31 + ncols)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    stack = rng.normal(size=(d, ncols)) + 1j * rng.normal(size=(d, ncols))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    op = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+
+    # brute force: explicit reshape/transpose into the front order
+    v_front = v.reshape(dims).transpose(order).reshape(m, r)
+    stack_front = stack.reshape(dims + (ncols,)).transpose(order + [n]).reshape(m, r, ncols)
+    a_front = a.reshape(dims + dims).transpose(order + [n + i for i in order]).reshape(m, r, m, r)
+    assert np.array_equal(hilbert.to_front(v, region, sp), v_front)
+    assert np.array_equal(hilbert.to_front(stack, region, sp), stack_front)
+    assert np.array_equal(hilbert.to_front(a, region, sp, sides=2), a_front)
+
+    # round trips
+    for x, sides in ((v, 1), (stack, 1), (a, 2)):
+        y = hilbert.to_front(x, region, sp, sides=sides)
+        assert np.array_equal(hilbert.from_front(y, region, sp, sides=sides), x)
+
+    # act against the kron of op with the complement identity, regrouped back
+    inv = list(np.argsort(order))
+    big = np.kron(op, np.eye(r)).reshape(fdims + fdims)
+    big = big.transpose(inv + [n + i for i in inv]).reshape(d, d)
+    assert np.allclose(hilbert.act(op, region, v, sp), big @ v, atol=1e-12)
+    assert np.allclose(hilbert.act(op, region, stack, sp), big @ stack, atol=1e-12)
+    assert np.allclose(embed(RegionOperator(op, region), sp), big, atol=0)
+
+
 def test_embed_errors():
     sp = uniform_space(2)
     with pytest.raises(hilbert.DimensionError):
