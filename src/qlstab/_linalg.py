@@ -34,11 +34,17 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def rank_cutoff(sigmas: np.ndarray, shape: tuple[int, int], rtol: float = DEFAULT_TOL.rank_rtol) -> int:
-    """Number of singular values counted as nonzero under the package rank rule."""
+def rank_cutoff(
+    sigmas: np.ndarray, shape: tuple[int, int], rtol: float = DEFAULT_TOL.rank_rtol,
+    scale: float | None = None,
+) -> int:
+    """Number of singular values counted as nonzero under the package rank rule.
+
+    `scale` replaces the largest singular value as the reference when given.
+    """
     if sigmas.size == 0:
         return 0
-    smax = sigmas.max()
+    smax = sigmas.max() if scale is None else scale
     if smax == 0.0:
         return 0
     return int(np.sum(sigmas > rtol * smax * max(shape)))
@@ -54,13 +60,18 @@ def orthonormal_columns(a: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> n
     return u[:, :r]
 
 
-def nullspace(a: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> np.ndarray:
-    """Orthonormal basis (columns) of the right nullspace of `a`."""
+def nullspace(
+    a: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol, scale: float | None = None
+) -> np.ndarray:
+    """Orthonormal basis (columns) of the right nullspace of `a`.
+
+    The rank follows `rank_cutoff`, relative to `scale` when given.
+    """
     a = np.atleast_2d(np.asarray(a))
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = rank_cutoff(s, a.shape, rtol)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    r = rank_cutoff(s, a.shape, rtol, scale)
     return vh[r:].conj().T
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -287,6 +288,7 @@ def cmd_check(args) -> int:
         raise InputError(f"check {sub} needs a pure target state")
     verdicts: dict = {}
     certificates: dict = {}
+    tolerances: dict = {"tol": tol}
     if sub == "qls":
         v = sub_mod.check_qls(inst.psi, inst.neighborhoods, inst.space)
         verdicts = {"qls": v.qls}
@@ -332,13 +334,20 @@ def cmd_check(args) -> int:
             inst.psi, inst.neighborhoods, inst.space, seed=args.seed
         )
         verdicts = {"algebraic_rfts": res.ok, "reason": res.reason}
+        merged, split = res.cluster_gaps
         certificates = {
             "factor_dims": list(res.factor_dims),
             "algebra_dims": list(res.algebra_dims),
             "commutation_defect": res.commutation_defect,
             "target_factor_residual": res.target_factor_residual,
             "coarse_groups": [[i + 1 for i in g] for g in res.coarse_groups],
+            # smallest_split is null when no clustering split anything
+            "cluster_gaps": {
+                "largest_merged": merged,
+                "smallest_split": split if math.isfinite(split) else None,
+            },
         }
+        tolerances["cluster_rtol"] = rfts_mod.CLUSTER_RTOL
         ok = res.ok
     elif sub == "matching-overlap-rfts":
         res = rfts_mod.check_matching_overlap_rfts(
@@ -377,7 +386,7 @@ def cmd_check(args) -> int:
         ok = verdicts["zero_cmi"]
     else:
         raise InputError(f"unknown check subcommand {sub}")
-    report = _report(f"check {sub}", ok, verdicts, certificates, {"tol": tol}, args.seed, t0)
+    report = _report(f"check {sub}", ok, verdicts, certificates, tolerances, args.seed, t0)
     _emit(report, args.output)
     return 0 if ok else 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from ._linalg import complete_basis
+from ._linalg import complete_basis, nullspace
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
 
@@ -135,11 +135,7 @@ def neighborhood_stabilizer_algebra(
         cols.append(w)
     a = np.stack(cols, axis=1)
     areal = np.vstack([a.real, a.imag])
-    _, s, vh = np.linalg.svd(areal, full_matrices=True)
-    from ._linalg import rank_cutoff
-
-    r = rank_cutoff(s, areal.shape, rtol)
-    null = vh[r:].T  # (m^2, n_null), orthonormal real columns
+    null = nullspace(areal, rtol)  # (m^2, n_null), orthonormal real columns
     elems = []
     for j in range(null.shape[1]):
         x_local = sum(c * e for c, e in zip(null[:, j], basis))

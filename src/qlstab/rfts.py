@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,10 +23,13 @@ from . import subspaces
 from ._linalg import (
     DEFAULT_TOL,
     frob,
+    kron_all,
     nullspace,
     orthonormal_columns,
     random_density,
+    rank_cutoff,
     trace_distance,
+    trace_distance_to_pure_bound,
     von_neumann_entropy,
 )
 from .channels import Channel, make_channel
@@ -37,12 +40,32 @@ from .hilbert import MultipartiteSpace, NeighborhoodStructure
 # commutants and algebra bases
 # ---------------------------------------------------------------------------
 
+# Two eigenvalues of a generic element belong to one cluster iff their gap is at
+# most CLUSTER_RTOL * max|eigenvalue|; two clusters belong to one simple block
+# iff a generic element links them with weight above CLUSTER_RTOL * its norm.
+CLUSTER_RTOL = 1e-8
+# Largest memory `commutant` will use for its commutator system and its SVD.
+COMMUTANT_MAX_BYTES = 1 << 30
+# (largest merged gap, smallest split gap) of a clustering that split nothing
+# and merged nothing.
+NO_GAPS = (0.0, math.inf)
+
+
+def _merge_gaps(*gaps: tuple[float, float]) -> tuple[float, float]:
+    return max(g[0] for g in gaps), min(g[1] for g in gaps)
+
+
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """Orthonormal (HS) basis of an operator algebra on a declared space."""
+    """Orthonormal (HS) basis of an operator algebra on a declared space.
+
+    `cluster_gaps` is the eigenvalue-clustering margin of the computation that
+    produced the basis (see `commutant`).
+    """
 
     elements: tuple[np.ndarray, ...]
     ambient_dim: int
+    cluster_gaps: tuple[float, float] = NO_GAPS
 
     @property
     def dim(self) -> int:
@@ -73,82 +96,103 @@ class AlgebraBasis:
         x = sum(c * e for c, e in zip(w, self.elements))
         return x + x.conj().T if hermitian else x
 
-    def center_dim(self, rtol: float = 1e-8) -> int:
-        """Dimension of the center: elements of the span commuting with everything."""
-        m = self.ambient_dim
-        span = np.stack([e.reshape(-1) for e in self.elements], axis=1)
-        rows = []
-        for e in self.elements:
-            l = np.kron(e, np.eye(m)) - np.kron(np.eye(m), e.T)
-            rows.append(l @ span)
-        stacked = np.vstack(rows)
-        _, s, _ = np.linalg.svd(stacked, full_matrices=True)
-        from ._linalg import rank_cutoff
+    def generic_pair(self, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """A generic Hermitian element and a generic element, drawn from `seed`."""
+        rng = np.random.default_rng(seed)
+        return self.random_element(rng, hermitian=True), self.random_element(rng, hermitian=False)
 
-        r = rank_cutoff(s, stacked.shape, rtol)
-        return self.dim - r
+    def center_dim(self) -> int:
+        """Dimension of the center: the number of simple blocks of the algebra."""
+        return _blocks(*self.generic_pair())[1]
 
 
-def _span_basis(mats: list[np.ndarray], dim: int) -> AlgebraBasis:
-    if not mats:
-        return AlgebraBasis((), dim)
-    stacked = np.stack([m.reshape(-1) for m in mats], axis=1)
-    q = orthonormal_columns(stacked)
-    return AlgebraBasis(
-        tuple(q[:, j].reshape(dim, dim) for j in range(q.shape[1])), dim
-    )
+def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Eigenvectors of a Hermitian h grouped into clusters of equal eigenvalues.
+
+    Returns the eigenvectors (ascending eigenvalues), the index of the first
+    column of every cluster, and the margin (largest merged gap, smallest split gap), both
+    relative to max|eigenvalue|.
+    """
+    ev, vec = np.linalg.eigh(h)
+    gaps = np.diff(ev) / max(float(np.max(np.abs(ev))), np.finfo(float).tiny)
+    split = gaps > CLUSTER_RTOL
+    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
+    margin = (float(gaps[~split].max(initial=0.0)), float(gaps[split].min(initial=math.inf)))
+    return vec, starts, margin
+
+
+def _blocks(a: np.ndarray, x: np.ndarray):
+    """Simple-block structure of the *-algebra that a (Hermitian) and x are
+    generic in: (eigenvector clusters of a, number of simple blocks, margin).
+
+    Every cluster of a lies in one simple block; x links two clusters of the
+    same block and no two clusters of different blocks (Murota, Kanno, Kojima
+    & Kojima, Japan J. Indust. Appl. Math. 27:125, 2010).
+    """
+    vec, starts, gaps = _eigen_clusters(a)
+    y = np.abs(vec.conj().T @ x @ vec) ** 2
+    weight = np.add.reduceat(np.add.reduceat(y, starts, axis=0), starts, axis=1)
+    linked = weight > (CLUSTER_RTOL * frob(x)) ** 2
+    reach = (linked | linked.T | np.eye(len(starts), dtype=bool)).astype(int)
+    for _ in range(len(starts).bit_length()):
+        reach = np.minimum(reach @ reach, 1)  # paths of twice the length
+    components = len(np.unique(reach, axis=0))
+    return np.split(vec, starts[1:], axis=1), components, gaps
+
+
+def _adjoint_closed(ops: list[np.ndarray]) -> bool:
+    """Whether the span of (nonempty) `ops` contains the adjoint of every op."""
+    flat = np.array([s.reshape(-1) for s in ops]).T
+    adj = np.array([s.conj().T.reshape(-1) for s in ops]).T
+    span = orthonormal_columns(flat)
+    return frob(adj - span @ (span.conj().T @ adj)) <= CLUSTER_RTOL * frob(flat)
 
 
 def commutant(ops: list[np.ndarray], dim: int | None = None) -> AlgebraBasis:
-    """Basis of {X : [X, M] = 0 for every M} via stacked commutator nullspace."""
+    """Basis of {X : [X, M] = 0 for every M}.
+
+    When the span of `ops` is closed under the adjoint (as for the operator
+    Schmidt factors of Hermitian projectors), every X in the commutant commutes
+    with a generic Hermitian combination h of `ops`, so X is block diagonal over
+    h's eigenvalue clusters. Otherwise h is taken as 0: one cluster, all dim^2
+    entries unknown. Only the in-block entries are solved for, from one stacked
+    system holding [X, V^H M V] = 0 for every M. Its rank is cut relative to
+    max ||M||_2, so a system that vanishes up to roundoff (ops already block
+    diagonal, e.g. scalars) keeps every unknown.
+    """
     ops = [np.asarray(m, dtype=complex) for m in ops]
     if dim is None:
         if not ops:
             raise ValueError("need operators or an explicit dimension")
         dim = ops[0].shape[0]
-    if not ops:
-        # commutant of nothing: the full matrix algebra
-        units = []
-        for i in range(dim):
-            for j in range(dim):
-                m = np.zeros((dim, dim), dtype=complex)
-                m[i, j] = 1.0
-                units.append(m)
-        return AlgebraBasis(tuple(units), dim)
-    rows = [np.kron(m, np.eye(dim)) - np.kron(np.eye(dim), m.T) for m in ops]
-    null = nullspace(np.vstack(rows))
-    return AlgebraBasis(
-        tuple(null[:, j].reshape(dim, dim) for j in range(null.shape[1])), dim
-    )
-
-
-def _commutant_randomized(constraints: list[np.ndarray], dim: int, seed: int = 0) -> AlgebraBasis:
-    """Commutant of a self-adjoint constraint span, with verification.
-
-    Two generic Hermitian combinations usually generate the constraint algebra;
-    the result is verified element-by-element against every constraint, with an
-    exact stacked-nullspace fallback.
-    """
-    if not constraints:
-        return commutant([], dim)
-    rng = np.random.default_rng(seed)
-    herm_set = [0.5 * (s + s.conj().T) for s in constraints]
-    herm_set += [0.5j * (s - s.conj().T) for s in constraints]
-    herm_set = [h for h in herm_set if np.max(np.abs(h)) > 1e-12]
-    if not herm_set:
-        return commutant([], dim)
-    for _ in range(3):
-        r1 = sum(rng.normal() * h for h in herm_set)
-        r2 = sum(rng.normal() * h for h in herm_set)
-        cand = commutant([r1, r2], dim)
-        ok = all(
-            frob(x @ s - s @ x) < 1e-8 * max(1.0, frob(s))
-            for x in cand.elements
-            for s in constraints
+    rng = np.random.default_rng(0)
+    c = rng.normal(size=len(ops)) + 1j * rng.normal(size=len(ops))
+    h = sum((ck * s for ck, s in zip(c, ops)), np.zeros((dim, dim), dtype=complex))
+    if ops and not _adjoint_closed(ops):
+        h = np.zeros_like(h)
+    vec, starts, gaps = _eigen_clusters(0.5 * (h + h.conj().T))
+    label = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, dim)))
+    rows, cols = np.nonzero(label[:, None] == label[None, :])
+    k = len(rows)
+    # the system, the SVD's copy of it, and its left singular vectors
+    nbytes = 3 * len(ops) * dim * dim * k * 16
+    if nbytes > COMMUTANT_MAX_BYTES:
+        raise ch.CapExceeded(
+            f"commutant system of {len(ops)} x {dim}^2 x {k} needs {nbytes / 2**30:.1f} GiB, "
+            f"capped at {COMMUTANT_MAX_BYTES / 2**30:.1f} GiB"
         )
-        if ok:
-            return cand
-    return commutant(constraints, dim)
+    system = np.zeros((len(ops), dim, dim, k), dtype=complex)
+    unknown = np.arange(k)
+    for block, s in zip(system, ops):
+        sv = vec.conj().T @ s @ vec
+        # X = E_ab contributes sv[b, :] to row a and -sv[:, a] to column b
+        block[rows, :, unknown] = sv[cols, :]
+        block[:, cols, unknown] -= sv[:, rows]
+    scale = max((np.linalg.norm(s, 2) for s in ops), default=0.0)
+    null = nullspace(system.reshape(-1, k), scale=scale)
+    xs = np.zeros((null.shape[1], dim, dim), dtype=complex)
+    xs[:, rows, cols] = null.T
+    return AlgebraBasis(tuple(vec @ xs @ vec.conj().T), dim, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +212,7 @@ class LocalSupport:
         return space.total_dim - self.h_tilde_dim
 
     def region_isometry(self, region) -> np.ndarray:
-        mats = [self.site_isometries[i] for i in sorted(region)]
-        from ._linalg import kron_all
-
-        return kron_all(mats)
+        return kron_all([self.site_isometries[i] for i in sorted(region)])
 
 
 def local_support(state, space: MultipartiteSpace, rtol: float = DEFAULT_TOL.rank_rtol) -> LocalSupport:
@@ -210,8 +251,6 @@ def _operator_schmidt_factors(op, region, space: MultipartiteSpace):
     da, db = t.shape[:2]
     t = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, s, _ = np.linalg.svd(t, full_matrices=False)
-    from ._linalg import rank_cutoff
-
     r = rank_cutoff(s, t.shape, DEFAULT_TOL.rank_rtol)
     return [ (s[j] * u[:, j]).reshape(da, da) for j in range(r) ]
 
@@ -226,7 +265,6 @@ def neighborhood_algebra(
     j: int,
     space: MultipartiteSpace,
     support: LocalSupport | None = None,
-    seed: int = 0,
     projector_cache: dict | None = None,
 ) -> AlgebraBasis:
     """Largest algebra on the restricted neighborhood-j space commuting with
@@ -265,7 +303,7 @@ def neighborhood_algebra(
             constraints.append(
                 hilbert.embed(hilbert.RegionOperator(f, pos), sub_space)
             )
-    return _commutant_randomized(constraints, mj, seed=seed)
+    return commutant(constraints, mj)
 
 
 class DegenerateRestrictionWarning(RuntimeError):
@@ -283,67 +321,38 @@ class FactorizationError(RuntimeError):
 def factor_representation(basis: AlgebraBasis, seed: int = 0):
     """Unitary g with g^H A g = B(C^f) (x) I_q for a trivial-center algebra.
 
-    Returns (g, f, q). Uses a generic Hermitian element's eigenspaces plus
-    intertwiners from a second generic element to align the multiplicity
-    blocks.
+    Returns (g, f, q); see `_factor_split`.
     """
-    dim = basis.ambient_dim
-    f2 = basis.dim
-    f = int(round(math.sqrt(f2)))
-    if f * f != f2:
-        raise FactorizationError(f"algebra dimension {f2} is not a square")
-    if dim % f != 0:
-        raise FactorizationError("representation multiplicity is not integral")
-    q = dim // f
-    if f == 1:
-        return np.eye(dim, dtype=complex), 1, dim
-    rng = np.random.default_rng(seed)
-    for attempt in range(6):
-        a = basis.random_element(rng, hermitian=True)
-        ev, vec = np.linalg.eigh(a)
-        groups = _group_eigenvalues(ev, f, q)
-        if groups is None:
-            continue
-        es = [vec[:, g] for g in groups]
-        x = basis.random_element(rng, hermitian=False)
-        cols = [es[0]]
-        ok = True
-        for i in range(1, f):
-            t = es[i].conj().T @ x @ es[0]
-            c = np.linalg.norm(t) / np.sqrt(q)
-            if c < 1e-8:
-                ok = False
-                break
-            u = t / c
-            if np.max(np.abs(u.conj().T @ u - np.eye(q))) > 1e-6:
-                ok = False
-                break
-            cols.append(es[i] @ u)
-        if not ok:
-            continue
-        g = np.hstack(cols)  # ordering: factor index major, multiplicity minor
-        return g, f, q
-    raise FactorizationError("could not split the factor representation")
+    g, f, q, _ = _factor_split(*basis.generic_pair(seed))
+    if f * f != basis.dim:
+        raise FactorizationError(f"{f} clusters in an algebra of dimension {basis.dim}")
+    return g, f, q
 
 
-def _group_eigenvalues(ev: np.ndarray, f: int, q: int):
-    """Indices of f equal-multiplicity eigenvalue clusters, or None."""
-    order = np.argsort(ev)
-    ev_sorted = ev[order]
-    gaps = np.diff(ev_sorted)
-    if f == 1:
-        return [order]
-    cut_idx = np.argsort(gaps)[-(f - 1):]
-    cuts = np.sort(cut_idx)
-    groups = []
-    start = 0
-    for c in list(cuts) + [len(ev) - 1]:
-        end = c + 1 if c < len(ev) - 1 else len(ev)
-        groups.append(order[start:end])
-        start = end
-    if any(len(g) != q for g in groups):
-        return None
-    return groups
+def _factor_split(a: np.ndarray, x: np.ndarray):
+    """Factor split of the algebra that a (Hermitian) and x are generic in.
+
+    The algebra must be one simple block of f equal-size clusters of a. The
+    intertwiners E_i^H x E_0 align every cluster with the first one. Returns
+    (g, f, q, gaps) with the columns of g ordered factor-major.
+    """
+    es, components, gaps = _blocks(a, x)
+    f, q = len(es), es[0].shape[1]
+    if components != 1:
+        raise FactorizationError(f"center of dimension {components}")
+    if any(e.shape[1] != q for e in es):
+        raise FactorizationError("representation multiplicities differ")
+    cols = [es[0]]
+    for e in es[1:]:
+        t = e.conj().T @ x @ es[0]
+        c = np.linalg.norm(t) / np.sqrt(q)
+        if c <= CLUSTER_RTOL * frob(x):
+            raise FactorizationError("clusters are not linked to the first one")
+        u = t / c
+        if np.max(np.abs(u.conj().T @ u - np.eye(q))) > 1e-6:
+            raise FactorizationError("intertwiner is not unitary")
+        cols.append(e @ u)
+    return np.hstack(cols), f, q, gaps
 
 
 @dataclass(frozen=True)
@@ -393,8 +402,6 @@ class Factorization:
             lifted = np.kron(np.eye(prefix, dtype=complex), g)
             u = u @ lifted
             prefix *= f
-        from ._linalg import kron_all
-
         w = kron_all(list(self.support.site_isometries))
         return w @ u
 
@@ -413,51 +420,48 @@ class AlgebraicRftsResult:
     coarse_groups: tuple[tuple[int, ...], ...] = ()
     dropped_sites: tuple[tuple[int, int], ...] = ()
     coarse: "hilbert.CoarseGraining | None" = None
-
-
-def _lift_algebra(
-    basis: AlgebraBasis, region, rspace: MultipartiteSpace, r: np.ndarray
-) -> AlgebraBasis:
-    """Restrict (X on region) tensor I to the isometry r (columns in H~ coords)."""
-    lifted = [r.conj().T @ hilbert.act(e, region, r, rspace) for e in basis.elements]
-    return _span_basis(lifted, r.shape[1])
+    # eigenvalue-clustering margin over every clustering behind the verdict:
+    # (largest merged gap, smallest split gap), relative to max|eigenvalue|
+    cluster_gaps: tuple[float, float] = NO_GAPS
 
 
 def _extract_factorization(
-    psi_c: np.ndarray,
     cspace: MultipartiteSpace,
     cn: NeighborhoodStructure,
     support: LocalSupport,
     algebras: list[AlgebraBasis],
-    fs: list[int],
+    splits: list,
     seed: int,
-) -> Factorization:
+) -> tuple[Factorization, tuple[float, float]]:
+    """Split off one factor per level from the generic pair (from `seed`) of
+    its algebra, whose local `_factor_split` is in `splits`; returns the
+    factorization and the clustering margin of every split."""
+    fs = [split[1] for split in splits]
     ht = support.h_tilde_dim
     rspace = MultipartiteSpace(support.restricted_dims)
     levels: list[tuple[np.ndarray, int]] = []
+    gaps = NO_GAPS
     r: np.ndarray | None = None
-    factor_order = [j for j in range(len(cn)) if fs[j] > 1]
-    for j in factor_order:
-        f = fs[j]
+    for j in (j for j in range(len(cn)) if fs[j] > 1):
         if r is None:
-            g_loc, floc, _ = factor_representation(algebras[j], seed=seed)
-            if floc != f:
-                raise FactorizationError("local factor dimension mismatch")
+            g_loc, f, _, level_gaps = splits[j]
             # (g_loc on cn[j]) tensor I; rows in site order, columns in front order
             big = np.kron(g_loc, np.eye(ht // len(g_loc), dtype=complex))
             g = hilbert.from_front(big.reshape(len(g_loc), -1, ht), cn[j], rspace)
         else:
-            lifted = _lift_algebra(algebras[j], cn[j], rspace, r)
-            g, floc, _ = factor_representation(lifted, seed=seed)
-            if floc != f:
-                raise FactorizationError("restricted factor dimension mismatch")
-        q_next = g.shape[0] // f
+            # restrict (X on cn[j]) tensor I to the range of r
+            g, f, _, level_gaps = _factor_split(
+                *(r.conj().T @ hilbert.act(y, cn[j], r, rspace)
+                  for y in algebras[j].generic_pair(seed))
+            )
+        gaps = _merge_gaps(gaps, level_gaps)
+        if f != fs[j]:
+            raise FactorizationError("factor dimension mismatch")
         levels.append((g, f))
-        branch0 = g[:, :q_next]
+        branch0 = g[:, : g.shape[0] // f]
         r = branch0 if r is None else r @ branch0
-    factor_dims = tuple(fs)
     fac = Factorization(
-        factor_dims=factor_dims,
+        factor_dims=tuple(fs),
         factor_to_neighborhood=tuple(range(len(cn))),
         support=support,
         space=cspace,
@@ -465,7 +469,7 @@ def _extract_factorization(
         levels=tuple(levels),
         h0_dim=cspace.total_dim - ht,
     )
-    return fac
+    return fac, gaps
 
 
 def _peel_factor_states(psi_v: np.ndarray, factor_dims) -> tuple[tuple[np.ndarray, ...], float]:
@@ -491,12 +495,10 @@ def _projector_block_residual(
     psi_c, cspace, cn, fac: Factorization, factor_states, rng, probes: int = 3
 ) -> float:
     """Check every neighborhood projector acts as rank-one on its own factor."""
-    from .subspaces import schmidt_span
-
     worst = 0.0
     locals_ = []
     for k, nk in enumerate(cn):
-        span = schmidt_span(psi_c, nk, cspace)
+        span = subspaces.schmidt_span(psi_c, nk, cspace)
         locals_.append(span.basis @ span.basis.conj().T)
     for _ in range(probes):
         v = rng.normal(size=cspace.total_dim) + 1j * rng.normal(size=cspace.total_dim)
@@ -570,8 +572,6 @@ def check_algebraic_rfts(
     space: MultipartiteSpace,
     seed: int = 0,
     qls_verdict=None,
-    commute_tol: float = 1e-8,
-    cross_check: bool = True,
 ) -> AlgebraicRftsResult:
     """Commuting/complete neighborhood algebras => virtual factorization => RFTS."""
     psi = np.asarray(psi, dtype=complex)
@@ -589,85 +589,66 @@ def check_algebraic_rfts(
     try:
         cache: dict = {}
         algebras = [
-            neighborhood_algebra(
-                psi_c, cn, j, cspace, support, seed=seed, projector_cache=cache
-            )
+            neighborhood_algebra(psi_c, cn, j, cspace, support, projector_cache=cache)
             for j in range(len(cn))
         ]
     except DegenerateRestrictionWarning as exc:
         return AlgebraicRftsResult(ok=False, reason=f"degenerate-restriction: {exc}", **common)
+    common["algebra_dims"] = tuple(a.dim for a in algebras)
+    gaps = _merge_gaps(NO_GAPS, *(a.cluster_gaps for a in algebras))
 
-    fs = []
-    for alg in algebras:
-        if alg.center_dim() != 1:
-            return AlgebraicRftsResult(
-                ok=False, reason="incomplete",
-                algebra_dims=tuple(a.dim for a in algebras), **common,
-            )
-        f = int(round(math.sqrt(alg.dim)))
-        if f * f != alg.dim:
-            return AlgebraicRftsResult(
-                ok=False, reason="incomplete",
-                algebra_dims=tuple(a.dim for a in algebras), **common,
-            )
-        fs.append(f)
+    def result(ok=False, reason="incomplete", **fields) -> AlgebraicRftsResult:
+        return AlgebraicRftsResult(ok=ok, reason=reason, cluster_gaps=gaps, **common, **fields)
+
+    # trivial centre: each algebra is one simple block B(C^f) (x) I of dim f^2
+    try:
+        splits = [_factor_split(*alg.generic_pair(seed)) for alg in algebras]
+    except FactorizationError:
+        return result()
+    gaps = _merge_gaps(gaps, *(split[3] for split in splits))
+    if any(split[1] ** 2 != alg.dim for split, alg in zip(splits, algebras)):
+        return result()
+    fs = [split[1] for split in splits]
 
     defect = _pairwise_algebra_commutation(algebras, cn, support)
-    if defect > commute_tol:
-        return AlgebraicRftsResult(
-            ok=False, reason="non-commuting", commutation_defect=defect,
-            algebra_dims=tuple(a.dim for a in algebras), **common,
-        )
+    if defect > DEFAULT_TOL.commutator:
+        return result(reason="non-commuting", commutation_defect=defect)
     if int(np.prod(fs)) != support.h_tilde_dim:
-        return AlgebraicRftsResult(
-            ok=False, reason="incomplete", commutation_defect=defect,
-            algebra_dims=tuple(a.dim for a in algebras), factor_dims=tuple(fs), **common,
-        )
+        return result(commutation_defect=defect, factor_dims=tuple(fs))
 
     try:
-        fac = _extract_factorization(psi_c, cspace, cn, support, algebras, fs, seed)
+        fac, split_gaps = _extract_factorization(cspace, cn, support, algebras, splits, seed)
     except FactorizationError:
-        return AlgebraicRftsResult(
-            ok=False, reason="incomplete", commutation_defect=defect,
-            algebra_dims=tuple(a.dim for a in algebras), factor_dims=tuple(fs), **common,
-        )
+        return result(commutation_defect=defect, factor_dims=tuple(fs))
+    gaps = _merge_gaps(gaps, split_gaps)
     psi_v = fac.to_virtual(psi_c)
     h0_weight = 1.0 - float(np.linalg.norm(psi_v) ** 2)
     factor_states, peel_resid = _peel_factor_states(psi_v, fac.factor_dims)
-    fac = Factorization(
-        factor_dims=fac.factor_dims,
-        factor_to_neighborhood=fac.factor_to_neighborhood,
-        support=fac.support,
-        space=fac.space,
-        neighborhoods=fac.neighborhoods,
-        levels=fac.levels,
-        h0_dim=fac.h0_dim,
-        factor_states=factor_states,
-    )
+    fac = replace(fac, factor_states=factor_states)
     rng = np.random.default_rng(seed + 1)
     block_resid = _projector_block_residual(psi_c, cspace, cn, fac, factor_states, rng)
-    if cross_check and support.h_tilde_dim <= 1024:
-        fac2 = _extract_factorization(psi_c, cspace, cn, support, algebras, fs, seed + 17)
-        psi_v2 = fac2.to_virtual(psi_c)
-        _, peel2 = _peel_factor_states(psi_v2, fac2.factor_dims)
+    if support.h_tilde_dim <= 1024:
+        # a second extraction from other generic elements must factor the target too
+        splits = [_factor_split(*alg.generic_pair(seed + 17)) for alg in algebras]
+        fac2, split_gaps = _extract_factorization(cspace, cn, support, algebras, splits, seed + 17)
+        gaps = _merge_gaps(gaps, split_gaps)
+        _, peel2 = _peel_factor_states(fac2.to_virtual(psi_c), fac2.factor_dims)
         peel_resid = max(peel_resid, peel2)
-    elif cross_check:
+    else:
         rng2 = np.random.default_rng(seed + 29)
         block_resid = max(
             block_resid,
             _projector_block_residual(psi_c, cspace, cn, fac, factor_states, rng2),
         )
     ok = peel_resid < 1e-7 and abs(h0_weight) < 1e-9 and block_resid < 1e-6
-    return AlgebraicRftsResult(
+    return result(
         ok=ok,
         reason="ok" if ok else "target-not-factored",
         factor_dims=fac.factor_dims,
         factorization=fac,
-        algebra_dims=tuple(a.dim for a in algebras),
         commutation_defect=defect,
         target_factor_residual=peel_resid,
         projector_block_residual=block_resid,
-        **common,
     )
 
 
@@ -795,8 +776,7 @@ def build_rfts_circuit(
         kraus = []
         if f > 1:
             algebra = neighborhood_algebra(
-                psi_c, fac.neighborhoods, fac.factor_to_neighborhood[j], cspace,
-                support, seed=seed,
+                psi_c, fac.neighborhoods, fac.factor_to_neighborhood[j], cspace, support
             )
             g_loc, floc, q = factor_representation(algebra, seed=seed)
             if floc != f:
@@ -859,8 +839,6 @@ def _distance_to_target(rho: np.ndarray, target, exact_limit: int = 768) -> floa
     if target.ndim == 1:
         if rho.shape[0] <= exact_limit:
             return trace_distance(rho, np.outer(target, target.conj()))
-        from ._linalg import trace_distance_to_pure_bound
-
         return trace_distance_to_pure_bound(rho, target)
     return trace_distance(rho, target)
 

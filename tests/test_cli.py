@@ -73,6 +73,18 @@ class TestCheck:
         rc = main(["check", "matching-overlap", path])
         assert rc == 0
 
+    def test_algebraic_rfts_reports_cluster_margin(self, tmp_path, capsys):
+        path = write_json(tmp_path, "c5.json", {
+            "state": {"constructor": {"name": "graph-cycle", "params": {"n": 5}}},
+        })
+        rc = main(["check", "algebraic-rfts", path])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["tolerances"]["cluster_rtol"] == 1e-8
+        gaps = out["certificates"]["cluster_gaps"]
+        assert gaps["largest_merged"] < 1e-12
+        assert gaps["smallest_split"] > 1e-4
+
     def test_cmi_on_graph(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {
             "state": {"constructor": {"name": "graph-line", "params": {"n": 5}}},
@@ -86,6 +98,15 @@ class TestCheck:
     def test_bad_file_exit_2(self, capsys):
         rc = main(["check", "qls", "/nonexistent/problem.json"])
         assert rc == 2
+
+    def test_commutant_over_cap_exit_3(self, tmp_path, capsys):
+        # the W-product's 7-qubit neighbourhood algebras need a 41 GiB system
+        problem = write_json(tmp_path, "problem.json", {
+            "state": {"constructor": {"name": "w-product-9"}},
+        })
+        rc = main(["check", "algebraic-rfts", problem])
+        assert rc == 3
+        assert "cap exceeded: commutant system" in capsys.readouterr().err
 
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         from qlstab import lie

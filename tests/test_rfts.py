@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from qlstab import channels as ch
 from qlstab import states
-from qlstab._linalg import random_density, trace_distance
+from qlstab._linalg import (
+    nullspace,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    trace_distance,
+)
 from qlstab.channels import Channel, make_channel, reset_channel, superoperator
 from qlstab.hilbert import (
     MultipartiteSpace,
@@ -13,6 +20,7 @@ from qlstab.hilbert import (
 )
 from qlstab.rfts import (
     AlgebraBasis,
+    FactorizationError,
     build_rfts_circuit,
     channels_commute_pairwise,
     check_algebraic_rfts,
@@ -55,12 +63,79 @@ class TestCommutant:
         out = commutant(ops)
         assert out.dim == 1
 
+    def test_commutant_of_nilpotent(self):
+        # {N} spans no adjoint-closed set; its commutant is {a I + b N}
+        n = np.array([[0.0, 1.0], [0.0, 0.0]])
+        out = commutant([n])
+        assert out.dim == 2
+        span = np.stack([e.reshape(-1) for e in out.elements], axis=1)
+        for x in (np.eye(2), n):
+            v = x.reshape(-1)
+            assert np.max(np.abs(span @ (span.conj().T @ v) - v)) < 1e-12
+        assert commutant([n, n.T]).dim == 1
+
     def test_algebra_basis_validate(self, rng):
         out = commutant([np.diag([1.0, 1.0, 2.0])])
         defects = out.validate()
         assert defects["adjoint"] == 0.0
         assert defects["product"] == 0.0
         assert defects["identity"] == 0.0
+
+
+def _block_algebra_generators(blocks, rng, count=3):
+    """Random Hermitian elements of (+)_i M_a (x) I_b in a random basis."""
+    m = sum(a * b for a, b in blocks)
+    u = random_unitary(m, rng)
+    return [
+        u @ block_diag(*(np.kron(random_hermitian(a, rng), np.eye(b)) for a, b in blocks))
+        @ u.conj().T
+        for _ in range(count)
+    ]
+
+
+# (+)_i M_a (x) I_b as a list of (a, b); the oracle flag marks cases where the
+# Kronecker commutator system is not zero up to roundoff
+BLOCK_ALGEBRAS = [
+    pytest.param([(1, 3)], False, id="scalars"),
+    pytest.param([(4, 1)], True, id="irreducible"),
+    pytest.param([(3, 2)], True, id="factor-3x2"),
+    pytest.param([(4, 4)], True, id="factor-4x4"),
+    pytest.param([(2, 2), (1, 3)], True, id="centre-2"),
+    pytest.param([(2, 1), (2, 1)], True, id="equal-blocks"),
+    pytest.param([(1, 2), (1, 3), (1, 1)], True, id="commuting"),
+    pytest.param([(2, 3), (3, 1), (1, 2)], True, id="centre-3"),
+]
+
+
+class TestBlockAlgebras:
+    """Known answers on (+)_i M_a (x) I_b: the commutant is (+)_i I_a (x) M_b."""
+
+    @pytest.mark.parametrize("blocks, oracle", BLOCK_ALGEBRAS)
+    def test_commutant_centre_and_factor(self, blocks, oracle, rng):
+        ops = _block_algebra_generators(blocks, rng)
+        m = ops[0].shape[0]
+        comm = commutant(ops)
+        assert comm.dim == sum(b * b for _, b in blocks)
+        assert comm.center_dim() == len(blocks)
+        for x in comm.elements:
+            for s in ops:
+                assert np.max(np.abs(x @ s - s @ x)) < 1e-10
+        if oracle:
+            eye = np.eye(m)
+            null = nullspace(np.vstack([np.kron(s, eye) - np.kron(eye, s.T) for s in ops]))
+            span = np.stack([x.reshape(-1) for x in comm.elements], axis=1)
+            assert null.shape[1] == comm.dim
+            assert np.max(np.abs(null @ (null.conj().T @ span) - span)) < 1e-8
+        algebra = commutant(comm.elements, m)
+        assert algebra.dim == sum(a * a for a, _ in blocks)
+        assert algebra.center_dim() == len(blocks)
+        if len(blocks) == 1:
+            g, f, q = factor_representation(algebra)
+            assert (f, q) == blocks[0]
+            assert np.max(np.abs(g.conj().T @ g - np.eye(m))) < 1e-10
+        else:
+            with pytest.raises(FactorizationError):
+                factor_representation(algebra)
 
 
 class TestFactorRepresentation:
