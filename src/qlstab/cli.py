@@ -465,6 +465,7 @@ def cmd_synth(args) -> int:
             "factor_dims": list(res.factor_dims),
             "channels": len(channels),
             "orders_run": rep.orders_run,
+            "distinct_orders": rep.distinct_orders,
             "max_final_distance": rep.max_final_distance,
             "factorization": fac_json,
         },
@@ -704,6 +705,7 @@ def _repro_graph_line3_rfts(seed):
     ok = rep.passed and rep.exhaustive and comm < 1e-9
     return ok, {
         "orders": rep.orders_run,
+        "distinct_orders": rep.distinct_orders,
         "max_final_distance": rep.max_final_distance,
         "max_pairwise_commutator": comm,
     }
@@ -723,6 +725,7 @@ def _repro_w_product(seed):
     return ok, {
         "max_pairwise_commutator": comm,
         "orders": rep.orders_run,
+        "distinct_orders": rep.distinct_orders,
         "max_final_distance": rep.max_final_distance,
         "alternative_hamiltonian_kernel_dim": 1 if kernel_ok else None,
     }

@@ -7,6 +7,7 @@ converts from the 1-based external format. Storage is dense throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,10 @@ class MultipartiteSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def dim_of(self, region) -> int:
-        return int(np.prod([self.dims[i] for i in region])) if len(region) else 1
+        return math.prod(self.dims[i] for i in region)
 
     def complement(self, region) -> tuple[int, ...]:
         reg = set(region)
@@ -174,6 +175,28 @@ def from_front(y: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) 
     extra = y.shape[2:] if sides == 1 else ()
     t = _reorder_factors(y, [space.dims[i] for i in order], np.argsort(order), sides, extra)
     return t.reshape((space.total_dim,) * sides + extra)
+
+
+def _block_order(region, space: MultipartiteSpace) -> list[int]:
+    order, n = _front_order(region, space), space.n_subsystems
+    rows, rest = order[:len(region)], order[len(region):]
+    return rows + [n + i for i in rows] + rest + [n + i for i in rest]
+
+
+def to_blocks(rho: np.ndarray, region, space: MultipartiteSpace) -> np.ndarray:
+    """A D x D operator as (m, m, r * r): the row factors of the sorted
+    `region`, its column factors, then the rest of the row and column index."""
+    m = space.dim_of(region)
+    t = np.asarray(rho).reshape(space.dims * 2).transpose(_block_order(region, space))
+    return t.reshape(m, m, -1)
+
+
+def from_blocks(y: np.ndarray, region, space: MultipartiteSpace) -> np.ndarray:
+    """Inverse of `to_blocks`: any array of D * D entries in block order -> (D, D)."""
+    order = _block_order(region, space)
+    dims = space.dims * 2
+    t = np.asarray(y).reshape([dims[i] for i in order]).transpose(np.argsort(order))
+    return t.reshape(space.total_dim, space.total_dim)
 
 
 def act(op: np.ndarray, region, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:

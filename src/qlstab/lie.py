@@ -13,7 +13,11 @@ import numpy as np
 
 from . import hilbert
 from ._linalg import complete_basis, nullspace
+from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
+
+# largest candidate stack the exhaustive ugen pass may allocate
+UGEN_MAX_BYTES = 1 << 30
 
 
 def antiherm_basis(n: int) -> list[np.ndarray]:
@@ -306,6 +310,13 @@ def check_unitary_generation(
     if span.dim < target and exact_fallback:
         method = "exhaustive"
         for _ in range(max_levels):
+            # the two bracket stacks and their difference, g x span.dim x n1^2 complex each
+            nbytes = 3 * g * span.dim * n1 * n1 * 16
+            if nbytes > UGEN_MAX_BYTES:
+                raise CapExceeded(
+                    f"exhaustive ugen pass of {g} x {span.dim} brackets of size {n1} needs "
+                    f"{nbytes / 2**30:.1f} GiB, capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB"
+                )
             mats = packer.unpack(span.rows[:, 1:])
             cands = np.einsum("gab,nbc->gnac", ys, mats, optimize=True) - np.einsum(
                 "nab,gbc->gnac", mats, ys, optimize=True

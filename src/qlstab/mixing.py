@@ -232,6 +232,9 @@ class CommutingResetFamily:
 
     def __init__(self, channels: list[Channel], space: MultipartiteSpace, target):
         self.channels = list(channels)
+        self.adjoints = [
+            Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label) for c in self.channels
+        ]
         self.space = space
         self.target = np.asarray(target, dtype=complex)
         self.rho_star = (
@@ -267,8 +270,7 @@ class CommutingResetFamily:
     def propagate_adjoint(self, x: np.ndarray, t: float) -> np.ndarray:
         w = 1.0 - math.exp(-t)
         out = x
-        for c in reversed(self.channels):
-            adj = Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label)
+        for adj in reversed(self.adjoints):
             out = (1.0 - w) * out + w * chan_mod.apply(adj, out, self.space)
         return out
 
@@ -302,7 +304,7 @@ class CommutingResetFamily:
     def eta_single_channel(self, k: int, t: float, seed: int = 0, n_samples: int = 64) -> float:
         """Lower estimate of eta(e^{L_k t}) for one neighborhood generator."""
         rng = np.random.default_rng(seed)
-        c = self.channels[k]
+        c, adjc = self.channels[k], self.adjoints[k]
         d = self.space.total_dim
         w = 1.0 - math.exp(-t)
 
@@ -310,8 +312,7 @@ class CommutingResetFamily:
             return (1.0 - w) * x + w * chan_mod.apply(c, x, self.space)
 
         def prop_adj(x):
-            adj = Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label)
-            return (1.0 - w) * x + w * chan_mod.apply(adj, x, self.space)
+            return (1.0 - w) * x + w * chan_mod.apply(adjc, x, self.space)
 
         # E_phi for a single idempotent channel is the channel itself
         def ap(x):
@@ -319,7 +320,6 @@ class CommutingResetFamily:
             return y - chan_mod.apply(c, y, self.space)
 
         def adj(x):
-            adjc = Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label)
             y = x - chan_mod.apply(adjc, x, self.space)
             return prop_adj(y)
 

@@ -848,6 +848,7 @@ class RobustnessReport:
     passed: bool
     max_final_distance: float
     orders_run: int
+    distinct_orders: int
     exhaustive: bool
     invariance_ok: bool
     max_invariance_defect: float
@@ -868,7 +869,8 @@ def verify_robustness(
 
     All orderings are run when their count is at most `exhaustive_limit`;
     otherwise the identity order plus `trials` random orders are sampled.
-    Inputs: the maximally mixed state plus random density matrices.
+    Inputs: the maximally mixed state plus random density matrices. A sampled
+    order that repeats is counted in `orders_run` but computed once.
     """
     target = np.asarray(target, dtype=complex)
     rng = np.random.default_rng(seed)
@@ -899,7 +901,8 @@ def verify_robustness(
     for _ in range(n_random_inputs):
         inputs.append(random_density(d, rng))
     worst = 0.0
-    for order in orders:
+    distinct = dict.fromkeys(orders)
+    for order in distinct:
         for rho0 in inputs:
             rho = rho0
             for idx in order:
@@ -913,6 +916,7 @@ def verify_robustness(
         passed=worst < tol and inv_ok,
         max_final_distance=worst,
         orders_run=len(orders),
+        distinct_orders=len(distinct),
         exhaustive=exhaustive,
         invariance_ok=inv_ok,
         max_invariance_defect=inv_defect,

@@ -56,14 +56,16 @@ class TestApply:
         out = apply(c, np.eye(2) / 2, sp)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
-    @pytest.mark.parametrize("dims, support, kind", [
-        pytest.param([2, 3, 2], [0, 2], "unitary", id="unitary-02-of-232"),
-        pytest.param([2, 3, 2], [1], "reset", id="reset-1-of-232"),
-        pytest.param([2, 3, 2, 3], [1, 3], "reset", id="reset-13-of-2323"),
-        pytest.param([2, 3, 2, 3], [3, 0], "three", id="three-03-of-2323"),
-        pytest.param([3, 2, 2], [0, 1, 2], "three", id="three-full-of-322"),
+    @pytest.mark.parametrize("dims, support, kind, branch", [
+        pytest.param([2, 3, 2], [0, 2], "unitary", "kraus", id="unitary-02-of-232"),
+        pytest.param([2, 3, 2], [1], "reset", "liouville", id="reset-1-of-232"),
+        pytest.param([2, 3, 2, 3], [1, 3], "reset", "kraus", id="reset-13-of-2323"),
+        pytest.param([2, 3, 2, 3], [3, 0], "three", "kraus", id="three-03-of-2323"),
+        pytest.param([3, 2, 2], [0, 1, 2], "three", "full", id="three-full-of-322"),
+        pytest.param([2, 3, 2, 3], [0, 2], "reset", "liouville", id="reset-02-of-2323"),
+        pytest.param([2, 2, 2], [0, 2], "three", "kraus", id="three-02-of-222"),
     ])
-    def test_local_apply_matches_embedded(self, rng, dims, support, kind):
+    def test_local_apply_matches_embedded(self, rng, dims, support, kind, branch):
         sp = MultipartiteSpace(dims)
         m = sp.dim_of(support)
         rho = random_density(sp.total_dim, rng)
@@ -75,6 +77,8 @@ class TestApply:
             g = rng.normal(size=(nk * m, m)) + 1j * rng.normal(size=(nk * m, m))
             v, _ = np.linalg.qr(g)
             c = make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
+        if branch != "full":
+            assert ch._liouville_pays(m, len(c.kraus), sp.total_dim) == (branch == "liouville")
         expected = np.zeros_like(rho)
         for k in c.kraus:
             big = embed(RegionOperator(k, support), sp)

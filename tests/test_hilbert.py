@@ -95,11 +95,14 @@ def test_region_primitive_matches_brute_force(case, ncols):
     assert np.array_equal(hilbert.to_front(v, region, sp), v_front)
     assert np.array_equal(hilbert.to_front(stack, region, sp), stack_front)
     assert np.array_equal(hilbert.to_front(a, region, sp, sides=2), a_front)
+    a_blocks = a_front.transpose(0, 2, 1, 3).reshape(m, m, r * r)
+    assert np.array_equal(hilbert.to_blocks(a, region, sp), a_blocks)
 
     # round trips
     for x, sides in ((v, 1), (stack, 1), (a, 2)):
         y = hilbert.to_front(x, region, sp, sides=sides)
         assert np.array_equal(hilbert.from_front(y, region, sp, sides=sides), x)
+    assert np.array_equal(hilbert.from_blocks(a_blocks, region, sp), a)
 
     # act against the kron of op with the complement identity, regrouped back
     inv = list(np.argsort(order))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qlstab import lie as lie_mod
 from qlstab import states
+from qlstab.channels import CapExceeded
 from qlstab.hilbert import NeighborhoodStructure, uniform_space
 from qlstab.lie import (
     LieBasis,
@@ -130,6 +132,14 @@ class TestUnitaryGeneration:
         assert not v.ok
         assert v.generated_dim < v.target_dim
         assert v.method == "exhaustive"
+
+    def test_exhaustive_over_cap_raises(self, monkeypatch):
+        sp = uniform_space(2)
+        psi = np.kron([1, 0], [1, 0]).astype(complex)
+        n = NeighborhoodStructure([[0], [1]])
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 1024)
+        with pytest.raises(CapExceeded, match="exhaustive ugen"):
+            check_unitary_generation(psi, n, sp)
 
 
 class TestLengthBound:

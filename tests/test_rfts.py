@@ -302,6 +302,26 @@ class TestRobustness:
         )
         assert rep.passed
 
+    def test_repeated_orders_run_once(self):
+        inst = states.w_product_9()
+        chans = list(inst.witness_channels)
+        rep = verify_robustness(chans, inst.psi, inst.space, exhaustive_limit=1, trials=40)
+        rng = np.random.default_rng(5)
+        orders = [(0, 1, 2)] + [tuple(rng.permutation(3)) for _ in range(40)]
+        d = inst.space.total_dim
+        inputs = [np.eye(d, dtype=complex) / d, random_density(d, rng)]
+        target = np.outer(inst.psi, inst.psi.conj())
+        worst = 0.0
+        for order in orders:
+            for rho in inputs:
+                for idx in order:
+                    rho = ch.apply(chans[idx], rho, inst.space)
+                worst = max(worst, trace_distance(rho, target))
+        assert rep.orders_run == 41
+        assert rep.distinct_orders == len(set(orders)) <= 6
+        assert rep.max_final_distance == worst
+        assert rep.passed
+
     def test_dicke_fts_steps_not_robust(self, densify):
         from qlstab.fts import plan_fts, synthesize_fts
 
