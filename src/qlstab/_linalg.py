@@ -90,6 +90,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(ev)))
 
 
+def trace_distance_to_pure_on(block: np.ndarray, idx: np.ndarray, psi: np.ndarray) -> float:
+    """(1/2)||rho - psi psi^H||_1 for a Hermitian rho that vanishes off the
+    indices `idx`, given only its block rho[idx, idx].
+
+    rho - psi psi^H acts inside span(e_idx, psi_C), psi_C being the part of
+    psi off `idx`; in that orthonormal frame it is diag(block, 0) - c c^H with
+    c = (psi[idx], ||psi_C||), so the distance is exact, not a bound. With
+    `idx` every index this is `trace_distance(rho, psi psi^H)`.
+    """
+    c = psi[idx]
+    tail = np.linalg.norm(np.delete(psi, idx))
+    if tail > 0.0:
+        block = np.pad(block, (0, 1))
+        c = np.append(c, tail)
+    return trace_distance(block, np.outer(c, c.conj()))
+
+
 def trace_distance_to_pure_bound(rho: np.ndarray, psi: np.ndarray) -> float:
     """Cheap upper bound (1/2)sqrt(D)*||rho - psi psi^H||_F, avoids a big eigh."""
     d = rho.shape[0]

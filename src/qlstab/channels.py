@@ -13,7 +13,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import hilbert
-from ._linalg import DEFAULT_TOL, dagger, rank_cutoff, trace_distance
+from ._linalg import DEFAULT_TOL, dagger, rank_cutoff, trace_distance, trace_distance_to_pure_on
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
 
@@ -204,8 +204,10 @@ def _apply_monomial(forms, rho: np.ndarray) -> np.ndarray:
 class Frame:
     """An ordered basis shared by permutation steps: the columns of `basis`.
 
-    The frame caches each channel step's Kraus operators written in it, so a
-    circuit pays the O(D^3) change of basis once however often it runs.
+    The frame caches each channel step's Kraus operators written in it, keyed
+    by the channel's content, so a circuit pays the O(D^3) change of basis
+    once per distinct channel however often it runs, and a channel loaded
+    as several equal objects is written in the frame once.
     """
 
     basis: np.ndarray
@@ -218,11 +220,10 @@ class Frame:
 
     def monomial_kraus(self, ch: Channel, space: MultipartiteSpace):
         """(forms, defect) of `ch` in this frame; see `_monomial_forms`."""
-        key = (id(ch), space.dims)
+        key = (ch.support, space.dims, tuple(k.tobytes() for k in ch.kraus))
         if key not in self._forms:
-            # holding `ch` keeps its id from being reused by another object
-            self._forms[key] = (ch, *_monomial_forms(ch, self.basis, space))
-        return self._forms[key][1:]
+            self._forms[key] = _monomial_forms(ch, self.basis, space)
+        return self._forms[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,8 +298,20 @@ class TrajectoryPoint:
     trace_distance: float | None
 
 
+def occupied(rho: np.ndarray) -> np.ndarray:
+    """Indices whose row or column of rho holds a nonzero entry."""
+    nz = rho != 0
+    return np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
+
+
 def state_rank(rho: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
-    ev = np.linalg.eigvalsh(rho)
+    """Rank under the package rule, cut at the full shape of rho.
+
+    The eigenvalues come from the block on the occupied indices; the rest of
+    the spectrum is exactly zero.
+    """
+    s = occupied(rho)
+    ev = np.linalg.eigvalsh(rho[np.ix_(s, s)])
     return rank_cutoff(np.abs(ev[::-1]), rho.shape, rtol)
 
 
@@ -311,10 +324,21 @@ def run(
     """Apply the circuit steps in order; returns final state and trajectory.
 
     A circuit with permutation steps runs in their frame B: the state is
-    rotated in once and out once, permutation steps reindex it, and channel
-    steps act through their monomial frame forms, each at O(D^2). Rank and
-    trace distance are unitarily invariant, so the trajectory is computed
-    in the frame.
+    rotated in once, permutation steps reindex it, and channel steps act
+    through their monomial frame forms, each at O(D^2). Rank and trace
+    distance are unitarily invariant, so the trajectory is computed in the
+    frame.
+
+    Each point works on the occupied set S of the state (`occupied`): the
+    framed state is exactly zero off S, which shrinks with every cooling
+    round. The rank is that of rho[S, S] cut at the full shape, the distance
+    to the pure target t is `trace_distance_to_pure_on` over S, and the final
+    state is rotated out as B[:, S] rho[S, S] B[:, S]^H. Without a frame, or
+    with S every index, these are the dense D x D computations.
+
+    With `record` the trajectory holds a point per step and one for the
+    input; without it, only the final point when a target is given, and
+    nothing otherwise.
     """
     rho = np.asarray(rho0, dtype=complex)
     space = circuit.space
@@ -328,10 +352,12 @@ def run(
         if target is not None:
             target = dagger(b) @ target
 
-    def dist(r):
-        if target is None:
-            return None
-        return trace_distance(r, np.outer(target, target.conj()))
+    def point(t, r):
+        dist = None
+        if target is not None:
+            s = occupied(r)
+            dist = trace_distance_to_pure_on(r[np.ix_(s, s)], s, target)
+        return TrajectoryPoint(t, state_rank(r), dist)
 
     def step(ch, r):
         if isinstance(ch, PermutationStep):
@@ -343,13 +369,17 @@ def run(
 
     traj = []
     if record:
-        traj.append(TrajectoryPoint(0, state_rank(rho), dist(rho)))
+        traj.append(point(0, rho))
     for t, ch in enumerate(circuit.steps, start=1):
         rho = step(ch, rho)
         if record:
-            traj.append(TrajectoryPoint(t, state_rank(rho), dist(rho)))
+            traj.append(point(t, rho))
+    if target is not None and not record:
+        traj.append(point(len(circuit.steps), rho))
     if frame is not None:
-        rho = b @ rho @ dagger(b)
+        s = occupied(rho)
+        bs = b[:, s]
+        rho = bs @ rho[np.ix_(s, s)] @ dagger(bs)
     return rho, traj
 
 

@@ -505,9 +505,11 @@ def cmd_simulate(args) -> int:
             orders.append(tuple(rng.permutation(len(circ.steps))))
     worst = 0.0
     rows = None
-    for order in orders:
+    # a repeated order gives the same final state, so each distinct one runs once
+    distinct = list(dict.fromkeys(orders))
+    for order in distinct:
         steps = tuple(circ.steps[i] for i in order)
-        final, traj = chan_mod.run(Circuit(steps, circ.space), rho0, target=target)
+        _, traj = chan_mod.run(Circuit(steps, circ.space), rho0, target=target, record=rows is None)
         if rows is None:
             rows = traj
         if target is not None:
@@ -522,7 +524,8 @@ def cmd_simulate(args) -> int:
     report = _report(
         "simulate", ok,
         {"converged": ok},
-        {"orders": len(orders), "final_distance": worst if target is not None else None,
+        {"orders": len(orders), "distinct_orders": len(distinct),
+         "final_distance": worst if target is not None else None,
          "final_rank": rows[-1].rank, "frame_defect": chan_mod.frame_defect(circ)},
         {"tol": args.tol, "frame": DEFAULT_TOL.frame}, args.seed, t0,
     )

@@ -17,7 +17,7 @@ import numpy as np
 from . import channels as ch
 from . import hilbert
 from . import subspaces
-from ._linalg import complete_basis, random_density, random_pure, trace_distance
+from ._linalg import complete_basis, random_density, random_pure
 from .channels import Channel, Circuit, make_channel
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
@@ -248,12 +248,11 @@ def verify_fts(
         inputs.append(np.outer(v, v.conj()))
     worst = 0.0
     ranks: tuple[int, ...] = ()
-    target = np.outer(psi, psi.conj())
     for j, rho in enumerate(inputs):
-        final, traj = ch.run(circuit, rho, target=psi, record=(j == 0))
+        _, traj = ch.run(circuit, rho, target=psi, record=(j == 0))
         if j == 0:
             ranks = tuple(t.rank for t in traj)
-        worst = max(worst, trace_distance(final, target))
+        worst = max(worst, traj[-1].trace_distance)
     return FtsVerification(
         passed=worst < tol,
         max_final_distance=worst,

@@ -387,7 +387,8 @@ class Factorization:
         x = self.restrict(v)
         for g, f in self.levels:
             q = g.shape[0]
-            x = (x.reshape(-1, q) @ g.conj()).reshape(-1)
+            # conjugating the vector twice is cheaper than the q x q level once
+            x = (x.conj().reshape(-1, q) @ g).conj().reshape(-1)
         return x.reshape(self.factor_dims) if self.factor_dims else x
 
     def as_matrix(self, max_dim: int = 2048) -> np.ndarray:

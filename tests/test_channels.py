@@ -288,6 +288,35 @@ class TestFramedRun:
         with pytest.raises(ChannelError):
             ch.apply_to_pure(step, np.eye(4)[0], sp)
 
+class TestOccupiedBlock:
+    """Rank and distance to a pure target from the block of a state on its
+    occupied indices, against the dense D x D computations."""
+
+    D = 12
+
+    @pytest.mark.parametrize("size", [0, 1, 6, 12])
+    @pytest.mark.parametrize("tail", [0.0, 1e-16, 1e-10, 1e-6, None])
+    def test_block_matches_dense(self, size, tail, rng):
+        from qlstab._linalg import rank_cutoff, trace_distance_to_pure_on
+
+        d = self.D
+        s = np.sort(rng.choice(d, size=size, replace=False))
+        rho = np.zeros((d, d), dtype=complex)
+        if size:
+            rho[np.ix_(s, s)] = random_density(size, rng, rank=max(size // 2, 1))
+        # a target dense off s at the scale `tail`, or a random one
+        t = random_pure(d, rng)
+        if tail is not None:
+            t *= tail
+            t[s[0] if size else 0] = 1.0
+            t /= np.linalg.norm(t)
+        assert np.array_equal(ch.occupied(rho), s)
+        dense = trace_distance(rho, np.outer(t, t.conj()))
+        assert abs(trace_distance_to_pure_on(rho[np.ix_(s, s)], s, t) - dense) < 1e-13
+        ev = np.linalg.eigvalsh(rho)
+        assert ch.state_rank(rho) == rank_cutoff(np.abs(ev[::-1]), rho.shape)
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -292,6 +292,35 @@ class TestShuffleSimulation:
         assert out["certificates"]["orders"] == 6
         assert out["certificates"]["final_distance"] < 1e-9
 
+    def test_repeated_orders_run_once(self, tmp_path, capsys):
+        from qlstab import channels as ch
+
+        path = write_json(tmp_path, "c5.json", {
+            "state": {"constructor": {"name": "graph-cycle", "params": {"n": 5}}},
+        })
+        circuit_path = str(tmp_path / "circuit.json")
+        assert main(["synth", "rfts", path, "--circuit", circuit_path]) == 0
+        capsys.readouterr()
+        rc = main(["simulate", circuit_path, "--problem", path, "--shuffle", "--trials", "400", "--seed", "0"])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert rc == 0
+        # the same draws as `simulate`: the identity order, then 399 sampled ones
+        with open(circuit_path) as fh:
+            circ = circuit_from_json(json.load(fh))
+        rng = np.random.default_rng(0)
+        orders = [tuple(range(5))] + [tuple(rng.permutation(5)) for _ in range(399)]
+        assert cert["orders"] == 400
+        assert cert["distinct_orders"] == len(set(orders)) == 117
+        from qlstab import states
+
+        psi = states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)]).psi
+        rho0 = np.eye(32, dtype=complex) / 32
+        worst = max(
+            ch.run(Circuit(tuple(circ.steps[i] for i in o), circ.space), rho0, target=psi)[1][-1].trace_distance
+            for o in orders
+        )
+        assert cert["final_distance"] == worst
+
 
 def _pairs(m):
     m = np.asarray(m, dtype=complex)
@@ -373,6 +402,22 @@ class TestFramedCircuitFile:
                 assert np.array_equal(a.perm, b.perm)
             else:
                 assert all(ka.tobytes() == kb.tobytes() for ka, kb in zip(a.kraus, b.kraus))
+
+    def test_frame_forms_computed_once_per_distinct_channel(self, tmp_path, capsys, monkeypatch):
+        from qlstab import channels as ch
+
+        _, circuit_path, _ = self._synth(tmp_path, capsys)
+        with open(circuit_path) as fh:
+            circ = circuit_from_json(json.load(fh))
+        channels = [s for s in circ.steps if isinstance(s, ch.Channel)]
+        # the file holds the one cooling map as several separate objects
+        assert len({id(c) for c in channels}) == len(channels) > 1
+        calls = []
+        forms = ch._monomial_forms
+        monkeypatch.setattr(ch, "_monomial_forms", lambda *a: calls.append(a[0].label) or forms(*a))
+        ch.run(circ, np.eye(16, dtype=complex) / 16)
+        ch.run(circ, np.eye(16, dtype=complex) / 16)
+        assert calls == ["W"]
 
     def test_shuffle_matches_dense_file(self, tmp_path, capsys, densify):
         problem, circuit_path, _ = self._synth(tmp_path, capsys)

@@ -3,7 +3,7 @@ import pytest
 
 from qlstab import channels as ch
 from qlstab import states
-from qlstab._linalg import random_density, trace_distance
+from qlstab._linalg import random_density, random_pure, trace_distance
 from qlstab.channels import Circuit, apply, check_invariance, superoperator
 from qlstab.fts import (
     FtsError,
@@ -247,3 +247,40 @@ class TestFramedRun:
         framed, _ = ch.run(shuffled, rho0, record=False)
         dense, _ = ch.run(Circuit(tuple(densify(shuffled)), circ.space), rho0, record=False)
         assert np.max(np.abs(framed - dense)) < 1e-10
+
+
+class TestFinalPoint:
+    """The final trajectory point that a run with a target returns, and the
+    verification distances read from it."""
+
+    @pytest.mark.parametrize("make, build", [
+        (lambda: states.dicke(4, 2), _fts_circuit),
+        (lambda: states.vbs_1d(3), _fts_circuit),
+        (lambda: states.line_graph_state(3), lambda inst: Circuit(inst.witness_channels, inst.space)),
+    ], ids=["dicke-framed", "vbs3-framed", "line3-unframed"])
+    def test_unrecorded_run_returns_last_point(self, make, build):
+        inst = make()
+        circ = build(inst)
+        rho0 = random_density(inst.space.total_dim, np.random.default_rng(3))
+        final, traj = ch.run(circ, rho0, target=inst.psi)
+        final2, last = ch.run(circ, rho0, target=inst.psi, record=False)
+        assert last == [traj[-1]]
+        assert np.array_equal(final, final2)
+        assert ch.run(circ, rho0, record=False)[1] == []
+
+    @pytest.mark.parametrize("make", [lambda: states.dicke(4, 2), lambda: states.vbs_1d(3),
+                                      lambda: states.vbs_1d(4)], ids=["dicke", "vbs3", "vbs4"])
+    def test_verify_matches_distance_of_rotated_out_state(self, make):
+        inst = make()
+        circ = _fts_circuit(inst)
+        rep = verify_fts(circ, inst.psi, trials=2, seed=4)
+        rng = np.random.default_rng(4)
+        d = inst.space.total_dim
+        inputs = [np.eye(d, dtype=complex) / d]
+        for _ in range(2):
+            inputs.append(random_density(d, rng))
+            v = random_pure(d, rng)
+            inputs.append(np.outer(v, v.conj()))
+        finals = [ch.run(circ, rho, record=False)[0] for rho in inputs]
+        worst = max(trace_distance(f, inst.density()) for f in finals)
+        assert abs(rep.max_final_distance - worst) < 1e-14

@@ -162,6 +162,18 @@ class TestFactorRepresentation:
             assert np.max(np.abs(t - recon)) < 1e-8
 
 
+class TestFactorization:
+    def test_to_virtual_matches_conjugated_levels(self, rng):
+        inst = states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)])
+        fac = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space).factorization
+        assert len(fac.levels) > 1
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        x = fac.restrict(v)
+        for g, _ in fac.levels:
+            x = (x.reshape(-1, g.shape[0]) @ g.conj()).reshape(-1)
+        assert np.array_equal(fac.to_virtual(v).reshape(-1), x)
+
+
 class TestLocalSupport:
     def test_full_rank(self):
         inst = states.line_graph_state(3)
