@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hilbert
 from ._linalg import DEFAULT_TOL, dagger, rank_cutoff, trace_distance, trace_distance_to_pure_on
-from .hilbert import MultipartiteSpace, NeighborhoodStructure
+from .hilbert import MultipartiteSpace
 
 
 class ChannelError(ValueError):
@@ -258,11 +258,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def quasi_local_in(self, nstruct: NeighborhoodStructure) -> bool:
-        return all(
-            any(set(ch.support) <= set(nk) for nk in nstruct) for ch in self.steps
-        )
 
     @property
     def frame(self) -> Frame | None:

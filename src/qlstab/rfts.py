@@ -853,6 +853,7 @@ class RobustnessReport:
     exhaustive: bool
     invariance_ok: bool
     max_invariance_defect: float
+    worst_order: tuple[int, ...]
 
 
 def verify_robustness(
@@ -872,6 +873,7 @@ def verify_robustness(
     otherwise the identity order plus `trials` random orders are sampled.
     Inputs: the maximally mixed state plus random density matrices. A sampled
     order that repeats is counted in `orders_run` but computed once.
+    `worst_order` is the first order that reached `max_final_distance`.
     """
     target = np.asarray(target, dtype=complex)
     rng = np.random.default_rng(seed)
@@ -902,17 +904,16 @@ def verify_robustness(
     for _ in range(n_random_inputs):
         inputs.append(random_density(d, rng))
     worst = 0.0
+    worst_order = orders[0]
     distinct = dict.fromkeys(orders)
     for order in distinct:
         for rho0 in inputs:
             rho = rho0
             for idx in order:
                 rho = ch.apply(channels[idx], rho, space)
-            worst = max(
-                worst, _distance_to_target(rho, target, exact_limit=distance_exact_limit)
-            )
-            if worst > 10 * tol and not exhaustive:
-                break
+            dist = _distance_to_target(rho, target, exact_limit=distance_exact_limit)
+            if dist > worst:
+                worst, worst_order = dist, order
     return RobustnessReport(
         passed=worst < tol and inv_ok,
         max_final_distance=worst,
@@ -921,6 +922,7 @@ def verify_robustness(
         exhaustive=exhaustive,
         invariance_ok=inv_ok,
         max_invariance_defect=inv_defect,
+        worst_order=worst_order,
     )
 
 

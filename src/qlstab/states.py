@@ -25,10 +25,6 @@ class StateInstance:
     witness_channels: tuple[Channel, ...] = ()
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def is_pure(self) -> bool:
-        return self.psi is not None
-
     def density(self) -> np.ndarray:
         if self.rho is not None:
             return self.rho
@@ -684,22 +680,6 @@ def gbv_fig4_instance(seed: int = 5) -> StateInstance:
         seed=seed,
     )
     return gbv_state(spec, name="gbv-7-particle")
-
-
-def product_state_instance(local_states, neighborhoods=None) -> StateInstance:
-    """Product state with strictly local neighborhoods and reset witnesses."""
-    local_states = [np.asarray(v, dtype=complex) for v in local_states]
-    space = MultipartiteSpace([len(v) for v in local_states])
-    psi = kron_all(local_states).reshape(-1)
-    n = space.n_subsystems
-    nb = neighborhoods or NeighborhoodStructure([[i] for i in range(n)])
-    witnesses = tuple(
-        ch.reset_channel(local_states[i], [i], label=f"E_{i}") for i in range(n)
-    )
-    return StateInstance(
-        name="product", space=space, neighborhoods=nb, psi=psi,
-        witness_channels=witnesses,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,32 @@ class TestReproduce:
             rc = main(["reproduce", name])
             assert rc == 0, name
 
+    def test_report_on_stdout(self, capsys):
+        rc = main(["reproduce", "chain-depth3"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert rc == 0
+        assert out["verdicts"]["chain-depth3"] is True
+        assert out["certificates"]["chain-depth3"]["failed_checks"] == []
+        assert captured.err.startswith("[PASS] chain-depth3 (")
+
+    def test_failed_check_named(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(
+            REPRODUCTIONS, "half-true",
+            lambda seed: ({"depth == 3": True, "distance < 1e-10": False}, {"seed": seed}),
+        )
+        path = tmp_path / "report.json"
+        rc = main(["reproduce", "half-true", "--seed", "4", "--output", str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(path.read_text())
+        assert rc == 1
+        assert report == json.loads(captured.out)
+        assert report["pass"] is False
+        result = report["certificates"]["half-true"]
+        assert result["failed_checks"] == ["distance < 1e-10"]
+        assert result["certificates"] == {"seed": 4}
+        assert "failed: distance < 1e-10" in captured.err
+
     def test_registry_complete(self):
         expected = {
             "dicke-fts", "aklt-not-fts", "vbs3-fts", "graph-line3-rfts",

@@ -13,6 +13,7 @@ from qlstab.lie import (
     neighborhood_stabilizer_algebra,
     stabilizer_algebra,
 )
+from qlstab.subspaces import check_qls
 
 
 class TestStabilizerAlgebra:
@@ -24,6 +25,11 @@ class TestStabilizerAlgebra:
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         b = stabilizer_algebra(psi / np.linalg.norm(psi))
         assert b.dim == 226
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_random_dims(self, d, rng):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        assert stabilizer_algebra(psi / np.linalg.norm(psi)).dim == (d - 1) ** 2 + 1
 
     def test_contains_global_phase(self, rng):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -123,6 +129,14 @@ class TestUnitaryGeneration:
         v = check_unitary_generation(inst.psi, inst.neighborhoods, inst.space)
         assert v.ok
         assert v.target_dim == 677
+
+    @pytest.mark.parametrize("make", [
+        lambda: states.dicke(4, 2), lambda: states.vbs_1d(3), lambda: states.line_graph_state(3),
+    ], ids=["dicke-4-2", "vbs-3", "line-graph-3"])
+    def test_ugen_implies_qls(self, make):
+        inst = make()
+        assert check_unitary_generation(inst.psi, inst.neighborhoods, inst.space).ok
+        assert check_qls(inst.psi, inst.neighborhoods, inst.space).qls
 
     def test_disconnected_product_false(self):
         sp = uniform_space(2)

@@ -350,6 +350,20 @@ class TestRobustness:
         rep = verify_robustness([c], psi, sp)
         assert rep.passed
 
+    @pytest.mark.parametrize("exhaustive_limit", [720, 1])
+    def test_worst_order_named(self, exhaustive_limit):
+        # reset to |0> then flip ends in |1>; flip then reset ends in |0>
+        sp = uniform_space(1)
+        zero = np.array([1.0, 0.0], dtype=complex)
+        flip = ch.unitary_channel(np.array([[0, 1], [1, 0]], dtype=complex), [0])
+        rep = verify_robustness(
+            [reset_channel(zero, [0]), flip], zero, sp, exhaustive_limit=exhaustive_limit
+        )
+        assert not rep.passed
+        assert rep.exhaustive == (exhaustive_limit == 720)
+        assert rep.worst_order == (0, 1)
+        assert abs(rep.max_final_distance - 1.0) < 1e-12
+
     def test_nonfactorizable_channels(self):
         inst = states.nonfactorizable_252()
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space)

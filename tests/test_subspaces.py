@@ -248,16 +248,16 @@ class TestMatchingOverlap:
 class TestLemmas:
     def test_trace_inequality_random_projectors(self, rng):
         # Tr(P1 P2) >= Tr(P_intersection) + 0.5 Tr(|[P1,P2]|^2)
-        for _ in range(20):
-            d = 6
-            p1 = haar_subspace(d, rng.integers(1, 5), rng).projector()
-            p2 = haar_subspace(d, rng.integers(1, 5), rng).projector()
-            inter = intersect([Subspace(np.linalg.svd(p1)[0][:, : round(np.trace(p1).real)]),
-                               Subspace(np.linalg.svd(p2)[0][:, : round(np.trace(p2).real)])])
-            c = p1 @ p2 - p2 @ p1
-            lhs = np.trace(p1 @ p2).real
-            rhs = inter.dim + 0.5 * np.trace(c.conj().T @ c).real
-            assert lhs >= rhs - 1e-9
+        for d, draws in ((6, 20), (7, 25)):
+            for _ in range(draws):
+                p1 = haar_subspace(d, rng.integers(1, d - 1), rng).projector()
+                p2 = haar_subspace(d, rng.integers(1, d - 1), rng).projector()
+                inter = intersect([Subspace(np.linalg.svd(p1)[0][:, : round(np.trace(p1).real)]),
+                                   Subspace(np.linalg.svd(p2)[0][:, : round(np.trace(p2).real)])])
+                c = p1 @ p2 - p2 @ p1
+                lhs = np.trace(p1 @ p2).real
+                rhs = inter.dim + 0.5 * np.trace(c.conj().T @ c).real
+                assert lhs >= rhs - 1e-9
 
     def test_subsystem_kernel_lemma(self, rng):
         # ker(Tr_pbar |psi><psi|) == ker(Tr_pbar Pi_k) for p in N_k
