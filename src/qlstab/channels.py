@@ -131,11 +131,29 @@ def _apply_local(rho: np.ndarray, kraus, support, space: MultipartiteSpace) -> n
         s = sum(np.kron(k, k.conj()) for k in kraus)
         out = s @ x.reshape(m * m, r2)
     else:
-        x = x.reshape(m, m * r2)
-        out = np.zeros((m, m, r2), dtype=complex)
-        for k in kraus:
-            out += np.matmul(k.conj(), (k @ x).reshape(m, m, r2))
+        out = _kraus_blocks(x, kraus)
     return hilbert.from_blocks(out, support, space)
+
+
+def _kraus_blocks(x: np.ndarray, kraus) -> np.ndarray:
+    """sum_k K-bar applied to the (m, r^2) slices of K @ x, for x of shape (m, m, r^2).
+
+    One K @ x buffer and one term buffer serve every Kraus operator: a fresh
+    D x D temporary per operator costs a page fault per 4 KiB touched.
+    """
+    m, _, r2 = x.shape
+    x = x.reshape(m, m * r2)
+    y = np.empty_like(x)
+    out = np.empty((m, m, r2), dtype=complex)
+    term = None
+    for i, k in enumerate(kraus):
+        np.matmul(k, x, out=y)
+        if i == 0:
+            np.matmul(k.conj(), y.reshape(m, m, r2), out=out)
+        else:
+            term = np.matmul(k.conj(), y.reshape(m, m, r2), out=term)
+            out += term
+    return out
 
 
 def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
@@ -452,10 +470,14 @@ def restrict_to_support(ch: Channel, space: MultipartiteSpace, tol: float = 1e-9
 
 
 def superoperator(ch: Channel, space: MultipartiteSpace, max_side: int = 4096) -> np.ndarray:
-    """Dense matrix of the map in the row-major vectorized basis."""
+    """Dense matrix of the map in the row-major vectorized basis.
+
+    The matrix has side D^2; more than `max_side` raises CapExceeded before
+    anything is allocated.
+    """
     d = space.total_dim
-    if d * d > max_side * max_side:
-        raise CapExceeded(f"superoperator side {d * d} exceeds cap {max_side * max_side}")
+    if d * d > max_side:
+        raise CapExceeded(f"superoperator side {d * d} exceeds cap {max_side}")
     s = np.zeros((d * d, d * d), dtype=complex)
     for k in ch.kraus:
         kg = k if len(ch.support) == space.n_subsystems else hilbert.embed(

@@ -278,6 +278,13 @@ def _json_default(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _intersection_margin(v) -> dict | None:
+    """Eigenvalues on each side of the intersection cut; None on the iterative QLS path."""
+    if v.largest_kept is None and v.smallest_dropped is None:
+        return None
+    return {"largest_kept": v.largest_kept, "smallest_dropped": v.smallest_dropped}
+
+
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     inst, options = load_problem(args.problem)
@@ -295,6 +302,7 @@ def cmd_check(args) -> int:
         certificates = {
             "intersection_dim": v.intersection_dim,
             "contains_target": v.contains_target,
+            "intersection_margin": _intersection_margin(v),
         }
         ok = v.qls
     elif sub == "sss":
@@ -322,7 +330,10 @@ def cmd_check(args) -> int:
             inst.psi, inst.neighborhoods, inst.space, tol=tol
         )
         verdicts = {"commuting_projectors": v.ok}
-        certificates = {"max_commutator_norm": v.max_norm}
+        certificates = {
+            "max_commutator_norm": v.max_norm,
+            "intersection_margin": _intersection_margin(v),
+        }
         ok = v.ok
     elif sub == "matching-overlap":
         v = sub_mod.check_matching_overlap(inst.neighborhoods)

@@ -1,19 +1,43 @@
-"""Schmidt spans, subspace intersections and projector-level state checks."""
+"""Schmidt spans, subspace intersections and projector-level state checks.
+
+An extended Schmidt span is kept in local form: its region-side Schmidt basis
+u and its region. Its projector u u^H (x) I is applied to a column stack with
+one permutation in and one out. Intersections and commutator norms are
+computed from such applications on thin bases, so no D x D matrix is formed
+unless a caller asks for a dense projector.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from ._linalg import DEFAULT_TOL, frob, projector, rank_cutoff
+from ._linalg import DEFAULT_TOL, projector, rank_cutoff
+from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
+
+# bytes an intersection or a commutator norm may allocate; the same cap as
+# rfts.COMMUTANT_MAX_BYTES and lie.UGEN_MAX_BYTES
+INTERSECT_MAX_BYTES = 1 << 30
+
+
+class _Span:
+    """A subspace of C^D that applies its own orthogonal projector."""
+
+    def contains(self, v: np.ndarray, atol: float = 1e-9) -> bool:
+        v = np.asarray(v)
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            return True
+        return bool(np.linalg.norm(v - self.apply_projector(v)) / nv < atol)
 
 
 @dataclass(frozen=True)
-class Subspace:
+class Subspace(_Span):
     """Subspace given by a matrix with orthonormal columns."""
 
     basis: np.ndarray  # (ambient_dim, r)
@@ -32,16 +56,55 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    def apply_projector(self, x: np.ndarray) -> np.ndarray:
+        return self.basis @ (self.basis.conj().T @ x)
+
     def projector(self) -> np.ndarray:
         return projector(self.basis)
 
-    def contains(self, v: np.ndarray, atol: float = 1e-9) -> bool:
-        v = np.asarray(v)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return True
-        resid = v - self.basis @ (self.basis.conj().T @ v)
-        return bool(np.linalg.norm(resid) / nv < atol)
+
+@dataclass(frozen=True)
+class ExtendedSpan(_Span):
+    """span(local) tensored with the complement of `region`: P = local local^H (x) I.
+
+    `local` has orthonormal columns on the factors of the sorted `region`.
+    """
+
+    local: np.ndarray  # (dim(region), r)
+    region: tuple[int, ...]
+    space: MultipartiteSpace
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.space.total_dim
+
+    @property
+    def dim(self) -> int:
+        return self.local.shape[1] * (self.space.total_dim // self.local.shape[0])
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Dense (D, dim) orthonormal basis, globally ordered."""
+        m, r = self.local.shape[0], self.space.total_dim // self.local.shape[0]
+        big = np.kron(self.local, np.eye(r, dtype=complex))
+        # column vectors live in the (region, complement) ordering; restore rows
+        return hilbert.from_front(big.reshape(m, r, -1), self.region, self.space)
+
+    def apply_projector(self, x: np.ndarray) -> np.ndarray:
+        y = hilbert.to_front(x, self.region, self.space)
+        flat = y.reshape(y.shape[0], -1)
+        z = self.local @ (self.local.conj().T @ flat)
+        return hilbert.from_front(z.reshape(y.shape), self.region, self.space)
+
+    def projector(self) -> np.ndarray:
+        """Dense D x D projector."""
+        return hilbert.embed(hilbert.RegionOperator(projector(self.local), self.region), self.space)
+
+    def on_sites(self, sites) -> ExtendedSpan:
+        """The same local projector inside the factors `sites` (sorted, containing the region)."""
+        sites = list(sites)
+        sub = MultipartiteSpace([self.space.dims[i] for i in sites])
+        return ExtendedSpan(self.local, tuple(sites.index(i) for i in self.region), sub)
 
 
 def schmidt_span(
@@ -71,44 +134,79 @@ def extended_schmidt_span(
     region,
     space: MultipartiteSpace,
     rtol: float = DEFAULT_TOL.rank_rtol,
-) -> Subspace:
-    """Schmidt span of `region` tensored with the complement space, globally ordered."""
-    region = sorted(set(region))
-    local = schmidt_span(psi, region, space, rtol)
-    if len(region) == space.n_subsystems:
-        return local
-    m, r = local.ambient_dim, space.total_dim // local.ambient_dim
-    big = np.kron(local.basis, np.eye(r, dtype=complex))
-    # column vectors live in the (region, complement) ordering; restore rows
-    return Subspace(hilbert.from_front(big.reshape(m, r, -1), region, space))
+) -> ExtendedSpan:
+    """Schmidt span of `region` tensored with the complement space."""
+    region = tuple(sorted(set(region)))
+    return ExtendedSpan(schmidt_span(psi, region, space, rtol).basis, region, space)
+
+
+def _check_bytes(d: int, r: int, what: str) -> None:
+    """Refuse work on a (d, r) basis whose arrays would pass INTERSECT_MAX_BYTES.
+
+    Counted: the basis, the permuted copy, the product and the permuted-back
+    result of one projector application, their difference, and two r x r
+    matrices (the compressed operator and its eigenvectors or R factors).
+    """
+    nbytes = 16 * (5 * d * r + 2 * r * r)
+    if nbytes > INTERSECT_MAX_BYTES:
+        raise CapExceeded(
+            f"{what} on a {d} x {r} basis needs {nbytes / 2**30:.1f} GiB, "
+            f"capped at {INTERSECT_MAX_BYTES / 2**30:.1f} GiB"
+        )
+
+
+@dataclass(frozen=True, init=False)
+class Intersection(Subspace):
+    """Intersection basis plus the margin of its eigenvalue cut.
+
+    largest_kept and smallest_dropped are eigenvalues of the compressed
+    (1/K) sum_j (I - P_j); None when no eigenvalue is on that side.
+    """
+
+    largest_kept: float | None
+    smallest_dropped: float | None
+
+    def __init__(self, basis, largest_kept=None, smallest_dropped=None):
+        super().__init__(basis)
+        object.__setattr__(self, "largest_kept", largest_kept)
+        object.__setattr__(self, "smallest_dropped", smallest_dropped)
 
 
 def intersect(
-    subspaces: list[Subspace],
+    subspaces: list[_Span],
     eig_tol: float = DEFAULT_TOL.intersect_eig,
-) -> Subspace:
-    """Exact intersection via the averaged-projector spectral method."""
+) -> Intersection:
+    """Intersection from the spectrum of (1/K) sum_j (I - P_j) on the smallest span.
+
+    With B the orthonormal basis (D, r) of the smallest span, the r x r matrix
+    (1/K) sum_j ((I - P_j) B)^H ((I - P_j) B) has the intersection, in B
+    coordinates, as its kernel. Eigenvalues below eig_tol are kept; this is
+    the averaged-projector rule "eigenvalue > 1 - eig_tol" on C^D, and by
+    Cauchy interlacing only eigenvalues near the cut can differ between the two.
+    """
     if not subspaces:
         raise ValueError("empty subspace list")
     dim = subspaces[0].ambient_dim
     if any(s.ambient_dim != dim for s in subspaces):
         raise ValueError("ambient dimensions differ")
-    p = np.zeros((dim, dim), dtype=complex)
-    for s in subspaces:
-        p += s.projector()
-    p /= len(subspaces)
-    ev, vec = np.linalg.eigh(p)
-    keep = ev > 1.0 - eig_tol
-    return Subspace(vec[:, keep])
-
-
-def intersect_nullspace_method(subspaces: list[Subspace]) -> Subspace:
-    """Cross-check variant: nullspace of the stacked orthogonal complements."""
-    from ._linalg import nullspace
-
-    dim = subspaces[0].ambient_dim
-    blocks = [np.eye(dim, dtype=complex) - s.projector() for s in subspaces]
-    return Subspace(nullspace(np.vstack(blocks)))
+    s = min(range(len(subspaces)), key=lambda j: subspaces[j].dim)
+    r = subspaces[s].dim
+    _check_bytes(dim, r, "intersection")
+    b = subspaces[s].basis
+    if r == 0:
+        return Intersection(b)
+    m = np.zeros((r, r), dtype=complex)
+    for j, sub in enumerate(subspaces):
+        if j != s:
+            z = b - sub.apply_projector(b)
+            m += z.conj().T @ z
+    ev, vec = np.linalg.eigh(m / len(subspaces))
+    keep = ev < eig_tol
+    return Intersection(
+        b @ vec[:, keep],
+        largest_kept=float(ev[keep][-1]) if keep.any() else None,
+        smallest_dropped=float(ev[~keep][0]) if not keep.all() else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,6 +214,9 @@ class QlsVerdict:
     qls: bool
     intersection_dim: int
     contains_target: bool
+    # margin of the intersection cut (dense path only)
+    largest_kept: float | None = None
+    smallest_dropped: float | None = None
 
 
 def _intersection_dim_iterative(
@@ -131,18 +232,15 @@ def _intersection_dim_iterative(
     """
     import scipy.sparse.linalg as spla
 
-    locals_ = []
-    for nk in nstruct:
-        s = schmidt_span(psi, nk, space)
-        locals_.append((projector(s.basis), nk))
-    kcount = len(locals_)
+    spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
+    kcount = len(spans)
     d = space.total_dim
 
     def hv(v: np.ndarray) -> np.ndarray:
         v = v.astype(complex)
         out = kcount * v
-        for p_local, region in locals_:
-            out -= hilbert.act(p_local, region, v, space)
+        for span in spans:
+            out -= span.apply_projector(v)
         return out
 
     op = spla.LinearOperator((d, d), matvec=hv, dtype=complex)
@@ -178,6 +276,8 @@ def check_qls(
         qls=(inter.dim == 1 and contains),
         intersection_dim=inter.dim,
         contains_target=contains,
+        largest_kept=inter.largest_kept,
+        smallest_dropped=inter.smallest_dropped,
     )
 
 
@@ -213,22 +313,29 @@ def check_small_schmidt_span(
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Extended-Schmidt-span projectors Pi_k plus the induced Hamiltonian."""
+    """Extended Schmidt spans Pi_k, in local form, plus the induced Hamiltonian."""
 
-    projectors: tuple[np.ndarray, ...]
+    spans: tuple[ExtendedSpan, ...]
     neighborhoods: NeighborhoodStructure
     target: np.ndarray
 
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Dense D x D projectors, built on each access."""
+        return tuple(s.projector() for s in self.spans)
+
     def hamiltonian(self) -> np.ndarray:
-        d = self.projectors[0].shape[0]
-        h = len(self.projectors) * np.eye(d, dtype=complex)
+        """Dense H = sum_k (I - Pi_k)."""
+        d = self.spans[0].ambient_dim
+        h = len(self.spans) * np.eye(d, dtype=complex)
         for p in self.projectors:
             h -= p
         return h
 
     def frustration_defect(self) -> float:
         """||H |psi>||; zero by construction up to roundoff."""
-        return float(np.linalg.norm(self.hamiltonian() @ self.target))
+        h_psi = sum(self.target - s.apply_projector(self.target) for s in self.spans)
+        return float(np.linalg.norm(h_psi))
 
 
 def canonical_hamiltonian(
@@ -237,10 +344,25 @@ def canonical_hamiltonian(
     space: MultipartiteSpace,
 ) -> ProjectorSet:
     psi = np.asarray(psi, dtype=complex)
-    projs = tuple(
-        extended_schmidt_span(psi, nk, space).projector() for nk in nstruct
-    )
-    return ProjectorSet(projectors=projs, neighborhoods=nstruct, target=psi)
+    spans = tuple(extended_schmidt_span(psi, nk, space) for nk in nstruct)
+    return ProjectorSet(spans=spans, neighborhoods=nstruct, target=psi)
+
+
+def _commutator_norm(span, q: np.ndarray) -> float:
+    """||[P, Q Q^H]||_F for the projector P of `span` and orthonormal columns q.
+
+    [P, QQ^H] = P QQ^H (I - P) - (I - P) QQ^H P, two terms of equal norm whose
+    Frobenius inner product is zero, so the norm is sqrt(2) ||R_a R_b^H||_F
+    with R_a, R_b the thin-QR R factors of (I - P) Q and P Q. No Gram
+    difference is taken, so a vanishing commutator reads at roundoff.
+    """
+    _check_bytes(q.shape[0], q.shape[1], "commutator")
+    if q.shape[1] == 0:
+        return 0.0
+    pq = span.apply_projector(q)
+    r_a = np.linalg.qr(q - pq, mode="r")
+    r_b = np.linalg.qr(pq, mode="r")
+    return float(np.sqrt(2.0) * np.linalg.norm(r_a @ r_b.conj().T))
 
 
 @dataclass(frozen=True)
@@ -248,6 +370,9 @@ class CommutingProjectorVerdict:
     ok: bool
     per_neighborhood: tuple[dict, ...]
     max_norm: float
+    # tightest margin over the leave-one-out intersection cuts
+    largest_kept: float | None = None
+    smallest_dropped: float | None = None
 
 
 def check_commuting_projectors(
@@ -261,25 +386,42 @@ def check_commuting_projectors(
     if len(nstruct) < 2:
         raise ValueError("need at least two neighborhoods")
     spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
-    rows = []
+    rows, cuts = [], []
     for k in range(len(nstruct)):
-        others = [s for j, s in enumerate(spans) if j != k]
-        pbar = intersect(others).projector()
-        pk = spans[k].projector()
-        norm = frob(pk @ pbar - pbar @ pk)
+        inter = intersect([s for j, s in enumerate(spans) if j != k])
+        cuts.append(inter)
+        norm = _commutator_norm(spans[k], inter.basis)
         rows.append({"neighborhood": nstruct[k], "commutator_norm": norm})
     mx = max(r["commutator_norm"] for r in rows)
-    return CommutingProjectorVerdict(ok=mx < tol, per_neighborhood=tuple(rows), max_norm=mx)
+    kept = [c.largest_kept for c in cuts if c.largest_kept is not None]
+    dropped = [c.smallest_dropped for c in cuts if c.smallest_dropped is not None]
+    return CommutingProjectorVerdict(
+        ok=mx < tol, per_neighborhood=tuple(rows), max_norm=mx,
+        largest_kept=max(kept, default=None), smallest_dropped=min(dropped, default=None),
+    )
 
 
 def pairwise_projector_commutators(pset: ProjectorSet) -> np.ndarray:
-    """Symmetric matrix of Frobenius norms ||[Pi_j, Pi_k]||."""
-    k = len(pset.projectors)
+    """Symmetric matrix of Frobenius norms ||[Pi_j, Pi_k]||.
+
+    Each norm is taken on the union U of the two regions and scaled by
+    sqrt(D / dim U), since the commutator is the one on U tensored with the
+    identity; it is exactly 0 for disjoint regions.
+    """
+    spans = pset.spans
+    k = len(spans)
     out = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            c = pset.projectors[i] @ pset.projectors[j] - pset.projectors[j] @ pset.projectors[i]
-            out[i, j] = out[j, i] = frob(c)
+            a, b = spans[i], spans[j]
+            sites = sorted(set(a.region) | set(b.region))
+            if len(sites) == len(a.region) + len(b.region):
+                continue
+            a, b = a.on_sites(sites), b.on_sites(sites)
+            if b.dim > a.dim:
+                a, b = b, a
+            scale = math.sqrt(spans[i].ambient_dim / a.ambient_dim)
+            out[i, j] = out[j, i] = scale * _commutator_norm(a, b.basis)
     return out
 
 

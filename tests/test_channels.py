@@ -181,6 +181,17 @@ class TestSuperoperator:
         with pytest.raises(ch.CapExceeded):
             superoperator(unitary_channel(np.eye(16), list(range(4))), sp, max_side=8)
 
+    def test_default_cap_is_on_the_side(self, monkeypatch):
+        # 7 qubits: side 4^7 = 16384 > 4096, refused before any allocation
+        c = unitary_channel(np.eye(2), [0])
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ch.CapExceeded):
+            superoperator(c, uniform_space(7))
+
 
 class TestComposeRun:
     def test_compose_is_sequential(self, rng):

@@ -51,6 +51,30 @@ class TestCheck:
         assert out["pass"] is False
         assert out["certificates"]["max_commutator_norm"] > 1e-3
 
+    def test_intersection_margin_reported(self, tmp_path, capsys):
+        problem = dicke_problem(tmp_path)
+        main(["check", "qls", problem])
+        margin = json.loads(capsys.readouterr().out)["certificates"]["intersection_margin"]
+        assert abs(margin["largest_kept"]) < 1e-12 and margin["smallest_dropped"] > 0.1
+        main(["check", "commuting-projectors", problem])
+        margin = json.loads(capsys.readouterr().out)["certificates"]["intersection_margin"]
+        assert set(margin) == {"largest_kept", "smallest_dropped"}
+
+    def test_iterative_qls_margin_null(self, tmp_path, capsys, monkeypatch):
+        from qlstab import subspaces
+
+        monkeypatch.setattr(subspaces, "DENSE_DIM_LIMIT", 8)
+        assert main(["check", "qls", dicke_problem(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["certificates"]["intersection_margin"] is None
+
+    @pytest.mark.parametrize("what", ["qls", "commuting-projectors"])
+    def test_intersection_cap_exit_3(self, tmp_path, capsys, monkeypatch, what):
+        from qlstab import subspaces
+
+        monkeypatch.setattr(subspaces, "INTERSECT_MAX_BYTES", 4096)
+        assert main(["check", what, dicke_problem(tmp_path)]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+
     def test_explicit_vector_ghz_not_qls(self, tmp_path, capsys):
         ghz = np.zeros(8)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qlstab import states
+from qlstab import subspaces
+from qlstab._linalg import nullspace, orthonormal_columns, projector
+from qlstab.channels import CapExceeded
 from qlstab.hilbert import (
     MultipartiteSpace,
     NeighborhoodStructure,
@@ -17,7 +20,6 @@ from qlstab.subspaces import (
     check_small_schmidt_span,
     extended_schmidt_span,
     intersect,
-    intersect_nullspace_method,
     operator_schmidt_matrices,
     pairwise_projector_commutators,
     schmidt_span,
@@ -28,6 +30,22 @@ def haar_subspace(dim, r, rng):
     g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
     q, _ = np.linalg.qr(g)
     return Subspace(q[:, :r])
+
+
+def intersect_nullspace_method(subs):
+    """Oracle: nullspace of the stacked orthogonal complements."""
+    dim = subs[0].ambient_dim
+    return Subspace(nullspace(np.vstack([np.eye(dim) - s.projector() for s in subs])))
+
+
+def intersect_averaged_projector(projs, eig_tol=1e-9):
+    """Oracle: eigenvectors of the averaged D x D projector above 1 - eig_tol."""
+    ev, vec = np.linalg.eigh(sum(projs) / len(projs))
+    return vec[:, ev > 1.0 - eig_tol]
+
+
+def dense_commutator(a, b):
+    return float(np.linalg.norm(a @ b - b @ a))
 
 
 class TestSchmidtSpan:
@@ -218,6 +236,97 @@ class TestCommutingProjectors:
         mat = pairwise_projector_commutators(pset)
         assert np.max(mat) > 1e-3
 
+    def test_kagome_commutators_at_roundoff(self):
+        # a Gram-difference formula reads ~5e-8 here and flips the 1e-8 verdict
+        v = check_commuting_projectors(*_args(states.ccz_kagome(3, 1)))
+        assert v.ok
+        assert v.max_norm < 1e-12
+
+
+def _args(inst):
+    return inst.psi, inst.neighborhoods, inst.space
+
+
+# every corpus state with D <= 729
+CORPUS = {
+    "dicke-4-2": lambda: states.dicke(4, 2),
+    "vbs-3": lambda: states.vbs_1d(3),
+    "vbs-6": lambda: states.vbs_1d(6),
+    "graph-line-3": lambda: states.line_graph_state(3),
+    "graph-line-4": lambda: states.line_graph_state(4),
+    "graph-grid-2x3": lambda: states.grid_graph_state(2, 3),
+    "graph-cycle-5": lambda: states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "w-product-9": states.w_product_9,
+    "kagome-3x1": lambda: states.ccz_kagome(3, 1),
+    "ccz-triangle": states.ccz_triangle,
+    "nonfactorizable-252": states.nonfactorizable_252,
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_matches_dense_oracles(name):
+    """Intersections, QLS verdict and commutator norms against D x D computations."""
+    inst = CORPUS[name]()
+    psi, nstruct, space = _args(inst)
+    projs = [projector(extended_schmidt_span(psi, nk, space).basis) for nk in nstruct]
+
+    ref = intersect_averaged_projector(projs)
+    contains = np.linalg.norm(psi - ref @ (ref.conj().T @ psi)) < 1e-9
+    v = check_qls(psi, nstruct, space)
+    assert v.intersection_dim == ref.shape[1]
+    assert v.qls == (ref.shape[1] == 1 and contains)
+    assert v.largest_kept < 1e-9
+
+    pset = canonical_hamiltonian(psi, nstruct, space)
+    mat = pairwise_projector_commutators(pset)
+    assert np.all(np.diag(mat) == 0.0) and np.array_equal(mat, mat.T)
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            assert abs(mat[i, j] - dense_commutator(projs[i], projs[j])) < 1e-12
+
+    if len(nstruct) < 2:
+        with pytest.raises(ValueError):
+            check_commuting_projectors(psi, nstruct, space)
+        return
+    cp = check_commuting_projectors(psi, nstruct, space)
+    for k, row in enumerate(cp.per_neighborhood):
+        others = [p for j, p in enumerate(projs) if j != k]
+        pbar = intersect_averaged_projector(others)
+        spans = [extended_schmidt_span(psi, nk, space) for j, nk in enumerate(nstruct) if j != k]
+        assert intersect(spans).dim == pbar.shape[1]
+        assert abs(row["commutator_norm"] - dense_commutator(projs[k], projector(pbar))) < 1e-12
+
+
+class TestIntersectionMargin:
+    def test_vbs6(self):
+        v = check_qls(*_args(states.vbs_1d(6)))
+        assert abs(v.largest_kept) < 1e-12
+        assert 0.08 < v.smallest_dropped < 0.1
+
+    def test_kagome(self):
+        v = check_qls(*_args(states.ccz_kagome(3, 1)))
+        assert abs(v.smallest_dropped - 1 / 6) < 1e-9
+
+    def test_leave_one_out_tightest(self):
+        args = _args(states.line_graph_state(4))
+        v = check_commuting_projectors(*args)
+        drops = []
+        for k in range(len(args[1])):
+            spans = [extended_schmidt_span(args[0], nk, args[2])
+                     for j, nk in enumerate(args[1]) if j != k]
+            drops.append(intersect(spans).smallest_dropped)
+        assert v.smallest_dropped == min(d for d in drops if d is not None)
+
+
+class TestIntersectionCap:
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(subspaces, "INTERSECT_MAX_BYTES", 4096)
+        args = _args(states.dicke(4, 2))
+        with pytest.raises(CapExceeded):
+            check_qls(*args)
+        with pytest.raises(CapExceeded):
+            check_commuting_projectors(*args)
+
 
 class TestMatchingOverlap:
     def test_two_body_always_satisfied(self):
@@ -339,3 +448,27 @@ def test_intersection_projector_idempotent(seed):
     for s in subs:
         # intersection sits inside every input span
         assert np.max(np.abs(s.projector() @ p - p)) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=9),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_intersect_finds_planted_subspace(d, c, k, seed):
+    rng = np.random.default_rng(seed)
+    common = haar_subspace(d, c, rng).basis
+    subs = []
+    for _ in range(k):
+        extra = int(rng.integers(0, d - c))
+        g = rng.normal(size=(d, extra)) + 1j * rng.normal(size=(d, extra))
+        subs.append(Subspace(orthonormal_columns(np.hstack([common, g]))))
+    out = intersect(subs)
+    assert out.dim == intersect_nullspace_method(subs).dim
+    assert out.dim == intersect_averaged_projector([s.projector() for s in subs]).shape[1]
+    assert all(out.contains(col) for col in common.T)
+    if sum(d - s.dim for s in subs) >= d - c:
+        # generic extra directions meet only in the planted subspace
+        assert out.dim == c
