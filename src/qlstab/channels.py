@@ -486,15 +486,3 @@ def superoperator(ch: Channel, space: MultipartiteSpace, max_side: int = 4096) -
         s += np.kron(kg, kg.conj())
     return s
 
-
-def channels_equal(a: Channel, b: Channel, space: MultipartiteSpace, rng=None, probes: int = 8, tol: float = 1e-9) -> bool:
-    """Equality as superoperators, tested on random density-matrix probes."""
-    from ._linalg import random_density
-
-    rng = rng or np.random.default_rng(7)
-    d = space.total_dim
-    for _ in range(probes):
-        rho = random_density(d, rng)
-        if trace_distance(apply(a, rho, space), apply(b, rho, space)) > tol:
-            return False
-    return True

@@ -278,10 +278,8 @@ def _json_default(obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _intersection_margin(v) -> dict | None:
-    """Eigenvalues on each side of the intersection cut; None on the iterative QLS path."""
-    if v.largest_kept is None and v.smallest_dropped is None:
-        return None
+def _intersection_margin(v) -> dict:
+    """Tightest eigenvalues on each side of the intersection cuts, over the sweep steps."""
     return {"largest_kept": v.largest_kept, "smallest_dropped": v.smallest_dropped}
 
 

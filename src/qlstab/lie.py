@@ -223,13 +223,6 @@ class UgenVerdict:
     stabilizer_residual: float
 
 
-def decomposition_length_bound(d: int) -> int:
-    """Upper bound on the number of neighborhood factors needed per stabilizer."""
-    if d < 2:
-        return 0
-    return 2 * (d - 1) ** 2
-
-
 def _rotated_generators(psi, nstruct, space):
     """Neighborhood stabilizer generators in the frame where psi = e_0.
 

@@ -3,7 +3,6 @@ where available, a set of witness channels that stabilize it robustly."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,12 +265,13 @@ def triangular_patch(rows: int, cols: int) -> StateInstance:
 # ---------------------------------------------------------------------------
 
 def symmetric_state(bits) -> np.ndarray:
-    """Normalized sum over all distinct permutations of the bit string."""
+    """Normalized sum over all distinct permutations of the bit string.
+
+    These are the basis states with as many ones as `bits`.
+    """
     n = len(bits)
-    space = uniform_space(n, 2)
-    v = np.zeros(space.total_dim)
-    for perm in set(itertools.permutations(bits)):
-        v += hilbert.basis_state(space, perm).real
+    weight = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    v = (weight == sum(bits)).astype(float)
     return v / np.linalg.norm(v)
 
 
@@ -819,28 +819,3 @@ def ising_zz_covariance(inst: StateInstance, site_a: int, site_b: int) -> float:
     za = 1.0 - 2.0 * digs[:, site_a]
     zb = 1.0 - 2.0 * digs[:, site_b]
     return float(np.sum(w * za * zb) - np.sum(w * za) * np.sum(w * zb))
-
-
-def ising_zz_covariance_transfer(n: int, j: float, beta: float, a: int, b: int) -> float:
-    """Transfer-matrix evaluation of Cov(Z_a, Z_b) for the open Ising chain."""
-    t = np.array(
-        [[np.exp(beta * j), np.exp(-beta * j)], [np.exp(-beta * j), np.exp(beta * j)]]
-    )
-    z = np.diag([1.0, -1.0])
-    left = np.ones(2)
-    right = np.ones(2)
-
-    def chain(ops):
-        cur = left
-        for site in range(n):
-            if site in ops:
-                cur = cur @ z
-            if site < n - 1:
-                cur = cur @ t
-        return cur @ right
-
-    zz = chain({a, b})
-    za = chain({a})
-    zb = chain({b})
-    norm = chain(set())
-    return zz / norm - (za / norm) * (zb / norm)

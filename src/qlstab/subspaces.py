@@ -2,9 +2,11 @@
 
 An extended Schmidt span is kept in local form: its region-side Schmidt basis
 u and its region. Its projector u u^H (x) I is applied to a column stack with
-one permutation in and one out. Intersections and commutator norms are
-computed from such applications on thin bases, so no D x D matrix is formed
-unless a caller asks for a dense projector.
+one permutation in and one out. The intersection of extended spans is grown
+region by region: each step intersects, on the factors of the grown region,
+the spans that lie inside it, so it is exact at every D and no step forms a
+D x D matrix. Commutator norms are computed on thin bases; a dense projector
+is built only when a caller asks for one.
 """
 
 from __future__ import annotations
@@ -209,51 +211,52 @@ def intersect(
     )
 
 
+def _sweep(spans: list[ExtendedSpan]):
+    """Intersection of extended spans, grown one region at a time.
+
+    Returns (region, V, largest_kept, smallest_dropped): the intersection is
+    V (x) I with V on the sorted `region`, and the margin is the tightest over
+    the steps. Each step adds the pending span with the fewest sites outside
+    the region R (lowest index on ties), giving R'. Every span inside R' is
+    X (x) I there, so their intersection with V (x) I is (the intersection on
+    R') (x) I; each step is one `intersect` on the factors of R'.
+    """
+    pending = list(range(len(spans)))
+    region: tuple[int, ...] = ()
+    v = np.ones((1, 1), dtype=complex)
+    margins = []
+    while pending:
+        j = min(pending, key=lambda i: len(set(spans[i].region) - set(region)))
+        grown = tuple(sorted(set(region) | set(spans[j].region)))
+        inside = [i for i in pending if set(spans[i].region) <= set(grown)]
+        parts = [spans[i].on_sites(grown) for i in inside]
+        if region:
+            parts.append(ExtendedSpan(v, tuple(grown.index(i) for i in region), parts[0].space))
+        inter = intersect(parts)
+        margins.append((inter.largest_kept, inter.smallest_dropped))
+        region, v = grown, inter.basis
+        pending = [i for i in pending if i not in inside]
+    return (region, v, *_tightest(margins))
+
+
+def _tightest(margins) -> tuple[float | None, float | None]:
+    """Largest kept and smallest dropped eigenvalue over (kept, dropped) pairs."""
+    kept = [k for k, _ in margins if k is not None]
+    dropped = [d for _, d in margins if d is not None]
+    return max(kept, default=None), min(dropped, default=None)
+
+
 @dataclass(frozen=True)
 class QlsVerdict:
     qls: bool
     intersection_dim: int
     contains_target: bool
-    # margin of the intersection cut (dense path only)
+    # tightest margin of the intersection cuts over the sweep steps
     largest_kept: float | None = None
     smallest_dropped: float | None = None
 
 
-def _intersection_dim_iterative(
-    psi: np.ndarray,
-    nstruct: NeighborhoodStructure,
-    space: MultipartiteSpace,
-    k_eigs: int = 4,
-) -> tuple[int, bool]:
-    """Kernel multiplicity of sum_k (I - Pi_k) via Lanczos on a matvec operator.
-
-    Returns (lower bound on intersection dim capped at k_eigs, contains_target).
-    Used when the total dimension is too large for dense projectors.
-    """
-    import scipy.sparse.linalg as spla
-
-    spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
-    kcount = len(spans)
-    d = space.total_dim
-
-    def hv(v: np.ndarray) -> np.ndarray:
-        v = v.astype(complex)
-        out = kcount * v
-        for span in spans:
-            out -= span.apply_projector(v)
-        return out
-
-    op = spla.LinearOperator((d, d), matvec=hv, dtype=complex)
-    # shifted power spectrum: smallest eigenvalues of PSD H
-    k = min(k_eigs, d - 2)
-    ev = spla.eigsh(op, k=k, which="SA", return_eigenvectors=False, tol=1e-9)
-    ev = np.sort(ev)
-    dim0 = int(np.sum(ev < 1e-7 * kcount))
-    target_resid = np.linalg.norm(hv(np.asarray(psi, dtype=complex)))
-    return dim0, bool(target_resid < 1e-7 * kcount)
-
-
-# dense path is used below this total dimension
+# nothing in qlstab reads this; perfbench/spans.py names its traced check_qls span by it
 DENSE_DIM_LIMIT = 1200
 
 
@@ -266,18 +269,16 @@ def check_qls(
     if not nstruct.covers(space):
         raise ValueError("neighborhood structure must cover all subsystems")
     psi = np.asarray(psi, dtype=complex)
-    if space.total_dim > DENSE_DIM_LIMIT:
-        dim0, contains = _intersection_dim_iterative(psi, nstruct, space)
-        return QlsVerdict(qls=(dim0 == 1 and contains), intersection_dim=dim0, contains_target=contains)
     spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
-    inter = intersect(spans)
+    region, v, kept, dropped = _sweep(spans)
+    inter = ExtendedSpan(v, region, space)
     contains = inter.contains(psi)
     return QlsVerdict(
         qls=(inter.dim == 1 and contains),
         intersection_dim=inter.dim,
         contains_target=contains,
-        largest_kept=inter.largest_kept,
-        smallest_dropped=inter.smallest_dropped,
+        largest_kept=kept,
+        smallest_dropped=dropped,
     )
 
 
@@ -386,18 +387,17 @@ def check_commuting_projectors(
     if len(nstruct) < 2:
         raise ValueError("need at least two neighborhoods")
     spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
-    rows, cuts = [], []
+    rows, margins = [], []
     for k in range(len(nstruct)):
-        inter = intersect([s for j, s in enumerate(spans) if j != k])
-        cuts.append(inter)
-        norm = _commutator_norm(spans[k], inter.basis)
+        region, v, *margin = _sweep([s for j, s in enumerate(spans) if j != k])
+        margins.append(margin)
+        norm = _commutator_norm(spans[k], ExtendedSpan(v, region, space).basis)
         rows.append({"neighborhood": nstruct[k], "commutator_norm": norm})
     mx = max(r["commutator_norm"] for r in rows)
-    kept = [c.largest_kept for c in cuts if c.largest_kept is not None]
-    dropped = [c.smallest_dropped for c in cuts if c.smallest_dropped is not None]
+    kept, dropped = _tightest(margins)
     return CommutingProjectorVerdict(
         ok=mx < tol, per_neighborhood=tuple(rows), max_norm=mx,
-        largest_kept=max(kept, default=None), smallest_dropped=min(dropped, default=None),
+        largest_kept=kept, smallest_dropped=dropped,
     )
 
 
@@ -459,28 +459,3 @@ def check_matching_overlap(
         return MatchingOverlapVerdict(status="unknown")
     return MatchingOverlapVerdict(status="satisfied")
 
-
-def operator_schmidt_span(
-    op: np.ndarray,
-    region,
-    space: MultipartiteSpace,
-    rtol: float = DEFAULT_TOL.rank_rtol,
-) -> Subspace:
-    """Schmidt span of an operator treated as a vector on the doubled space.
-
-    The returned basis lives on the doubled region factor (dim_region^2), i.e.
-    its elements are vectorized region operators.
-    """
-    opp = hilbert.to_front(np.asarray(op, dtype=complex), sorted(set(region)), space, sides=2)
-    da, db = opp.shape[:2]
-    t = opp.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    u, s, _ = np.linalg.svd(t, full_matrices=False)
-    r = rank_cutoff(s, t.shape, rtol)
-    return Subspace(u[:, :r])
-
-
-def operator_schmidt_matrices(op, region, space, rtol=DEFAULT_TOL.rank_rtol) -> list[np.ndarray]:
-    """Region-side operator Schmidt factors of `op` as matrices."""
-    sub = operator_schmidt_span(op, region, space, rtol)
-    da = int(round(np.sqrt(sub.ambient_dim)))
-    return [sub.basis[:, j].reshape(da, da) for j in range(sub.dim)]

@@ -60,12 +60,20 @@ class TestCheck:
         margin = json.loads(capsys.readouterr().out)["certificates"]["intersection_margin"]
         assert set(margin) == {"largest_kept", "smallest_dropped"}
 
-    def test_iterative_qls_margin_null(self, tmp_path, capsys, monkeypatch):
-        from qlstab import subspaces
-
-        monkeypatch.setattr(subspaces, "DENSE_DIM_LIMIT", 8)
-        assert main(["check", "qls", dicke_problem(tmp_path)]) == 0
-        assert json.loads(capsys.readouterr().out)["certificates"]["intersection_margin"] is None
+    def test_w_chain_11_margin_above_old_dense_limit(self, tmp_path, capsys):
+        n = 11
+        w = np.zeros(2**n)
+        w[[1 << k for k in range(n)]] = 1 / np.sqrt(n)
+        path = write_json(tmp_path, "w11.json", {
+            "space": {"dims": [2] * n},
+            "neighborhoods": [[i, i + 1] for i in range(1, n)],
+            "state": {"vector": [[x, 0.0] for x in w]},
+        })
+        assert main(["check", "qls", path]) == 1
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert cert["intersection_dim"] == 2
+        margin = cert["intersection_margin"]
+        assert abs(margin["largest_kept"]) < 1e-12 and margin["smallest_dropped"] > 0.04
 
     @pytest.mark.parametrize("what", ["qls", "commuting-projectors"])
     def test_intersection_cap_exit_3(self, tmp_path, capsys, monkeypatch, what):

@@ -8,7 +8,6 @@ from qlstab.hilbert import NeighborhoodStructure, uniform_space
 from qlstab.lie import (
     LieBasis,
     check_unitary_generation,
-    decomposition_length_bound,
     lie_closure,
     neighborhood_stabilizer_algebra,
     stabilizer_algebra,
@@ -154,10 +153,3 @@ class TestUnitaryGeneration:
         monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 1024)
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
             check_unitary_generation(psi, n, sp)
-
-
-class TestLengthBound:
-    def test_values(self):
-        assert decomposition_length_bound(2) == 2
-        assert decomposition_length_bound(16) == 450
-        assert decomposition_length_bound(1) == 0

@@ -10,6 +10,31 @@ from qlstab.rfts import verify_robustness
 from qlstab.subspaces import check_qls, check_small_schmidt_span, schmidt_span
 
 
+def ising_zz_covariance_transfer(n: int, j: float, beta: float, a: int, b: int) -> float:
+    """Transfer-matrix evaluation of Cov(Z_a, Z_b) for the open Ising chain."""
+    t = np.array(
+        [[np.exp(beta * j), np.exp(-beta * j)], [np.exp(-beta * j), np.exp(beta * j)]]
+    )
+    z = np.diag([1.0, -1.0])
+    left = np.ones(2)
+    right = np.ones(2)
+
+    def chain(ops):
+        cur = left
+        for site in range(n):
+            if site in ops:
+                cur = cur @ z
+            if site < n - 1:
+                cur = cur @ t
+        return cur @ right
+
+    zz = chain({a, b})
+    za = chain({a})
+    zb = chain({b})
+    norm = chain(set())
+    return zz / norm - (za / norm) * (zb / norm)
+
+
 def assert_witnesses_ok(inst):
     assert abs(np.linalg.norm(inst.psi) - 1.0) < 1e-12
     for c in inst.witness_channels:
@@ -273,7 +298,7 @@ class TestIsingGibbs:
         inst = states.ising_gibbs(8, 1.0, 1.0)
         for (a, b) in ((0, 3), (0, 5), (2, 6)):
             direct = states.ising_zz_covariance(inst, a, b)
-            tm = states.ising_zz_covariance_transfer(8, 1.0, 1.0, a, b)
+            tm = ising_zz_covariance_transfer(8, 1.0, 1.0, a, b)
             assert abs(direct - tm) < 1e-10
 
     def test_covariance_decays_with_distance(self):

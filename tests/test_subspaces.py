@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qlstab import states
-from qlstab import subspaces
-from qlstab._linalg import nullspace, orthonormal_columns, projector
+from qlstab import hilbert, subspaces
+from qlstab._linalg import DEFAULT_TOL, nullspace, orthonormal_columns, projector, rank_cutoff
 from qlstab.channels import CapExceeded
 from qlstab.hilbert import (
     MultipartiteSpace,
@@ -12,6 +12,7 @@ from qlstab.hilbert import (
     uniform_space,
 )
 from qlstab.subspaces import (
+    ExtendedSpan,
     Subspace,
     canonical_hamiltonian,
     check_commuting_projectors,
@@ -20,7 +21,6 @@ from qlstab.subspaces import (
     check_small_schmidt_span,
     extended_schmidt_span,
     intersect,
-    operator_schmidt_matrices,
     pairwise_projector_commutators,
     schmidt_span,
 )
@@ -42,6 +42,16 @@ def intersect_averaged_projector(projs, eig_tol=1e-9):
     """Oracle: eigenvectors of the averaged D x D projector above 1 - eig_tol."""
     ev, vec = np.linalg.eigh(sum(projs) / len(projs))
     return vec[:, ev > 1.0 - eig_tol]
+
+
+def operator_schmidt_matrices(op, region, space):
+    """Region-side operator Schmidt factors of `op`, as matrices."""
+    opp = hilbert.to_front(np.asarray(op, dtype=complex), sorted(set(region)), space, sides=2)
+    da, db = opp.shape[:2]
+    t = opp.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    u, s, _ = np.linalg.svd(t, full_matrices=False)
+    r = rank_cutoff(s, t.shape, DEFAULT_TOL.rank_rtol)
+    return [u[:, j].reshape(da, da) for j in range(r)]
 
 
 def dense_commutator(a, b):
@@ -274,6 +284,7 @@ def test_matches_dense_oracles(name):
     contains = np.linalg.norm(psi - ref @ (ref.conj().T @ psi)) < 1e-9
     v = check_qls(psi, nstruct, space)
     assert v.intersection_dim == ref.shape[1]
+    assert intersect([extended_schmidt_span(psi, nk, space) for nk in nstruct]).dim == ref.shape[1]
     assert v.qls == (ref.shape[1] == 1 and contains)
     assert v.largest_kept < 1e-9
 
@@ -294,28 +305,107 @@ def test_matches_dense_oracles(name):
         pbar = intersect_averaged_projector(others)
         spans = [extended_schmidt_span(psi, nk, space) for j, nk in enumerate(nstruct) if j != k]
         assert intersect(spans).dim == pbar.shape[1]
+        region, basis, *_ = subspaces._sweep(spans)
+        assert ExtendedSpan(basis, region, space).dim == pbar.shape[1]
         assert abs(row["commutator_norm"] - dense_commutator(projs[k], projector(pbar))) < 1e-12
 
 
+def w_chain(n):
+    """W state on n qubits with nearest-neighbour pairs; its intersection has dim 2."""
+    pairs = NeighborhoodStructure([[i, i + 1] for i in range(n - 1)])
+    return states.w_state(n), pairs, uniform_space(n)
+
+
+# the instances above D = 1200, once decided by an iterative eigensolver:
+# (builder, whether to compare leave-one-out dims). One dense oracle takes
+# 4-5 s on the W chains and 20-50 s at D = 4096, so those skip leave-one-out.
+LARGE = {
+    "w-chain-11": (lambda: w_chain(11), False),
+    "vbs-7": (lambda: _args(states.vbs_1d(7)), True),
+    "w-chain-12": (lambda: w_chain(12), False),
+    "aklt32-cubic": (lambda: _args(states.aklt32_cubic()), False),
+    "kagome-2x2": (lambda: _args(states.ccz_kagome(2, 2)), False),
+}
+SLOW_LARGE = {"w-chain-12", "aklt32-cubic", "kagome-2x2"}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_LARGE else name for name in LARGE
+])
+def test_sweep_matches_dense_intersect(name):
+    """Region sweep against one `intersect` of all the spans on C^D."""
+    build, loo = LARGE[name]
+    args = build()
+    psi, nstruct, space = args
+    spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
+    ref = intersect(spans)
+    v = check_qls(*args)
+    assert v.intersection_dim == ref.dim
+    assert v.qls == (ref.dim == 1 and ref.contains(psi))
+    if loo:
+        for k in range(len(spans)):
+            others = [s for j, s in enumerate(spans) if j != k]
+            region, basis, *_ = subspaces._sweep(others)
+            assert ExtendedSpan(basis, region, space).dim == intersect(others).dim
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_w_chain_not_qls_on_every_call(n):
+    # a single-vector eigsh(k=4) once read dim 1 here in some calls of a process
+    args = w_chain(n)
+    for _ in range(10):
+        v = check_qls(*args)
+        assert v.intersection_dim == 2 and not v.qls
+
+
+def replay_sweep(spans):
+    """The intersection of every sweep step, recomputed from dense bases."""
+    space = spans[0].space
+    pending, region, v, cuts = list(range(len(spans))), [], None, []
+    while pending:
+        j = min(pending, key=lambda i: len(set(spans[i].region) - set(region)))
+        grown = sorted(set(region) | set(spans[j].region))
+        inside = [i for i in pending if set(spans[i].region) <= set(grown)]
+        parts = [Subspace(spans[i].on_sites(grown).basis) for i in inside]
+        if region:
+            sub = MultipartiteSpace([space.dims[i] for i in grown])
+            parts.append(Subspace(ExtendedSpan(v, tuple(grown.index(i) for i in region), sub).basis))
+        cuts.append(intersect(parts))
+        region, v = grown, cuts[-1].basis
+        pending = [i for i in pending if i not in inside]
+    return cuts
+
+
+def assert_tightest_step(verdict, cuts):
+    kept = max(c.largest_kept for c in cuts if c.largest_kept is not None)
+    dropped = min(c.smallest_dropped for c in cuts if c.smallest_dropped is not None)
+    assert abs(verdict.largest_kept - kept) < 1e-12
+    assert abs(verdict.smallest_dropped - dropped) < 1e-12
+    assert abs(kept) < 1e-12 and dropped > 0.04
+
+
 class TestIntersectionMargin:
+    """The reported margin is the tightest cut over the sweep steps."""
+
+    @staticmethod
+    def assert_qls_margin(inst):
+        psi, nstruct, space = _args(inst)
+        v = check_qls(psi, nstruct, space)
+        assert_tightest_step(v, replay_sweep([extended_schmidt_span(psi, nk, space) for nk in nstruct]))
+
     def test_vbs6(self):
-        v = check_qls(*_args(states.vbs_1d(6)))
-        assert abs(v.largest_kept) < 1e-12
-        assert 0.08 < v.smallest_dropped < 0.1
+        self.assert_qls_margin(states.vbs_1d(6))
 
     def test_kagome(self):
-        v = check_qls(*_args(states.ccz_kagome(3, 1)))
-        assert abs(v.smallest_dropped - 1 / 6) < 1e-9
+        self.assert_qls_margin(states.ccz_kagome(3, 1))
 
     def test_leave_one_out_tightest(self):
-        args = _args(states.line_graph_state(4))
-        v = check_commuting_projectors(*args)
-        drops = []
-        for k in range(len(args[1])):
-            spans = [extended_schmidt_span(args[0], nk, args[2])
-                     for j, nk in enumerate(args[1]) if j != k]
-            drops.append(intersect(spans).smallest_dropped)
-        assert v.smallest_dropped == min(d for d in drops if d is not None)
+        psi, nstruct, space = _args(states.line_graph_state(4))
+        v = check_commuting_projectors(psi, nstruct, space)
+        spans = [extended_schmidt_span(psi, nk, space) for nk in nstruct]
+        cuts = [c for k in range(len(spans))
+                for c in replay_sweep([s for j, s in enumerate(spans) if j != k])]
+        assert_tightest_step(v, cuts)
 
 
 class TestIntersectionCap:
@@ -472,3 +562,37 @@ def test_intersect_finds_planted_subspace(d, c, k, seed):
     if sum(d - s.dim for s in subs) >= d - c:
         # generic extra directions meet only in the planted subspace
         assert out.dim == c
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=3), min_size=3, max_size=5),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_sweep_order_invariant_on_planted_spans(dims, c, seed):
+    rng = np.random.default_rng(seed)
+    space = MultipartiteSpace(dims)
+    n = len(dims)
+    regions = [(i, i + 1) for i in range(n - 1)]
+    regions.append(tuple(sorted(int(i) for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False))))
+    planted = haar_subspace(space.total_dim, c, rng).basis
+    spans = []
+    for region in regions:
+        # each local basis holds the region-side vectors of the planted subspace
+        m = space.dim_of(region)
+        local = hilbert.to_front(planted, region, space).reshape(m, -1)
+        extra = int(rng.integers(0, m))
+        g = rng.normal(size=(m, extra)) + 1j * rng.normal(size=(m, extra))
+        spans.append(ExtendedSpan(orthonormal_columns(np.hstack([local, g])), region, space))
+
+    def verdict(order):
+        region, v, *_ = subspaces._sweep([spans[i] for i in order])
+        inter = ExtendedSpan(v, region, space)
+        assert all(inter.contains(col) for col in planted.T)
+        # the verdict: the planted subspace is the whole intersection
+        return inter.dim, inter.dim == c
+
+    dim, qls = verdict(range(len(spans)))
+    assert dim == intersect(spans).dim
+    assert verdict(rng.permutation(len(spans))) == (dim, qls)
