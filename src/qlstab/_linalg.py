@@ -6,6 +6,7 @@ package-wide conventions (see `Tolerances`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,33 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Two sorted values belong to one cluster iff their gap is at most
+# CLUSTER_RTOL * max|value|; two clusters are linked iff their coupling weight
+# is above CLUSTER_RTOL^2 * the coupling operators' squared Frobenius norm.
+CLUSTER_RTOL = 1e-8
+
+
+def cluster_starts(values: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """Clusters of ascending real `values` under the package clustering rule.
+
+    Returns the index of the first value of every cluster and the margin
+    (largest merged gap, smallest split gap), both relative to max|value|.
+    """
+    gaps = np.diff(values) / max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+    split = gaps > CLUSTER_RTOL
+    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
+    margin = (float(gaps[~split].max(initial=0.0)), float(gaps[split].min(initial=math.inf)))
+    return starts, margin
+
+
+def connected_components(adj: np.ndarray) -> int:
+    """Number of connected components of the undirected graph with boolean
+    adjacency `adj`."""
+    reach = (adj | adj.T | np.eye(len(adj), dtype=bool)).astype(float)
+    for _ in range(len(adj).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)  # paths of twice the length
+    return len(np.unique(reach, axis=0))
 
 
 def rank_cutoff(

@@ -28,7 +28,7 @@ from . import rfts as rfts_mod
 from . import scheduler as sched_mod
 from . import states as states_mod
 from . import subspaces as sub_mod
-from ._linalg import DEFAULT_TOL
+from ._linalg import CLUSTER_RTOL, DEFAULT_TOL
 from .channels import CapExceeded, Channel, ChannelError, Circuit
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
@@ -283,6 +283,12 @@ def _intersection_margin(v) -> dict:
     return {"largest_kept": v.largest_kept, "smallest_dropped": v.smallest_dropped}
 
 
+def _cluster_gaps(gaps: tuple[float, float]) -> dict:
+    """Clustering margin; smallest_split is null when nothing was split."""
+    merged, split = gaps
+    return {"largest_merged": merged, "smallest_split": split if math.isfinite(split) else None}
+
+
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     inst, options = load_problem(args.problem)
@@ -321,7 +327,10 @@ def cmd_check(args) -> int:
             "target_dim": v.target_dim,
             "passes": v.passes,
             "method": v.method,
+            "cluster_gaps": _cluster_gaps(v.cluster_gaps),
+            "weakest_edge": v.weakest_edge,
         }
+        tolerances["cluster_rtol"] = CLUSTER_RTOL
         ok = v.ok
     elif sub == "commuting-projectors":
         v = sub_mod.check_commuting_projectors(
@@ -343,20 +352,15 @@ def cmd_check(args) -> int:
             inst.psi, inst.neighborhoods, inst.space, seed=args.seed
         )
         verdicts = {"algebraic_rfts": res.ok, "reason": res.reason}
-        merged, split = res.cluster_gaps
         certificates = {
             "factor_dims": list(res.factor_dims),
             "algebra_dims": list(res.algebra_dims),
             "commutation_defect": res.commutation_defect,
             "target_factor_residual": res.target_factor_residual,
             "coarse_groups": [[i + 1 for i in g] for g in res.coarse_groups],
-            # smallest_split is null when no clustering split anything
-            "cluster_gaps": {
-                "largest_merged": merged,
-                "smallest_split": split if math.isfinite(split) else None,
-            },
+            "cluster_gaps": _cluster_gaps(res.cluster_gaps),
         }
-        tolerances["cluster_rtol"] = rfts_mod.CLUSTER_RTOL
+        tolerances["cluster_rtol"] = CLUSTER_RTOL
         ok = res.ok
     elif sub == "matching-overlap-rfts":
         res = rfts_mod.check_matching_overlap_rfts(
@@ -677,6 +681,14 @@ def _ugen_and_fts(inst, trials, seed):
     return ugen, cert, fts_mod.verify_fts(circ, inst.psi, trials=trials, seed=seed)
 
 
+def _ugen_cert(ugen) -> dict:
+    return {
+        "ugen_dims": [ugen.generated_dim, ugen.target_dim],
+        "ugen_cluster_gaps": _cluster_gaps(ugen.cluster_gaps),
+        "ugen_weakest_edge": ugen.weakest_edge,
+    }
+
+
 def _robustness_cert(rep) -> dict:
     return {
         "orders": rep.orders_run,
@@ -707,7 +719,7 @@ def _repro_dicke_fts(seed):
     return checks, {
         "schmidt_dim": row["schmidt_dim"],
         "neighborhood_dim": row["neighborhood_dim"],
-        "ugen_dims": [ugen.generated_dim, ugen.target_dim],
+        **_ugen_cert(ugen),
         "final_distance": ver.max_final_distance,
         "prop4_max_commutator": prop4.max_norm,
     }
@@ -737,7 +749,7 @@ def _repro_vbs_fts(n, spans, seed):
     }
     return checks, {
         "schmidt_dims": dims,
-        "ugen_dims": [ugen.generated_dim, ugen.target_dim],
+        **_ugen_cert(ugen),
         "ranks": list(cert.ranks),
         "final_distance": ver.max_final_distance,
     }

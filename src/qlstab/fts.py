@@ -16,6 +16,7 @@ import numpy as np
 
 from . import channels as ch
 from . import hilbert
+from . import lie
 from . import subspaces
 from ._linalg import complete_basis, random_density, random_pure
 from .channels import Channel, Circuit, make_channel
@@ -81,9 +82,7 @@ def plan_fts(
             f"best rate {r} at neighborhood {nstruct[best]}"
         )
     if not force:
-        from .lie import check_unitary_generation
-
-        ugen = check_unitary_generation(psi, nstruct, space)
+        ugen = lie.check_unitary_generation(psi, nstruct, space)
         if not ugen.ok:
             raise FtsError(
                 "unitary generation fails: generated dimension "

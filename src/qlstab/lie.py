@@ -12,75 +12,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from ._linalg import complete_basis, nullspace
+from ._linalg import (
+    CLUSTER_RTOL,
+    DEFAULT_TOL,
+    cluster_starts,
+    complete_basis,
+    connected_components,
+    nullspace,
+    rank_cutoff,
+)
 from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
-# largest candidate stack the exhaustive ugen pass may allocate
+# largest bracket stack one pass of `lie_closure` may allocate
 UGEN_MAX_BYTES = 1 << 30
 
 
-def antiherm_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (real HS) basis of n x n anti-Hermitian matrices."""
-    out = []
-    for j in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[j, j] = 1j
-        out.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1.0 / np.sqrt(2)
-            m[k, j] = -1.0 / np.sqrt(2)
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = 1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            out.append(m)
-    return out
-
-
 class _Packer:
-    """Isometric packing of n x n anti-Hermitian matrices into R^(n^2)."""
+    """Isometric packing of n x n anti-Hermitian matrices into R^(n^2); the unit
+    vectors unpack to an orthonormal (real HS) basis of u(n)."""
 
     def __init__(self, n: int):
         self.n = n
         self.iu = np.triu_indices(n, k=1)
-        self.dim = n * n
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
-        mats = np.asarray(mats)
-        single = mats.ndim == 2
-        if single:
-            mats = mats[None]
         up = mats[:, self.iu[0], self.iu[1]]
         diag = mats[:, np.arange(self.n), np.arange(self.n)]
-        v = np.concatenate(
-            [np.sqrt(2) * up.real, np.sqrt(2) * up.imag, diag.imag], axis=1
-        )
-        return v[0] if single else v
+        return np.concatenate([np.sqrt(2) * up.real, np.sqrt(2) * up.imag, diag.imag], axis=1)
 
     def unpack(self, vecs: np.ndarray) -> np.ndarray:
-        vecs = np.asarray(vecs, dtype=float)
-        single = vecs.ndim == 1
-        if single:
-            vecs = vecs[None]
-        b, n = vecs.shape[0], self.n
-        noff = self.iu[0].size
+        n, noff = self.n, self.iu[0].size
         up = (vecs[:, :noff] + 1j * vecs[:, noff : 2 * noff]) / np.sqrt(2)
-        diag = 1j * vecs[:, 2 * noff :]
-        mats = np.zeros((b, n, n), dtype=complex)
+        mats = np.zeros((len(vecs), n, n), dtype=complex)
         mats[:, self.iu[0], self.iu[1]] = up
         mats[:, self.iu[1], self.iu[0]] = -up.conj()
-        mats[:, np.arange(n), np.arange(n)] = diag
-        return mats[0] if single else mats
+        mats[:, np.arange(n), np.arange(n)] = 1j * vecs[:, 2 * noff :]
+        return mats
 
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Orthonormal basis (real HS inner product) of an anti-Hermitian algebra."""
+    """Orthonormal basis (real HS inner product) of an anti-Hermitian algebra.
+
+    `passes` is the number of bracket passes `lie_closure` ran to produce it
+    (0 for a basis not made by the closure).
+    """
 
     elements: tuple[np.ndarray, ...]
+    passes: int = 0
 
     @property
     def dim(self) -> int:
@@ -107,13 +87,10 @@ def stabilizer_algebra(psi: np.ndarray) -> LieBasis:
     if nrm == 0:
         raise ValueError("zero state vector")
     psi = psi / nrm
-    d = psi.shape[0]
-    q = complete_basis(psi)
-    elems = [1j * np.outer(psi, psi.conj())]
-    rest = q[:, 1:]
-    for y in antiherm_basis(d - 1):
-        elems.append(rest @ y @ rest.conj().T)
-    return LieBasis(tuple(elems))
+    n = psi.shape[0] - 1
+    rest = complete_basis(psi)[:, 1:]
+    ys = _Packer(n).unpack(np.eye(n * n))
+    return LieBasis((1j * np.outer(psi, psi.conj()), *(rest @ ys @ rest.conj().T)))
 
 
 def neighborhood_stabilizer_algebra(
@@ -128,32 +105,24 @@ def neighborhood_stabilizer_algebra(
     region = sorted(set(region))
     m = space.dim_of(region)
     rest_dim = space.total_dim // m
-    basis = antiherm_basis(m)
+    packer = _Packer(m)
     psip = hilbert.to_front(psi, region, space)
-    # constraint matrix: coefficients -> (I - P_psi)(X ⊗ I)|psi>
-    cols = []
     psi_perm = psip.reshape(-1)
-    for e in basis:
-        w = (e @ psip).reshape(-1)
-        w = w - psi_perm * (psi_perm.conj() @ w)
-        cols.append(w)
-    a = np.stack(cols, axis=1)
-    areal = np.vstack([a.real, a.imag])
-    null = nullspace(areal, rtol)  # (m^2, n_null), orthonormal real columns
-    elems = []
-    for j in range(null.shape[1]):
-        x_local = sum(c * e for c, e in zip(null[:, j], basis))
-        x_glob = np.kron(x_local, np.eye(rest_dim, dtype=complex)) / np.sqrt(rest_dim)
-        elems.append(hilbert.from_front(x_glob, region, space, sides=2))
-    return LieBasis(tuple(elems))
+    # constraint matrix: coefficients -> (I - P_psi)(X ⊗ I)|psi>
+    w = (packer.unpack(np.eye(m * m)) @ psip).reshape(m * m, -1)
+    a = (w - np.outer(w @ psi_perm.conj(), psi_perm)).T
+    null = nullspace(np.vstack([a.real, a.imag]), rtol)  # (m^2, n_null), orthonormal real columns
+    eye = np.eye(rest_dim, dtype=complex) / np.sqrt(rest_dim)
+    return LieBasis(tuple(
+        hilbert.from_front(np.kron(x, eye), region, space, sides=2) for x in packer.unpack(null.T)
+    ))
 
 
 class _Span:
     """Growing orthonormal real span with batched admission."""
 
-    def __init__(self, dim: int, admit_tol: float = 1e-8):
+    def __init__(self, dim: int):
         self.rows = np.zeros((0, dim), dtype=float)
-        self.admit_tol = admit_tol
 
     @property
     def dim(self) -> int:
@@ -169,7 +138,7 @@ class _Span:
         if self.dim:
             r -= (r @ self.rows.T) @ self.rows
         u, s, vh = np.linalg.svd(r, full_matrices=False)
-        keep = s > self.admit_tol
+        keep = s > DEFAULT_TOL.closure_admit
         if not np.any(keep):
             return 0
         new = vh[keep]
@@ -177,43 +146,59 @@ class _Span:
         return int(np.sum(keep))
 
 
-def lie_closure(bases: list[LieBasis], admit_tol: float = 1e-8, max_passes: int = 200) -> LieBasis:
+def lie_closure(bases: list[LieBasis]) -> LieBasis:
     """Smallest Lie algebra containing all given algebras.
 
-    Iterates left-nested brackets of the generators against the running span
-    until a full pass admits nothing.
+    Brackets every generator with the directions the previous pass admitted
+    until a pass admits nothing, then confirms with one pass against the whole
+    span. A span invariant under ad of every generator is invariant under ad of
+    the algebra they generate, so it is that algebra. A pass whose bracket stack
+    would exceed `UGEN_MAX_BYTES` raises `CapExceeded`. The basis records the
+    number of passes run.
     """
-    gens = [x for b in bases for x in b.elements]
-    if not gens:
-        return LieBasis(())
-    n = gens[0].shape[0]
+    gen_stack = np.stack([x for b in bases for x in b.elements])
+    g, n = gen_stack.shape[:2]
     packer = _Packer(n)
-    span = _Span(n * n, admit_tol)
-    span.admit(packer.pack(np.stack(gens)))
-    gen_stack = np.stack(gens)
-    fresh = span.rows.copy()
-    for _ in range(max_passes):
+    span = _Span(n * n)
+    span.admit(packer.pack(gen_stack))
+    fresh, passes = span.rows, 0
+    while True:
+        # the two bracket stacks and their difference, g x len(fresh) x n^2 complex each
+        nbytes = 3 * g * len(fresh) * n * n * 16
+        if nbytes > UGEN_MAX_BYTES:
+            raise CapExceeded(
+                f"exhaustive ugen pass of {g} x {len(fresh)} brackets of size {n} needs "
+                f"{nbytes / 2**30:.1f} GiB, capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB"
+            )
         mats = packer.unpack(fresh)
         cands = np.einsum("gab,nbc->gnac", gen_stack, mats, optimize=True) - np.einsum(
             "nab,gbc->gnac", mats, gen_stack, optimize=True
         )
-        cands = cands.reshape(-1, n, n)
         before = span.dim
-        added = span.admit(packer.pack(cands))
-        if added == 0:
-            # one confirming pass against the full span
-            mats = packer.unpack(span.rows)
-            cands = np.einsum("gab,nbc->gnac", gen_stack, mats, optimize=True) - np.einsum(
-                "nab,gbc->gnac", mats, gen_stack, optimize=True
-            )
-            if span.admit(packer.pack(cands.reshape(-1, n, n))) == 0:
-                break
-        fresh = span.rows[before:]
-    return LieBasis(tuple(packer.unpack(span.rows)))
+        added = span.admit(packer.pack(cands.reshape(-1, n, n)))
+        passes += 1
+        if added:
+            fresh = span.rows[before:]
+        elif len(fresh) < span.dim:
+            fresh = span.rows
+        else:
+            break
+    return LieBasis(tuple(packer.unpack(span.rows)), passes)
 
 
 @dataclass(frozen=True)
 class UgenVerdict:
+    """Verdict of `check_unitary_generation`.
+
+    `method` is "certificate" or "exhaustive" (the bracket closure), and
+    `passes` counts the closure's bracket passes (0 for the certificate).
+    `cluster_gaps` is the margin (largest merged gap, smallest split gap) of the
+    clustering of the eigenvalue differences of h, relative to the largest;
+    `weakest_edge` is the smallest relative link weight sqrt(W_ij / sum_g
+    ||y_g||_F^2) of an edge, which the cut compares with CLUSTER_RTOL, or None
+    when the edges do not connect.
+    """
+
     ok: bool
     generated_dim: int
     target_dim: int
@@ -221,18 +206,20 @@ class UgenVerdict:
     method: str
     neighborhood_dims: tuple[int, ...]
     stabilizer_residual: float
+    cluster_gaps: tuple[float, float]
+    weakest_edge: float | None
 
 
 def _rotated_generators(psi, nstruct, space):
     """Neighborhood stabilizer generators in the frame where psi = e_0.
 
-    Returns (c values, Y blocks, neighborhood dims, frame unitary); each
-    generator is ic ⊕ Y in that frame.
+    Returns (c values, Y blocks, neighborhood dims, largest ||X psi - <psi|X psi> psi||);
+    each generator is ic ⊕ Y in that frame.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     q = complete_basis(psi)
-    cs, ys, dims = [], [], []
+    cs, ys, dims, resid = [], [], [], 0.0
     for nk in nstruct:
         basis = neighborhood_stabilizer_algebra(psi, nk, space)
         dims.append(basis.dim)
@@ -240,9 +227,33 @@ def _rotated_generators(psi, nstruct, space):
             xr = q.conj().T @ x @ q
             if np.max(np.abs(xr[1:, 0])) > 1e-8:
                 raise RuntimeError("generator does not stabilize the state")
+            resid = max(resid, float(np.linalg.norm(xr[1:, 0])))
             cs.append(xr[0, 0].imag)
             ys.append(xr[1:, 1:])
-    return np.array(cs), np.stack(ys), tuple(dims), q
+    return np.array(cs), np.stack(ys), tuple(dims), resid
+
+
+def _certificate(ys: np.ndarray, seed: int) -> tuple[tuple[float, float], float | None]:
+    """Regular-element certificate on the blocks y_g (see
+    `check_unitary_generation`): the margin of the difference clustering, and
+    the weakest edge, min sqrt(W_ij / sum_g ||y_g||_F^2) over the edges, or
+    None when the edges do not connect every index."""
+    n = ys.shape[1]
+    w = np.random.default_rng(seed).normal(size=len(ys))
+    lam, v = np.linalg.eigh(1j * np.einsum("g,gab->ab", w, ys))
+    off = ~np.eye(n, dtype=bool)
+    values = np.append((lam[:, None] - lam[None, :])[off], 0.0)
+    order = np.argsort(values, kind="stable")
+    starts, gaps = cluster_starts(values[order])
+    isolated = np.zeros(len(values))
+    isolated[order[starts[np.diff(np.append(starts, len(values))) == 1]]] = 1.0
+    weight = np.zeros((n, n))
+    weight[off] = np.sum(np.abs(v.conj().T @ ys @ v) ** 2, axis=0)[off] * isolated[:-1]
+    weight /= max(float(np.sum(np.abs(ys) ** 2)), np.finfo(float).tiny)
+    edges = weight > CLUSTER_RTOL**2
+    if not edges.any() or connected_components(edges) > 1:
+        return gaps, None
+    return gaps, float(np.sqrt(weight[edges].min()))
 
 
 def check_unitary_generation(
@@ -250,101 +261,54 @@ def check_unitary_generation(
     nstruct: NeighborhoodStructure,
     space: MultipartiteSpace,
     seed: int = 0,
-    batch: int = 384,
-    max_levels: int = 400,
-    exact_fallback: bool = True,
 ) -> UgenVerdict:
     """Do the neighborhood stabilizer algebras generate the full stabilizer?
 
-    Certification is by dimension count: every admitted direction is a (left
-    nested) bracket of generators, hence inside the generated algebra, which
-    in turn sits inside the full stabilizer algebra of dimension (D-1)^2 + 1.
-    Saturating that dimension decides the question positively. A randomized
-    bracket sampler drives the growth; if it stalls, the exhaustive iteration
-    confirms before a negative verdict is returned.
+    In the frame where psi = e_0 every generator is i theta_g ⊕ y_g with y_g
+    in u(n), n = D - 1, and the target is u(1) ⊕ u(n), of dimension n^2 + 1.
+
+    The certificate draws h = i sum_g w_g y_g (w from `seed`), h = V diag(l) V^H,
+    and calls (i, j), i != j, an edge when l_i - l_j is isolated among all
+    n(n - 1) differences and 0 under the clustering rule (`CLUSTER_RTOL`), and
+    W_ij = sum_g |(V^H y_g V)_ij|^2 > CLUSTER_RTOL^2 sum_g ||y_g||_F^2. If the
+    edges connect all n indices the generated algebra k contains su(n):
+      * k is invariant under ad of its element sum_g w_g (i theta_g ⊕ y_g),
+        which acts as ad(-ih) on the second summand and as 0 on the first.
+      * For an isolated difference l_i - l_j a polynomial p with p(0) = 0,
+        p(l_i - l_j) = 1 and p = 0 at every other difference gives
+        p(ad) (i theta_g ⊕ y_g) = 0 ⊕ (V^H y_g V)_ij V E_ij V^H, so every edge
+        puts V E_ij V^H in the complexification of k.
+      * Brackets along a spanning tree give every V E_ik V^H, i != k, and their
+        brackets the diagonal traceless part, so sl(n) is in k_C; as k lies in
+        the anti-Hermitian matrices, su(n) is in k.
+      * Brackets carry no phase and no trace, so k = su(n) + span{(theta_g, y_g)}
+        and its dimension is n^2 - 1 + rank [theta_g, Im tr y_g]; generation
+        holds iff that g x 2 matrix has rank 2.
+    The verdict is then exact. Otherwise (h is degenerate, or a generator
+    misses a block) the bracket closure `lie_closure` of the generators decides.
     """
-    d = space.total_dim
-    target = (d - 1) ** 2 + 1
-    cs, ys, nbhd_dims, q = _rotated_generators(psi, nstruct, space)
-    n1 = d - 1
-    packer = _Packer(n1)
-    g = len(cs)
-    coords = np.concatenate([cs[:, None], packer.pack(ys)], axis=1)
-    span = _Span(1 + n1 * n1)
-    span.admit(coords)
-
-    rng = np.random.default_rng(seed)
-    passes = 0
-    stalls = 0
-    method = "sampled"
-    while span.dim < target and passes < max_levels:
-        passes += 1
-        nprobe = 3
-        pw = rng.normal(size=(nprobe, g))
-        probes = np.einsum("pg,gab->pab", pw, ys, optimize=True)
-        probes /= np.maximum(
-            np.linalg.norm(probes, axis=(1, 2))[:, None, None], 1e-12
-        )
-        b = min(batch, span.dim)
-        cw = rng.normal(size=(b, span.dim)) / np.sqrt(span.dim)
-        batch_mats = packer.unpack((cw @ span.rows)[:, 1:])
-        cands = np.einsum("pab,nbc->pnac", probes, batch_mats, optimize=True)
-        cands -= np.einsum("nab,pbc->pnac", batch_mats, probes, optimize=True)
-        cands = cands.reshape(-1, n1, n1)
-        packed = packer.pack(cands)
-        cand_coords = np.concatenate(
-            [np.zeros((packed.shape[0], 1)), packed], axis=1
-        )
-        added = span.admit(cand_coords)
-        stalls = stalls + 1 if added == 0 else 0
-        if stalls >= 4:
-            break
-
-    if span.dim < target and exact_fallback:
-        method = "exhaustive"
-        for _ in range(max_levels):
-            # the two bracket stacks and their difference, g x span.dim x n1^2 complex each
-            nbytes = 3 * g * span.dim * n1 * n1 * 16
-            if nbytes > UGEN_MAX_BYTES:
-                raise CapExceeded(
-                    f"exhaustive ugen pass of {g} x {span.dim} brackets of size {n1} needs "
-                    f"{nbytes / 2**30:.1f} GiB, capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB"
-                )
-            mats = packer.unpack(span.rows[:, 1:])
-            cands = np.einsum("gab,nbc->gnac", ys, mats, optimize=True) - np.einsum(
-                "nab,gbc->gnac", mats, ys, optimize=True
-            )
-            cands = cands.reshape(-1, n1, n1)
-            packed = packer.pack(cands)
-            cand_coords = np.concatenate(
-                [np.zeros((packed.shape[0], 1)), packed], axis=1
-            )
-            if span.admit(cand_coords) == 0:
-                break
-            passes += 1
-
-    # sanity re-check: reconstruct a few global elements and verify they only
-    # phase the target, ||(I - |psi><psi|) X |psi>|| ~ 0
-    psi_n = np.asarray(psi, dtype=complex)
-    psi_n = psi_n / np.linalg.norm(psi_n)
-    take = min(8, span.dim)
-    idx = np.linspace(0, span.dim - 1, take).astype(int)
-    resid = 0.0
-    for row in span.rows[idx]:
-        y = packer.unpack(row[1:])
-        x = np.zeros((d, d), dtype=complex)
-        x[0, 0] = 1j * row[0]
-        x[1:, 1:] = y
-        xg = q @ x @ q.conj().T
-        w = xg @ psi_n
-        w = w - psi_n * (psi_n.conj() @ w)
-        resid = max(resid, float(np.linalg.norm(w)))
+    target = (space.total_dim - 1) ** 2 + 1
+    cs, ys, nbhd_dims, resid = _rotated_generators(psi, nstruct, space)
+    n = ys.shape[1]
+    gaps, weakest = _certificate(ys, seed)
+    if weakest is not None:
+        abelian = np.stack([cs, np.trace(ys, axis1=1, axis2=2).imag], axis=1)
+        sv = np.linalg.svd(abelian, compute_uv=False)
+        dim, passes, method = n * n - 1 + rank_cutoff(sv, abelian.shape), 0, "certificate"
+    else:
+        x = np.zeros((len(cs), n + 1, n + 1), dtype=complex)
+        x[:, 0, 0] = 1j * cs
+        x[:, 1:, 1:] = ys
+        closure = lie_closure([LieBasis(tuple(x))])
+        dim, passes, method = closure.dim, closure.passes, "exhaustive"
     return UgenVerdict(
-        ok=span.dim == target,
-        generated_dim=span.dim,
+        ok=dim == target,
+        generated_dim=dim,
         target_dim=target,
         passes=passes,
         method=method,
         neighborhood_dims=nbhd_dims,
         stabilizer_residual=resid,
+        cluster_gaps=gaps,
+        weakest_edge=weakest,
     )

@@ -21,7 +21,10 @@ from . import channels as ch
 from . import hilbert
 from . import subspaces
 from ._linalg import (
+    CLUSTER_RTOL,
     DEFAULT_TOL,
+    cluster_starts,
+    connected_components,
     frob,
     kron_all,
     nullspace,
@@ -40,10 +43,6 @@ from .hilbert import MultipartiteSpace, NeighborhoodStructure
 # commutants and algebra bases
 # ---------------------------------------------------------------------------
 
-# Two eigenvalues of a generic element belong to one cluster iff their gap is at
-# most CLUSTER_RTOL * max|eigenvalue|; two clusters belong to one simple block
-# iff a generic element links them with weight above CLUSTER_RTOL * its norm.
-CLUSTER_RTOL = 1e-8
 # Largest memory `commutant` will use for its commutator system and its SVD.
 COMMUTANT_MAX_BYTES = 1 << 30
 # (largest merged gap, smallest split gap) of a clustering that split nothing
@@ -114,10 +113,7 @@ def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[float,
     relative to max|eigenvalue|.
     """
     ev, vec = np.linalg.eigh(h)
-    gaps = np.diff(ev) / max(float(np.max(np.abs(ev))), np.finfo(float).tiny)
-    split = gaps > CLUSTER_RTOL
-    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
-    margin = (float(gaps[~split].max(initial=0.0)), float(gaps[split].min(initial=math.inf)))
+    starts, margin = cluster_starts(ev)
     return vec, starts, margin
 
 
@@ -133,11 +129,7 @@ def _blocks(a: np.ndarray, x: np.ndarray):
     y = np.abs(vec.conj().T @ x @ vec) ** 2
     weight = np.add.reduceat(np.add.reduceat(y, starts, axis=0), starts, axis=1)
     linked = weight > (CLUSTER_RTOL * frob(x)) ** 2
-    reach = (linked | linked.T | np.eye(len(starts), dtype=bool)).astype(int)
-    for _ in range(len(starts).bit_length()):
-        reach = np.minimum(reach @ reach, 1)  # paths of twice the length
-    components = len(np.unique(reach, axis=0))
-    return np.split(vec, starts[1:], axis=1), components, gaps
+    return np.split(vec, starts[1:], axis=1), connected_components(linked), gaps
 
 
 def _adjoint_closed(ops: list[np.ndarray]) -> bool:
@@ -1057,7 +1049,7 @@ def cmi(state, region_a, region_b, region_c, space: MultipartiteSpace) -> float:
         return von_neumann_entropy(red)
 
     val = s_of(a + c) + s_of(b + c) - s_of(a + b + c) - s_of(c)
-    return max(float(val), -1e-9) if val > -1e-9 else float(val)
+    return float(val)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,16 @@ class TestCheck:
         assert gaps["largest_merged"] < 1e-12
         assert gaps["smallest_split"] > 1e-4
 
+    def test_ugen_reports_certificate_margin(self, tmp_path, capsys):
+        rc = main(["check", "ugen", dicke_problem(tmp_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["tolerances"]["cluster_rtol"] == 1e-8
+        cert = out["certificates"]
+        assert (cert["method"], cert["passes"], cert["generated_dim"]) == ("certificate", 0, 226)
+        assert cert["cluster_gaps"]["largest_merged"] <= 1e-8 < cert["cluster_gaps"]["smallest_split"]
+        assert cert["weakest_edge"] > 1e-8
+
     def test_cmi_on_graph(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {
             "state": {"constructor": {"name": "graph-line", "params": {"n": 5}}},

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from qlstab import lie as lie_mod
 from qlstab import states
+from qlstab._linalg import connected_components
 from qlstab.channels import CapExceeded
 from qlstab.hilbert import NeighborhoodStructure, uniform_space
 from qlstab.lie import (
@@ -153,3 +156,129 @@ class TestUnitaryGeneration:
         monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 1024)
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
             check_unitary_generation(psi, n, sp)
+
+
+def _antiherm(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a - a.conj().T
+
+
+def _su(n, rng):
+    a = _antiherm(n, rng)
+    return a - np.trace(a) / n * np.eye(n)
+
+
+def _so(n, rng):
+    a = rng.normal(size=(n, n))
+    return (a - a.T).astype(complex)
+
+
+def _sp(n, rng):
+    """Element of the compact symplectic algebra {X in u(n) : X^T J + J X = 0}."""
+    m = n // 2
+    j = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
+    x = _antiherm(n, rng)
+    return 0.5 * (x + j @ x.conj() @ j.T)
+
+
+def _su_sum(a, b, rng):
+    """Element of su(a) ⊗ I + I ⊗ su(b)."""
+    return np.kron(_su(a, rng), np.eye(b)) + np.kron(np.eye(a), _su(b, rng))
+
+
+# proper subalgebras of u(n) that act irreducibly or nearly so, and their dimensions
+CONTROLS = {
+    "so4": (lambda r: _so(4, r), 6),
+    "so6": (lambda r: _so(6, r), 15),
+    "so9": (lambda r: _so(9, r), 36),
+    "sp4": (lambda r: _sp(4, r), 10),
+    "sp6": (lambda r: _sp(6, r), 21),
+    "su2+su3": (lambda r: _su_sum(2, 3, r), 3 + 8),
+    "su3+su3": (lambda r: _su_sum(3, 3, r), 8 + 8),
+}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", CONTROLS)
+    def test_proper_subalgebra_not_certified(self, name, rng):
+        make, dim = CONTROLS[name]
+        ys = np.stack([make(rng), make(rng)])
+        assert lie_closure([LieBasis(tuple(ys))]).dim == dim
+        for seed in range(5):
+            assert lie_mod._certificate(ys, seed)[1] is None
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_two_random_generators_certified(self, n, rng):
+        ys = np.stack([_antiherm(n, rng), _antiherm(n, rng)])
+        for seed in range(5):
+            weakest = lie_mod._certificate(ys, seed)[1]
+            assert weakest is not None and weakest > lie_mod.CLUSTER_RTOL
+
+
+
+def test_connected_components_matches_union_find(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 14))
+        adj = rng.random((n, n)) < 0.12
+        parent = list(range(n))
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j in zip(*np.nonzero(adj)):
+            parent[root(i)] = root(j)
+        assert connected_components(adj) == len({root(i) for i in range(n)})
+
+
+def _disconnected_product():
+    return (np.kron([1, 0], [1, 0]).astype(complex), NeighborhoodStructure([[0], [1]]),
+            uniform_space(2))
+
+
+INSTANCES = {
+    "line-graph-3": lambda: states.line_graph_state(3),
+    "line-graph-4": lambda: states.line_graph_state(4),
+    "dicke-4-2": lambda: states.dicke(4, 2),
+    "vbs-3": lambda: states.vbs_1d(3),
+    "vbs-4": lambda: states.vbs_1d(4),
+    "grid-graph-2x3": lambda: states.grid_graph_state(2, 3),
+}
+
+
+def _problem(name):
+    if name == "disconnected-product":
+        return _disconnected_product()
+    inst = INSTANCES[name]()
+    return inst.psi, inst.neighborhoods, inst.space
+
+
+@functools.cache
+def _closure_dim(name):
+    psi, nstruct, space = _problem(name)
+    return lie_closure([neighborhood_stabilizer_algebra(psi, nk, space) for nk in nstruct]).dim
+
+
+class TestUgenDifferential:
+    @pytest.mark.parametrize("name", [
+        "line-graph-3", "line-graph-4", "dicke-4-2", "disconnected-product",
+        pytest.param("vbs-3", marks=pytest.mark.slow),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_closure(self, name, seed, monkeypatch):
+        # the VBS 3 oracle's confirming pass brackets 100 generators with all
+        # 677 directions: 2.4 GiB, above the production cap
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 4 << 30)
+        v = check_unitary_generation(*_problem(name), seed=seed)
+        assert v.generated_dim == _closure_dim(name)
+        assert v.ok == (_closure_dim(name) == v.target_dim)
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_decided_by_certificate(self, name):
+        for seed in range(5):
+            v = check_unitary_generation(*_problem(name), seed=seed)
+            assert (v.method, v.passes, v.ok) == ("certificate", 0, True)
+            assert v.generated_dim == v.target_dim
+            assert v.weakest_edge > lie_mod.CLUSTER_RTOL
+            assert v.cluster_gaps[0] <= lie_mod.CLUSTER_RTOL < v.cluster_gaps[1]
