@@ -183,19 +183,23 @@ def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> lis
     return [hilbert.from_front(k @ pp, ch.support, space) for k in ch.kraus]
 
 
-def _monomial_forms(ch: Channel, b: np.ndarray, space: MultipartiteSpace):
-    """Each Kraus operator of `ch` in the frame b, B^H K B, as (rows, cols, vals)
+def _monomial_forms(ch: Channel, frame: Frame, space: MultipartiteSpace):
+    """Each Kraus operator of `ch` in the frame B, B^H K B, as (rows, cols, vals)
     with B^H K B = sum_j vals[j] |rows[j]><cols[j]|, plus the largest entry
     left off that pattern. Raises ChannelError unless every operator is
     monomial (at most one entry above `DEFAULT_TOL.frame` per row and per
-    column) with nothing above it left over."""
+    column) with nothing above it left over.
+
+    B is built once; each operator then costs O(D^2 (m + m_K)): K on its
+    support applied to B, and the factored B^H (`Frame.apply`)."""
     tol = DEFAULT_TOL.frame
     if space.dim_of(ch.support) != ch.local_dim:
         raise ChannelError("channel support does not match the space")
+    b = frame.basis
     forms = []
     defect = 0.0
     for k in ch.kraus:
-        kf = dagger(b) @ hilbert.act(k, ch.support, b, space)
+        kf = frame.apply(hilbert.act(k, ch.support, b, space), adjoint=True)
         cols = np.arange(kf.shape[1])
         rows = np.argmax(np.abs(kf), axis=0)
         vals = kf[rows, cols]
@@ -220,27 +224,152 @@ def _apply_monomial(forms, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An ordered basis shared by permutation steps: the columns of `basis`.
+    """An ordered basis B shared by permutation steps, held as its factors.
 
-    The frame caches each channel step's Kraus operators written in it, keyed
-    by the channel's content, so a circuit pays the O(D^3) change of basis
-    once per distinct channel however often it runs, and a channel loaded
-    as several equal objects is written in the frame once.
+    With m = dim(region), R = D / m and n = s R (s = `schmidt_dim`,
+    r = `copies`, r s <= m), B is the product of
+    - the interleaving that sends column alpha r + i (alpha < n, i < r) to
+      entry alpha of copy block i, the first r n coordinates taken as r
+      blocks of n, and keeps the last (m - r s) R columns in place;
+    - Q on each copy block, identity on the rest. Q = -phi H is a Householder
+      reflection H = I - 2 w w^H / w^H w with w = e_0 + conj(phi) c0, times
+      a phase, where c0 = `psi_coords` and phi is the phase of c0[0]. So
+      Q e_0 = c0; w[0] >= 1, so nothing cancels, also when c0 is a phase
+      times e_0;
+    - L (x) I_R, with L = `local` the m x m unitary whose columns are the
+      Schmidt span, its r - 1 copies, then the remainder;
+    - the regrouping that puts the sorted region's factors first
+      (`hilbert.from_front`).
+    Column 0 is (L[:, :s] c0 reshaped to (s, R)) regrouped: the target.
+
+    `apply` multiplies a (D,) or (D, N) stack by B or B^H at O(D N m), and
+    `basis` builds the dense B on request. The frame caches each channel
+    step's Kraus operators written in it, keyed by the channel's content, so
+    a circuit pays the change of basis once per distinct channel however
+    often it runs, and a channel loaded as several equal objects is written
+    in the frame once.
+
+    The constructor checks shapes and counts (ChannelError); unitarity is
+    `unitary_defect`, which `frame_defect` checks before a run.
     """
 
-    basis: np.ndarray
+    space: MultipartiteSpace
+    region: tuple[int, ...]
+    local: np.ndarray
+    copies: int
+    schmidt_dim: int
+    psi_coords: np.ndarray
     _forms: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        region = tuple(sorted(int(i) for i in self.region))
+        n_sub = self.space.n_subsystems
+        if not region or len(set(region)) != len(region) or not all(0 <= i < n_sub for i in region):
+            raise ChannelError(f"frame region must list distinct subsystems in 0..{n_sub - 1}, got {region}")
+        m = self.space.dim_of(region)
+        local = np.asarray(self.local, dtype=complex)
+        if local.shape != (m, m):
+            raise ChannelError(f"frame local unitary must be {m} x {m}, got shape {local.shape}")
+        r, s = self.copies, self.schmidt_dim
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in (r, s)):
+            raise ChannelError(f"frame copies and schmidt_dim must be positive integers, got {r!r}, {s!r}")
+        if r * s > m:
+            raise ChannelError(f"frame needs copies * schmidt_dim <= {m}, got {r} * {s}")
+        c0 = np.asarray(self.psi_coords, dtype=complex)
+        n = s * (self.space.total_dim // m)
+        if c0.shape != (n,):
+            raise ChannelError(f"frame psi_coords must have length {n}, got shape {c0.shape}")
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "copies", int(r))
+        object.__setattr__(self, "schmidt_dim", int(s))
+        object.__setattr__(self, "psi_coords", c0)
+
+    @property
+    def dim(self) -> int:
+        return self.space.total_dim
 
     @cached_property
     def unitary_defect(self) -> float:
-        b = self.basis
-        return float(np.max(np.abs(dagger(b) @ b - np.eye(len(b)))))
+        """Unitarity defect of L plus |norm(c0) - 1|; the other factors are
+        exactly unitary."""
+        m = self.local.shape[0]
+        defect = np.max(np.abs(dagger(self.local) @ self.local - np.eye(m)))
+        return float(defect + abs(np.linalg.norm(self.psi_coords) - 1.0))
+
+    @cached_property
+    def _householder(self):
+        c0 = self.psi_coords
+        a = abs(c0[0])
+        phase = c0[0] / a if a > 0 else 1.0 + 0j
+        w = np.conj(phase) * c0
+        w[0] += 1.0
+        return phase, w, 2.0 / np.vdot(w, w).real
+
+    def _reflect(self, z: np.ndarray, out: np.ndarray, adjoint: bool) -> None:
+        """out = Q z, or Q^H z, on each copy block: z and out of shape (r, n, N),
+        either of them possibly a strided view. Q z = phi (w (w^H z) scale - z)."""
+        phase, w, scale = self._householder
+        coef = (scale * w.conj()) @ z
+        np.multiply(w[:, None], coef[:, None, :], out=out)
+        out -= z
+        if phase != 1:
+            out *= np.conj(phase) if adjoint else phase
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """B @ x, or B^H @ x with `adjoint`, for x of shape (D,) or (D, N)."""
+        x = np.asarray(x, dtype=complex)
+        vec = x.ndim == 1
+        if vec:
+            x = x[:, None]
+        d, k = x.shape
+        if d != self.dim:
+            raise ChannelError(f"frame of dimension {self.dim} applied to {d} rows")
+        m = self.local.shape[0]
+        rest = d // m
+        r, n = self.copies, self.schmidt_dim * rest
+        cut = r * n
+        # rows alpha r + i of the frame side are entry alpha of copy block i
+        if adjoint:
+            y = dagger(self.local) @ hilbert.to_front(x, self.region, self.space).reshape(m, rest * k)
+            y = y.reshape(d, k)
+            out = np.empty((d, k), dtype=complex)
+            self._reflect(y[:cut].reshape(r, n, k), out[:cut].reshape(n, r, k).transpose(1, 0, 2), True)
+            out[cut:] = y[cut:]
+        else:
+            y = np.empty((d, k), dtype=complex)
+            self._reflect(x[:cut].reshape(n, r, k).transpose(1, 0, 2), y[:cut].reshape(r, n, k), False)
+            y[cut:] = x[cut:]
+            y = (self.local @ y.reshape(m, rest * k)).reshape(m, rest, k)
+            out = hilbert.from_front(y, self.region, self.space)
+        return out[:, 0] if vec else out
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense D x D matrix B, built on each request."""
+        return self.apply(np.eye(self.dim, dtype=complex))
+
+    def rotate_in(self, rho: np.ndarray) -> np.ndarray:
+        """B^H rho B, as two factored B^H products: B^H (B^H rho)^H, conjugate-transposed."""
+        z = self.apply(rho, adjoint=True)
+        z = self.apply(np.conjugate(z, out=z).T, adjoint=True)
+        return np.conjugate(z, out=z).T
+
+    def rotate_out(self, block: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """B[:, s] block B[:, s]^H for the block of a framed state on indices s,
+        as two factored B products at O(D^2 m): B (B E_s block)^H, conjugate-transposed."""
+        d = self.dim
+        e = np.zeros((d, s.size), dtype=complex)
+        e[s] = block
+        f = np.zeros((d, d), dtype=complex)
+        f[s] = dagger(self.apply(e))
+        return dagger(self.apply(f))
 
     def monomial_kraus(self, ch: Channel, space: MultipartiteSpace):
         """(forms, defect) of `ch` in this frame; see `_monomial_forms`."""
         key = (ch.support, space.dims, tuple(k.tobytes() for k in ch.kraus))
         if key not in self._forms:
-            self._forms[key] = _monomial_forms(ch, self.basis, space)
+            self._forms[key] = _monomial_forms(ch, self, space)
         return self._forms[key]
 
 
@@ -262,7 +391,7 @@ class PermutationStep:
 def permutation_step(perm, frame: Frame, space: MultipartiteSpace, label: str = "") -> PermutationStep:
     perm = np.asarray(perm)
     d = space.total_dim
-    if frame.basis.shape != (d, d):
+    if frame.space != space:
         raise ChannelError("frame does not match the space")
     if perm.dtype.kind not in "iu" or perm.shape != (d,) or not np.array_equal(np.sort(perm), np.arange(d)):
         raise ChannelError(f"not a permutation of 0..{d - 1}")
@@ -360,10 +489,9 @@ def run(
     frame = circuit.frame
     if frame is not None:
         frame_defect(circuit)
-        b = frame.basis
-        rho = dagger(b) @ rho @ b
+        rho = frame.rotate_in(rho)
         if target is not None:
-            target = dagger(b) @ target
+            target = frame.apply(target, adjoint=True)
 
     def point(t, r):
         dist = None
@@ -391,8 +519,7 @@ def run(
         traj.append(point(len(circuit.steps), rho))
     if frame is not None:
         s = occupied(rho)
-        bs = b[:, s]
-        rho = bs @ rho[np.ix_(s, s)] @ dagger(bs)
+        rho = frame.rotate_out(rho[np.ix_(s, s)], s)
     return rho, traj
 
 

@@ -103,13 +103,46 @@ def channel_from_json(data: dict, space: MultipartiteSpace) -> Channel:
     return chan_mod.make_channel(kraus, support, label=data.get("label", ""))
 
 
+FRAME_SCHEMA = ('{"region": [1-based subsystems], "local": m x m pairs, "psi_coords": '
+                'pairs, "schmidt_dim": s, "copies": r}')
+
+
+def frame_to_json(frame: chan_mod.Frame) -> dict:
+    return {
+        "region": [i + 1 for i in frame.region],
+        "local": _mat2j(frame.local),
+        "psi_coords": _mat2j(frame.psi_coords),
+        "schmidt_dim": frame.schmidt_dim,
+        "copies": frame.copies,
+    }
+
+
+def frame_from_json(data, space: MultipartiteSpace) -> chan_mod.Frame:
+    """The factored frame object; checked in range, in shape and unitary to
+    `DEFAULT_TOL.frame`. A dense D x D frame is refused."""
+    if not isinstance(data, dict):
+        raise InputError(f"frame must be the object {FRAME_SCHEMA}; a dense D x D frame is not read")
+    try:
+        region = _parse_support(data["region"], space)
+        local, c0 = _j2mat(data["local"]), _j2vec(data["psi_coords"])
+        frame = chan_mod.Frame(space, region, local, data["copies"], data["schmidt_dim"], c0)
+    except KeyError as exc:
+        raise InputError(f"frame needs the key {exc}; schema {FRAME_SCHEMA}") from exc
+    except ValueError as exc:  # InputError and ChannelError included
+        raise InputError(f"frame: {exc}") from exc
+    if frame.unitary_defect > DEFAULT_TOL.frame:
+        raise InputError(f"frame is not unitary: the defect of `local` plus |norm(psi_coords) - 1| "
+                         f"is {frame.unitary_defect:.3e}")
+    return frame
+
+
 def circuit_to_json(circ: Circuit) -> dict:
     """Channel steps carry their Kraus list; permutation steps carry 0-based
-    basis indices into the circuit's one `frame`, stored once."""
+    basis indices into the circuit's one `frame`, stored once as its factors."""
     out: dict = {"dims": list(circ.space.dims)}
     frame = circ.frame
     if frame is not None:
-        out["frame"] = _mat2j(frame.basis)
+        out["frame"] = frame_to_json(frame)
     out["steps"] = [
         {"permutation": c.perm.tolist(), "label": c.label}
         if isinstance(c, chan_mod.PermutationStep) else channel_to_json(c)
@@ -130,13 +163,7 @@ def circuit_from_json(data: dict) -> Circuit:
     if any("permutation" in s for s in steps_data):
         if "frame" not in data:
             raise InputError("permutation steps need a top-level frame")
-        d = space.total_dim
-        basis = _j2mat(data["frame"])
-        if basis.shape != (d, d):
-            raise InputError(f"frame must be {d} x {d}, got {basis.shape[0]} x {basis.shape[1]}")
-        frame = chan_mod.Frame(basis)
-        if frame.unitary_defect > DEFAULT_TOL.frame:
-            raise InputError(f"frame is not unitary, defect {frame.unitary_defect:.3e}")
+        frame = frame_from_json(data["frame"], space)
     steps = []
     for s in steps_data:
         if "permutation" not in s:

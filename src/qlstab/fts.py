@@ -3,9 +3,9 @@
 The synthesized circuit alternates a fixed dissipative neighborhood map with
 global basis-permutation unitaries that fix the target, so the running state
 stays diagonal in a fixed ordered basis and the whole construction can be
-tracked exactly on a weight vector. Each permutation unitary is stored as an
-index array on that basis (`channels.PermutationStep`), never as a D x D
-matrix.
+tracked exactly on a weight vector. The ordered basis is held as its local
+factors (`channels.Frame`), and each permutation unitary as an index array on
+it (`channels.PermutationStep`); neither is stored as a D x D matrix.
 """
 
 from __future__ import annotations
@@ -29,21 +29,45 @@ class FtsError(RuntimeError):
 
 @dataclass(frozen=True)
 class FtsPlan:
-    """Everything needed to build the cooling map and the basis ordering."""
+    """Everything needed to build the cooling map and the basis ordering.
+
+    The frame holds the neighborhood (its region), the Schmidt dimension s,
+    the cooling rate r = floor(dim H_N / s) (its copy count) and the local
+    blocks: the (m, m) unitary whose columns are the copies, then the
+    remainder.
+    """
 
     neighborhood_index: int
-    neighborhood: tuple[int, ...]
-    schmidt_dim: int                 # s
-    cooling_rate: int                # r = floor(dim H_N / s)
-    remainder_dim: int               # dim H_N - r * s
-    local_blocks: np.ndarray         # (m, m) unitary: columns = copies then remainder
-    basis_order: np.ndarray          # (D, D) unitary, columns in cooling order
-    space: MultipartiteSpace
+    frame: ch.Frame                  # the ordered basis, columns in cooling order
     target: np.ndarray
+
+    @property
+    def space(self) -> MultipartiteSpace:
+        return self.frame.space
+
+    @property
+    def neighborhood(self) -> tuple[int, ...]:
+        return self.frame.region
+
+    @property
+    def schmidt_dim(self) -> int:
+        return self.frame.schmidt_dim
+
+    @property
+    def cooling_rate(self) -> int:
+        return self.frame.copies
+
+    @property
+    def local_blocks(self) -> np.ndarray:
+        return self.frame.local
 
     @property
     def local_dim(self) -> int:
         return self.local_blocks.shape[0]
+
+    @property
+    def remainder_dim(self) -> int:
+        return self.local_dim - self.cooling_rate * self.schmidt_dim
 
     @property
     def n_group_vectors(self) -> int:
@@ -101,47 +125,18 @@ def plan_fts(
         p_given = local_blocks[:, :s] @ local_blocks[:, :s].conj().T
         if np.max(np.abs(p_given - span.projector())) > 1e-9:
             raise FtsError("leading local_blocks columns must span the Schmidt span")
-    remainder = m - r * s
-
-    basis_order = _ordered_global_basis(psi, nk, space, local_blocks, s, r)
-    return FtsPlan(
-        neighborhood_index=best,
-        neighborhood=nk,
-        schmidt_dim=s,
-        cooling_rate=r,
-        remainder_dim=remainder,
-        local_blocks=local_blocks,
-        basis_order=basis_order,
-        space=space,
-        target=psi,
-    )
+    return FtsPlan(best, _ordered_frame(psi, nk, space, local_blocks, s, r), psi)
 
 
-def _ordered_global_basis(psi, nk, space, local_blocks, s, r):
-    """Columns: psi-led copy families interleaved by copy, remainder last."""
-    m = space.dim_of(nk)
-    rest = space.total_dim // m
+def _ordered_frame(psi, nk, space, local_blocks, s, r) -> ch.Frame:
+    """Columns: psi-led copy families interleaved by copy, remainder last.
+
+    The families share the coordinates c0 of psi in (Schmidt span) x (rest);
+    `channels.Frame` completes them to a basis by a Householder reflection.
+    """
     psip = hilbert.to_front(psi, nk, space)
-    v0 = local_blocks[:, :s]
-    # coordinates of psi inside (Schmidt span) x (rest): s*rest vector
-    c0 = (v0.conj().T @ psip).reshape(-1)
-    c0 = c0 / np.linalg.norm(c0)
-    qs = complete_basis(c0)  # orthonormal basis of the coordinate space, psi first
-    cols = []
-    for alpha in range(s * rest):
-        coeff = qs[:, alpha].reshape(s, rest)
-        for i in range(r):
-            vi = local_blocks[:, i * s : (i + 1) * s]
-            cols.append((vi @ coeff).reshape(-1))
-    vr = local_blocks[:, r * s :]
-    for beta in range(vr.shape[1]):
-        for j in range(rest):
-            w = np.zeros((m, rest), dtype=complex)
-            w[:, j] = vr[:, beta]
-            cols.append(w.reshape(-1))
-    b = np.stack(cols, axis=1)
-    # permute the row index of every column back to the global ordering
-    return hilbert.from_front(b.reshape(m, rest, -1), nk, space)
+    c0 = (local_blocks[:, :s].conj().T @ psip).reshape(-1)
+    return ch.Frame(space, nk, local_blocks, r, s, c0 / np.linalg.norm(c0))
 
 
 def cooling_map(plan: FtsPlan) -> Channel:
@@ -194,7 +189,6 @@ def synthesize_fts(
         plan = plan_fts(psi, nstruct, space, force=force)
     d = space.total_dim
     w_channel = cooling_map(plan)
-    frame = ch.Frame(plan.basis_order)
     weights = np.full(d, 1.0 / d)
     steps: list[Channel | ch.PermutationStep] = [w_channel]
     weights = _cool_weights(weights, plan)
@@ -210,7 +204,7 @@ def synthesize_fts(
         rest = np.setdiff1d(np.arange(d), occupied, assume_unique=True)
         perm[rest] = np.arange(len(occupied), d)
         # unitary permuting ordered-basis vectors; fixes psi since occupied[0]=0
-        steps.append(ch.permutation_step(perm, frame, space, label=f"U_{rounds}"))
+        steps.append(ch.permutation_step(perm, plan.frame, space, label=f"U_{rounds}"))
         new_w = np.zeros(d)
         new_w[perm] = weights
         weights = _cool_weights(new_w, plan)

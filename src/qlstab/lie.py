@@ -24,7 +24,7 @@ from ._linalg import (
 from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
-# largest bracket stack one pass of `lie_closure` may allocate
+# largest memory one pass of `lie_closure` may hold (`_pass_bytes`)
 UGEN_MAX_BYTES = 1 << 30
 
 
@@ -137,7 +137,11 @@ class _Span:
         # second orthogonalization pass for numerical safety
         if self.dim:
             r -= (r @ self.rows.T) @ self.rows
-        u, s, vh = np.linalg.svd(r, full_matrices=False)
+        # r and its triangular factor R share singular values and right vectors;
+        # R has at most as many rows as columns, so the left factor stays small
+        if r.shape[0] > r.shape[1]:
+            r = np.linalg.qr(r, mode="r")
+        _, s, vh = np.linalg.svd(r, full_matrices=False)
         keep = s > DEFAULT_TOL.closure_admit
         if not np.any(keep):
             return 0
@@ -146,15 +150,34 @@ class _Span:
         return int(np.sum(keep))
 
 
+def _pass_bytes(g: int, f: int, n: int, span_dim: int) -> int:
+    """Bytes one closure pass holds at most: g generators bracketed with f
+    directions in u(n), against a span of `span_dim` rows.
+
+    Counted: the generators and the unpacked directions (complex n x n each),
+    the span rows (real n^2 each), the two bracket stacks and their difference
+    (3 g f complex n x n), the packed real candidates, the residual and its
+    projection temporaries (3 g f real n^2 and g f x span_dim), and the
+    admission's triangular factor, right vectors and left factor
+    (2 k n^2 + k^2 reals, k = min(g f, n^2)). The stacks are freed before the
+    admission, so the sum bounds the peak from above.
+    """
+    rows, cols = g * f, n * n
+    k = min(rows, cols)
+    complex_ = 16 * (cols * (g + f) + 3 * rows * cols)
+    real = 8 * (cols * span_dim + 3 * rows * cols + rows * span_dim + 2 * k * cols + k * k)
+    return complex_ + real
+
+
 def lie_closure(bases: list[LieBasis]) -> LieBasis:
     """Smallest Lie algebra containing all given algebras.
 
     Brackets every generator with the directions the previous pass admitted
     until a pass admits nothing, then confirms with one pass against the whole
     span. A span invariant under ad of every generator is invariant under ad of
-    the algebra they generate, so it is that algebra. A pass whose bracket stack
-    would exceed `UGEN_MAX_BYTES` raises `CapExceeded`. The basis records the
-    number of passes run.
+    the algebra they generate, so it is that algebra. A pass that would hold
+    more than `UGEN_MAX_BYTES` (`_pass_bytes`) raises `CapExceeded` before it
+    allocates anything. The basis records the number of passes run.
     """
     gen_stack = np.stack([x for b in bases for x in b.elements])
     g, n = gen_stack.shape[:2]
@@ -163,8 +186,7 @@ def lie_closure(bases: list[LieBasis]) -> LieBasis:
     span.admit(packer.pack(gen_stack))
     fresh, passes = span.rows, 0
     while True:
-        # the two bracket stacks and their difference, g x len(fresh) x n^2 complex each
-        nbytes = 3 * g * len(fresh) * n * n * 16
+        nbytes = _pass_bytes(g, len(fresh), n, span.dim)
         if nbytes > UGEN_MAX_BYTES:
             raise CapExceeded(
                 f"exhaustive ugen pass of {g} x {len(fresh)} brackets of size {n} needs "
@@ -174,8 +196,11 @@ def lie_closure(bases: list[LieBasis]) -> LieBasis:
         cands = np.einsum("gab,nbc->gnac", gen_stack, mats, optimize=True) - np.einsum(
             "nab,gbc->gnac", mats, gen_stack, optimize=True
         )
+        packed = packer.pack(cands.reshape(-1, n, n))
+        del cands, mats
         before = span.dim
-        added = span.admit(packer.pack(cands.reshape(-1, n, n)))
+        added = span.admit(packed)
+        del packed
         passes += 1
         if added:
             fresh = span.rows[before:]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlstab import channels as ch
+from qlstab import hilbert
 from qlstab import states
 from qlstab._linalg import random_density, random_pure, trace_distance
 from qlstab.channels import (
@@ -242,12 +243,18 @@ class TestComposeRun:
 
 
 
+def _whole_frame(space, local):
+    """The frame B = local: the region is the whole space, with one copy of a
+    one-dimensional Schmidt span, so the Householder factor is the 1 x 1 identity."""
+    return ch.Frame(space, range(space.n_subsystems), local, 1, 1, [1.0])
+
+
 class TestFramedRun:
     def test_permutation_and_monomial_channel_match_dense(self, rng):
         # frame = computational basis of three qubits, in a shuffled order;
         # the local channels are monomial in any such frame
         sp = uniform_space(3)
-        frame = ch.Frame(np.eye(8, dtype=complex)[:, rng.permutation(8)])
+        frame = _whole_frame(sp, np.eye(8, dtype=complex)[:, rng.permutation(8)])
         perm = rng.permutation(8)
         steps = (
             unitary_channel(X, [1]),
@@ -269,35 +276,98 @@ class TestFramedRun:
         from qlstab._linalg import random_unitary
 
         sp = uniform_space(2)
-        frame = ch.Frame(random_unitary(4, rng))
+        frame = _whole_frame(sp, random_unitary(4, rng))
         circ = Circuit((ch.permutation_step([1, 0, 2, 3], frame, sp), unitary_channel(X, [0])), sp)
         with pytest.raises(ChannelError, match="monomial"):
             run(circ, np.eye(4) / 4)
 
     def test_non_unitary_frame_rejected(self):
         sp = uniform_space(2)
-        circ = Circuit((ch.permutation_step([0, 1, 2, 3], ch.Frame(2 * np.eye(4)), sp),), sp)
-        with pytest.raises(ChannelError, match="unitary"):
-            run(circ, np.eye(4) / 4)
+        for frame in (_whole_frame(sp, 2 * np.eye(4)), ch.Frame(sp, [0, 1], np.eye(4), 1, 1, [1.1])):
+            circ = Circuit((ch.permutation_step([0, 1, 2, 3], frame, sp),), sp)
+            with pytest.raises(ChannelError, match="unitary"):
+                run(circ, np.eye(4) / 4)
 
     def test_two_frames_rejected(self):
         sp = uniform_space(2)
-        steps = tuple(ch.permutation_step([0, 1, 2, 3], ch.Frame(np.eye(4)), sp) for _ in range(2))
+        steps = tuple(ch.permutation_step([0, 1, 2, 3], _whole_frame(sp, np.eye(4)), sp) for _ in range(2))
         with pytest.raises(ChannelError, match="frame"):
             run(Circuit(steps, sp), np.eye(4) / 4)
 
     @pytest.mark.parametrize("perm", [[0, 0, 1, 2], [1, 2, 3, 4], [0, 1, 2], [0.0, 1.0, 2.0, 3.0]])
     def test_bad_permutation_rejected(self, perm):
+        sp = uniform_space(2)
         with pytest.raises(ChannelError):
-            ch.permutation_step(perm, ch.Frame(np.eye(4)), uniform_space(2))
+            ch.permutation_step(perm, _whole_frame(sp, np.eye(4)), sp)
+
+    def test_frame_of_another_space_rejected(self):
+        with pytest.raises(ChannelError, match="space"):
+            ch.permutation_step([0, 1, 2, 3], _whole_frame(MultipartiteSpace([4]), np.eye(4)), uniform_space(2))
 
     def test_generic_apply_refuses_permutation_step(self):
         sp = uniform_space(2)
-        step = ch.permutation_step([0, 1, 2, 3], ch.Frame(np.eye(4)), sp)
+        step = ch.permutation_step([0, 1, 2, 3], _whole_frame(sp, np.eye(4)), sp)
         with pytest.raises(ChannelError):
             apply(step, np.eye(4) / 4, sp)
         with pytest.raises(ChannelError):
             ch.apply_to_pure(step, np.eye(4)[0], sp)
+
+
+class TestFactoredFrame:
+    """`Frame` from its factors, on small spaces; the FTS frames of the
+    paper's states are tested in test_fts.py."""
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"region": [0, 3]}, "region"),
+        ({"region": [1, 1]}, "region"),
+        ({"region": []}, "region"),
+        ({"local": np.eye(3)}, "local"),
+        ({"psi_coords": np.ones(3) / np.sqrt(3)}, "psi_coords"),
+        ({"copies": 3}, "copies"),
+        ({"schmidt_dim": 0}, "positive"),
+        ({"copies": 1.0}, "positive"),
+    ])
+    def test_malformed_factors_rejected(self, kwargs, match):
+        # region {1} of three qubits: m = 2, R = 4, and n = s R = 4
+        args = {"space": uniform_space(3), "region": [1], "local": np.eye(2), "copies": 2,
+                "schmidt_dim": 1, "psi_coords": np.eye(4)[0]}
+        with pytest.raises(ChannelError, match=match):
+            ch.Frame(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("c0", [
+        np.exp(0.7j) * np.eye(6)[0],
+        np.eye(6)[3],
+        np.array([0.6, 0, 0, 0, 0, 0.8j]),
+    ], ids=["phase-e0", "c0[0]-zero", "generic"])
+    def test_householder_sends_e0_to_c0(self, c0, rng):
+        from qlstab._linalg import random_unitary
+
+        # region {0, 2} of dims (2, 3, 2): m = 4, R = 3, s = 2 and n = 6, r = 2
+        sp = MultipartiteSpace([2, 3, 2])
+        frame = ch.Frame(sp, [2, 0], random_unitary(4, rng), 2, 2, c0)
+        b = frame.basis
+        assert np.max(np.abs(b.conj().T @ b - np.eye(12))) < 1e-12
+        psi = hilbert.from_front((frame.local[:, :2] @ c0.reshape(2, 3)).reshape(4, 3), [0, 2], sp)
+        assert np.max(np.abs(b[:, 0] - psi)) < 1e-12
+        x = random_density(12, rng)
+        assert np.max(np.abs(frame.apply(x) - b @ x)) < 1e-12
+        assert np.max(np.abs(frame.apply(x, adjoint=True) - b.conj().T @ x)) < 1e-12
+        assert np.max(np.abs(frame.apply(x[:, 0]) - b @ x[:, 0])) < 1e-12
+
+    @pytest.mark.parametrize("size", [1, 5, 12])
+    def test_rotations_match_dense(self, size, rng):
+        from qlstab._linalg import random_unitary
+
+        sp = MultipartiteSpace([2, 3, 2])
+        frame = ch.Frame(sp, [1], random_unitary(3, rng), 1, 2, random_pure(8, rng))
+        b = frame.basis
+        rho = random_density(12, rng)
+        assert np.max(np.abs(frame.rotate_in(rho) - b.conj().T @ rho @ b)) < 1e-12
+        s = np.sort(rng.choice(12, size=size, replace=False))
+        block = random_density(size, rng)
+        bs = b[:, s]
+        assert np.max(np.abs(frame.rotate_out(block, s) - bs @ block @ bs.conj().T)) < 1e-12
+
 
 class TestOccupiedBlock:
     """Rank and distance to a pure target from the block of a state on its

@@ -397,6 +397,9 @@ def _pairs(m):
 
 _X = _pairs([[0, 1], [1, 0]])
 _I4 = _pairs(np.eye(4))
+# the frame B = I on the space dims [2, 2]: region {1, 2}, so m = 4, and
+# one copy of a one-dimensional Schmidt span with psi_coords [1]
+_FRAME = {"region": [1, 2], "local": _I4, "psi_coords": [[1.0, 0.0]], "schmidt_dim": 1, "copies": 1}
 
 # each file breaks one rule of the circuit format on the space dims [2, 2]
 MALFORMED_CIRCUITS = {
@@ -406,13 +409,27 @@ MALFORMED_CIRCUITS = {
     "support-repeated": {"steps": [{"support": [1, 1], "kraus": [_I4]}]},
     "kraus-side-mismatch": {"steps": [{"support": [1], "kraus": [_I4]}]},
     "kraus-bad-pair": {"steps": [{"support": [1], "kraus": [[[[0, 0, 0], [1, 0]], [[1, 0], [0, 0]]]]}]},
-    "frame-wrong-shape": {"frame": _pairs(np.eye(2)), "steps": [{"permutation": [0, 1, 2, 3]}]},
-    "frame-not-unitary": {"frame": _pairs(2 * np.eye(4)), "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-wrong-shape": {"frame": {**_FRAME, "local": _pairs(np.eye(2))},
+                          "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-not-unitary": {"frame": {**_FRAME, "local": _pairs(2 * np.eye(4))},
+                          "steps": [{"permutation": [0, 1, 2, 3]}]},
     "frame-missing": {"steps": [{"permutation": [0, 1, 2, 3]}]},
-    "permutation-repeats": {"frame": _I4, "steps": [{"permutation": [0, 0, 1, 2]}]},
-    "permutation-out-of-range": {"frame": _I4, "steps": [{"permutation": [1, 2, 3, 4]}]},
-    "permutation-too-short": {"frame": _I4, "steps": [{"permutation": [0, 1, 2]}]},
-    "permutation-not-integer": {"frame": _I4, "steps": [{"permutation": [0.0, 1.0, 2.0, 3.0]}]},
+    "frame-region-out-of-range": {"frame": {**_FRAME, "region": [1, 3]},
+                                  "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-psi-coords-wrong-length": {"frame": {**_FRAME, "psi_coords": [[1.0, 0.0], [0.0, 0.0]]},
+                                      "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-psi-coords-not-normalized": {"frame": {**_FRAME, "psi_coords": [[0.5, 0.5]]},
+                                        "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-too-many-copies": {"frame": {**_FRAME, "region": [1], "local": _pairs(np.eye(2)),
+                                        "psi_coords": _pairs(np.eye(2)[0]), "copies": 3},
+                              "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-key-missing": {"frame": {k: v for k, v in _FRAME.items() if k != "copies"},
+                          "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "frame-legacy-dense": {"frame": _I4, "steps": [{"permutation": [0, 1, 2, 3]}]},
+    "permutation-repeats": {"frame": _FRAME, "steps": [{"permutation": [0, 0, 1, 2]}]},
+    "permutation-out-of-range": {"frame": _FRAME, "steps": [{"permutation": [1, 2, 3, 4]}]},
+    "permutation-too-short": {"frame": _FRAME, "steps": [{"permutation": [0, 1, 2]}]},
+    "permutation-not-integer": {"frame": _FRAME, "steps": [{"permutation": [0.0, 1.0, 2.0, 3.0]}]},
 }
 
 
@@ -424,9 +441,15 @@ class TestMalformedCircuit:
         assert rc == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_legacy_dense_frame_names_schema(self, tmp_path, capsys):
+        path = write_json(tmp_path, "circuit.json", {"dims": [2, 2], **MALFORMED_CIRCUITS["frame-legacy-dense"]})
+        assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert "dense" in err and all(k in err for k in _FRAME)
+
     def test_well_formed_variants_load(self, tmp_path, capsys):
         # the same skeletons with every rule kept run to exit code 0
-        path = write_json(tmp_path, "circuit.json", {"dims": [2, 2], "frame": _I4, "steps": [
+        path = write_json(tmp_path, "circuit.json", {"dims": [2, 2], "frame": _FRAME, "steps": [
             {"support": [2], "kraus": [_X]}, {"permutation": [0, 2, 1, 3]},
         ]})
         assert main(["simulate", path]) == 0
@@ -448,7 +471,11 @@ class TestFramedCircuitFile:
         assert out["certificates"]["frame_defect"] < 1e-12
         with open(circuit_path) as fh:
             data = json.load(fh)
-        assert np.shape(data["frame"]) == (16, 16, 2)
+        # Dicke(4, 2): region of 3 qubits (m = 8), s = 2, r = 4, psi_coords of s D / m = 4
+        frame = data["frame"]
+        assert sorted(frame) == ["copies", "local", "psi_coords", "region", "schmidt_dim"]
+        assert frame["region"] == [1, 2, 3] and (frame["schmidt_dim"], frame["copies"]) == (2, 4)
+        assert np.shape(frame["local"]) == (8, 8, 2) and np.shape(frame["psi_coords"]) == (4, 2)
         perms = [s["permutation"] for s in data["steps"] if "permutation" in s]
         assert perms and all(sorted(p) == list(range(16)) for p in perms)
         assert all("kraus" in s for s in data["steps"] if "permutation" not in s)
@@ -470,6 +497,18 @@ class TestFramedCircuitFile:
                 assert np.array_equal(a.perm, b.perm)
             else:
                 assert all(ka.tobytes() == kb.tobytes() for ka, kb in zip(a.kraus, b.kraus))
+
+    def test_vbs6_file_small(self, tmp_path, capsys):
+        # D = 729: the factored frame is 9 x 9 plus 162 coordinates; the file
+        # held B as 729 x 729 pairs, 6.8 MB
+        problem = write_json(tmp_path, "vbs6.json", {"state": {"constructor": {"name": "vbs1d", "params": {"n": 6}}}})
+        circuit_path = str(tmp_path / "circuit.json")
+        assert main(["synth", "fts", problem, "--circuit", circuit_path, "--force", "--trials", "1"]) == 0
+        capsys.readouterr()
+        assert os.path.getsize(circuit_path) < 500_000
+        assert main(["simulate", circuit_path, "--problem", problem]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["certificates"]["final_rank"] == 1 and out["certificates"]["final_distance"] < 1e-12
 
     def test_frame_forms_computed_once_per_distinct_channel(self, tmp_path, capsys, monkeypatch):
         from qlstab import channels as ch

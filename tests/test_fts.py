@@ -47,9 +47,9 @@ class TestPlan:
     def test_basis_order_unitary_and_psi_first(self):
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        b = plan.basis_order
-        assert np.max(np.abs(b.conj().T @ b - np.eye(16))) < 1e-9
-        assert abs(abs(b[:, 0].conj() @ inst.psi) - 1.0) < 1e-10
+        b = plan.frame.basis
+        assert np.max(np.abs(b.conj().T @ b - np.eye(16))) < 1e-12
+        assert np.max(np.abs(b[:, 0] - inst.psi)) < 1e-12
 
 
 class TestCoolingMap:
@@ -247,6 +247,51 @@ class TestFramedRun:
         framed, _ = ch.run(shuffled, rho0, record=False)
         dense, _ = ch.run(Circuit(tuple(densify(shuffled)), circ.space), rho0, record=False)
         assert np.max(np.abs(framed - dense)) < 1e-10
+
+
+_FRAMED_STATES = [lambda: states.dicke(4, 2), lambda: states.vbs_1d(3), lambda: states.vbs_1d(4),
+                  lambda: states.vbs_1d(6)]
+_FRAMED_IDS = ["dicke", "vbs3", "vbs4", "vbs6"]
+
+
+class TestFactoredFrame:
+    """The FTS frame held as its factors: the factored products against the
+    dense B that `Frame.basis` builds, and B against its definition."""
+
+    @pytest.mark.parametrize("make", _FRAMED_STATES, ids=_FRAMED_IDS)
+    def test_basis_unitary_psi_first_and_apply_matches(self, make):
+        inst = make()
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True).frame
+        d = inst.space.total_dim
+        b = frame.basis
+        assert np.max(np.abs(b.conj().T @ b - np.eye(d))) < 1e-12
+        assert np.max(np.abs(b[:, 0] - inst.psi)) < 1e-12
+        assert frame.unitary_defect < 1e-12
+        x = random_density(d, np.random.default_rng(2))[:, :7]
+        assert np.max(np.abs(frame.apply(x) - b @ x)) < 1e-12
+        assert np.max(np.abs(frame.apply(x, adjoint=True) - b.conj().T @ x)) < 1e-12
+
+    @pytest.mark.parametrize("make", _FRAMED_STATES[:3], ids=_FRAMED_IDS[:3])
+    def test_basis_matches_column_formula(self, make):
+        # column alpha r + i is copy i of the alpha-th vector of the psi-led
+        # basis Q of the (Schmidt span) x (rest) coordinates; the remainder
+        # columns follow, one per (remainder vector, rest index)
+        from qlstab import hilbert
+
+        inst = make()
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True).frame
+        s, r, loc, c0 = frame.schmidt_dim, frame.copies, frame.local, frame.psi_coords
+        m, n = loc.shape[0], c0.size
+        rest = inst.space.total_dim // m
+        phase = c0[0] / abs(c0[0]) if c0[0] != 0 else 1.0
+        w = np.conj(phase) * c0 + np.eye(n)[0]
+        q = -phase * (np.eye(n) - 2 * np.outer(w, w.conj()) / np.vdot(w, w).real)
+        assert np.max(np.abs(q[:, 0] - c0)) < 1e-14
+        cols = [(loc[:, i * s:(i + 1) * s] @ q[:, a].reshape(s, rest)).reshape(-1)
+                for a in range(n) for i in range(r)]
+        cols += [np.kron(loc[:, r * s + j], np.eye(rest)[k]) for j in range(m - r * s) for k in range(rest)]
+        ref = hilbert.from_front(np.stack(cols, 1).reshape(m, rest, -1), frame.region, inst.space)
+        assert np.max(np.abs(frame.basis - ref)) < 1e-13
 
 
 class TestFinalPoint:

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,48 @@ class TestUnitaryGeneration:
         monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 1024)
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
             check_unitary_generation(psi, n, sp)
+
+
+class TestClosureCap:
+    """The `UGEN_MAX_BYTES` guard of `lie_closure` counts the whole pass."""
+
+    @staticmethod
+    def _generators():
+        # two random elements of su(12) generate it: dim 143, in 11 passes;
+        # at this size the arrays, not the interpreter's objects, set the peak
+        rng = np.random.default_rng(7)
+        return [LieBasis((_su(12, rng),)), LieBasis((_su(12, rng),))]
+
+    def _estimates(self, monkeypatch):
+        sizes = []
+        real = lie_mod._pass_bytes
+        monkeypatch.setattr(lie_mod, "_pass_bytes", lambda *a: sizes.append(real(*a)) or sizes[-1])
+        tracemalloc.start()
+        ref = lie_closure(self._generators())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        monkeypatch.setattr(lie_mod, "_pass_bytes", real)
+        return ref, sizes, peak
+
+    def test_estimate_bounds_traced_peak(self, monkeypatch):
+        ref, sizes, peak = self._estimates(monkeypatch)
+        assert ref.dim == 143 and len(sizes) == ref.passes
+        assert peak <= max(sizes)
+
+    def test_fitting_closure_decides(self, monkeypatch):
+        ref, sizes, _ = self._estimates(monkeypatch)
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", max(sizes))
+        capped = lie_closure(self._generators())
+        assert (capped.dim, capped.passes) == (ref.dim, ref.passes)
+
+    def test_oversized_pass_refused_before_allocation(self, monkeypatch):
+        _, sizes, _ = self._estimates(monkeypatch)
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", sizes[0] - 1)
+        brackets = []
+        monkeypatch.setattr(lie_mod.np, "einsum", lambda *a, **k: brackets.append(a[0]))
+        with pytest.raises(CapExceeded, match="exhaustive ugen"):
+            lie_closure(self._generators())
+        assert brackets == []
 
 
 def _antiherm(n, rng):
