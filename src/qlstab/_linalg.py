@@ -108,8 +108,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part of a matrix, or of each matrix of an (N, D, D) stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,6 +6,7 @@ lazily at application time, which keeps memory at the local dimension.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -106,6 +107,18 @@ def compose(second: Channel, first: Channel, space: MultipartiteSpace, label: st
     return make_channel(prod, union, label=label or f"{second.label}*{first.label}")
 
 
+# Byte budget of the stacked state work: a stack of N states pushed through
+# `apply` at once, and the branch states `rfts.verify_robustness` holds for
+# its prefix walk, stay under it together. A single state above it (D >= 363)
+# is applied alone and nothing is held.
+STACK_MAX_BYTES = 2 << 20
+
+
+def stack_size(d: int) -> int:
+    """How many D x D complex states fit in `STACK_MAX_BYTES`, at least 1."""
+    return max(1, STACK_MAX_BYTES // (16 * d * d))
+
+
 def _liouville_pays(m: int, n_kraus: int, d: int) -> bool:
     """Whether `_apply_local` contracts with the natural matrix S = sum K (x) K-bar.
 
@@ -116,27 +129,47 @@ def _liouville_pays(m: int, n_kraus: int, d: int) -> bool:
     return m < 2 * n_kraus and m * m <= d
 
 
+def _natural(mats, m: int, chunk: int) -> np.ndarray:
+    """sum_k K_k (x) K_k-bar over an iterable of m x m matrices.
+
+    With the matrices taken `chunk` at a time as the rows a_k = vec(K_k) of A,
+    A^T conj(A) holds the sum with its indices ordered (i, k, j, l); one axis
+    reorder gives the natural matrix, indexed ((i, j), (k, l)).
+    """
+    it = iter(mats)
+    g = None
+    while batch := list(itertools.islice(it, chunk)):
+        a = np.stack(batch).reshape(len(batch), m * m)
+        term = a.T @ a.conj()
+        if g is None:
+            g = term
+        else:
+            g += term
+        del a, term
+    return g.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+
+
 def _apply_local(rho: np.ndarray, kraus, support, space: MultipartiteSpace) -> np.ndarray:
     """Apply a channel given by local Kraus matrices; one regrouping round trip.
 
-    In the regrouped frame rho is x of shape (m, m, r^2): row region, column
-    region, then the rest. The channel acts either as one GEMM of the m^2 x m^2
-    natural matrix with the (m^2, r^2) view of x, or per Kraus operator as
-    K-bar applied to the (m, r^2) slices of K @ x (Watrous, The Theory of
-    Quantum Information, 2018, sec. 2.2); `_liouville_pays` picks the form.
+    In the regrouped frame rho is x of shape (m, m, r^2 N): row region, column
+    region, then the rest, whose fastest axis runs over an (N, D, D) stack. The
+    channel acts either as one GEMM of the m^2 x m^2 natural matrix with the
+    (m^2, r^2 N) view of x, or per Kraus operator as K-bar applied to the
+    (m, r^2 N) slices of K @ x (Watrous, The Theory of Quantum Information,
+    2018, sec. 2.2); `_liouville_pays` picks the form.
     """
     x = hilbert.to_blocks(rho, support, space)
-    m, _, r2 = x.shape
-    if _liouville_pays(m, len(kraus), rho.shape[0]):
-        s = sum(np.kron(k, k.conj()) for k in kraus)
-        out = s @ x.reshape(m * m, r2)
+    m, _, cols = x.shape
+    if _liouville_pays(m, len(kraus), space.total_dim):
+        out = _natural(kraus, m, len(kraus)) @ x.reshape(m * m, cols)
     else:
         out = _kraus_blocks(x, kraus)
-    return hilbert.from_blocks(out, support, space)
+    return hilbert.from_blocks(out, support, space, rho.shape[:-2])
 
 
 def _kraus_blocks(x: np.ndarray, kraus) -> np.ndarray:
-    """sum_k K-bar applied to the (m, r^2) slices of K @ x, for x of shape (m, m, r^2).
+    """sum_k K-bar applied to the (m, c) slices of K @ x, for x of shape (m, m, c).
 
     One K @ x buffer and one term buffer serve every Kraus operator: a fresh
     D x D temporary per operator costs a page fault per 4 KiB touched.
@@ -157,10 +190,17 @@ def _kraus_blocks(x: np.ndarray, kraus) -> np.ndarray:
 
 
 def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
+    """E(rho) for a D x D operator, or E of each operator of an (N, D, D) stack.
+
+    A stack runs through the same kernel as one operator: the local branch
+    regroups it to N times the columns (`hilbert.to_blocks`), and the
+    full-support branch's products broadcast over it.
+    """
     if not isinstance(ch, Channel):
         raise ChannelError("permutation steps are applied only by `run`")
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (space.total_dim, space.total_dim):
+    d = space.total_dim
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise ChannelError("density matrix does not match the space")
     if space.dim_of(ch.support) != ch.local_dim:
         raise ChannelError("channel support does not match the space")
@@ -600,16 +640,15 @@ def superoperator(ch: Channel, space: MultipartiteSpace, max_side: int = 4096) -
     """Dense matrix of the map in the row-major vectorized basis.
 
     The matrix has side D^2; more than `max_side` raises CapExceeded before
-    anything is allocated.
+    anything is allocated. It is the natural matrix of the embedded Kraus
+    operators (`_natural`), embedded and stacked D^2 at a time, so the stack
+    never holds more entries than the D^4 output.
     """
     d = space.total_dim
     if d * d > max_side:
         raise CapExceeded(f"superoperator side {d * d} exceeds cap {max_side}")
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        kg = k if len(ch.support) == space.n_subsystems else hilbert.embed(
-            hilbert.RegionOperator(k, ch.support), space
-        )
-        s += np.kron(kg, kg.conj())
-    return s
-
+    if len(ch.support) == space.n_subsystems:
+        mats = iter(ch.kraus)
+    else:
+        mats = (hilbert.embed(hilbert.RegionOperator(k, ch.support), space) for k in ch.kraus)
+    return _natural(mats, d, d * d)

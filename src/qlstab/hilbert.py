@@ -6,6 +6,7 @@ converts from the 1-based external format. Storage is dense throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,9 +147,19 @@ def permute_subsystems(obj: np.ndarray, dest, space: MultipartiteSpace) -> np.nd
     return _reorder_factors(obj, space.dims, np.argsort(dest), obj.ndim).reshape(obj.shape)
 
 
-def _front_order(region, space: MultipartiteSpace) -> list[int]:
-    region = sorted(region)
-    return region + list(space.complement(region))
+@functools.lru_cache(maxsize=1024)
+def _front_order(region: tuple[int, ...], dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted `region`, then the rest of the subsystems of `dims`.
+
+    Memoized on (sorted region tuple, dims), so a region regrouped again costs
+    one dictionary lookup; `_key` gives the region tuple.
+    """
+    rest = set(range(len(dims))).difference(region)
+    return region + tuple(sorted(rest))
+
+
+def _key(region) -> tuple[int, ...]:
+    return tuple(sorted(region))
 
 
 def to_front(x: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) -> np.ndarray:
@@ -161,7 +172,7 @@ def to_front(x: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) ->
     x = np.asarray(x)
     m = space.dim_of(region)
     extra = x.shape[sides:]
-    t = _reorder_factors(x, space.dims, _front_order(region, space), sides, extra)
+    t = _reorder_factors(x, space.dims, _front_order(_key(region), space.dims), sides, extra)
     return t.reshape((m, space.total_dim // m) * sides + extra)
 
 
@@ -171,32 +182,47 @@ def from_front(y: np.ndarray, region, space: MultipartiteSpace, sides: int = 1) 
     With sides=2, any array of D * D entries in the front ordering is accepted.
     """
     y = np.asarray(y)
-    order = _front_order(region, space)
+    order = _front_order(_key(region), space.dims)
     extra = y.shape[2:] if sides == 1 else ()
     t = _reorder_factors(y, [space.dims[i] for i in order], np.argsort(order), sides, extra)
     return t.reshape((space.total_dim,) * sides + extra)
 
 
-def _block_order(region, space: MultipartiteSpace) -> list[int]:
-    order, n = _front_order(region, space), space.n_subsystems
+@functools.lru_cache(maxsize=1024)
+def _block_order(region: tuple[int, ...], dims: tuple[int, ...], stacked: bool):
+    """Axis permutations (forward, inverse) between an operator reshaped to
+    (N,) + dims * 2, the stack axis present iff `stacked`, and `to_blocks`
+    order: row and column factors of the region, the rest of the row and
+    column factors, then the stack axis. Memoized like `_front_order`."""
+    order, n, s = _front_order(region, dims), len(dims), int(stacked)
     rows, rest = order[:len(region)], order[len(region):]
-    return rows + [n + i for i in rows] + rest + [n + i for i in rest]
+    axes = rows + tuple(n + i for i in rows) + rest + tuple(n + i for i in rest)
+    forward = tuple(a + s for a in axes) + tuple(range(s))
+    return forward, tuple(int(i) for i in np.argsort(forward))
 
 
 def to_blocks(rho: np.ndarray, region, space: MultipartiteSpace) -> np.ndarray:
     """A D x D operator as (m, m, r * r): the row factors of the sorted
-    `region`, its column factors, then the rest of the row and column index."""
+    `region`, its column factors, then the rest of the row and column index.
+
+    An (N, D, D) stack gives (m, m, r * r * N): the stack index joins the rest
+    as its fastest axis, so a map acting on the region treats the N operators
+    as N times the columns.
+    """
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
     m = space.dim_of(region)
-    t = np.asarray(rho).reshape(space.dims * 2).transpose(_block_order(region, space))
-    return t.reshape(m, m, -1)
+    forward, _ = _block_order(_key(region), space.dims, bool(lead))
+    return rho.reshape(lead + space.dims * 2).transpose(forward).reshape(m, m, -1)
 
 
-def from_blocks(y: np.ndarray, region, space: MultipartiteSpace) -> np.ndarray:
-    """Inverse of `to_blocks`: any array of D * D entries in block order -> (D, D)."""
-    order = _block_order(region, space)
-    dims = space.dims * 2
-    t = np.asarray(y).reshape([dims[i] for i in order]).transpose(np.argsort(order))
-    return t.reshape(space.total_dim, space.total_dim)
+def from_blocks(y: np.ndarray, region, space: MultipartiteSpace, stack: tuple[int, ...] = ()) -> np.ndarray:
+    """Inverse of `to_blocks`: any array of N * D * D entries in block order
+    -> (D, D), or (N, D, D) with `stack` = (N,)."""
+    forward, inverse = _block_order(_key(region), space.dims, bool(stack))
+    dims = tuple(stack) + space.dims * 2
+    t = np.asarray(y).reshape([dims[i] for i in forward]).transpose(inverse)
+    return t.reshape(tuple(stack) + (space.total_dim, space.total_dim))
 
 
 def act(op: np.ndarray, region, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:

@@ -848,6 +848,38 @@ class RobustnessReport:
     worst_order: tuple[int, ...]
 
 
+def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: np.ndarray, space):
+    """Yield (order, final states) for each of the sorted, distinct `orders`,
+    the channels applied in that order to each state of the (N, D, D) `stack`.
+
+    A depth-first walk over the prefix tree of the orders. Each order starts
+    from the deepest state held for a prefix it shares with the order before
+    it. Its state after k channels is held only while a sibling still needs
+    it, that is while the next order (sorted, the one that shares the most)
+    shares those k channels, and only if the inputs, the held states and the
+    next working stack fit in `channels.STACK_MAX_BYTES`. A prefix not held is
+    replayed from the nearest held state or the inputs: with one state over
+    the budget nothing is held, and every order runs from the inputs, channel
+    by channel.
+    """
+    held: list[tuple[int, np.ndarray]] = []  # (prefix length, state), deepest last
+    room = ch.STACK_MAX_BYTES - stack.nbytes
+    for i, order in enumerate(orders):
+        share = _common_prefix(order, orders[i + 1]) if i + 1 < len(orders) else 0
+        depth, rho = held[-1] if held else (0, stack)
+        for k in range(depth, len(order)):
+            rho = ch.apply(channels[order[k]], rho, space)
+            if k < share and sum(h.nbytes for _, h in held) + 2 * rho.nbytes <= room:
+                held.append((k + 1, rho))
+        yield order, rho
+        while held and held[-1][0] > share:
+            held.pop()
+
+
 def verify_robustness(
     channels: list[Channel],
     target,
@@ -864,8 +896,11 @@ def verify_robustness(
     All orderings are run when their count is at most `exhaustive_limit`;
     otherwise the identity order plus `trials` random orders are sampled.
     Inputs: the maximally mixed state plus random density matrices. A sampled
-    order that repeats is counted in `orders_run` but computed once.
-    `worst_order` is the first order that reached `max_final_distance`.
+    order that repeats is counted in `orders_run` but computed once. The
+    distinct orders run as one walk over their prefix tree (`_prefix_walk`),
+    on the inputs stacked `channels.stack_size(D)` at a time.
+    `worst_order` is the first order, in the sampled or enumerated sequence,
+    that reached `max_final_distance`.
     """
     target = np.asarray(target, dtype=complex)
     rng = np.random.default_rng(seed)
@@ -892,20 +927,23 @@ def verify_robustness(
         exhaustive = False
 
     d = space.total_dim
-    inputs = [np.eye(d, dtype=complex) / d]
-    for _ in range(n_random_inputs):
-        inputs.append(random_density(d, rng))
+    inputs = np.empty((1 + n_random_inputs, d, d), dtype=complex)
+    inputs[0] = np.eye(d) / d
+    for j in range(n_random_inputs):
+        inputs[1 + j] = random_density(d, rng)
+    distinct = dict.fromkeys(orders)
+    final = dict.fromkeys(distinct, 0.0)
+    walk, per = sorted(distinct), ch.stack_size(d)
+    for start in range(0, len(inputs), per):
+        for order, rho in _prefix_walk(channels, walk, inputs[start:start + per], space):
+            dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
+            final[order] = max(final[order], *dists)
+            del rho  # not alive while the walk computes the next order
     worst = 0.0
     worst_order = orders[0]
-    distinct = dict.fromkeys(orders)
-    for order in distinct:
-        for rho0 in inputs:
-            rho = rho0
-            for idx in order:
-                rho = ch.apply(channels[idx], rho, space)
-            dist = _distance_to_target(rho, target, exact_limit=distance_exact_limit)
-            if dist > worst:
-                worst, worst_order = dist, order
+    for order, dist in final.items():
+        if dist > worst:
+            worst, worst_order = dist, order
     return RobustnessReport(
         passed=worst < tol and inv_ok,
         max_final_distance=worst,

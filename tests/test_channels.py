@@ -85,6 +85,12 @@ class TestApply:
             big = embed(RegionOperator(k, support), sp)
             expected += big @ rho @ big.conj().T
         assert trace_distance(apply(c, rho, sp), expected) < 1e-10
+        # an (N, D, D) stack runs through the same branch as N single states
+        stack = np.stack([rho, random_density(sp.total_dim, rng), rho @ rho])
+        out = apply(c, stack, sp)
+        assert out.shape == stack.shape
+        for one, many in zip(stack, out):
+            assert np.max(np.abs(apply(c, one, sp) - many)) <= 1e-15
 
     def test_output_is_state(self, rng):
         sp = uniform_space(3)
@@ -177,6 +183,22 @@ class TestSuperoperator:
         s = superoperator(unitary_channel(u, [0]), sp)
         assert np.allclose(s, np.kron(u, u.conj()))
 
+    @pytest.mark.parametrize("dims, support, nk", [
+        pytest.param([2, 3], [1], 4, id="local-4-kraus"),
+        pytest.param([2, 2], [0, 1], 3, id="full-3-kraus"),
+        pytest.param([2], [0], 6, id="more-kraus-than-side-chunked"),
+    ])
+    def test_matches_kron_sum(self, rng, dims, support, nk):
+        # oracle: the sum of K (x) K-bar over the embedded Kraus operators
+        sp = MultipartiteSpace(dims)
+        m = sp.dim_of(support)
+        g = rng.normal(size=(nk * m, m)) + 1j * rng.normal(size=(nk * m, m))
+        v, _ = np.linalg.qr(g)
+        c = make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
+        big = [embed(RegionOperator(k, support), sp) for k in c.kraus]
+        expected = sum(np.kron(k, k.conj()) for k in big)
+        assert np.max(np.abs(superoperator(c, sp) - expected)) < 1e-14
+
     def test_cap(self):
         sp = uniform_space(4)
         with pytest.raises(ch.CapExceeded):
@@ -189,7 +211,8 @@ class TestSuperoperator:
         def no_alloc(*args, **kwargs):
             raise AssertionError("allocated before the cap check")
 
-        monkeypatch.setattr(np, "zeros", no_alloc)
+        for name in ("zeros", "empty", "stack", "kron"):
+            monkeypatch.setattr(np, name, no_alloc)
         with pytest.raises(ch.CapExceeded):
             superoperator(c, uniform_space(7))
 

@@ -103,6 +103,13 @@ def test_region_primitive_matches_brute_force(case, ncols):
         y = hilbert.to_front(x, region, sp, sides=sides)
         assert np.array_equal(hilbert.from_front(y, region, sp, sides=sides), x)
     assert np.array_equal(hilbert.from_blocks(a_blocks, region, sp), a)
+    # an (N, D, D) stack: the stack index is the fastest axis of the rest
+    ops = np.stack([a, a.conj().T, a @ a])
+    ops_blocks = hilbert.to_blocks(ops, region, sp)
+    assert ops_blocks.shape == (m, m, r * r * 3)
+    for j, one in enumerate(ops):
+        assert np.array_equal(ops_blocks.reshape(m, m, r * r, 3)[..., j], hilbert.to_blocks(one, region, sp))
+    assert np.array_equal(hilbert.from_blocks(ops_blocks, region, sp, stack=(3,)), ops)
 
     # act against the kron of op with the complement identity, regrouped back
     inv = list(np.argsort(order))

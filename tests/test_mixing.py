@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qlstab import channels as chan_mod
 from qlstab import states
 from qlstab._linalg import random_density, trace_distance
 from qlstab.channels import reset_channel, unitary_channel
@@ -114,6 +115,43 @@ class TestEta:
         rates = [-np.log(vals[i + 1] / vals[i]) / (ts[i + 1] - ts[i]) for i in range(3)]
         for r in rates:
             assert r > 0.4 * gap  # decaying at a rate comparable to the gap
+
+
+class TestEtaSweep:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stacked_sweep_matches_one_state_at_a_time(self, n, monkeypatch):
+        fam = family_for(n)
+        stacked = (fam.eta_sample(1.5, seed=7), fam.eta_single_channel(1, 1.5, seed=7))
+        monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)  # stacks of one state
+        single = (fam.eta_sample(1.5, seed=7), fam.eta_single_channel(1, 1.5, seed=7))
+        assert abs(stacked[0].lower - single[0].lower) <= 1e-14
+        assert stacked[0].upper == single[0].upper
+        assert abs(stacked[1] - single[1]) <= 1e-14
+
+    def test_dense_route_stacked_matches_one_state_at_a_time(self, monkeypatch):
+        l = amplitude_damping_liouvillian(1.0)
+        stacked = contraction_eta(l, 1.0, n_samples=64)
+        monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)
+        single = contraction_eta(l, 1.0, n_samples=64)
+        assert abs(stacked.lower - single.lower) <= 1e-14
+
+    def test_line6_seed_26000_converges(self):
+        # np.linalg.eigh (zheevd) of the adjoint image fails to converge here
+        fam = family_for(6)
+        es = fam.eta_sample(1.5, seed=26000)
+        assert 0.0 < es.lower <= es.upper
+
+    def test_full_eigh_falls_back_to_mrrr(self, monkeypatch):
+        fam = family_for(4)
+        expected = fam.eta_sample(1.5, seed=3)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        es = fam.eta_sample(1.5, seed=3)
+        assert abs(es.lower - expected.lower) < 1e-12
+        assert es.upper == expected.upper
 
 
 class TestCommutingFamily:

@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -36,6 +40,7 @@ from qlstab.rfts import (
     reduce_full_rank_factors,
     verify_robustness,
 )
+from qlstab.rfts import _distance_to_target
 
 
 def channels_equal(a: Channel, b: Channel, space, probes: int = 8) -> bool:
@@ -307,6 +312,116 @@ class TestFullRankReduction:
         assert (2, 3) in n2.neighborhoods
 
 
+def per_order_robustness(channels, target, space, trials=200, seed=5, n_random_inputs=1,
+                         exhaustive_limit=720, distance_exact_limit=768):
+    """Oracle for the prefix walk of `verify_robustness`: every distinct order
+    run on every input, one state and one channel at a time.
+
+    Returns (max final distance, first order reaching it, orders, distinct).
+    """
+    rng = np.random.default_rng(seed)
+    t = len(channels)
+    if math.factorial(t) <= exhaustive_limit:
+        orders = list(itertools.permutations(range(t)))
+    else:
+        orders = [tuple(range(t))] + [tuple(rng.permutation(t)) for _ in range(trials)]
+    d = space.total_dim
+    inputs = [np.eye(d, dtype=complex) / d] + [random_density(d, rng) for _ in range(n_random_inputs)]
+    worst, worst_order = 0.0, orders[0]
+    distinct = dict.fromkeys(orders)
+    for order in distinct:
+        for rho in inputs:
+            for idx in order:
+                rho = ch.apply(channels[idx], rho, space)
+            dist = _distance_to_target(rho, target, exact_limit=distance_exact_limit)
+            if dist > worst:
+                worst, worst_order = dist, order
+    return worst, worst_order, len(orders), len(distinct)
+
+
+def _count_applies(monkeypatch) -> list:
+    calls = []
+    apply = ch.apply
+
+    def counted(c, rho, space):
+        calls.append(rho.shape)
+        return apply(c, rho, space)
+
+    monkeypatch.setattr(ch, "apply", counted)
+    return calls
+
+
+class TestPrefixWalk:
+    CASES = {
+        "line-3": lambda: states.line_graph_state(3),
+        "line-4": lambda: states.line_graph_state(4),
+        "grid-2x3": lambda: states.grid_graph_state(2, 3),
+        "w-product-sampled": lambda: states.w_product_9(),
+    }
+
+    @staticmethod
+    def _compare(name):
+        inst = TestPrefixWalk.CASES[name]()
+        kw = dict(exhaustive_limit=1, trials=12) if name == "w-product-sampled" else {}
+        chans = list(inst.witness_channels)
+        rep = verify_robustness(chans, inst.psi, inst.space, **kw)
+        worst, worst_order, n_orders, n_distinct = per_order_robustness(chans, inst.psi, inst.space, **kw)
+        assert rep.passed == (worst < 1e-8)
+        assert (rep.orders_run, rep.distinct_orders) == (n_orders, n_distinct)
+        assert rep.exhaustive == (name != "w-product-sampled")
+        assert abs(rep.max_final_distance - worst) <= 1e-15
+        assert rep.worst_order == worst_order
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_per_order_loop(self, name):
+        self._compare(name)
+
+    @pytest.mark.parametrize("name", ["line-3", "line-4", "grid-2x3"])
+    @pytest.mark.parametrize("budget", [6 * 16 * 16**2, 1])
+    def test_smaller_budgets_match(self, name, budget, monkeypatch):
+        # 6 states of D = 16: line 4 holds one branch state, line 3 several,
+        # and the 2x3 grid (D = 64) runs its inputs one at a time; 1 byte:
+        # nothing held, one input at a time
+        monkeypatch.setattr(ch, "STACK_MAX_BYTES", budget)
+        self._compare(name)
+
+    def test_each_prefix_applied_once(self, monkeypatch):
+        # t = 6, exhaustive: one stacked apply per node of the prefix tree,
+        # sum over k of 6!/(6 - k)! = 1956, against 720 * 6 * 2 single applies
+        inst = states.grid_graph_state(2, 3)
+        calls = _count_applies(monkeypatch)
+        rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space)
+        d = inst.space.total_dim
+        walk = [s for s in calls if s == (2, d, d)]
+        assert rep.exhaustive and rep.distinct_orders == 720
+        assert len(walk) == 1956
+
+    def test_state_over_budget_runs_every_order_from_inputs(self, monkeypatch):
+        # D = 512: one state is over the budget, so each order runs from each
+        # input, channel by channel, as a one-state stack
+        inst = states.w_product_9()
+        calls = _count_applies(monkeypatch)
+        rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space,
+                                exhaustive_limit=1, trials=12)
+        d = inst.space.total_dim
+        walk = [s for s in calls if s == (1, d, d)]
+        assert len(walk) == rep.distinct_orders * 3 * 2
+
+    def test_kagome_holds_no_more_than_per_order(self):
+        # one D = 512 state is over the budget: the walk holds no branch state
+        # and no input copy, so the traced peak stays at the per-order loop's
+        inst = states.ccz_kagome(3, 1)
+        tracemalloc.start()
+        try:
+            rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space, trials=3,
+                                    n_random_inputs=0, distance_exact_limit=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.orders_run == 4
+        assert peak < 25 * 2**20
+
+
 class TestRobustness:
     def test_graph_p3_all_orders(self):
         inst = states.line_graph_state(3)
@@ -352,6 +467,9 @@ class TestRobustness:
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
         rep = verify_robustness(densify(circ), inst.psi, inst.space, trials=20)
         assert not rep.passed
+        worst, worst_order, _, _ = per_order_robustness(densify(circ), inst.psi, inst.space, trials=20)
+        assert rep.worst_order == worst_order
+        assert abs(rep.max_final_distance - worst) <= 1e-15
 
     def test_single_channel(self, rng):
         sp = uniform_space(2)
