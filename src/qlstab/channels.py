@@ -14,7 +14,16 @@ from typing import ClassVar
 import numpy as np
 
 from . import hilbert
-from ._linalg import DEFAULT_TOL, dagger, rank_cutoff, trace_distance, trace_distance_to_pure_on
+from ._linalg import (
+    DEFAULT_TOL,
+    dagger,
+    frob,
+    kron_all,
+    orthonormal_columns,
+    rank_cutoff,
+    trace_distance,
+    trace_distance_to_pure_on,
+)
 from .hilbert import MultipartiteSpace
 
 
@@ -85,26 +94,75 @@ def reset_channel(state, support, label: str = "") -> Channel:
     return make_channel(kraus, support, label=label)
 
 
+def relocate(ch: Channel, sites, space: MultipartiteSpace) -> tuple[Channel, MultipartiteSpace]:
+    """`ch` on the space of the sorted `sites` alone, which must hold its
+    support: the channel with its support renumbered into `sites`, and that
+    space."""
+    sites = sorted(sites)
+    pos = {g: p for p, g in enumerate(sites)}
+    local = Channel(kraus=ch.kraus, support=tuple(pos[g] for g in ch.support), label=ch.label)
+    return local, MultipartiteSpace([space.dims[i] for i in sites])
+
+
 def compose(second: Channel, first: Channel, space: MultipartiteSpace, label: str = "") -> Channel:
-    """Channel applying `first` then `second`, on the union support."""
+    """Channel applying `first` then `second`, on the union support.
+
+    A product b a of their Kraus operators that vanishes (Frobenius norm at
+    most `DEFAULT_TOL.rank_rtol`) is dropped.
+    """
     union = tuple(sorted(set(second.support) | set(first.support)))
-    du = space.dim_of(union)
 
     def lift(ch: Channel) -> list[np.ndarray]:
-        if tuple(ch.support) == union:
+        local, sub = relocate(ch, union, space)
+        if len(local.support) == len(union):
             return list(ch.kraus)
-        sub_space = MultipartiteSpace([space.dims[i] for i in union])
-        pos = {g: p for p, g in enumerate(union)}
-        sub_support = [pos[g] for g in ch.support]
-        return [
-            hilbert.embed(hilbert.RegionOperator(k, sub_support), sub_space)
-            for k in ch.kraus
-        ]
+        return [hilbert.embed(hilbert.RegionOperator(k, local.support), sub) for k in ch.kraus]
 
     ka = lift(first)
-    kb = lift(second)
-    prod = [b @ a for b in kb for a in ka]
-    return make_channel(prod, union, label=label or f"{second.label}*{first.label}")
+    prod = (b @ a for b in lift(second) for a in ka)
+    live = [k for k in prod if frob(k) > DEFAULT_TOL.rank_rtol]
+    return make_channel(live, union, label=label or f"{second.label}*{first.label}")
+
+
+def _reinjection_channel(w: np.ndarray, position: int) -> Channel:
+    """Uniform re-injection into the range of the isometry w (d x r) on one
+    site: Kraus w w^H and w[:, b] q_a^H / sqrt(r), q_a an orthonormal basis of
+    the complement."""
+    d, r = w.shape
+    p = w @ dagger(w)
+    q = orthonormal_columns(np.eye(d, dtype=complex) - p)
+    kraus = [p] + [np.outer(w[:, b], q[:, a].conj()) / np.sqrt(r) for a in range(q.shape[1]) for b in range(r)]
+    return make_channel(kraus, [position])
+
+
+def factor_reset_channel(state, factors, virtual_dims, g, isometries, support, label: str) -> Channel:
+    """The neighbourhood map of a virtual-subsystem factorization.
+
+    On the sites of `support`, w_i = `isometries[i]` (d_i x r_i) spans the
+    local support of site i, and the unitary g maps the virtual space, the
+    tensor product of `virtual_dims`, onto the tensor product of the r_i. The
+    map first re-injects the weight off each w_i uniformly into it
+    (`_reinjection_channel`). Then, through V = (tensor of w_i) g, it resets
+    the virtual factors at the sorted positions `factors` to `state` (a
+    vector or a density matrix), with the Kraus operators V (K (x) I) V^H for
+    the K of `reset_channel`, and acts as identity on the other factors.
+    I - V V^H is added when V is not square. Products that vanish are
+    dropped (`compose`).
+    """
+    v = kron_all(list(isometries)) @ g
+    virtual = MultipartiteSpace(virtual_dims)
+    kraus = [
+        v @ hilbert.embed(hilbert.RegionOperator(k, factors), virtual) @ dagger(v)
+        for k in reset_channel(state, factors).kraus
+    ]
+    if v.shape[0] != v.shape[1]:
+        kraus.append(np.eye(v.shape[0], dtype=complex) - v @ dagger(v))
+    sites = MultipartiteSpace([w.shape[0] for w in isometries])
+    out = make_channel(kraus, range(len(isometries)))
+    for pos, w in enumerate(isometries):
+        if w.shape[0] != w.shape[1]:
+            out = compose(out, _reinjection_channel(w, pos), sites)
+    return make_channel(out.kraus, support, label=label)
 
 
 # Byte budget of the stacked state work: a stack of N states pushed through

@@ -227,7 +227,7 @@ def load_problem(path: str):
             inst = states_mod.StateInstance(
                 name=inst.name,
                 space=inst.space,
-                neighborhoods=_parse_neighborhoods(data["neighborhoods"]),
+                neighborhoods=_parse_neighborhoods(data["neighborhoods"], inst.space),
                 psi=inst.psi,
                 rho=inst.rho,
                 witness_channels=inst.witness_channels,
@@ -239,7 +239,7 @@ def load_problem(path: str):
     space = MultipartiteSpace(data["space"]["dims"])
     if "neighborhoods" not in data:
         raise InputError("/neighborhoods: required with an explicit state")
-    nstruct = _parse_neighborhoods(data["neighborhoods"])
+    nstruct = _parse_neighborhoods(data["neighborhoods"], space)
     psi = rho = None
     if sources[0] == "vector":
         psi = _j2vec(state_spec["vector"])
@@ -257,14 +257,30 @@ def load_problem(path: str):
     return inst, data.get("options", {})
 
 
-def _parse_neighborhoods(data) -> NeighborhoodStructure:
+def _parse_neighborhoods(data, space: MultipartiteSpace) -> NeighborhoodStructure:
+    if not isinstance(data, list):
+        raise InputError(f"/neighborhoods: expected a list of supports, got {data!r}")
     try:
-        sets = [[int(i) - 1 for i in nk] for nk in data]
-    except (TypeError, ValueError) as exc:
+        return NeighborhoodStructure([_parse_support(nk, space) for nk in data], normalize=True)
+    except (InputError, ValueError) as exc:
         raise InputError(f"/neighborhoods: {exc}") from exc
-    if any(i < 0 for nk in sets for i in nk):
-        raise InputError("/neighborhoods: indices are 1-based")
-    return NeighborhoodStructure(sets, normalize=True)
+
+
+def _parse_region(options: dict, key: str, space: MultipartiteSpace, default) -> list[int]:
+    """The 1-based region `options[key]` (or `default`) as 0-based indices."""
+    try:
+        return _parse_support(options.get(key, default), space)
+    except InputError as exc:
+        raise InputError(f"/options/{key}: {exc}") from exc
+
+
+def _regions_ab(options: dict, space: MultipartiteSpace) -> tuple[list[int], list[int]]:
+    """`region_a` (default: subsystem 1) and `region_b` (default: the last), disjoint."""
+    a = _parse_region(options, "region_a", space, [1])
+    b = _parse_region(options, "region_b", space, [space.n_subsystems])
+    if set(a) & set(b):
+        raise InputError("/options: region_a and region_b must be disjoint")
+    return a, b
 
 
 def _report(task: str, verdict_true: bool, verdicts: dict, certificates: dict,
@@ -400,8 +416,7 @@ def cmd_check(args) -> int:
         }
         ok = res.ok
     elif sub == "correlations":
-        a = [int(i) - 1 for i in options.get("region_a", [1])]
-        b = [int(i) - 1 for i in options.get("region_b", [inst.space.n_subsystems])]
+        a, b = _regions_ab(options, inst.space)
         probe = rfts_mod.correlation_probe(
             state, a, b, inst.space, nstruct=inst.neighborhoods
         )
@@ -412,14 +427,15 @@ def cmd_check(args) -> int:
         }
         ok = verdicts["uncorrelated"]
     elif sub == "cmi":
-        a = [int(i) - 1 for i in options.get("region_a", [1])]
-        b = [int(i) - 1 for i in options.get("region_b", [inst.space.n_subsystems])]
-        c = options.get("region_c")
-        if c is None:
+        a, b = _regions_ab(options, inst.space)
+        if "region_c" in options:
+            c = _parse_region(options, "region_c", inst.space, None)
+        else:
             exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
             c = sorted(set(exp_a) - set(a))
-        else:
-            c = [int(i) - 1 for i in c]
+        if set(c) & (set(a) | set(b)):
+            raise InputError("/options: region_c (by default the neighborhood expansion of region_a, "
+                             "less region_a) must be disjoint from region_a and region_b")
         val = rfts_mod.cmi(state, a, b, c, inst.space)
         verdicts = {"zero_cmi": val < tol}
         certificates = {"cmi_bits": val, "region_c": [i + 1 for i in c]}

@@ -268,8 +268,7 @@ class CommutingResetFamily:
         commute = channels_commute_pairwise(self.channels, self.space)
         idem = 0.0
         for c in self.channels:
-            sub = MultipartiteSpace([self.space.dims[i] for i in c.support])
-            remap = Channel(kraus=c.kraus, support=tuple(range(len(c.support))), label=c.label)
+            remap, sub = chan_mod.relocate(c, c.support, self.space)
             rho = random_density(sub.total_dim, rng)
             once = chan_mod.apply(remap, rho, sub)
             twice = chan_mod.apply(remap, once, sub)
@@ -295,8 +294,7 @@ class CommutingResetFamily:
         """min_k gap(E_k - I); idempotent channels give exactly 1."""
         gaps = []
         for c in self.channels:
-            sub = MultipartiteSpace([self.space.dims[i] for i in c.support])
-            remap = Channel(kraus=c.kraus, support=tuple(range(len(c.support))), label=c.label)
+            remap, sub = chan_mod.relocate(c, c.support, self.space)
             l = liouvillian_from_channel(remap, sub, max_side=max_side)
             gaps.append(spectral_gap(l).gap)
         return float(min(gaps))

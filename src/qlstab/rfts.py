@@ -35,7 +35,7 @@ from ._linalg import (
     trace_distance_to_pure_bound,
     von_neumann_entropy,
 )
-from .channels import Channel, make_channel
+from .channels import Channel
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
 
@@ -746,12 +746,14 @@ def build_rfts_circuit(
 ) -> list[Channel]:
     """One commuting neighborhood channel per virtual factor.
 
-    Each channel first re-injects kernel weight uniformly into the local
-    support of every coarse subsystem in its neighborhood, then resets its
-    factor to the target factor state while acting as identity on everything
-    else. Everything is built region-locally, so the construction scales to
-    large total dimensions. Channels are returned on the original subsystems
-    when a coarse graining is supplied.
+    Each channel is `channels.factor_reset_channel` on its neighborhood, with
+    g the local factor split C^f (x) C^q (the identity when f = 1): it
+    re-injects kernel weight uniformly into the local support of every coarse
+    subsystem in the neighborhood, then resets its factor to the target
+    factor state while acting as identity on everything else. Everything is
+    built region-locally, so the construction scales to large total
+    dimensions. Channels are returned on the original subsystems when a
+    coarse graining is supplied.
     """
     cspace = fac.space
     psi = np.asarray(psi, dtype=complex)
@@ -765,8 +767,7 @@ def build_rfts_circuit(
     for j, f in enumerate(fac.factor_dims):
         region = list(_neighborhood_of_factor(fac, j))
         w_r = support.region_isometry(region)
-        d_r = w_r.shape[0]
-        kraus = []
+        g_loc, q, t_j = np.eye(w_r.shape[1]), w_r.shape[1], np.ones(1)
         if f > 1:
             algebra = neighborhood_algebra(
                 psi_c, fac.neighborhoods, fac.factor_to_neighborhood[j], cspace, support
@@ -781,22 +782,9 @@ def build_rfts_circuit(
             if ev[-1] < 1.0 - 1e-7:
                 raise FactorizationError("target does not factor on this neighborhood")
             t_j = vec[:, -1]
-            for m in range(f):
-                op = np.kron(np.outer(t_j, np.eye(f)[m]), np.eye(q, dtype=complex))
-                kraus.append(w_r @ (g_loc @ op @ g_loc.conj().T) @ w_r.conj().T)
-        else:
-            kraus.append(w_r @ w_r.conj().T)
-        kraus.append(np.eye(d_r, dtype=complex) - w_r @ w_r.conj().T)
-        sub_space = MultipartiteSpace([cspace.dims[i] for i in region])
-        reset = make_channel(kraus, list(range(len(region))), label=f"E_{j}")
-        combined = reset
-        for pos, i in enumerate(region):
-            e0 = _reinjection_channel(support, i, pos)
-            if e0 is not None:
-                combined = ch.compose(combined, e0, sub_space, label=f"E_{j}")
-        local = Channel(kraus=combined.kraus, support=tuple(region), label=f"E_{j}")
+        isos = [support.site_isometries[i] for i in region]
+        local = ch.factor_reset_channel(t_j, [0], (f, q), g_loc, isos, region, f"E_{j}")
         local = ch.restrict_to_support(local, cspace)
-        local = Channel(kraus=local.kraus, support=local.support, label=f"E_{j}")
         if cg is not None:
             local = _uncoarse_channel(local, cg, original_space)
         channels.append(local)
@@ -805,21 +793,6 @@ def build_rfts_circuit(
 
 def _neighborhood_of_factor(fac: Factorization, j: int):
     return fac.neighborhoods[fac.factor_to_neighborhood[j]]
-
-
-def _reinjection_channel(support: LocalSupport, site: int, position: int) -> Channel | None:
-    """Uniform re-injection of kernel weight on one coarse subsystem."""
-    w = support.site_isometries[site]
-    d, r = w.shape
-    if d == r:
-        return None
-    p = w @ w.conj().T
-    q_basis = orthonormal_columns(np.eye(d, dtype=complex) - p)
-    kraus = [p]
-    for a in range(q_basis.shape[1]):
-        for b in range(r):
-            kraus.append(np.outer(w[:, b], q_basis[:, a].conj()) / np.sqrt(r))
-    return make_channel(kraus, [position], label=f"E0_{site}")
 
 
 # ---------------------------------------------------------------------------
@@ -972,11 +945,8 @@ def channels_commute_pairwise(
     for a, b in itertools.combinations(channels, 2):
         if not (set(a.support) & set(b.support)):
             continue
-        union = tuple(sorted(set(a.support) | set(b.support)))
-        sub = MultipartiteSpace([space.dims[i] for i in union])
-        remap = {g: p for p, g in enumerate(union)}
-        a_loc = Channel(kraus=a.kraus, support=tuple(remap[g] for g in a.support), label=a.label)
-        b_loc = Channel(kraus=b.kraus, support=tuple(remap[g] for g in b.support), label=b.label)
+        union = set(a.support) | set(b.support)
+        (a_loc, sub), (b_loc, _) = (ch.relocate(c, union, space) for c in (a, b))
         for _ in range(probes):
             rho = random_density(sub.total_dim, rng)
             ab = ch.apply(a_loc, ch.apply(b_loc, rho, sub), sub)

@@ -10,7 +10,7 @@ import numpy as np
 from . import channels as ch
 from . import hilbert
 from ._linalg import kron_all
-from .channels import Channel, make_channel
+from .channels import Channel
 from .hilbert import MultipartiteSpace, NeighborhoodStructure, uniform_space
 
 
@@ -92,29 +92,6 @@ def _unique_sets(sets):
     return out
 
 
-def _conjugated_site_reset_channel(
-    site: int,
-    region: tuple[int, ...],
-    space: MultipartiteSpace,
-    local_diag_unitary: np.ndarray,
-    plus: np.ndarray,
-    label: str,
-) -> Channel:
-    """Kraus U (|plus><m|_site ⊗ I) U^dag built directly on `region`."""
-    d = space.dims[site]
-    region = tuple(sorted(region))
-    sub_space = MultipartiteSpace([space.dims[i] for i in region])
-    pos = region.index(site)
-    kraus = []
-    u = np.diag(local_diag_unitary)
-    for m in range(d):
-        k = hilbert.embed(
-            hilbert.RegionOperator(np.outer(plus, np.eye(d)[m]), [pos]), sub_space
-        )
-        kraus.append(u @ k @ u.conj().T)
-    return make_channel(kraus, region, label=label)
-
-
 def graph_state(
     n: int,
     edges,
@@ -135,15 +112,17 @@ def graph_state(
     nbhds = NeighborhoodStructure(_unique_sets([sorted({i} | adj[i]) for i in range(n)]))
     witnesses = []
     for i in range(n):
+        # reset site i to |+> in the frame of the local phase gates on its region
         region = tuple(sorted({i} | adj[i]))
         local_edges = [
             (region.index(i), region.index(j)) for j in sorted(adj[i])
         ]
         sub_space = MultipartiteSpace([d] * len(region))
         diag = _edge_phase_diagonal(sub_space, local_edges, h)
-        witnesses.append(
-            _conjugated_site_reset_channel(i, region, space, diag, plus, f"E_{i}")
-        )
+        witnesses.append(ch.factor_reset_channel(
+            plus, [region.index(i)], sub_space.dims, np.diag(diag),
+            [np.eye(d)] * len(region), region, f"E_{i}",
+        ))
     return StateInstance(
         name=name,
         space=space,
@@ -200,9 +179,10 @@ def _ccz_instance(n: int, triangles, name: str) -> StateInstance:
                 sub_diag = sub_diag * np.where(
                     sub_digs[:, pa] & sub_digs[:, pb] & sub_digs[:, pc], -1.0, 1.0
                 )
-        witnesses.append(
-            _conjugated_site_reset_channel(i, region, space, sub_diag, plus, f"E_{i}")
-        )
+        witnesses.append(ch.factor_reset_channel(
+            plus, [region.index(i)], sub_space.dims, np.diag(sub_diag),
+            [np.eye(2)] * len(region), region, f"E_{i}",
+        ))
     return StateInstance(
         name=name,
         space=space,
@@ -412,90 +392,6 @@ def w_product_commuting_hamiltonian(inst: StateInstance) -> np.ndarray:
     return h
 
 
-def nonfactorizable_252() -> StateInstance:
-    """2x5x2 state that factorizes only after removing a local subspace."""
-    space = MultipartiteSpace([2, 5, 2])
-    psi = np.zeros(20, dtype=complex)
-    for (a, b, c) in ((0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 3, 1)):
-        psi += hilbert.basis_state(space, [a, b, c])
-    psi /= 2.0
-
-    # middle-system basis |0..3> = |b b'> with |+> = 0, |-> = 1; |4> spans H0
-    q = np.eye(5, dtype=complex)
-    p_tilde = q[:, :4] @ q[:, :4].conj().T
-    reinject = [p_tilde] + [0.5 * np.outer(q[:, m], q[:, 4]) for m in range(4)]
-    e0 = make_channel(reinject, [1], label="E0")
-
-    phi = np.zeros(4, dtype=complex)  # (|0,b=+> + |1,b=->)/sqrt(2) on (A, b)
-    phi[0] = 1 / np.sqrt(2)  # A=0, b=+ -> B in {0,1}: b index 0
-    phi[3] = 1 / np.sqrt(2)  # A=1, b=- -> B in {2,3}: b index 1
-    # A (x) B basis: group (A, b) with b' spectator: B index = 2*b + b'
-    k1 = []
-    for m in range(4):
-        a, b = divmod(m, 2)
-        k = np.zeros((10, 10), dtype=complex)
-        for bp in range(2):
-            col = a * 5 + b * 2 + bp
-            k[:, col] += _ab_vec(phi, bp)
-        k1.append(k)
-    k1.append(_kernel_identity_ab())
-    e1hat = make_channel(k1, [0, 1], label="E1hat")
-
-    phi2 = np.zeros(4, dtype=complex)  # (|b'=+,0> + |b'=-,1>)/sqrt(2) on (b', C)
-    phi2[0] = 1 / np.sqrt(2)
-    phi2[3] = 1 / np.sqrt(2)
-    k2 = []
-    for m in range(4):
-        bp, c = divmod(m, 2)
-        k = np.zeros((10, 10), dtype=complex)
-        for b in range(2):
-            col = (b * 2 + bp) * 2 + c
-            k[:, col] += _bc_vec(phi2, b)
-        k2.append(k)
-    k2.append(_kernel_identity_bc())
-    e2hat = make_channel(k2, [1, 2], label="E2hat")
-
-    e1 = ch.compose(e1hat, e0, space, label="E1")
-    e2 = ch.compose(e2hat, e0, space, label="E2")
-    return StateInstance(
-        name="nonfactorizable-252", space=space,
-        neighborhoods=NeighborhoodStructure([[0, 1], [1, 2]]),
-        psi=psi, witness_channels=(e1, e2),
-    )
-
-
-def _ab_vec(phi: np.ndarray, bp: int) -> np.ndarray:
-    """|phi>_{A,b} ⊗ |bp>_{b'} as a vector on A x B (2 x 5)."""
-    v = np.zeros(10, dtype=complex)
-    for m in range(4):
-        a, b = divmod(m, 2)
-        v[a * 5 + b * 2 + bp] = phi[m]
-    return v
-
-
-def _kernel_identity_ab() -> np.ndarray:
-    k = np.zeros((10, 10), dtype=complex)
-    for a in range(2):
-        k[a * 5 + 4, a * 5 + 4] = 1.0
-    return k
-
-
-def _bc_vec(phi: np.ndarray, b: int) -> np.ndarray:
-    """|phi>_{b',C} ⊗ |b>_b as a vector on B x C (5 x 2)."""
-    v = np.zeros(10, dtype=complex)
-    for m in range(4):
-        bp, c = divmod(m, 2)
-        v[(b * 2 + bp) * 2 + c] = phi[m]
-    return v
-
-
-def _kernel_identity_bc() -> np.ndarray:
-    k = np.zeros((10, 10), dtype=complex)
-    for c in range(2):
-        k[4 * 2 + c, 4 * 2 + c] = 1.0
-    return k
-
-
 # ---------------------------------------------------------------------------
 # generalized Bravyi-Vyalyi states
 # ---------------------------------------------------------------------------
@@ -547,7 +443,6 @@ def gbv_state(spec: GbvSpec, name: str = "gbv") -> StateInstance:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     splits = spec.splits
-    n = len(splits)
     space = MultipartiteSpace([s.physical_dim for s in splits])
 
     # per-particle embeddings V_i: virtual block goes to the leading physical levels
@@ -583,64 +478,21 @@ def gbv_state(spec: GbvSpec, name: str = "gbv") -> StateInstance:
         t = np.moveaxis(np.tensordot(v, t, axes=(1, axis)), 0, axis)
     psi = t.reshape(-1)
 
-    witnesses = tuple(
-        _gbv_witness(spec, k, vs, factor_states[k], space) for k in range(len(spec.factors))
-    )
+    witnesses = []
+    for k, members in enumerate(spec.factors):
+        # reset factor k inside its neighbourhood, in the local virtual layout:
+        # per particle of the region, its virtual slots
+        region = spec.neighborhoods[k]
+        slots = [(i, j) for i in region for j in range(len(splits[i].virtual_dims))]
+        dims = [splits[i].virtual_dims[j] for (i, j) in slots]
+        witnesses.append(ch.factor_reset_channel(
+            factor_states[k], [p for p, vp in enumerate(slots) if vp in members], dims,
+            np.eye(int(np.prod(dims))), [vs[i] for i in region], region, f"E_{k}",
+        ))
     return StateInstance(
         name=name, space=space, neighborhoods=spec.neighborhoods, psi=psi,
-        witness_channels=witnesses, metadata={"factor_dims": [len(f) for f in spec.factors]},
+        witness_channels=tuple(witnesses), metadata={"factor_dims": [len(f) for f in spec.factors]},
     )
-
-
-def _gbv_witness(spec: GbvSpec, k: int, vs, factor_state: np.ndarray, space) -> Channel:
-    """Reset factor k inside its neighborhood, after local kernel re-injection."""
-    region = spec.neighborhoods[k]
-    members = spec.factors[k]
-    splits = spec.splits
-    # local virtual layout on the region: per particle, its virtual slots
-    local_virtual_dims = []
-    member_positions = []
-    for i in region:
-        for j in range(len(splits[i].virtual_dims)):
-            if (i, j) in members:
-                member_positions.append(len(local_virtual_dims))
-            local_virtual_dims.append(splits[i].virtual_dims[j])
-    v_region = kron_all([vs[i] for i in region])
-    virt_region_space = MultipartiteSpace(local_virtual_dims)
-    d_members = int(np.prod([virt_region_space.dims[p] for p in member_positions]))
-    kraus = []
-    for m in range(d_members):
-        e_m = np.zeros(d_members)
-        e_m[m] = 1.0
-        op = hilbert.embed(
-            hilbert.RegionOperator(np.outer(factor_state, e_m), member_positions),
-            virt_region_space,
-        )
-        kraus.append(v_region @ op @ v_region.conj().T)
-    q_region = np.eye(v_region.shape[0]) - v_region @ v_region.conj().T
-
-    # per-particle uniform re-injection of kernel weight
-    sub_space = MultipartiteSpace([splits[i].physical_dim for i in region])
-    reinject_channels = []
-    for pos, i in enumerate(region):
-        s = splits[i]
-        if s.kernel_dim == 0:
-            continue
-        p = np.eye(s.physical_dim, dtype=complex)
-        p[s.virtual_dim:, s.virtual_dim:] = 0.0
-        ks = [p] + [
-            np.outer(np.eye(s.physical_dim)[b], np.eye(s.physical_dim)[s.virtual_dim + a])
-            / np.sqrt(s.virtual_dim)
-            for a in range(s.kernel_dim)
-            for b in range(s.virtual_dim)
-        ]
-        reinject_channels.append(make_channel(ks, [pos], label=f"E0_{i}"))
-
-    reset = make_channel(kraus + [q_region], list(range(len(region))), label=f"reset_{k}")
-    combined = reset
-    for e0 in reinject_channels:
-        combined = ch.compose(combined, e0, sub_space, label=f"E_{k}")
-    return make_channel(combined.kraus, region, label=f"E_{k}")
 
 
 def bv_two_body_example(seed: int = 3) -> StateInstance:
@@ -682,6 +534,23 @@ def gbv_fig4_instance(seed: int = 5) -> StateInstance:
     return gbv_state(spec, name="gbv-7-particle")
 
 
+def nonfactorizable_252() -> StateInstance:
+    """2x5x2 state that factorizes only after removing a local subspace.
+
+    The generalized Bravyi-Vyalyi state whose middle particle splits as
+    (2 x 2) (+) C: a Bell pair (|00> + |11>)/sqrt(2) on (A, b) and one on
+    (b', C), with the middle levels |0..3> = |b b'> and |4> spanning the kernel.
+    """
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    spec = GbvSpec(
+        splits=(ParticleSplit((2,)), ParticleSplit((2, 2), kernel_dim=1), ParticleSplit((2,))),
+        neighborhoods=NeighborhoodStructure([[0, 1], [1, 2]]),
+        factors=(((0, 0), (1, 0)), ((1, 1), (2, 0))),
+        factor_states=(bell, bell),
+    )
+    return gbv_state(spec, name="nonfactorizable-252")
+
+
 # ---------------------------------------------------------------------------
 # mixed targets: virtual-product Gibbs states and the Ising counterexample
 # ---------------------------------------------------------------------------
@@ -720,22 +589,9 @@ def gibbs_virtual_product(
     rho = v @ rho_virtual @ v.conj().T
 
     witnesses = []
+    eyes = [np.eye(d) for d in space.dims]
     for j, rho_j in enumerate(gibbs_factors):
-        dj = factor_dims[j]
-        rest = space.total_dim // dj
-        left = int(np.prod(factor_dims[:j]))
-        ev, vecs = np.linalg.eigh(rho_j)
-        kraus = []
-        for a in range(dj):
-            if ev[a] < 1e-14:
-                continue
-            for m in range(dj):
-                op = np.sqrt(ev[a]) * np.outer(vecs[:, a], np.eye(dj)[m])
-                big = np.kron(
-                    np.kron(np.eye(left), op), np.eye(space.total_dim // (left * dj))
-                )
-                kraus.append(v @ big @ v.conj().T)
-        chan = make_channel(kraus, list(range(space.n_subsystems)), label=f"E_{j}")
+        chan = ch.factor_reset_channel(rho_j, [j], factor_dims, v, eyes, range(space.n_subsystems), f"E_{j}")
         chan = ch.restrict_to_support(chan, space)
         nk = set(neighborhoods[assignment[j]])
         if not set(chan.support) <= nk:

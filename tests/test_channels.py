@@ -234,6 +234,22 @@ class TestComposeRun:
         b = reset_channel(random_pure(4, rng), [0, 1])
         assert compose(b, a, sp).tp_defect() < 1e-9
 
+    def test_vanishing_products_dropped(self, rng):
+        # dephasing after a reset to |0>: |1><1| |0><m| = 0 for both m
+        sp = uniform_space(1)
+        reset = reset_channel(np.array([1.0, 0.0]), [0])
+        dephase = make_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [0])
+        both = compose(dephase, reset, sp)
+        assert len(both.kraus) == 2
+        assert np.max(np.abs(superoperator(both, sp) - superoperator(reset, sp))) < 1e-15
+
+    def test_relocate(self):
+        sp = MultipartiteSpace([2, 3, 4, 5])
+        c = make_channel([np.eye(8)], [0, 2], label="c")
+        local, sub = ch.relocate(c, [2, 3, 0], sp)
+        assert (local.support, sub.dims, local.label) == ((0, 1), (2, 4, 5), "c")
+        assert local.kraus is c.kraus
+
     def test_empty_circuit(self, rng):
         sp = uniform_space(2)
         rho = random_density(4, rng)
@@ -264,6 +280,48 @@ class TestComposeRun:
                 diff = pk @ apply(c, rho, inst.space) @ pk - pk @ rho @ pk
                 assert np.min(np.linalg.eigvalsh(diff)) > -1e-9
 
+
+
+class TestFactorResetChannel:
+    def _oracle(self, state, w, g, sp):
+        """Reset of virtual factor 0 of (2, 2) after both re-injections, built
+        as the product of the three maps with every Kraus product kept."""
+        v = np.kron(w, w) @ g
+        reset = reset_channel(state, [0]).kraus
+        kraus = [v @ np.kron(k, np.eye(2)) @ v.conj().T for k in reset]
+        kraus.append(np.eye(9) - v @ v.conj().T)
+        q = np.eye(3)[:, 2:]
+        e0 = [w @ w.conj().T] + [np.outer(w[:, b], q[:, 0]) / np.sqrt(2) for b in range(2)]
+        out = kraus
+        for lift in (lambda r: np.kron(r, np.eye(3)), lambda r: np.kron(np.eye(3), r)):
+            out = [k @ lift(r) for k in out for r in e0]
+        return make_channel(out, [0, 1])
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_product_of_maps(self, rng, mixed):
+        # two qutrits, each with the local support spanned by |0>, |1>
+        from qlstab._linalg import random_unitary
+
+        sp = uniform_space(2, 3)
+        w = np.eye(3, 2, dtype=complex)
+        g = random_unitary(4, rng)
+        state = random_density(2, rng) if mixed else random_pure(2, rng)
+        c = ch.factor_reset_channel(state, [0], (2, 2), g, [w, w], (0, 1), "E")
+        want = self._oracle(state, w, g, sp)
+        assert np.max(np.abs(superoperator(c, sp) - superoperator(want, sp))) < 1e-12
+        norms = [np.linalg.norm(k) for k in c.kraus]
+        assert min(norms) > 1e-10
+        assert len(c.kraus) < len(want.kraus)
+
+    def test_square_v_adds_no_complement(self, rng):
+        # a reset of site 1 in the frame of a CZ: exactly the reset's d operators
+        sp = uniform_space(2)
+        cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        c = ch.factor_reset_channel(plus, [1], (2, 2), cz, [np.eye(2)] * 2, (0, 1), "E_1")
+        assert len(c.kraus) == 2 and c.label == "E_1"
+        psi = cz @ np.kron(plus, plus)
+        assert check_invariance(c, psi, sp).ok
 
 
 def _whole_frame(space, local):

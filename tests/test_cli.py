@@ -11,9 +11,13 @@ from qlstab.cli import (
     channel_to_json,
     circuit_from_json,
     circuit_to_json,
+    load_problem,
     main,
 )
 from qlstab.channels import Circuit
+
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def write_json(tmp_path, name, data):
@@ -431,6 +435,63 @@ MALFORMED_CIRCUITS = {
     "permutation-too-short": {"frame": _FRAME, "steps": [{"permutation": [0, 1, 2]}]},
     "permutation-not-integer": {"frame": _FRAME, "steps": [{"permutation": [0.0, 1.0, 2.0, 3.0]}]},
 }
+
+
+_CHAIN3 = {"state": {"constructor": {"name": "graph-line", "params": {"n": 3}}}}
+_GHZ3 = {
+    "space": {"dims": [2, 2, 2]},
+    "state": {"vector": [[0.5 ** 0.5, 0.0]] + [[0.0, 0.0]] * 6 + [[0.5 ** 0.5, 0.0]]},
+}
+
+# (check subcommand, problem) pairs, each breaking one index rule on a
+# 3-site chain; every one must end with exit code 2, not a traceback
+MALFORMED_PROBLEMS = {
+    "neighborhood-out-of-range": ("qls", {**_CHAIN3, "neighborhoods": [[1, 2], [3, 9]]}),
+    "neighborhood-zero": ("qls", {**_CHAIN3, "neighborhoods": [[0, 1], [2, 3]]}),
+    "neighborhood-not-integer": ("qls", {**_CHAIN3, "neighborhoods": [["a"], [2, 3]]}),
+    "neighborhood-repeated-site": ("qls", {**_CHAIN3, "neighborhoods": [[1, 1], [2, 3]]}),
+    "neighborhood-empty": ("qls", {**_CHAIN3, "neighborhoods": [[], [1, 2, 3]]}),
+    "neighborhoods-not-a-list": ("qls", {**_CHAIN3, "neighborhoods": 3}),
+    "explicit-neighborhood-out-of-range": ("qls", {**_GHZ3, "neighborhoods": [[1, 2], [3, 4]]}),
+    "cmi-region-a-zero": ("cmi", {**_CHAIN3, "options": {"region_a": [0]}}),
+    "correlations-region-a-zero": ("correlations", {**_CHAIN3, "options": {"region_a": [0]}}),
+    "correlations-region-b-out-of-range": ("correlations", {**_CHAIN3, "options": {"region_b": [4]}}),
+    "cmi-region-c-out-of-range": ("cmi", {**_CHAIN3, "options": {"region_c": [7]}}),
+    "cmi-region-c-not-a-list": ("cmi", {**_CHAIN3, "options": {"region_c": 2}}),
+    "cmi-regions-overlap": ("cmi", {**_CHAIN3, "options": {"region_a": [1], "region_b": [1]}}),
+    "cmi-region-c-overlaps-b": ("cmi", {**_CHAIN3, "options": {"region_c": [2, 3]}}),
+    "correlations-regions-overlap": ("correlations", {**_CHAIN3, "options": {"region_a": [2],
+                                                                             "region_b": [2, 3]}}),
+}
+
+
+class TestMalformedProblem:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+    def test_exit_2(self, case, tmp_path, capsys):
+        sub, problem = MALFORMED_PROBLEMS[case]
+        rc = main(["check", sub, write_json(tmp_path, "problem.json", problem)])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["cmi", "correlations"])
+    def test_well_formed_regions_run(self, sub, tmp_path, capsys):
+        # the same skeleton with every index rule kept
+        problem = {**_CHAIN3, "neighborhoods": [[1, 2], [2, 3]],
+                   "options": {"region_a": [1], "region_b": [3], "region_c": [2]}}
+        rc = main(["check", sub, write_json(tmp_path, "problem.json", problem)])
+        assert rc in (0, 1)
+        assert json.loads(capsys.readouterr().out)["task"] == f"check {sub}"
+
+    def test_shipped_problems_load(self):
+        # every problem file with a state; the lattice files feed `schedule`
+        shipped = sorted(
+            p for p in (os.path.join(PROBLEMS, f) for f in os.listdir(PROBLEMS))
+            if "state" in json.load(open(p))
+        )
+        assert len(shipped) == 3
+        for path in shipped:
+            inst, _ = load_problem(path)
+            assert len(inst.neighborhoods) >= 1
 
 
 class TestMalformedCircuit:

@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from qlstab import channels as ch
 from qlstab import states
 from qlstab._linalg import (
+    DEFAULT_TOL,
     nullspace,
     random_density,
     random_hermitian,
@@ -534,6 +535,22 @@ class TestBuildCircuit:
             if cands and channels_equal(b, cands[0], inst.space):
                 matched += 1
         assert matched == 5
+
+    @pytest.mark.parametrize("build, count", [
+        (lambda: states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)]), 10),
+        (states.ccz_triangle, 8),
+        (lambda: states.ccz_kagome(3, 1), 180),
+        (states.nonfactorizable_252, 40),
+    ], ids=["cycle5", "ccz-triangle", "kagome-3x1", "nonfactorizable-252"])
+    def test_no_vanishing_kraus(self, build, count):
+        # neither I - V V^H on a full local support nor a re-injection
+        # operator the reset annihilates is kept
+        inst = build()
+        res = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space)
+        built = build_rfts_circuit(res.factorization, inst.psi, cg=res.coarse, original_space=inst.space)
+        norms = [np.linalg.norm(k) for c in built for k in c.kraus]
+        assert len(norms) == count
+        assert min(norms) > DEFAULT_TOL.rank_rtol
 
     def test_nonfactorizable_built_channels(self):
         inst = states.nonfactorizable_252()

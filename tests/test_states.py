@@ -3,9 +3,16 @@ import pytest
 
 from qlstab import channels as ch
 from qlstab import states
-from qlstab._linalg import trace_distance
-from qlstab.channels import apply, check_invariance, kraus_support
-from qlstab.hilbert import permute_subsystems, uniform_space
+from qlstab._linalg import DEFAULT_TOL, trace_distance
+from qlstab.channels import apply, check_invariance, kraus_support, superoperator
+from qlstab.hilbert import (
+    MultipartiteSpace,
+    RegionOperator,
+    basis_state,
+    embed,
+    permute_subsystems,
+    uniform_space,
+)
 from qlstab.rfts import verify_robustness
 from qlstab.subspaces import check_qls, check_small_schmidt_span, schmidt_span
 
@@ -178,11 +185,115 @@ class TestWProduct:
                 assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
 
+def nonfactorizable_252_oracle():
+    """The 2x5x2 example as it was written out by hand: psi, and the witnesses
+    E1 = E1hat o E0 and E2 = E2hat o E0 with every Kraus product kept,
+    vanishing ones included."""
+    space = MultipartiteSpace([2, 5, 2])
+    psi = np.zeros(20, dtype=complex)
+    for (a, b, c) in ((0, 0, 0), (0, 1, 1), (1, 2, 0), (1, 3, 1)):
+        psi += basis_state(space, [a, b, c])
+    psi /= 2.0
+
+    # middle-system basis |0..3> = |b b'> with |+> = 0, |-> = 1; |4> spans H0
+    q = np.eye(5, dtype=complex)
+    p_tilde = q[:, :4] @ q[:, :4].conj().T
+    reinject = [p_tilde] + [0.5 * np.outer(q[:, m], q[:, 4]) for m in range(4)]
+    e0 = ch.make_channel(reinject, [1], label="E0")
+
+    phi = np.zeros(4, dtype=complex)  # (|0,b=+> + |1,b=->)/sqrt(2) on (A, b)
+    phi[0] = 1 / np.sqrt(2)  # A=0, b=+ -> B in {0,1}: b index 0
+    phi[3] = 1 / np.sqrt(2)  # A=1, b=- -> B in {2,3}: b index 1
+    # A (x) B basis: group (A, b) with b' spectator: B index = 2*b + b'
+    k1 = []
+    for m in range(4):
+        a, b = divmod(m, 2)
+        k = np.zeros((10, 10), dtype=complex)
+        for bp in range(2):
+            col = a * 5 + b * 2 + bp
+            k[:, col] += _ab_vec(phi, bp)
+        k1.append(k)
+    k1.append(_kernel_identity_ab())
+    e1hat = ch.make_channel(k1, [0, 1], label="E1hat")
+
+    phi2 = np.zeros(4, dtype=complex)  # (|b'=+,0> + |b'=-,1>)/sqrt(2) on (b', C)
+    phi2[0] = 1 / np.sqrt(2)
+    phi2[3] = 1 / np.sqrt(2)
+    k2 = []
+    for m in range(4):
+        bp, c = divmod(m, 2)
+        k = np.zeros((10, 10), dtype=complex)
+        for b in range(2):
+            col = (b * 2 + bp) * 2 + c
+            k[:, col] += _bc_vec(phi2, b)
+        k2.append(k)
+    k2.append(_kernel_identity_bc())
+    e2hat = ch.make_channel(k2, [1, 2], label="E2hat")
+
+    return space, psi, every_product(e1hat, e0, space), every_product(e2hat, e0, space)
+
+
+def _ab_vec(phi: np.ndarray, bp: int) -> np.ndarray:
+    """|phi>_{A,b} (x) |bp>_{b'} as a vector on A x B (2 x 5)."""
+    v = np.zeros(10, dtype=complex)
+    for m in range(4):
+        a, b = divmod(m, 2)
+        v[a * 5 + b * 2 + bp] = phi[m]
+    return v
+
+
+def _kernel_identity_ab() -> np.ndarray:
+    k = np.zeros((10, 10), dtype=complex)
+    for a in range(2):
+        k[a * 5 + 4, a * 5 + 4] = 1.0
+    return k
+
+
+def _bc_vec(phi: np.ndarray, b: int) -> np.ndarray:
+    """|phi>_{b',C} (x) |b>_b as a vector on B x C (5 x 2)."""
+    v = np.zeros(10, dtype=complex)
+    for m in range(4):
+        bp, c = divmod(m, 2)
+        v[(b * 2 + bp) * 2 + c] = phi[m]
+    return v
+
+
+def _kernel_identity_bc() -> np.ndarray:
+    k = np.zeros((10, 10), dtype=complex)
+    for c in range(2):
+        k[4 * 2 + c, 4 * 2 + c] = 1.0
+    return k
+
+
+def every_product(second, first, space):
+    """`second` after `first` on the whole space, with every Kraus product kept."""
+    ka = [embed(RegionOperator(k, first.support), space) for k in first.kraus]
+    kb = [embed(RegionOperator(k, second.support), space) for k in second.kraus]
+    return ch.make_channel([b @ a for b in kb for a in ka], range(space.n_subsystems))
+
+
 class TestNonFactorizable:
     def test_state_and_witnesses(self):
         inst = states.nonfactorizable_252()
         assert abs(np.linalg.norm(inst.psi) - 1) < 1e-12
         assert_witnesses_ok(inst)
+
+    def test_matches_hand_written_oracle(self):
+        inst = states.nonfactorizable_252()
+        space, psi, *oracle = nonfactorizable_252_oracle()
+        assert inst.space == space
+        assert np.max(np.abs(inst.psi - psi)) < 1e-15
+        for got, want in zip(inst.witness_channels, oracle):
+            assert np.max(np.abs(superoperator(got, space) - superoperator(want, space))) < 1e-12
+
+    def test_compose_matches_oracle(self):
+        inst = states.nonfactorizable_252()
+        space, _, o1, o2 = nonfactorizable_252_oracle()
+        e1, e2 = inst.witness_channels
+        both = ch.compose(e1, e2, space)
+        want = every_product(o1, o2, space)
+        assert len(want.kraus) == 625 and len(both.kraus) == 32
+        assert np.max(np.abs(superoperator(both, space) - superoperator(want, space))) < 1e-12
 
     def test_e0_trivial_after_either_map(self):
         inst = states.nonfactorizable_252()
@@ -204,6 +315,17 @@ class TestNonFactorizable:
 
 
 class TestGbv:
+    @pytest.mark.parametrize("build, count", [
+        (states.nonfactorizable_252, 24),
+        (states.bv_two_body_example, 8),
+        (states.gbv_fig4_instance, 40),
+    ])
+    def test_no_vanishing_kraus(self, build, count):
+        # the re-injection Kraus operators the reset annihilates are dropped
+        norms = [np.linalg.norm(k) for c in build().witness_channels for k in c.kraus]
+        assert len(norms) == count
+        assert min(norms) > DEFAULT_TOL.rank_rtol
+
     def test_two_body_instance(self):
         inst = states.bv_two_body_example()
         assert_witnesses_ok(inst)
