@@ -46,7 +46,7 @@ class Liouvillian:
             worst = max(worst, abs(np.trace(self.apply(rho))))
         return float(worst)
 
-    def choi_psd_defect(self, ts=(0.3, 1.0), atol: float = 1e-9) -> float:
+    def choi_psd_defect(self, ts=(0.3, 1.0)) -> float:
         """Most negative Choi eigenvalue of e^{Lt} over the sampled times."""
         worst = 0.0
         d = self.dim
@@ -105,7 +105,7 @@ def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
     )
 
 
-def stationary_state(l: Liouvillian, tol: float = 1e-9) -> np.ndarray:
+def stationary_state(l: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix (raises if the kernel is degenerate)."""
     from ._linalg import nullspace
 
@@ -260,7 +260,7 @@ class CommutingResetFamily:
             else self.target
         )
 
-    def verify_structure(self, rng=None, tol: float = 1e-9) -> dict:
+    def verify_structure(self, rng=None) -> dict:
         """Pairwise commutation and idempotency defects on random probes."""
         from .rfts import channels_commute_pairwise
 

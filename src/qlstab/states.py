@@ -64,32 +64,57 @@ def _digits(space: MultipartiteSpace) -> np.ndarray:
     return out
 
 
-def _edge_phase_diagonal(space: MultipartiteSpace, edges, h: np.ndarray) -> np.ndarray:
-    """Diagonal of prod_{(a,b) in edges} C^H_{ab} with C^H|ij> = H_ij |ij>."""
+def _phase_diagonal(space: MultipartiteSpace, edges, phase) -> np.ndarray:
+    """Diagonal of prod_e C_e, where C_e |x> = phase(x_a, x_b, ...) |x> for e = (a, b, ...)."""
     digs = _digits(space)
     diag = np.ones(space.total_dim, dtype=complex)
-    for a, b in edges:
-        diag *= h[digs[:, a], digs[:, b]]
+    for e in edges:
+        diag *= phase(*(digs[:, a] for a in e))
     return diag
 
 
 def _adjacency(n: int, edges) -> list[set[int]]:
+    """Per site, the other sites of the (hyper)edges that contain it."""
     adj = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    for e in edges:
+        for a in e:
+            adj[a].update(b for b in e if b != a)
     return adj
 
 
-def _unique_sets(sets):
-    seen = set()
-    out = []
-    for s in sets:
-        t = tuple(s)
-        if t not in seen:
-            seen.add(t)
-            out.append(s)
-    return out
+def _phase_state(
+    n: int, plus: np.ndarray, edges, phase, name: str, metadata: dict
+) -> StateInstance:
+    """psi = (prod_e diag phase(digits of e)) |plus>^n for commuting phase gates on (hyper)edges.
+
+    Site i's neighbourhood is i and the sites sharing an edge with it, and
+    witness i resets site i to |plus> in the frame of the gates on its edges.
+    """
+    d = len(plus)
+    space = uniform_space(n, d)
+    psi = _phase_diagonal(space, edges, phase) * kron_all([plus] * n).reshape(-1)
+    adj = _adjacency(n, edges)
+    regions = [tuple(sorted({i} | adj[i])) for i in range(n)]
+    witnesses = []
+    for i, region in enumerate(regions):
+        sub_space = uniform_space(len(region), d)
+        local_edges = [[region.index(a) for a in e] for e in edges if i in e]
+        witnesses.append(ch.factor_reset_channel(
+            plus, [region.index(i)], sub_space.dims,
+            np.diag(_phase_diagonal(sub_space, local_edges, phase)),
+            [np.eye(d)] * len(region), region, f"E_{i}",
+        ))
+    return StateInstance(
+        name=name,
+        space=space,
+        neighborhoods=NeighborhoodStructure(list(dict.fromkeys(regions))),
+        psi=psi,
+        witness_channels=tuple(witnesses),
+        metadata=metadata,
+    )
+
+
+_QUBIT_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex)
 
 
 def graph_state(
@@ -99,37 +124,14 @@ def graph_state(
     hadamard: np.ndarray | None = None,
     name: str = "graph",
 ) -> StateInstance:
-    """Graph state on n qudits: U_G |+>^n with U_G the edge-wise phase gate."""
+    """Graph state on n qudits: U_G |+>^n with U_G the edge-wise phase gate C^H|ij> = H_ij |ij>."""
     edges = [tuple(sorted((int(a), int(b)))) for a, b in edges]
     if hadamard is None:
-        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) if d == 2 else fourier_hadamard(d)
+        hadamard = _QUBIT_HADAMARD if d == 2 else fourier_hadamard(d)
     h = np.asarray(hadamard, dtype=complex)
     validate_hadamard(h, d)
-    space = uniform_space(n, d)
-    plus = h[:, 0] / np.sqrt(d)
-    psi = _edge_phase_diagonal(space, edges, h) * kron_all([plus] * n).reshape(-1)
-    adj = _adjacency(n, edges)
-    nbhds = NeighborhoodStructure(_unique_sets([sorted({i} | adj[i]) for i in range(n)]))
-    witnesses = []
-    for i in range(n):
-        # reset site i to |+> in the frame of the local phase gates on its region
-        region = tuple(sorted({i} | adj[i]))
-        local_edges = [
-            (region.index(i), region.index(j)) for j in sorted(adj[i])
-        ]
-        sub_space = MultipartiteSpace([d] * len(region))
-        diag = _edge_phase_diagonal(sub_space, local_edges, h)
-        witnesses.append(ch.factor_reset_channel(
-            plus, [region.index(i)], sub_space.dims, np.diag(diag),
-            [np.eye(d)] * len(region), region, f"E_{i}",
-        ))
-    return StateInstance(
-        name=name,
-        space=space,
-        neighborhoods=nbhds,
-        psi=psi,
-        witness_channels=tuple(witnesses),
-        metadata={"edges": edges, "d": d},
+    return _phase_state(
+        n, h[:, 0] / np.sqrt(d), edges, lambda a, b: h[a, b], name, {"edges": edges, "d": d}
     )
 
 
@@ -154,42 +156,10 @@ def grid_graph_state(rows: int, cols: int, periodic: bool = False) -> StateInsta
 
 def _ccz_instance(n: int, triangles, name: str) -> StateInstance:
     """CCZ state |Delta> = prod_T CCZ_T |+>^n with site+adjacent neighborhoods."""
-    space = uniform_space(n, 2)
-    digs = _digits(space)
-    diag = np.ones(space.total_dim, dtype=complex)
-    for (a, b, c) in triangles:
-        diag = diag * np.where(digs[:, a] & digs[:, b] & digs[:, c], -1.0, 1.0)
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    psi = diag * (np.ones(space.total_dim) / np.sqrt(space.total_dim))
-    adj = [set() for _ in range(n)]
-    for (a, b, c) in triangles:
-        adj[a] |= {b, c}
-        adj[b] |= {a, c}
-        adj[c] |= {a, b}
-    nbhds = NeighborhoodStructure(_unique_sets([sorted({i} | adj[i]) for i in range(n)]))
-    witnesses = []
-    for i in range(n):
-        region = tuple(sorted({i} | adj[i]))
-        sub_space = MultipartiteSpace([2] * len(region))
-        sub_digs = _digits(sub_space)
-        sub_diag = np.ones(sub_space.total_dim, dtype=complex)
-        for (a, b, c) in triangles:
-            if i in (a, b, c):
-                pa, pb, pc = (region.index(a), region.index(b), region.index(c))
-                sub_diag = sub_diag * np.where(
-                    sub_digs[:, pa] & sub_digs[:, pb] & sub_digs[:, pc], -1.0, 1.0
-                )
-        witnesses.append(ch.factor_reset_channel(
-            plus, [region.index(i)], sub_space.dims, np.diag(sub_diag),
-            [np.eye(2)] * len(region), region, f"E_{i}",
-        ))
-    return StateInstance(
-        name=name,
-        space=space,
-        neighborhoods=nbhds,
-        psi=psi,
-        witness_channels=tuple(witnesses),
-        metadata={"triangles": [tuple(t) for t in triangles]},
+    return _phase_state(
+        n, np.array([1.0, 1.0]) / np.sqrt(2), triangles,
+        lambda a, b, c: np.where(a & b & c, -1.0, 1.0),
+        name, {"triangles": [tuple(t) for t in triangles]},
     )
 
 
@@ -259,16 +229,32 @@ def dicke(n: int = 4, k: int = 2) -> StateInstance:
     """n-qubit Dicke state with k excitations; overlapping 3-body neighborhoods."""
     psi = symmetric_state([1] * k + [0] * (n - k)).astype(complex)
     space = uniform_space(n, 2)
-    if n == 4:
-        nbhds = NeighborhoodStructure([[0, 1, 2], [1, 2, 3]])
-    else:
-        nbhds = NeighborhoodStructure(
-            [list(range(i, i + 3)) for i in range(n - 2)]
-        )
+    nbhds = NeighborhoodStructure([list(range(i, i + 3)) for i in range(n - 2)])
     return StateInstance(
         name=f"dicke-{n}-{k}", space=space, neighborhoods=nbhds, psi=psi,
         metadata={"n": n, "k": k},
     )
+
+
+def _bond_state(factor_states, factors, slot_dims, maps) -> np.ndarray:
+    """A local map on each particle of a product of virtual factor states.
+
+    Particle i has virtual slots of dims `slot_dims[i]`; factor state k lives
+    on the slots `factors[k]`, pairs (particle i, slot j) in the order of its
+    tensor factors. The product is permuted into particle order and `maps[i]`
+    (physical x virtual) is applied to the slots of particle i.
+    """
+    listed = [vp for members in factors for vp in members]
+    order = [(i, j) for i, dims in enumerate(slot_dims) for j in range(len(dims))]
+    virt = hilbert.permute_subsystems(
+        kron_all(factor_states).reshape(-1),
+        [order.index(vp) for vp in listed],
+        MultipartiteSpace([slot_dims[i][j] for i, j in listed]),
+    )
+    t = virt.reshape([int(np.prod(dims)) for dims in slot_dims])
+    for axis, m in enumerate(maps):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    return t.reshape(-1)
 
 
 _SPIN1_FROM_PAIR = np.array(
@@ -288,12 +274,12 @@ def vbs_1d(n: int) -> StateInstance:
     """Valence-bond-solid chain of n spin-1 sites from n-1 singlet bonds."""
     if n < 2:
         raise ValueError("need at least two sites")
-    bonds = kron_all([_SINGLET] * (n - 1)).reshape(-1)
-    maps = [_SPIN1_FROM_HALF] + [_SPIN1_FROM_PAIR] * (n - 2) + [_SPIN1_FROM_HALF]
-    t = bonds.reshape([2] + [4] * (n - 2) + [2])
-    for axis, m in enumerate(maps):
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
-    psi = t.reshape(-1).astype(complex)
+    psi = _bond_state(
+        [_SINGLET] * (n - 1),
+        [((i, 1 if i else 0), (i + 1, 0)) for i in range(n - 1)],
+        [(2,)] + [(2, 2)] * (n - 2) + [(2,)],
+        [_SPIN1_FROM_HALF] + [_SPIN1_FROM_PAIR] * (n - 2) + [_SPIN1_FROM_HALF],
+    ).astype(complex)
     psi /= np.linalg.norm(psi)
     space = uniform_space(n, 3)
     nbhds = NeighborhoodStructure([[i, i + 1] for i in range(n - 1)])
@@ -326,23 +312,11 @@ def aklt32_cubic() -> StateInstance:
     subspace. Neighborhoods are the 9 edge pairs.
     """
     edges = [(a, 3 + b) for a in range(3) for b in range(3)]
-    nv = 18  # virtual qubits
-    # slot of vertex v for edge (a, b): vertices 0..2 use slot (b-3), 3..5 use slot a
-    def slot(v, a, b):
-        return v * 3 + ((b - 3) if v < 3 else a)
-
-    # singlets laid out edge-contiguously, then permuted into vertex order
-    virt = kron_all([_SINGLET] * 9).reshape(-1).astype(complex)
-    virt_space = uniform_space(nv, 2)
-    dest = [0] * nv
-    for e, (a, b) in enumerate(edges):
-        dest[2 * e] = slot(a, a, b)
-        dest[2 * e + 1] = slot(b, a, b)
-    virt = hilbert.permute_subsystems(virt, dest, virt_space)
-    t = virt.reshape([8] * 6)
-    for axis in range(6):
-        t = np.moveaxis(np.tensordot(_SYM3, t, axes=(1, axis)), 0, axis)
-    psi = t.reshape(-1)
+    # vertex a < 3 holds edge (a, b) in its slot b - 3, vertex b >= 3 in its slot a
+    psi = _bond_state(
+        [_SINGLET.astype(complex)] * 9, [((a, b - 3), (b, a)) for a, b in edges],
+        [(2, 2, 2)] * 6, [_SYM3] * 6,
+    )
     psi /= np.linalg.norm(psi)
     space = uniform_space(6, 4)
     nbhds = NeighborhoodStructure([list(e) for e in edges])
@@ -460,34 +434,26 @@ def gbv_state(spec: GbvSpec, name: str = "gbv") -> StateInstance:
             v = rng.normal(size=dk) + 1j * rng.normal(size=dk)
         factor_states.append(v / np.linalg.norm(v))
 
-    # virtual state in factor-grouped order, then permuted to particle order
-    virt = kron_all(factor_states).reshape(-1)
-    factor_order = [vp for members in spec.factors for vp in members]
-    particle_order = [
-        (i, j) for i, s in enumerate(splits) for j in range(len(s.virtual_dims))
-    ]
-    virt_space = MultipartiteSpace(
-        [splits[i].virtual_dims[j] for (i, j) in factor_order]
-    )
-    dest = [particle_order.index(vp) for vp in factor_order]
-    virt = hilbert.permute_subsystems(virt, dest, virt_space)
-
-    # embed particle by particle
-    t = virt.reshape([s.virtual_dim for s in splits])
-    for axis, v in enumerate(vs):
-        t = np.moveaxis(np.tensordot(v, t, axes=(1, axis)), 0, axis)
-    psi = t.reshape(-1)
+    slot_dims = [s.virtual_dims for s in splits]
+    psi = _bond_state(factor_states, spec.factors, slot_dims, vs)
 
     witnesses = []
     for k, members in enumerate(spec.factors):
         # reset factor k inside its neighbourhood, in the local virtual layout:
-        # per particle of the region, its virtual slots
+        # per particle of the region, its virtual slots; the factor state is
+        # permuted from its listed order into that slot order
         region = spec.neighborhoods[k]
-        slots = [(i, j) for i in region for j in range(len(splits[i].virtual_dims))]
-        dims = [splits[i].virtual_dims[j] for (i, j) in slots]
+        slots = [(i, j) for i in region for j in range(len(slot_dims[i]))]
+        dims = [slot_dims[i][j] for (i, j) in slots]
+        at = [slots.index(vp) for vp in members]
+        positions = sorted(at)
+        state = hilbert.permute_subsystems(
+            factor_states[k], [positions.index(p) for p in at],
+            MultipartiteSpace([slot_dims[i][j] for (i, j) in members]),
+        )
         witnesses.append(ch.factor_reset_channel(
-            factor_states[k], [p for p, vp in enumerate(slots) if vp in members], dims,
-            np.eye(int(np.prod(dims))), [vs[i] for i in region], region, f"E_{k}",
+            state, positions, dims, np.eye(int(np.prod(dims))),
+            [vs[i] for i in region], region, f"E_{k}",
         ))
     return StateInstance(
         name=name, space=space, neighborhoods=spec.neighborhoods, psi=psi,
@@ -615,16 +581,16 @@ def graph_state_gibbs(inst: StateInstance, beta: float) -> StateInstance:
     edges = inst.metadata["edges"]
     space = inst.space
     n = space.n_subsystems
-    diag = _edge_phase_diagonal(space, edges, np.array([[1, 1], [1, -1]], dtype=complex))
+    diag = _phase_diagonal(space, edges, lambda a, b: _QUBIT_HADAMARD[a, b])
     # physical-to-virtual unitary: U_G (H x...x H)
-    hmat = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    v = np.diag(diag) @ kron_all([hmat] * n)
+    v = np.diag(diag) @ kron_all([_QUBIT_HADAMARD / np.sqrt(2)] * n)
     # in the virtual frame each term is |1><1| on one site
     terms = [(i, np.diag([0.0, 1.0]).astype(complex)) for i in range(n)]
-    assignment = []
-    for i in range(n):
-        hosts = [k for k, nk in enumerate(inst.neighborhoods) if set(_graph_site_region(edges, i)) <= set(nk)]
-        assignment.append(hosts[0])
+    adj = _adjacency(n, edges)
+    assignment = [
+        next(k for k, nk in enumerate(inst.neighborhoods) if {i} | adj[i] <= set(nk))
+        for i in range(n)
+    ]
     return gibbs_virtual_product(
         [2] * n,
         terms,
@@ -635,16 +601,6 @@ def graph_state_gibbs(inst: StateInstance, beta: float) -> StateInstance:
         assignment=assignment,
         name=f"{inst.name}-gibbs",
     )
-
-
-def _graph_site_region(edges, i):
-    out = {i}
-    for a, b in edges:
-        if a == i:
-            out.add(b)
-        if b == i:
-            out.add(a)
-    return sorted(out)
 
 
 def graph_gibbs(n_line: int, beta: float) -> StateInstance:

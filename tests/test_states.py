@@ -82,6 +82,26 @@ class TestGraphStates:
         inst = states.grid_graph_state(2, 3)
         assert_witnesses_ok(inst)
 
+    @pytest.mark.parametrize("build", [
+        lambda: states.line_graph_state(4),
+        lambda: states.grid_graph_state(2, 3),
+        lambda: states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)]),
+    ])
+    def test_stabilizers_fix_psi(self, build):
+        # a qubit graph state is the +1 eigenvector of every X_i prod_{j in N(i)} Z_j
+        inst = build()
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        edges = inst.metadata["edges"]
+        for i in range(inst.space.n_subsystems):
+            partners = {a + b - i for a, b in edges if i in (a, b)}
+            region = sorted({i} | partners)
+            op = np.ones((1, 1), dtype=complex)
+            for j in region:
+                op = np.kron(op, x if j == i else z)
+            k = embed(RegionOperator(op, region), inst.space)
+            assert np.max(np.abs(k @ inst.psi - inst.psi)) < 1e-12, (inst.name, i)
+
 
 class TestCcz:
     def test_triangle(self):
@@ -106,6 +126,19 @@ class TestCcz:
     def test_triangular_patch(self):
         inst = states.triangular_patch(2, 2)
         assert_witnesses_ok(inst)
+
+    @pytest.mark.parametrize("build, n, triangles", [
+        (states.ccz_triangle, 3, [(0, 1, 2)]),
+        (lambda: states.triangular_patch(2, 2), 4, [(0, 1, 2), (1, 2, 3)]),
+        (lambda: states.ccz_kagome(3, 1), *states.kagome_sites(3, 1)),
+    ])
+    def test_psi_is_ccz_product_on_plus(self, build, n, triangles):
+        # prod_T CCZ_T |+>^n as a dense diagonal over bit strings, site 0 most significant
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        signs = np.ones(2**n)
+        for a, b, c in triangles:
+            signs[(bits[:, a] & bits[:, b] & bits[:, c]) == 1] *= -1
+        assert np.max(np.abs(build().psi - signs / np.sqrt(2**n))) < 1e-14
 
 
 class TestDickeVbsAklt:
@@ -146,6 +179,16 @@ class TestDickeVbsAklt:
         span = schmidt_span(inst.psi, inst.neighborhoods[0], inst.space)
         assert span.dim == 9
 
+    def test_aklt_annihilated_by_spin3_projectors(self):
+        # the spin-3/2 AKLT state has no total-spin-3 component on any edge
+        inst = states.aklt32_cubic()
+        p3 = _spin3_projector()
+        assert round(np.trace(p3).real) == 7
+        assert abs(np.linalg.norm(inst.psi) - 1.0) < 1e-12
+        for edge in inst.metadata["edges"]:
+            big = embed(RegionOperator(p3, list(edge)), inst.space)
+            assert np.linalg.norm(big @ inst.psi) < 1e-12, edge
+
 
 def _spin2_projector():
     """Projector onto total spin 2 of two spin-1 particles."""
@@ -158,6 +201,19 @@ def _spin2_projector():
     # s1.s2 in {-2, -1, 1} for J in {0, 1, 2}
     p = (s1s2 + 2 * np.eye(9)) @ (s1s2 + np.eye(9)) / 6.0
     return p
+
+
+def _spin3_projector():
+    """Projector onto total spin 3 of two spin-3/2 particles, basis m = 3/2 ... -3/2."""
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    sp = np.diag(np.sqrt(1.5 * 2.5 - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    sx, sy, sz = (sp + sp.T) / 2, (sp - sp.T) / 2j, np.diag(m).astype(complex)
+    eye = np.eye(4)
+    s2 = sum((np.kron(a, eye) + np.kron(eye, a)) @ (np.kron(a, eye) + np.kron(eye, a))
+             for a in (sx, sy, sz))
+    w, v = np.linalg.eigh(s2)
+    top = v[:, np.abs(w - 12.0) < 1e-9]
+    return top @ top.conj().T
 
 
 class TestWProduct:
@@ -357,6 +413,34 @@ class TestGbv:
         with pytest.raises(ValueError):
             spec.validate()
 
+    @pytest.mark.parametrize("factors, flipped", [  # flipped: the factor listed out of order
+        ((((1, 0), (0, 0)), ((1, 1), (2, 0))), 0),
+        ((((0, 0), (1, 0)), ((2, 0), (1, 1))), 1),
+    ])
+    def test_factor_listed_out_of_region_order(self, factors, flipped):
+        # the spec fixes which slot each tensor factor of a factor state sits on;
+        # the witness must fix that psi whatever order the factor lists its slots in
+        from qlstab.hilbert import NeighborhoodStructure
+        from qlstab.states import GbvSpec, ParticleSplit, gbv_state
+
+        def build(factors, factor_states=None):
+            return gbv_state(GbvSpec(
+                splits=(ParticleSplit((2,)), ParticleSplit((2, 2)), ParticleSplit((3,))),
+                neighborhoods=NeighborhoodStructure([[0, 1], [1, 2]]),
+                factors=factors, factor_states=factor_states,
+            ))
+
+        assert_witnesses_ok(build(factors))
+        in_order = (((0, 0), (1, 0)), ((1, 1), (2, 0)))
+        rng = np.random.default_rng(7)
+        listed = [rng.normal(size=4), rng.normal(size=6)]
+        listed = [v / np.linalg.norm(v) for v in listed]
+        ordered = list(listed)
+        ordered[flipped] = listed[flipped].reshape([(2, 2), (3, 2)][flipped]).T.reshape(-1)
+        out_of_order = build(factors, tuple(listed))
+        assert_witnesses_ok(out_of_order)
+        assert np.array_equal(out_of_order.psi, build(in_order, tuple(ordered)).psi)
+
     @pytest.mark.slow
     def test_fig4_instance_robust(self):
         inst = states.gbv_fig4_instance()
@@ -435,10 +519,9 @@ class TestGraphProductMixed:
         # general graph-product construction, not only uniform-temperature
         inst = states.line_graph_state(3)
         edges = inst.metadata["edges"]
-        diag = states._edge_phase_diagonal(
-            inst.space, edges, np.array([[1, 1], [1, -1]], dtype=complex)
-        )
-        hmat = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        h2 = np.array([[1, 1], [1, -1]], dtype=complex)
+        diag = states._phase_diagonal(inst.space, edges, lambda a, b: h2[a, b])
+        hmat = h2 / np.sqrt(2)
         from qlstab._linalg import kron_all, random_hermitian
 
         v = np.diag(diag) @ kron_all([hmat] * 3)
