@@ -182,9 +182,7 @@ CONSTRUCTORS = {
     "graph-cycle": lambda p: states_mod.graph_state(
         int(p["n"]), [(i, (i + 1) % int(p["n"])) for i in range(int(p["n"]))]
     ),
-    "graph": lambda p: states_mod.graph_state(
-        int(p["n"]), [tuple(int(x) - 1 for x in e) for e in p["edges"]], d=int(p.get("d", 2))
-    ),
+    "graph": lambda p: states_mod.graph_state(int(p["n"]), _graph_edges(p), d=int(p.get("d", 2))),
     "ccz-triangle": lambda p: states_mod.ccz_triangle(),
     "ccz-kagome": lambda p: states_mod.ccz_kagome(int(p.get("cells_x", 2)), int(p.get("cells_y", 2))),
     "ccz-triangular": lambda p: states_mod.triangular_patch(int(p["rows"]), int(p["cols"])),
@@ -202,6 +200,12 @@ CONSTRUCTORS = {
 }
 
 
+def _graph_edges(p) -> list[tuple[int, ...]]:
+    """1-based edges of a `graph` problem -> 0-based, each checked as a support."""
+    space = MultipartiteSpace([2] * int(p["n"]))
+    return [tuple(_parse_support(e, space)) for e in p["edges"]]
+
+
 def load_problem(path: str):
     """ProblemFile -> (StateInstance-like bundle). Exactly one state source."""
     try:
@@ -209,6 +213,11 @@ def load_problem(path: str):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read problem file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("problem file must hold an object")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise InputError("/options: expected an object")
     state_spec = data.get("state")
     if not isinstance(state_spec, dict):
         raise InputError("/state: missing object")
@@ -217,12 +226,17 @@ def load_problem(path: str):
         raise InputError("/state: exactly one of constructor|vector|matrix required")
     if sources[0] == "constructor":
         spec = state_spec["constructor"]
+        if not isinstance(spec, dict):
+            raise InputError("/state/constructor: expected an object")
         name = spec.get("name")
-        if name not in CONSTRUCTORS:
+        if not isinstance(name, str) or name not in CONSTRUCTORS:
             raise InputError(
                 f"/state/constructor/name: unknown '{name}'; known: {sorted(CONSTRUCTORS)}"
             )
-        inst = CONSTRUCTORS[name](spec.get("params", {}))
+        try:
+            inst = CONSTRUCTORS[name](spec.get("params", {}))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"/state/constructor/params: {type(exc).__name__}: {exc}") from exc
         if "neighborhoods" in data:
             inst = states_mod.StateInstance(
                 name=inst.name,
@@ -233,10 +247,12 @@ def load_problem(path: str):
                 witness_channels=inst.witness_channels,
                 metadata=inst.metadata,
             )
-        return inst, data.get("options", {})
-    if "space" not in data or "dims" not in data["space"]:
-        raise InputError("/space/dims: required with an explicit state")
-    space = MultipartiteSpace(data["space"]["dims"])
+        return inst, options
+    try:
+        space = MultipartiteSpace(data["space"]["dims"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"/space/dims: a list of positive dimensions is required with an explicit "
+                         f"state ({type(exc).__name__}: {exc})") from exc
     if "neighborhoods" not in data:
         raise InputError("/neighborhoods: required with an explicit state")
     nstruct = _parse_neighborhoods(data["neighborhoods"], space)
@@ -254,7 +270,7 @@ def load_problem(path: str):
         name=data.get("name", "problem"),
         space=space, neighborhoods=nstruct, psi=psi, rho=rho,
     )
-    return inst, data.get("options", {})
+    return inst, options
 
 
 def _parse_neighborhoods(data, space: MultipartiteSpace) -> NeighborhoodStructure:
@@ -507,13 +523,6 @@ def cmd_synth(args) -> int:
         circ = Circuit(tuple(channels), inst.space)
         with open(args.circuit, "w") as fh:
             fh.write(json.dumps(circuit_to_json(circ)))
-    fac = res.factorization
-    fac_json = {
-        "factor_dims": list(fac.factor_dims),
-        "assignment": [k + 1 for k in fac.factor_to_neighborhood],
-        "h0_dim": fac.h0_dim,
-        "V": _mat2j(fac.as_matrix()) if fac.support.h_tilde_dim <= 64 else None,
-    }
     report = _report(
         "synth rfts", rep.passed,
         {"synthesized": True, "robust": rep.passed},
@@ -524,7 +533,7 @@ def cmd_synth(args) -> int:
             "distinct_orders": rep.distinct_orders,
             "max_final_distance": rep.max_final_distance,
             "worst_order": list(rep.worst_order),
-            "factorization": fac_json,
+            "factorization": {"factor_dims": list(res.factor_dims), "h0_dim": res.factorization.h0_dim},
         },
         {"tol": 1e-8}, args.seed, t0,
     )
@@ -552,8 +561,11 @@ def cmd_simulate(args) -> int:
 
         rho0 = random_density(d, rng)
     else:
-        with open(args.initial) as fh:
-            v = _j2vec(json.load(fh))
+        try:
+            with open(args.initial) as fh:
+                v = _j2vec(json.load(fh))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InputError(f"cannot read initial state: {exc}") from exc
         v = v / np.linalg.norm(v)
         rho0 = np.outer(v, v.conj())
     orders = [tuple(range(len(circ.steps)))]
@@ -657,6 +669,23 @@ def cmd_mixing(args) -> int:
     return 0
 
 
+LATTICES = {
+    "kagome": lambda d: sched_mod.kagome_lattice(int(d["cells_x"]), int(d["cells_y"])),
+    "chain-next-nn": lambda d: sched_mod.chain_next_nn(int(d["width"]), d.get("boundary", "open")),
+    "graph2d": lambda d: sched_mod.square_cross(int(d["width"])),
+    "generic": lambda d: sched_mod.LatticeSpec(
+        dimension=int(d["dimension"]),
+        widths=tuple(int(w) for w in d["widths"]),
+        cell_sites=int(d["cell_sites"]),
+        templates=tuple(
+            tuple((tuple(int(o) for o in off), int(s)) for off, s in tmpl)
+            for tmpl in d["templates"]
+        ),
+        boundary=d.get("boundary", "periodic"),
+    ),
+}
+
+
 def cmd_schedule(args) -> int:
     t0 = time.perf_counter()
     try:
@@ -664,34 +693,21 @@ def cmd_schedule(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read lattice file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"lattice file must hold an object, got {data!r}")
     kind = data.get("kind", "generic")
-    if kind == "kagome":
-        lat = sched_mod.kagome_lattice(int(data["cells_x"]), int(data["cells_y"]))
-        inst, layering = sched_mod.layer_generic(lat)
-        bound = len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
-    elif kind == "chain-next-nn":
-        lat = sched_mod.chain_next_nn(int(data["width"]), data.get("boundary", "open"))
-        inst, layering = sched_mod.layer_generic(lat)
-        bound = len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
-    elif kind == "graph2d":
-        lat = sched_mod.square_cross(int(data["width"]))
+    if not isinstance(kind, str) or kind not in LATTICES:
+        raise InputError(f"unknown lattice kind {kind!r}")
+    try:
+        lat = LATTICES[kind](data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{kind} lattice: {type(exc).__name__}: {exc}") from exc
+    if kind == "graph2d":
         inst, layering = sched_mod.layer_graph2d(lat)
         bound = 5
-    elif kind == "generic":
-        lat = sched_mod.LatticeSpec(
-            dimension=int(data["dimension"]),
-            widths=tuple(int(w) for w in data["widths"]),
-            cell_sites=int(data["cell_sites"]),
-            templates=tuple(
-                tuple((tuple(int(o) for o in off), int(s)) for off, s in tmpl)
-                for tmpl in data["templates"]
-            ),
-            boundary=data.get("boundary", "periodic"),
-        )
+    else:
         inst, layering = sched_mod.layer_generic(lat)
         bound = len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
-    else:
-        raise InputError(f"unknown lattice kind {kind!r}")
     rep = sched_mod.depth_report(inst, layering, bound=bound)
     ok = rep.disjoint_ok and rep.coverage_ok
     report = _report(

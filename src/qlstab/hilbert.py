@@ -279,14 +279,12 @@ class CoarseGraining:
     index_map: tuple[int, ...]  # old subsystem index -> new coarse index
     groups: tuple[tuple[int, ...], ...]  # new index -> old indices (sorted)
     neighborhoods: NeighborhoodStructure
-    neighborhood_origins: tuple[tuple[int, ...], ...] = ()  # coarse k -> original ks
 
 
 def coarse_grain(space: MultipartiteSpace, nstruct: NeighborhoodStructure) -> CoarseGraining:
     """Merge subsystems that belong to exactly the same set of neighborhoods.
 
-    Neighborhoods that become identical after merging are deduplicated; the
-    origin table records which original neighborhoods each coarse one covers.
+    Neighborhoods that become identical after merging are deduplicated.
     """
     if not nstruct.covers(space):
         raise ValueError("neighborhood structure does not cover all subsystems")
@@ -304,20 +302,12 @@ def coarse_grain(space: MultipartiteSpace, nstruct: NeighborhoodStructure) -> Co
         groups[sig_to_group[s]].append(i)
     index_map = tuple(sig_to_group[signature[i]] for i in range(n))
     new_dims = [int(np.prod([space.dims[i] for i in g])) for g in groups]
-    rewritten: list[tuple[int, ...]] = []
-    origins: dict[tuple[int, ...], list[int]] = {}
-    for k, nk in enumerate(nstruct):
-        t = tuple(sorted({index_map[i] for i in nk}))
-        if t not in origins:
-            origins[t] = []
-            rewritten.append(t)
-        origins[t].append(k)
+    rewritten = dict.fromkeys(tuple(sorted({index_map[i] for i in nk})) for nk in nstruct)
     return CoarseGraining(
         space=MultipartiteSpace(new_dims),
         index_map=index_map,
         groups=tuple(tuple(g) for g in groups),
         neighborhoods=NeighborhoodStructure(rewritten),
-        neighborhood_origins=tuple(tuple(origins[t]) for t in rewritten),
     )
 
 

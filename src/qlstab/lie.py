@@ -229,7 +229,6 @@ class UgenVerdict:
     target_dim: int
     passes: int
     method: str
-    neighborhood_dims: tuple[int, ...]
     stabilizer_residual: float
     cluster_gaps: tuple[float, float]
     weakest_edge: float | None
@@ -238,24 +237,22 @@ class UgenVerdict:
 def _rotated_generators(psi, nstruct, space):
     """Neighborhood stabilizer generators in the frame where psi = e_0.
 
-    Returns (c values, Y blocks, neighborhood dims, largest ||X psi - <psi|X psi> psi||);
+    Returns (c values, Y blocks, largest ||X psi - <psi|X psi> psi||);
     each generator is ic ⊕ Y in that frame.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     q = complete_basis(psi)
-    cs, ys, dims, resid = [], [], [], 0.0
+    cs, ys, resid = [], [], 0.0
     for nk in nstruct:
-        basis = neighborhood_stabilizer_algebra(psi, nk, space)
-        dims.append(basis.dim)
-        for x in basis.elements:
+        for x in neighborhood_stabilizer_algebra(psi, nk, space).elements:
             xr = q.conj().T @ x @ q
             if np.max(np.abs(xr[1:, 0])) > 1e-8:
                 raise RuntimeError("generator does not stabilize the state")
             resid = max(resid, float(np.linalg.norm(xr[1:, 0])))
             cs.append(xr[0, 0].imag)
             ys.append(xr[1:, 1:])
-    return np.array(cs), np.stack(ys), tuple(dims), resid
+    return np.array(cs), np.stack(ys), resid
 
 
 def _certificate(ys: np.ndarray, seed: int) -> tuple[tuple[float, float], float | None]:
@@ -313,7 +310,7 @@ def check_unitary_generation(
     misses a block) the bracket closure `lie_closure` of the generators decides.
     """
     target = (space.total_dim - 1) ** 2 + 1
-    cs, ys, nbhd_dims, resid = _rotated_generators(psi, nstruct, space)
+    cs, ys, resid = _rotated_generators(psi, nstruct, space)
     n = ys.shape[1]
     gaps, weakest = _certificate(ys, seed)
     if weakest is not None:
@@ -332,7 +329,6 @@ def check_unitary_generation(
         target_dim=target,
         passes=passes,
         method=method,
-        neighborhood_dims=nbhd_dims,
         stabilizer_residual=resid,
         cluster_gaps=gaps,
         weakest_edge=weakest,

@@ -84,25 +84,14 @@ def liouvillian_gksl(h: np.ndarray, lindblad_ops, label: str = "") -> Liouvillia
 class SpectralReport:
     gap: float
     eigenvalues: np.ndarray
-    peripheral: np.ndarray
-    e_infinity_rank: int
-    e_phi_rank: int
 
 
 def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
     ev = np.linalg.eigvals(l.matrix)
     scale = max(1.0, float(np.max(np.abs(ev))))
-    re = ev.real
-    decaying = ev[re < -tol * scale]
+    decaying = ev[ev.real < -tol * scale]
     gap = float(np.min(np.abs(decaying.real))) if decaying.size else 0.0
-    peripheral = ev[re >= -tol * scale]
-    return SpectralReport(
-        gap=gap,
-        eigenvalues=ev,
-        peripheral=peripheral,
-        e_infinity_rank=int(np.sum(np.abs(ev) < tol * scale)),
-        e_phi_rank=int(np.sum(re >= -tol * scale)),
-    )
+    return SpectralReport(gap=gap, eigenvalues=ev)
 
 
 def stationary_state(l: Liouvillian) -> np.ndarray:
@@ -405,7 +394,6 @@ class NoGoReport:
     min_distance: float
     distances: tuple[tuple[float, float], ...]
     monotone: bool
-    fixed_point_defect: float
 
 
 def no_go_probe(
@@ -436,7 +424,6 @@ def no_go_probe(
         min_distance=float(min(values)),
         distances=tuple(dists),
         monotone=monotone,
-        fixed_point_defect=fp_defect,
     )
 
 

@@ -5,15 +5,16 @@ conditions.
 The factorization pipeline works on coarse-grained subsystems restricted to
 the local support of the target. Neighborhood algebras are computed on their
 own (restricted) neighborhood spaces; all cross-neighborhood commutation
-checks reduce to operator Schmidt components on overlaps, so nothing large is
-ever materialized except during the final change-of-basis extraction.
+checks reduce to operator Schmidt components on overlaps, and the
+factorization is one local split per neighborhood, so nothing larger than a
+neighborhood space is materialized besides the target vector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -349,23 +350,23 @@ def _factor_split(a: np.ndarray, x: np.ndarray):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Change of basis H ~ (tensor of virtual factors) (+) H0.
+    """Change of basis H ~ (tensor of virtual factors) (+) H0, held as one
+    local split per coarse neighborhood.
 
-    The unitary is stored as a sequence of per-level splittings (g_j, f_j): at
-    level j the current rest space C^{q_j} is reorganized as C^{f_j} (x)
-    C^{q_j / f_j}, with the columns of g_j ordered factor-major. `to_virtual`
-    maps global vectors into virtual coordinates; `as_matrix` materializes the
-    dense isometry for small spaces.
+    `splits[j] = (g_j, f_j, q_j)`: on the local support of neighborhood j (the
+    range of `support.region_isometry(neighborhoods[j])`), the unitary g_j,
+    columns ordered factor-major, maps C^{f_j} (x) C^{q_j} so that the
+    neighborhood algebra is B(C^{f_j}) (x) I. The factor algebras commute
+    pairwise and the f_j multiply to dim H~, so they generate B(H~) ~ (x)_j
+    B(C^{f_j}) without a global change of basis.
     """
 
     factor_dims: tuple[int, ...]
-    factor_to_neighborhood: tuple[int, ...]
+    splits: tuple[tuple[np.ndarray, int, int], ...]
     support: LocalSupport
     space: MultipartiteSpace
     neighborhoods: NeighborhoodStructure
-    levels: tuple[tuple[np.ndarray, int], ...]
     h0_dim: int
-    factor_states: tuple[np.ndarray, ...] = ()
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """Local-support coordinates of a global vector."""
@@ -373,30 +374,6 @@ class Factorization:
         for i, w in enumerate(self.support.site_isometries):
             x = np.moveaxis(np.tensordot(w.conj().T, x, axes=(1, i)), 0, i)
         return x.reshape(-1)
-
-    def to_virtual(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a global vector over the ordered virtual factors."""
-        x = self.restrict(v)
-        for g, f in self.levels:
-            q = g.shape[0]
-            # conjugating the vector twice is cheaper than the q x q level once
-            x = (x.conj().reshape(-1, q) @ g).conj().reshape(-1)
-        return x.reshape(self.factor_dims) if self.factor_dims else x
-
-    def as_matrix(self, max_dim: int = 2048) -> np.ndarray:
-        """Dense isometry from virtual coordinates into the global space."""
-        ht = self.support.h_tilde_dim
-        if ht > max_dim:
-            raise ch.CapExceeded(f"dense factorization matrix capped at {max_dim}")
-        u = np.eye(ht, dtype=complex)
-        prefix = 1
-        for g, f in self.levels:
-            q = g.shape[0]
-            lifted = np.kron(np.eye(prefix, dtype=complex), g)
-            u = u @ lifted
-            prefix *= f
-        w = kron_all(list(self.support.site_isometries))
-        return w @ u
 
 
 @dataclass(frozen=True)
@@ -411,108 +388,23 @@ class AlgebraicRftsResult:
     target_factor_residual: float = 0.0
     projector_block_residual: float = 0.0
     coarse_groups: tuple[tuple[int, ...], ...] = ()
-    dropped_sites: tuple[tuple[int, int], ...] = ()
     coarse: "hilbert.CoarseGraining | None" = None
     # eigenvalue-clustering margin over every clustering behind the verdict:
     # (largest merged gap, smallest split gap), relative to max|eigenvalue|
     cluster_gaps: tuple[float, float] = NO_GAPS
 
 
-def _extract_factorization(
-    cspace: MultipartiteSpace,
-    cn: NeighborhoodStructure,
-    support: LocalSupport,
-    algebras: list[AlgebraBasis],
-    splits: list,
-    seed: int,
-) -> tuple[Factorization, tuple[float, float]]:
-    """Split off one factor per level from the generic pair (from `seed`) of
-    its algebra, whose local `_factor_split` is in `splits`; returns the
-    factorization and the clustering margin of every split."""
-    fs = [split[1] for split in splits]
-    ht = support.h_tilde_dim
-    rspace = MultipartiteSpace(support.restricted_dims)
-    levels: list[tuple[np.ndarray, int]] = []
-    gaps = NO_GAPS
-    r: np.ndarray | None = None
-    for j in (j for j in range(len(cn)) if fs[j] > 1):
-        if r is None:
-            g_loc, f, _, level_gaps = splits[j]
-            # (g_loc on cn[j]) tensor I; rows in site order, columns in front order
-            big = np.kron(g_loc, np.eye(ht // len(g_loc), dtype=complex))
-            g = hilbert.from_front(big.reshape(len(g_loc), -1, ht), cn[j], rspace)
-        else:
-            # restrict (X on cn[j]) tensor I to the range of r
-            g, f, _, level_gaps = _factor_split(
-                *(r.conj().T @ hilbert.act(y, cn[j], r, rspace)
-                  for y in algebras[j].generic_pair(seed))
-            )
-        gaps = _merge_gaps(gaps, level_gaps)
-        if f != fs[j]:
-            raise FactorizationError("factor dimension mismatch")
-        levels.append((g, f))
-        branch0 = g[:, : g.shape[0] // f]
-        r = branch0 if r is None else r @ branch0
-    fac = Factorization(
-        factor_dims=tuple(fs),
-        factor_to_neighborhood=tuple(range(len(cn))),
-        support=support,
-        space=cspace,
-        neighborhoods=cn,
-        levels=tuple(levels),
-        h0_dim=cspace.total_dim - ht,
-    )
-    return fac, gaps
+def _factor_state(psi, region, g, f, support: LocalSupport, space) -> tuple[np.ndarray, float]:
+    """The target's state on the factor C^f of the local split g of `region`.
 
-
-def _peel_factor_states(psi_v: np.ndarray, factor_dims) -> tuple[tuple[np.ndarray, ...], float]:
-    """Sequential rank-one peeling; returns factor states and the worst residual."""
-    x = psi_v.reshape(-1)
-    nrm = np.linalg.norm(x)
-    resid = 0.0
-    x = x / nrm
-    statelist = []
-    for f in factor_dims[:-1]:
-        m = x.reshape(f, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        resid = max(resid, float(s[1]) if len(s) > 1 else 0.0)
-        phase = u[np.argmax(np.abs(u[:, 0])), 0]
-        phase = phase / abs(phase)
-        statelist.append(u[:, 0] / phase)
-        x = vh[0] * phase
-    statelist.append(x)
-    return tuple(statelist), resid
-
-
-def _projector_block_residual(
-    psi_c, cspace, cn, fac: Factorization, factor_states, rng, probes: int = 3
-) -> float:
-    """Check every neighborhood projector acts as rank-one on its own factor."""
-    worst = 0.0
-    locals_ = []
-    for k, nk in enumerate(cn):
-        span = subspaces.schmidt_span(psi_c, nk, cspace)
-        locals_.append(span.basis @ span.basis.conj().T)
-    for _ in range(probes):
-        v = rng.normal(size=cspace.total_dim) + 1j * rng.normal(size=cspace.total_dim)
-        v /= np.linalg.norm(v)
-        w = fac.to_virtual(v).reshape(-1)
-        for k, nk in enumerate(cn):
-            pv = hilbert.act(locals_[k], nk, v, cspace)
-            lhs = fac.to_virtual(pv).reshape(fac.factor_dims)
-            rhs = w.reshape(fac.factor_dims).copy()
-            f = fac.factor_dims[k]
-            if f > 1:
-                st = factor_states[k]
-                rhs = np.moveaxis(rhs, k, 0).reshape(f, -1)
-                rhs = np.outer(st, st.conj()) @ rhs
-                rhs = np.moveaxis(
-                    rhs.reshape((f,) + tuple(np.delete(np.array(fac.factor_dims), k))),
-                    0,
-                    k,
-                )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs.reshape(fac.factor_dims)))))
-    return worst
+    x = (g^H W^H (x) I) psi, regrouped as f x (q * rest), with W the local
+    support isometry of `region`. Returns its first left singular vector and
+    its second singular value, the distance from a product across the factor.
+    """
+    w = support.region_isometry(region)
+    x = (g.conj().T @ (w.conj().T @ hilbert.to_front(psi, region, space))).reshape(f, -1)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u[:, 0], float(s[1]) if len(s) > 1 else 0.0
 
 
 def reduce_full_rank_factors(
@@ -566,19 +458,25 @@ def check_algebraic_rfts(
     seed: int = 0,
     qls_verdict=None,
 ) -> AlgebraicRftsResult:
-    """Commuting/complete neighborhood algebras => virtual factorization => RFTS."""
+    """Commuting/complete neighborhood algebras => virtual factorization => RFTS.
+
+    Every step is local to one neighborhood: the algebras, their factor
+    splits (from the generic pair of `seed`, and again of `seed` + 17), and
+    the test that psi is a product over the factors with every neighborhood
+    projector |t_j><t_j| (x) I on its own factor (`_factor_state`).
+    """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     qv = qls_verdict or subspaces.check_qls(psi, nstruct, space)
     if not qv.qls:
         return AlgebraicRftsResult(ok=False, reason="not-qls", qls=False)
-    nstruct2, drops = reduce_full_rank_factors(psi, nstruct, space)
+    nstruct2, _ = reduce_full_rank_factors(psi, nstruct, space)
     cg = hilbert.coarse_grain(space, nstruct2)
     psi_c = hilbert.coarse_grain_state(psi, cg, space)
     cspace, cn = cg.space, cg.neighborhoods
     support = local_support(psi_c, cspace)
 
-    common = dict(qls=True, coarse_groups=cg.groups, dropped_sites=drops, coarse=cg)
+    common = dict(qls=True, coarse_groups=cg.groups, coarse=cg)
     try:
         cache: dict = {}
         algebras = [
@@ -609,38 +507,42 @@ def check_algebraic_rfts(
     if int(np.prod(fs)) != support.h_tilde_dim:
         return result(commutation_defect=defect, factor_dims=tuple(fs))
 
+    fac = Factorization(
+        factor_dims=tuple(fs),
+        splits=tuple(split[:3] for split in splits),
+        support=support,
+        space=cspace,
+        neighborhoods=cn,
+        h0_dim=support.h0_dim(cspace),
+    )
+    h0_weight = 1.0 - float(np.linalg.norm(fac.restrict(psi_c)) ** 2)
+    # a second split from other generic elements must factor the target too
     try:
-        fac, split_gaps = _extract_factorization(cspace, cn, support, algebras, splits, seed)
+        splits2 = [_factor_split(*alg.generic_pair(seed + 17)) for alg in algebras]
     except FactorizationError:
-        return result(commutation_defect=defect, factor_dims=tuple(fs))
-    gaps = _merge_gaps(gaps, split_gaps)
-    psi_v = fac.to_virtual(psi_c)
-    h0_weight = 1.0 - float(np.linalg.norm(psi_v) ** 2)
-    factor_states, peel_resid = _peel_factor_states(psi_v, fac.factor_dims)
-    fac = replace(fac, factor_states=factor_states)
-    rng = np.random.default_rng(seed + 1)
-    block_resid = _projector_block_residual(psi_c, cspace, cn, fac, factor_states, rng)
-    if support.h_tilde_dim <= 1024:
-        # a second extraction from other generic elements must factor the target too
-        splits = [_factor_split(*alg.generic_pair(seed + 17)) for alg in algebras]
-        fac2, split_gaps = _extract_factorization(cspace, cn, support, algebras, splits, seed + 17)
-        gaps = _merge_gaps(gaps, split_gaps)
-        _, peel2 = _peel_factor_states(fac2.to_virtual(psi_c), fac2.factor_dims)
-        peel_resid = max(peel_resid, peel2)
-    else:
-        rng2 = np.random.default_rng(seed + 29)
-        block_resid = max(
-            block_resid,
-            _projector_block_residual(psi_c, cspace, cn, fac, factor_states, rng2),
-        )
-    ok = peel_resid < 1e-7 and abs(h0_weight) < 1e-9 and block_resid < 1e-6
+        splits2 = []
+    if [split[1:3] for split in splits2] != [split[1:3] for split in splits]:
+        return result(commutation_defect=defect, factor_dims=fac.factor_dims)
+    gaps = _merge_gaps(gaps, *(split[3] for split in splits2))
+    # psi is a product over the factors, and every neighborhood projector is
+    # |t_j><t_j| (x) I on its own factor, in both splits
+    factor_resid = block_resid = 0.0
+    for j, nj in enumerate(cn):
+        if j not in cache:
+            cache[j] = _restricted_projector(psi_c, nj, cspace, support)
+        for g, f, q, _ in (splits[j], splits2[j]):
+            t, resid = _factor_state(psi_c, nj, g, f, support, cspace)
+            block = np.kron(np.outer(t, t.conj()), np.eye(q))
+            factor_resid = max(factor_resid, resid)
+            block_resid = max(block_resid, float(np.max(np.abs(g.conj().T @ cache[j][0] @ g - block))))
+    ok = factor_resid < 1e-7 and abs(h0_weight) < 1e-9 and block_resid < 1e-6
     return result(
         ok=ok,
         reason="ok" if ok else "target-not-factored",
         factor_dims=fac.factor_dims,
         factorization=fac,
         commutation_defect=defect,
-        target_factor_residual=peel_resid,
+        target_factor_residual=factor_resid,
         projector_block_residual=block_resid,
     )
 
@@ -681,7 +583,6 @@ class MatchingOverlapRftsVerdict:
     matching_overlap: str
     qls: bool
     max_pairwise_commutator: float
-    algebraic: AlgebraicRftsResult | None = None
     reason: str = ""
 
 
@@ -714,8 +615,7 @@ def check_matching_overlap_rfts(
     alg = check_algebraic_rfts(psi, nstruct, space, seed=seed, qls_verdict=qv)
     return MatchingOverlapRftsVerdict(
         ok=alg.ok, matching_overlap=mo.status, qls=True,
-        max_pairwise_commutator=mx, algebraic=alg,
-        reason=alg.reason,
+        max_pairwise_commutator=mx, reason=alg.reason,
     )
 
 
@@ -746,17 +646,18 @@ def build_rfts_circuit(
 ) -> list[Channel]:
     """One commuting neighborhood channel per virtual factor.
 
-    Each channel is `channels.factor_reset_channel` on its neighborhood, with
-    g the local factor split C^f (x) C^q (the identity when f = 1): it
-    re-injects kernel weight uniformly into the local support of every coarse
-    subsystem in the neighborhood, then resets its factor to the target
-    factor state while acting as identity on everything else. Everything is
-    built region-locally, so the construction scales to large total
-    dimensions. Channels are returned on the original subsystems when a
-    coarse graining is supplied.
+    Channel j is `channels.factor_reset_channel` on neighborhood j with the
+    local split (g_j, f_j, q_j) that `check_algebraic_rfts` verified and
+    stored in `fac`: it re-injects kernel weight uniformly into the local
+    support of every coarse subsystem in the neighborhood, then resets C^{f_j}
+    to the target's factor state (`_factor_state`) while acting as identity on
+    C^{q_j}. Everything is built region-locally, so the construction scales to
+    large total dimensions. Channels are returned on the original subsystems
+    when a coarse graining is supplied. `seed` is not read: the splits come
+    from the check, with its seed.
     """
-    cspace = fac.space
     psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
     psi_c = (
         hilbert.coarse_grain_state(psi, cg, original_space)
         if cg is not None
@@ -764,35 +665,17 @@ def build_rfts_circuit(
     )
     support = fac.support
     channels = []
-    for j, f in enumerate(fac.factor_dims):
-        region = list(_neighborhood_of_factor(fac, j))
-        w_r = support.region_isometry(region)
-        g_loc, q, t_j = np.eye(w_r.shape[1]), w_r.shape[1], np.ones(1)
-        if f > 1:
-            algebra = neighborhood_algebra(
-                psi_c, fac.neighborhoods, fac.factor_to_neighborhood[j], cspace, support
-            )
-            g_loc, floc, q = factor_representation(algebra, seed=seed)
-            if floc != f:
-                raise FactorizationError("factor dimension changed on rebuild")
-            rho_r = hilbert.reduced_state_of_pure(psi_c, region, cspace)
-            sigma = g_loc.conj().T @ (w_r.conj().T @ rho_r @ w_r) @ g_loc
-            rho_factor = np.einsum("ambm->ab", sigma.reshape(f, q, f, q))
-            ev, vec = np.linalg.eigh(rho_factor)
-            if ev[-1] < 1.0 - 1e-7:
-                raise FactorizationError("target does not factor on this neighborhood")
-            t_j = vec[:, -1]
+    for j, (region, (g, f, q)) in enumerate(zip(fac.neighborhoods, fac.splits)):
+        t_j, resid = _factor_state(psi_c, region, g, f, support, fac.space)
+        if resid >= 1e-7:
+            raise FactorizationError("target does not factor on this neighborhood")
         isos = [support.site_isometries[i] for i in region]
-        local = ch.factor_reset_channel(t_j, [0], (f, q), g_loc, isos, region, f"E_{j}")
-        local = ch.restrict_to_support(local, cspace)
+        local = ch.factor_reset_channel(t_j, [0], (f, q), g, isos, region, f"E_{j}")
+        local = ch.restrict_to_support(local, fac.space)
         if cg is not None:
             local = _uncoarse_channel(local, cg, original_space)
         channels.append(local)
     return channels
-
-
-def _neighborhood_of_factor(fac: Factorization, j: int):
-    return fac.neighborhoods[fac.factor_to_neighborhood[j]]
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,24 @@ class TestSynthSimulate:
         assert out["certificates"]["factor_dims"] == [2, 2, 2, 2, 2]
 
 
+    def test_synth_rfts_seed_builds_equal_maps(self, tmp_path, capsys):
+        # each seed builds from the splits its own check verified; a factor
+        # reset is the same map in every frame of the factor
+        from qlstab.channels import relocate, superoperator
+
+        problem = os.path.join(PROBLEMS, "graph_cycle5.json")
+        maps = []
+        for seed in ("0", "3"):
+            circuit = str(tmp_path / f"c{seed}.json")
+            assert main(["synth", "rfts", problem, "--seed", seed, "--trials", "2", "--circuit", circuit]) == 0
+            capsys.readouterr()
+            circ = circuit_from_json(json.load(open(circuit)))
+            maps.append([superoperator(*relocate(c, c.support, circ.space)) for c in circ.steps])
+        assert len(maps[0]) == len(maps[1]) == 5
+        for a, b in zip(*maps):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
 class TestScheduleMixing:
     def test_schedule_kagome(self, tmp_path, capsys):
         path = write_json(tmp_path, "lat.json", {"kind": "kagome", "cells_x": 2, "cells_y": 2})
@@ -444,7 +462,8 @@ _GHZ3 = {
 }
 
 # (check subcommand, problem) pairs, each breaking one index rule on a
-# 3-site chain; every one must end with exit code 2, not a traceback
+# 3-site chain or one shape rule of the problem file; every one must end
+# with exit code 2, not a traceback
 MALFORMED_PROBLEMS = {
     "neighborhood-out-of-range": ("qls", {**_CHAIN3, "neighborhoods": [[1, 2], [3, 9]]}),
     "neighborhood-zero": ("qls", {**_CHAIN3, "neighborhoods": [[0, 1], [2, 3]]}),
@@ -462,6 +481,25 @@ MALFORMED_PROBLEMS = {
     "cmi-region-c-overlaps-b": ("cmi", {**_CHAIN3, "options": {"region_c": [2, 3]}}),
     "correlations-regions-overlap": ("correlations", {**_CHAIN3, "options": {"region_a": [2],
                                                                              "region_b": [2, 3]}}),
+    "constructor-param-missing": ("qls", {"state": {"constructor": {"name": "graph-line",
+                                                                    "params": {}}}}),
+    "constructor-param-not-a-number": ("qls", {"state": {"constructor": {"name": "graph-line",
+                                                                         "params": {"n": "x"}}}}),
+    "graph-edge-out-of-range": ("qls", {"state": {"constructor": {
+        "name": "graph", "params": {"n": 3, "edges": [[1, 5]]}}}}),
+    "constructor-not-an-object": ("qls", {"state": {"constructor": 3}}),
+    "problem-not-an-object": ("qls", [1]),
+    "options-not-an-object": ("cmi", {**_CHAIN3, "options": 5}),
+    "explicit-space-dims-not-integers": ("qls", {**_GHZ3, "space": {"dims": "ab"}, "neighborhoods": [[1]]}),
+    "explicit-space-dim-zero": ("qls", {**_GHZ3, "space": {"dims": [2, 0]}, "neighborhoods": [[1], [2]]}),
+    "explicit-space-missing": ("qls", {"state": _GHZ3["state"], "neighborhoods": [[1, 2, 3]]}),
+}
+
+# lattice files for `schedule`, each malformed
+MALFORMED_LATTICES = {
+    "kagome-cells-y-missing": {"kind": "kagome", "cells_x": 2},
+    "not-an-object": [1, 2],
+    "unknown-kind": {"kind": "honeycomb"},
 }
 
 
@@ -481,6 +519,20 @@ class TestMalformedProblem:
         rc = main(["check", sub, write_json(tmp_path, "problem.json", problem)])
         assert rc in (0, 1)
         assert json.loads(capsys.readouterr().out)["task"] == f"check {sub}"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LATTICES))
+    def test_schedule_exit_2(self, case, tmp_path, capsys):
+        rc = main(["schedule", write_json(tmp_path, "lattice.json", MALFORMED_LATTICES[case])])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial", ["nosuch.json", "wrong-length.json"])
+    def test_simulate_initial_exit_2(self, initial, tmp_path, capsys):
+        circuit = write_json(tmp_path, "circuit.json", {"dims": [2, 2], "steps": [{"support": [2], "kraus": [_X]}]})
+        write_json(tmp_path, "wrong-length.json", [[1.0, 0.0], [0.0, 0.0]])
+        rc = main(["simulate", circuit, "--initial", str(tmp_path / initial)])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_shipped_problems_load(self):
         # every problem file with a state; the lattice files feed `schedule`

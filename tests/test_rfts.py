@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from qlstab import channels as ch
-from qlstab import states
+from qlstab import hilbert, states, subspaces
 from qlstab._linalg import (
     DEFAULT_TOL,
     nullspace,
@@ -25,6 +25,7 @@ from qlstab.hilbert import (
 )
 from qlstab.rfts import (
     AlgebraBasis,
+    Factorization,
     FactorizationError,
     build_rfts_circuit,
     channels_commute_pairwise,
@@ -41,7 +42,12 @@ from qlstab.rfts import (
     reduce_full_rank_factors,
     verify_robustness,
 )
-from qlstab.rfts import _distance_to_target
+from qlstab.rfts import (
+    _distance_to_target,
+    _factor_split,
+    _pairwise_algebra_commutation,
+    _uncoarse_channel,
+)
 
 
 def channels_equal(a: Channel, b: Channel, space, probes: int = 8) -> bool:
@@ -178,16 +184,180 @@ class TestFactorRepresentation:
             assert np.max(np.abs(t - recon)) < 1e-8
 
 
-class TestFactorization:
-    def test_to_virtual_matches_conjugated_levels(self, rng):
-        inst = states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)])
-        fac = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space).factorization
-        assert len(fac.levels) > 1
-        v = rng.normal(size=32) + 1j * rng.normal(size=32)
-        x = fac.restrict(v)
-        for g, _ in fac.levels:
-            x = (x.reshape(-1, g.shape[0]) @ g.conj()).reshape(-1)
-        assert np.array_equal(fac.to_virtual(v).reshape(-1), x)
+# ---------------------------------------------------------------------------
+# oracles: the factorization as dense lifted levels, and the channels built
+# from a rebuilt neighbourhood algebra
+# ---------------------------------------------------------------------------
+
+def lifted_levels(cspace, cn, support, algebras, splits, seed):
+    """Split off one factor per level, each from the generic pair (from
+    `seed`) of its algebra restricted to the rest space r of the levels
+    before it: a list of (g, f), g acting on C^q with columns factor-major."""
+    ht = support.h_tilde_dim
+    rspace = MultipartiteSpace(support.restricted_dims)
+    levels, r = [], None
+    for j in (j for j in range(len(cn)) if splits[j][1] > 1):
+        if r is None:
+            g_loc, f = splits[j][:2]
+            big = np.kron(g_loc, np.eye(ht // len(g_loc), dtype=complex))
+            g = hilbert.from_front(big.reshape(len(g_loc), -1, ht), cn[j], rspace)
+        else:
+            g, f, _, _ = _factor_split(
+                *(r.conj().T @ hilbert.act(y, cn[j], r, rspace) for y in algebras[j].generic_pair(seed))
+            )
+        assert f == splits[j][1]
+        levels.append((g, f))
+        branch0 = g[:, : g.shape[0] // f]
+        r = branch0 if r is None else r @ branch0
+    return levels
+
+
+def to_virtual(fac, levels, v):
+    """Coordinates of a global vector over the ordered virtual factors."""
+    x = fac.restrict(v)
+    for g, _ in levels:
+        x = (x.conj().reshape(-1, g.shape[0]) @ g).conj().reshape(-1)
+    return x.reshape(fac.factor_dims)
+
+
+def peel_factor_states(psi_v, factor_dims):
+    """Sequential rank-one peeling: the factor states and the worst residual."""
+    x = psi_v.reshape(-1) / np.linalg.norm(psi_v)
+    resid, out = 0.0, []
+    for f in factor_dims[:-1]:
+        u, s, vh = np.linalg.svd(x.reshape(f, -1), full_matrices=False)
+        resid = max(resid, float(s[1]) if len(s) > 1 else 0.0)
+        out.append(u[:, 0])
+        x = vh[0]
+    return out + [x], resid
+
+
+def projector_block_residual(psi_c, cspace, cn, fac, levels, factor_states, rng, probes=3):
+    """Every neighbourhood projector acts as |t_k><t_k| on its own factor,
+    tested on random vectors in the lifted coordinates."""
+    dims, worst = fac.factor_dims, 0.0
+    locals_ = []
+    for nk in cn:
+        span = subspaces.schmidt_span(psi_c, nk, cspace)
+        locals_.append(span.basis @ span.basis.conj().T)
+    for _ in range(probes):
+        v = rng.normal(size=cspace.total_dim) + 1j * rng.normal(size=cspace.total_dim)
+        v /= np.linalg.norm(v)
+        w = to_virtual(fac, levels, v)
+        for k, nk in enumerate(cn):
+            lhs = to_virtual(fac, levels, hilbert.act(locals_[k], nk, v, cspace))
+            st = factor_states[k]
+            rhs = np.moveaxis(np.tensordot(np.outer(st, st.conj()), w, axes=(1, k)), 0, k)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def lifted_check(psi, nstruct, space, seed=0):
+    """`check_algebraic_rfts` with the factorization built as lifted levels:
+    (ok, reason, factor_dims, target factor residual, projector residual)."""
+    psi = psi / np.linalg.norm(psi)
+    if not subspaces.check_qls(psi, nstruct, space).qls:
+        return False, "not-qls", (), 0.0, 0.0
+    cg = hilbert.coarse_grain(space, reduce_full_rank_factors(psi, nstruct, space)[0])
+    psi_c = hilbert.coarse_grain_state(psi, cg, space)
+    cspace, cn = cg.space, cg.neighborhoods
+    support = local_support(psi_c, cspace)
+    algebras = [neighborhood_algebra(psi_c, cn, j, cspace, support) for j in range(len(cn))]
+    try:
+        splits = [_factor_split(*alg.generic_pair(seed)) for alg in algebras]
+    except FactorizationError:
+        return False, "incomplete", (), 0.0, 0.0
+    fs = tuple(split[1] for split in splits)
+    if any(f * f != alg.dim for f, alg in zip(fs, algebras)):
+        return False, "incomplete", (), 0.0, 0.0
+    if _pairwise_algebra_commutation(algebras, cn, support) > DEFAULT_TOL.commutator:
+        return False, "non-commuting", (), 0.0, 0.0
+    if math.prod(fs) != support.h_tilde_dim:
+        return False, "incomplete", fs, 0.0, 0.0
+    fac = Factorization(fs, tuple(s[:3] for s in splits), support, cspace, cn, support.h0_dim(cspace))
+    levels = lifted_levels(cspace, cn, support, algebras, splits, seed)
+    psi_v = to_virtual(fac, levels, psi_c)
+    h0_weight = 1.0 - float(np.linalg.norm(psi_v) ** 2)
+    factor_states, resid = peel_factor_states(psi_v, fs)
+    block = projector_block_residual(psi_c, cspace, cn, fac, levels, factor_states,
+                                     np.random.default_rng(seed + 1))
+    splits2 = [_factor_split(*alg.generic_pair(seed + 17)) for alg in algebras]
+    levels2 = lifted_levels(cspace, cn, support, algebras, splits2, seed + 17)
+    resid = max(resid, peel_factor_states(to_virtual(fac, levels2, psi_c), fs)[1])
+    ok = resid < 1e-7 and abs(h0_weight) < 1e-9 and block < 1e-6
+    return ok, "ok" if ok else "target-not-factored", fs, resid, block
+
+
+def rebuilt_rfts_circuit(fac, psi, cg, original_space, seed=0):
+    """The RFTS channels with each neighbourhood algebra rebuilt and split
+    again, and the factor state read off the factor's reduced state."""
+    psi_c = hilbert.coarse_grain_state(psi, cg, original_space)
+    support, cspace = fac.support, fac.space
+    channels = []
+    for j, (region, f) in enumerate(zip(fac.neighborhoods, fac.factor_dims)):
+        w_r = support.region_isometry(region)
+        g_loc, q, t_j = np.eye(w_r.shape[1]), w_r.shape[1], np.ones(1)
+        if f > 1:
+            algebra = neighborhood_algebra(psi_c, fac.neighborhoods, j, cspace, support)
+            g_loc, floc, q = factor_representation(algebra, seed=seed)
+            assert floc == f
+            rho_r = hilbert.reduced_state_of_pure(psi_c, region, cspace)
+            sigma = g_loc.conj().T @ (w_r.conj().T @ rho_r @ w_r) @ g_loc
+            ev, vec = np.linalg.eigh(np.einsum("ambm->ab", sigma.reshape(f, q, f, q)))
+            assert ev[-1] > 1.0 - 1e-7
+            t_j = vec[:, -1]
+        isos = [support.site_isometries[i] for i in region]
+        local = ch.factor_reset_channel(t_j, [0], (f, q), g_loc, isos, region, f"E_{j}")
+        channels.append(_uncoarse_channel(ch.restrict_to_support(local, cspace), cg, original_space))
+    return channels
+
+
+# the instances compared with the lifted oracle; every h~ is at most 512
+LIFTED_CASES = {
+    "cycle5": lambda: states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "line3": lambda: states.line_graph_state(3),
+    "line4": lambda: states.line_graph_state(4),
+    "grid-2x3": lambda: states.grid_graph_state(2, 3),
+    "torus-3x3": lambda: states.grid_graph_state(3, 3, periodic=True),
+    "ccz-triangle": states.ccz_triangle,
+    "kagome-3x1": lambda: states.ccz_kagome(3, 1),
+    "triangular-2x2": lambda: states.triangular_patch(2, 2),
+    "triangular-2x3": lambda: states.triangular_patch(2, 3),
+    "nonfactorizable-252": states.nonfactorizable_252,
+    "bv-chain": states.bv_two_body_example,
+    "gbv-fig4": states.gbv_fig4_instance,
+    "dicke-4-2": lambda: states.dicke(4, 2),
+    "vbs3": lambda: states.vbs_1d(3),
+    "vbs4": lambda: states.vbs_1d(4),
+    "aklt-cubic": states.aklt32_cubic,
+    "qutrit-triangle": lambda: states.graph_state(3, [(0, 1), (1, 2), (0, 2)], d=3),
+}
+
+
+class TestLocalFactorization:
+    @pytest.mark.parametrize("name", list(LIFTED_CASES))
+    def test_matches_lifted_levels(self, name):
+        inst = LIFTED_CASES[name]()
+        res = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space)
+        ok, reason, dims, resid, block = lifted_check(inst.psi, inst.neighborhoods, inst.space)
+        assert (res.ok, res.reason, res.factor_dims) == (ok, reason, dims)
+        if ok:
+            assert max(resid, block, res.target_factor_residual, res.projector_block_residual) < 1e-12
+            assert [s[1:] for s in res.factorization.splits] == [
+                (f, len(s[0]) // f) for s, f in zip(res.factorization.splits, dims)
+            ]
+
+    @pytest.mark.parametrize("name", ["cycle5", "ccz-triangle", "kagome-3x1", "nonfactorizable-252",
+                                      "bv-chain", "gbv-fig4"])
+    def test_channels_match_rebuilt_algebras(self, name):
+        inst = LIFTED_CASES[name]()
+        res = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space)
+        built = build_rfts_circuit(res.factorization, inst.psi, cg=res.coarse, original_space=inst.space)
+        oracle = rebuilt_rfts_circuit(res.factorization, inst.psi, res.coarse, inst.space)
+        assert [(c.support, len(c.kraus)) for c in built] == [(c.support, len(c.kraus)) for c in oracle]
+        for a, b in zip(built, oracle):
+            (a_loc, sub), (b_loc, _) = (ch.relocate(c, c.support, inst.space) for c in (a, b))
+            assert np.max(np.abs(superoperator(a_loc, sub) - superoperator(b_loc, sub))) < 1e-12
 
 
 class TestLocalSupport:
