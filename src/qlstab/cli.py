@@ -416,6 +416,7 @@ def cmd_check(args) -> int:
             "algebra_dims": list(res.algebra_dims),
             "commutation_defect": res.commutation_defect,
             "target_factor_residual": res.target_factor_residual,
+            "projector_block_residual": res.projector_block_residual,
             "coarse_groups": [[i + 1 for i in g] for g in res.coarse_groups],
             "cluster_gaps": _cluster_gaps(res.cluster_gaps),
         }
@@ -533,6 +534,7 @@ def cmd_synth(args) -> int:
             "distinct_orders": rep.distinct_orders,
             "max_final_distance": rep.max_final_distance,
             "worst_order": list(rep.worst_order),
+            **_order_cert(rep),
             "factorization": {"factor_dims": list(res.factor_dims), "h0_dim": res.factorization.h0_dim},
         },
         {"tol": 1e-8}, args.seed, t0,
@@ -748,12 +750,27 @@ def _ugen_cert(ugen) -> dict:
     }
 
 
+def _order_cert(rep) -> dict:
+    """The path that decided a robustness report and its order bounds; a
+    bound the Kraus commutators do not give (inf) is null."""
+    def finite(x):
+        return x if x is not None and math.isfinite(x) else None
+
+    return {
+        "method": rep.method,
+        "orders_computed": rep.orders_computed,
+        "order_bound": finite(rep.order_bound),
+        "worst_input_bound": finite(rep.worst_input_bound),
+    }
+
+
 def _robustness_cert(rep) -> dict:
     return {
         "orders": rep.orders_run,
         "distinct_orders": rep.distinct_orders,
         "max_final_distance": rep.max_final_distance,
         "worst_order": list(rep.worst_order),
+        **_order_cert(rep),
     }
 
 

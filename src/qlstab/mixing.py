@@ -38,24 +38,6 @@ class Liouvillian:
     def propagator(self, t: float) -> np.ndarray:
         return expm(t * self.matrix)
 
-    def trace_annihilation_defect(self, rng=None, probes: int = 4) -> float:
-        rng = rng or np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(probes):
-            rho = random_density(self.dim, rng)
-            worst = max(worst, abs(np.trace(self.apply(rho))))
-        return float(worst)
-
-    def choi_psd_defect(self, ts=(0.3, 1.0)) -> float:
-        """Most negative Choi eigenvalue of e^{Lt} over the sampled times."""
-        worst = 0.0
-        d = self.dim
-        for t in ts:
-            s = self.propagator(t)
-            choi = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]))
-        return -worst
-
 
 def liouvillian_from_channel(
     ch: Channel, space: MultipartiteSpace, max_side: int = DEFAULT_SUPEROP_SIDE
@@ -92,22 +74,6 @@ def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
     decaying = ev[ev.real < -tol * scale]
     gap = float(np.min(np.abs(decaying.real))) if decaying.size else 0.0
     return SpectralReport(gap=gap, eigenvalues=ev)
-
-
-def stationary_state(l: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix (raises if the kernel is degenerate)."""
-    from ._linalg import nullspace
-
-    null = nullspace(l.matrix)
-    if null.shape[1] != 1:
-        raise ValueError(f"stationary space has dimension {null.shape[1]}")
-    rho = null[:, 0].reshape(l.dim, l.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho)
-    ev = np.linalg.eigvalsh(rho)
-    if ev.min() < -1e-8:
-        raise ValueError("stationary matrix is not positive semidefinite")
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +164,6 @@ class EtaSample:
     t: float
     lower: float
     upper: float
-
-
-def contraction_eta(
-    l: Liouvillian,
-    t: float,
-    rho_star: np.ndarray | None = None,
-    seed: int = 0,
-    n_samples: int = 256,
-) -> EtaSample:
-    """Bounds on eta(e^{Lt}) for a generator with a unique fixed point."""
-    rng = np.random.default_rng(seed)
-    if rho_star is None:
-        rho_star = stationary_state(l)
-    s = l.propagator(t)
-    d = l.dim
-    sh = s.conj().T
-
-    def ap(x):
-        y = (x.reshape(-1, d * d) @ s.T).reshape(x.shape)
-        return y - rho_star * _trace(y)
-
-    def adj(x):
-        y = x - np.eye(d) * _trace(rho_star.conj().T @ x)
-        return (y.reshape(-1, d * d) @ sh.T).reshape(x.shape)
-
-    m = _Map(d, ap, adj)
-    lo = _eta_lower(m, rng, n_samples=n_samples)
-    up = _eta_upper(m, rng)
-    return EtaSample(t=t, lower=lo, upper=max(up, lo))
 
 
 # ---------------------------------------------------------------------------

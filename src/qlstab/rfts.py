@@ -234,17 +234,19 @@ def _restricted_projector(psi, region, space, support: LocalSupport):
     return p, defect
 
 
-def _operator_schmidt_factors(op, region, space: MultipartiteSpace):
+def _operator_schmidt_factors(op, region, space: MultipartiteSpace, rtol: float = DEFAULT_TOL.rank_rtol):
     """Operator Schmidt factors of `op` across `region` and its complement.
 
     Returns the region-side matrices of a decomposition op = sum_mu A_mu x B_mu
-    with orthogonal B_mu, each A_mu scaled by its singular value.
+    with orthonormal B_mu, each A_mu scaled by its singular value. Singular
+    values at or below the `rank_cutoff` of `rtol` are dropped; rtol = 0 keeps
+    every nonzero one, so the sum is op itself.
     """
     t = hilbert.to_front(op, region, space, sides=2)
     da, db = t.shape[:2]
     t = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, s, _ = np.linalg.svd(t, full_matrices=False)
-    r = rank_cutoff(s, t.shape, DEFAULT_TOL.rank_rtol)
+    r = rank_cutoff(s, t.shape, rtol)
     return [ (s[j] * u[:, j]).reshape(da, da) for j in range(r) ]
 
 
@@ -694,6 +696,17 @@ def _distance_to_target(rho: np.ndarray, target, exact_limit: int = 768) -> floa
 
 @dataclass(frozen=True)
 class RobustnessReport:
+    """`method` is the path that decided the verdict: "commuting" (the
+    identity order plus `order_bound`, for all t! orders), or the prefix walk
+    over the drawn orders, "exhaustive" or "sampled". `orders_computed` counts
+    the distinct orders whose final states were computed. `order_bound` bounds
+    the trace distance from any order's output to the identity order's, on
+    every input; it is inf when the Kraus commutators do not bound it below
+    `tol`. For a pure target, `worst_input_bound` bounds 1 - <psi|E(rho)|psi>
+    over every input state rho and every order E, from the identity order's
+    output on I/D; it is None for a mixed target.
+    """
+
     passed: bool
     max_final_distance: float
     orders_run: int
@@ -702,6 +715,72 @@ class RobustnessReport:
     invariance_ok: bool
     max_invariance_defect: float
     worst_order: tuple[int, ...]
+    method: str
+    orders_computed: int
+    order_bound: float
+    worst_input_bound: float | None
+
+
+def kraus_commutator_norms(a: Channel, b: Channel, space: MultipartiteSpace) -> np.ndarray:
+    """||[K_i, L_j]||_F for every Kraus operator K_i of `a` and L_j of `b`,
+    each with the identity on the rest of the union of their supports.
+
+    Taken on the overlap O of the supports, through operator Schmidt factors:
+    K = sum_mu A_mu (x) B_mu and L = sum_nu C_nu (x) E_nu across O and the
+    private parts, with the B_mu and the E_nu orthonormal, give
+    ||[K, L]||^2 = sum_{mu,nu} ||[A_mu, C_nu]||^2. Every nonzero singular
+    value is kept, so nothing is dropped from the norm. Disjoint supports give
+    zeros.
+    """
+    norms = np.zeros((len(a.kraus), len(b.kraus)))
+    overlap = sorted(set(a.support) & set(b.support))
+    if not overlap:
+        return norms
+    do = space.dim_of(overlap)
+
+    def factors(c: Channel, k: np.ndarray) -> np.ndarray:
+        sub = MultipartiteSpace([space.dims[i] for i in c.support])
+        pos = [c.support.index(i) for i in overlap]
+        return np.array(_operator_schmidt_factors(k, pos, sub, rtol=0.0)).reshape(-1, do, do)
+
+    ys = [factors(b, l) for l in b.kraus]
+    y = np.concatenate(ys)
+    owner = np.repeat(np.arange(len(ys)), [len(f) for f in ys])
+    for i, k in enumerate(a.kraus):
+        sq = np.zeros(len(y))
+        for x in factors(a, k):
+            sq += np.linalg.norm(x @ y - y @ x, axis=(1, 2)) ** 2
+        norms[i] = np.sqrt(np.bincount(owner, weights=sq, minlength=len(ys)))
+    return norms
+
+
+def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace) -> float:
+    """Bound on the trace distance between a(b(rho)) and b(a(rho)) over every
+    state rho: (1/2) sum_ij c_ij (2 + c_ij), c_ij = ||[K_i, L_j]||_F.
+
+    With C = [K_i, L_j], K_i L_j rho (K_i L_j)^H - L_j K_i rho (L_j K_i)^H =
+    C rho (L_j K_i)^H + L_j K_i rho C^H + C rho C^H, and every Kraus operator
+    has operator norm at most 1. Zero for disjoint supports.
+    """
+    c = kraus_commutator_norms(a, b, space)
+    return 0.5 * float(np.sum(c * (2.0 + c)))
+
+
+def _order_bound(channels: list[Channel], space: MultipartiteSpace, cap: float) -> float:
+    """Sum of `swap_bound` over every pair of `channels`, or inf once it
+    reaches `cap`.
+
+    Every order ends within this trace distance of the identity order, on
+    every input: bubble sort turns any order into the identity by swapping
+    each inverted pair once, adjacent at the time, and the channels applied
+    after a swap contract the trace distance.
+    """
+    total = 0.0
+    for a, b in itertools.combinations(channels, 2):
+        total += swap_bound(a, b, space)
+        if total >= cap:
+            return math.inf
+    return total
 
 
 def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -749,14 +828,21 @@ def verify_robustness(
 ) -> RobustnessReport:
     """Every ordering of the maps must prepare the target from any input.
 
-    All orderings are run when their count is at most `exhaustive_limit`;
+    All orderings are drawn when their count is at most `exhaustive_limit`;
     otherwise the identity order plus `trials` random orders are sampled.
-    Inputs: the maximally mixed state plus random density matrices. A sampled
-    order that repeats is counted in `orders_run` but computed once. The
-    distinct orders run as one walk over their prefix tree (`_prefix_walk`),
-    on the inputs stacked `channels.stack_size(D)` at a time.
-    `worst_order` is the first order, in the sampled or enumerated sequence,
-    that reached `max_final_distance`.
+    Inputs: the maximally mixed state plus random density matrices.
+
+    When the pairwise `swap_bound`s sum to B < tol, only the identity order
+    runs: every one of the t! orders ends within trace distance B of it on
+    every input, so the check passes iff its worst distance + B < tol
+    ("commuting"). Above `distance_exact_limit` that distance is an upper
+    bound, which the argument allows. Otherwise, and when the identity order
+    is below tol but its distance + B is not, the drawn orders decide (the
+    prefix walk). A sampled order that repeats is counted in
+    `orders_run` but computed once. The distinct orders run as one walk over
+    their prefix tree (`_prefix_walk`), on the inputs stacked
+    `channels.stack_size(D)` at a time. `worst_order` is the first order, in
+    the sampled or enumerated sequence, that reached `max_final_distance`.
     """
     target = np.asarray(target, dtype=complex)
     rng = np.random.default_rng(seed)
@@ -788,13 +874,29 @@ def verify_robustness(
     for j in range(n_random_inputs):
         inputs[1 + j] = random_density(d, rng)
     distinct = dict.fromkeys(orders)
-    final = dict.fromkeys(distinct, 0.0)
-    walk, per = sorted(distinct), ch.stack_size(d)
-    for start in range(0, len(inputs), per):
-        for order, rho in _prefix_walk(channels, walk, inputs[start:start + per], space):
-            dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
-            final[order] = max(final[order], *dists)
-            del rho  # not alive while the walk computes the next order
+    identity = orders[0]
+    bound = _order_bound(channels, space, cap=tol)
+
+    def run(run_orders) -> tuple[dict, float]:
+        """Worst final distance of each order, in the order given, and the
+        target fidelity of the identity order's output from I/D."""
+        final, fidelity = dict.fromkeys(run_orders, 0.0), 1.0
+        walk, per = sorted(final), ch.stack_size(d)
+        for start in range(0, len(inputs), per):
+            for order, rho in _prefix_walk(channels, walk, inputs[start:start + per], space):
+                dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
+                final[order] = max(final[order], *dists)
+                if order == identity and start == 0 and target.ndim == 1:
+                    fidelity = float(np.vdot(target, rho[0] @ target).real)
+                del rho  # not alive while the walk computes the next order
+        return final, fidelity
+
+    commuting = bound < tol
+    final, fidelity = run([identity] if commuting else distinct)
+    if commuting and final[identity] < tol <= final[identity] + bound:
+        commuting = False  # the bound cannot decide; the drawn orders can
+        final, fidelity = run(distinct)
+    # from here on the commuting path, worst + bound < tol iff worst < tol
     worst = 0.0
     worst_order = orders[0]
     for order, dist in final.items():
@@ -809,6 +911,10 @@ def verify_robustness(
         invariance_ok=inv_ok,
         max_invariance_defect=inv_defect,
         worst_order=worst_order,
+        method="commuting" if commuting else "exhaustive" if exhaustive else "sampled",
+        orders_computed=len(final),
+        order_bound=bound,
+        worst_input_bound=d * max(0.0, 1.0 - fidelity) + bound if target.ndim == 1 else None,
     )
 
 
@@ -818,15 +924,22 @@ def channels_commute_pairwise(
     probes: int = 3,
     seed: int = 9,
 ) -> float:
-    """Max over overlapping pairs of the order-swap defect on random inputs.
+    """Max over overlapping pairs of the order-swap defect.
 
-    Each pair is compared on its joint support region only, so the check stays
-    cheap even when the global space is large.
+    A pair whose `swap_bound` is below `DEFAULT_TOL.invariance` is certified
+    by that bound, over every input. The other pairs, whose Kraus operators do
+    not commute although the maps may, are compared on random inputs, on
+    their joint support region only, so the check stays cheap even when the
+    global space is large.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for a, b in itertools.combinations(channels, 2):
         if not (set(a.support) & set(b.support)):
+            continue
+        bound = swap_bound(a, b, space)
+        if bound < DEFAULT_TOL.invariance:
+            worst = max(worst, bound)
             continue
         union = set(a.support) | set(b.support)
         (a_loc, sub), (b_loc, _) = (ch.relocate(c, union, space) for c in (a, b))

@@ -121,6 +121,22 @@ class TestCheck:
         assert gaps["largest_merged"] < 1e-12
         assert gaps["smallest_split"] > 1e-4
 
+    def test_algebraic_rfts_reports_both_residuals(self, tmp_path, capsys):
+        # both residual cuts (1e-7 and 1e-6) decide the verdict, so both
+        # margins are in the report
+        from qlstab import rfts, states
+
+        path = write_json(tmp_path, "c5.json", {
+            "state": {"constructor": {"name": "graph-cycle", "params": {"n": 5}}},
+        })
+        rc = main(["check", "algebraic-rfts", path])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        inst = states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)])
+        res = rfts.check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space)
+        assert rc == 0
+        assert cert["target_factor_residual"] == res.target_factor_residual < 1e-12
+        assert cert["projector_block_residual"] == res.projector_block_residual < 1e-12
+
     def test_ugen_reports_certificate_margin(self, tmp_path, capsys):
         rc = main(["check", "ugen", dicke_problem(tmp_path)])
         out = json.loads(capsys.readouterr().out)
@@ -244,7 +260,12 @@ class TestSynthSimulate:
         rc = main(["synth", "rfts", path, "--trials", "5"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert out["certificates"]["factor_dims"] == [2, 2, 2, 2, 2]
+        cert = out["certificates"]
+        assert cert["factor_dims"] == [2, 2, 2, 2, 2]
+        # the built channels' Kraus operators commute: one order proves all 5!
+        assert (cert["method"], cert["orders_computed"], cert["distinct_orders"]) == ("commuting", 1, 120)
+        assert 0.0 <= cert["order_bound"] < 1e-12
+        assert cert["order_bound"] <= cert["worst_input_bound"] < 1e-10
 
 
     def test_synth_rfts_seed_builds_equal_maps(self, tmp_path, capsys):
@@ -316,6 +337,18 @@ class TestReproduce:
                      "amplitude-damping-no-go", "nonfactorizable-252"):
             rc = main(["reproduce", name])
             assert rc == 0, name
+
+    @pytest.mark.parametrize("name, method, computed", [
+        ("graph-line3-rfts", "commuting", 1),
+        # the 2x5x2 witnesses' Kraus operators do not commute (0.5): no bound
+        ("nonfactorizable-252", None, None),
+    ])
+    def test_robustness_path_reported(self, name, method, computed, capsys):
+        assert main(["reproduce", name]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"][name]["certificates"]
+        assert (cert.get("method"), cert.get("orders_computed")) == (method, computed)
+        if method == "commuting":
+            assert cert["orders"] == 6 and cert["order_bound"] < 1e-12
 
     def test_report_on_stdout(self, capsys):
         rc = main(["reproduce", "chain-depth3"])

@@ -6,17 +6,88 @@ from qlstab import states
 from qlstab._linalg import random_density, trace_distance
 from qlstab.channels import reset_channel, unitary_channel
 from qlstab.hilbert import uniform_space
+from qlstab._linalg import nullspace
 from qlstab.mixing import (
     CommutingResetFamily,
+    EtaSample,
+    Liouvillian,
+    _eta_lower,
+    _eta_upper,
+    _Map,
+    _trace,
     amplitude_damping_liouvillian,
-    contraction_eta,
     liouvillian_from_channel,
     liouvillian_gksl,
     no_go_probe,
     rapid_mixing_check,
     spectral_gap,
-    stationary_state,
 )
+
+
+# Checks of a dense generator and the dense eta route. The package reads none
+# of them: its eta estimates come from `CommutingResetFamily`.
+
+def trace_annihilation_defect(l: Liouvillian, rng=None, probes: int = 4) -> float:
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(probes):
+        rho = random_density(l.dim, rng)
+        worst = max(worst, abs(np.trace(l.apply(rho))))
+    return float(worst)
+
+
+def choi_psd_defect(l: Liouvillian, ts=(0.3, 1.0)) -> float:
+    """Most negative Choi eigenvalue of e^{Lt} over the sampled times."""
+    worst = 0.0
+    d = l.dim
+    for t in ts:
+        s = l.propagator(t)
+        choi = s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0]))
+    return -worst
+
+
+def stationary_state(l: Liouvillian) -> np.ndarray:
+    """Unique stationary density matrix (raises if the kernel is degenerate)."""
+    null = nullspace(l.matrix)
+    if null.shape[1] != 1:
+        raise ValueError(f"stationary space has dimension {null.shape[1]}")
+    rho = null[:, 0].reshape(l.dim, l.dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho)
+    ev = np.linalg.eigvalsh(rho)
+    if ev.min() < -1e-8:
+        raise ValueError("stationary matrix is not positive semidefinite")
+    return rho
+
+
+def contraction_eta(
+    l: Liouvillian,
+    t: float,
+    rho_star: np.ndarray | None = None,
+    seed: int = 0,
+    n_samples: int = 256,
+) -> EtaSample:
+    """Bounds on eta(e^{Lt}) for a generator with a unique fixed point."""
+    rng = np.random.default_rng(seed)
+    if rho_star is None:
+        rho_star = stationary_state(l)
+    s = l.propagator(t)
+    d = l.dim
+    sh = s.conj().T
+
+    def ap(x):
+        y = (x.reshape(-1, d * d) @ s.T).reshape(x.shape)
+        return y - rho_star * _trace(y)
+
+    def adj(x):
+        y = x - np.eye(d) * _trace(rho_star.conj().T @ x)
+        return (y.reshape(-1, d * d) @ sh.T).reshape(x.shape)
+
+    m = _Map(d, ap, adj)
+    lo = _eta_lower(m, rng, n_samples=n_samples)
+    up = _eta_upper(m, rng)
+    return EtaSample(t=t, lower=lo, upper=max(up, lo))
 
 
 def family_for(n):
@@ -48,8 +119,8 @@ class TestLiouvillian:
 
     def test_trace_annihilation_and_cptp(self, rng):
         l = amplitude_damping_liouvillian(0.7)
-        assert l.trace_annihilation_defect() < 1e-9
-        assert l.choi_psd_defect() < 1e-9
+        assert trace_annihilation_defect(l) < 1e-9
+        assert choi_psd_defect(l) < 1e-9
 
     def test_gksl_stationary(self):
         l = amplitude_damping_liouvillian(1.0)
@@ -58,8 +129,6 @@ class TestLiouvillian:
 
     def test_scaling_property(self):
         l = amplitude_damping_liouvillian(1.0)
-        from qlstab.mixing import Liouvillian
-
         l2 = Liouvillian(matrix=2.5 * l.matrix, dim=2)
         assert abs(spectral_gap(l2).gap - 2.5 * spectral_gap(l).gap) < 1e-9
 

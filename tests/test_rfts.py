@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 from qlstab import channels as ch
-from qlstab import hilbert, states, subspaces
+from qlstab import hilbert, rfts, states, subspaces
 from qlstab._linalg import (
     DEFAULT_TOL,
     nullspace,
@@ -36,10 +36,12 @@ from qlstab.rfts import (
     correlation,
     correlation_probe,
     factor_representation,
+    kraus_commutator_norms,
     local_support,
     neighborhood_algebra,
     recoverability_probe,
     reduce_full_rank_factors,
+    swap_bound,
     verify_robustness,
 )
 from qlstab.rfts import (
@@ -523,6 +525,14 @@ def _count_applies(monkeypatch) -> list:
 
 
 class TestPrefixWalk:
+    """The prefix walk is the path of record whenever the Kraus commutators
+    cannot bound the order effect; these witnesses all commute, so the walk
+    is forced by certifying no pair."""
+
+    @pytest.fixture(autouse=True)
+    def force_walk(self, monkeypatch):
+        monkeypatch.setattr(rfts, "swap_bound", lambda *args, **kwargs: math.inf)
+
     CASES = {
         "line-3": lambda: states.line_graph_state(3),
         "line-4": lambda: states.line_graph_state(4),
@@ -610,7 +620,10 @@ class TestRobustness:
         )
         assert rep.passed
 
-    def test_repeated_orders_run_once(self):
+    def test_repeated_orders_run_once(self, monkeypatch):
+        # the W-product witnesses have disjoint supports, so without a forced
+        # walk only the identity order would run
+        monkeypatch.setattr(rfts, "swap_bound", lambda *args, **kwargs: math.inf)
         inst = states.w_product_9()
         chans = list(inst.witness_channels)
         rep = verify_robustness(chans, inst.psi, inst.space, exhaustive_limit=1, trials=40)
@@ -683,6 +696,219 @@ class TestRobustness:
         inst = states.line_graph_state(4)
         defect = channels_commute_pairwise(list(inst.witness_channels), inst.space)
         assert defect < 1e-9
+
+
+def union_embed_norms(a: Channel, b: Channel, space) -> np.ndarray:
+    """Oracle for `kraus_commutator_norms`: every Kraus operator embedded on
+    the union of the two supports (`hilbert.act` on the identity), and each
+    commutator taken there."""
+    union = sorted(set(a.support) | set(b.support))
+    (a_loc, sub), (b_loc, _) = (ch.relocate(c, union, space) for c in (a, b))
+    eye = np.eye(sub.total_dim, dtype=complex)
+    ka = [hilbert.act(k, a_loc.support, eye, sub) for k in a.kraus]
+    kb = [hilbert.act(k, b_loc.support, eye, sub) for k in b.kraus]
+    return np.array([[np.linalg.norm(x @ y - y @ x) for y in kb] for x in ka])
+
+
+def built_channels(inst) -> list[Channel]:
+    res = check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space)
+    return build_rfts_circuit(res.factorization, inst.psi, cg=res.coarse, original_space=inst.space)
+
+
+def few_kraus(channels: list[Channel]) -> list[Channel]:
+    """The first two and the last Kraus operator of each channel: the norm
+    identity holds for any operators, and the oracle stays fast."""
+    return [Channel(kraus=c.kraus[:2] + c.kraus[-1:], support=c.support, label=c.label) for c in channels]
+
+
+def cycle5():
+    return states.graph_state(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+# name -> the instance whose witness channels a test takes
+COMMUTATOR_CASES = {
+    "kagome-3x1": lambda: states.ccz_kagome(3, 1),
+    "line-3": lambda: states.line_graph_state(3),
+    "line-4": lambda: states.line_graph_state(4),
+    "line-5": lambda: states.line_graph_state(5),
+    "line-6": lambda: states.line_graph_state(6),
+    "grid-2x3": lambda: states.grid_graph_state(2, 3),
+    "ccz-triangle": states.ccz_triangle,
+    "bv-chain": states.bv_two_body_example,
+    "nonfactorizable-252": states.nonfactorizable_252,
+}
+
+
+def commutator_case(name):
+    if name.startswith("built-"):
+        inst = {"built-cycle5": cycle5, "built-2x5x2": states.nonfactorizable_252,
+                "built-kagome-3x1": lambda: states.ccz_kagome(3, 1)}[name]()
+        chans = built_channels(inst)
+        return (few_kraus(chans) if name == "built-kagome-3x1" else chans), inst.space
+    inst = COMMUTATOR_CASES[name]()
+    return list(inst.witness_channels), inst.space
+
+
+def eps_pair(eps: float, p: float = 1.0) -> list[Channel]:
+    """Two channels on two qubits that fix |00>: A resets qubit 0 with
+    probability p; B resets qubit 1, then turns |01> and |10> into each other
+    by the angle eps. Their Kraus operators commute up to O(eps)."""
+    zero = np.array([[1, 0], [0, 0]], dtype=complex)
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    ka = [np.sqrt(p) * zero, np.sqrt(p) * lower] + ([np.sqrt(1 - p) * np.eye(2)] if p < 1 else [])
+    swap = np.zeros((4, 4), dtype=complex)
+    swap[1, 2] = swap[2, 1] = 1.0
+    v = expm(-1j * eps * swap)
+    kb = [v @ np.kron(np.eye(2), r) for r in (zero, lower)]
+    return [make_channel(ka, [0], label="A"), make_channel(kb, [0, 1], label="B")]
+
+
+ZERO2 = np.array([1, 0, 0, 0], dtype=complex)
+
+
+def forced_walk(monkeypatch, *args, **kwargs):
+    """`verify_robustness` with no pair certified, so the drawn orders decide."""
+    with monkeypatch.context() as m:
+        m.setattr(rfts, "swap_bound", lambda *a, **k: math.inf)
+        return verify_robustness(*args, **kwargs)
+
+
+class TestOrderCertificate:
+    @pytest.mark.parametrize("name", list(COMMUTATOR_CASES) + ["built-cycle5", "built-2x5x2", "built-kagome-3x1"])
+    def test_schmidt_route_matches_union_embed(self, name):
+        chans, space = commutator_case(name)
+        pairs = 0
+        for a, b in itertools.combinations(chans, 2):
+            if set(a.support) & set(b.support):
+                pairs += 1
+                norms = kraus_commutator_norms(a, b, space)
+                assert norms.shape == (len(a.kraus), len(b.kraus))
+                assert np.max(np.abs(norms - union_embed_norms(a, b, space))) <= 1e-12
+            else:
+                assert not np.any(kraus_commutator_norms(a, b, space))
+                assert swap_bound(a, b, space) == 0.0
+        assert pairs > 0
+
+    @pytest.mark.parametrize("name, kw", [
+        ("kagome-3x1", dict(trials=3, n_random_inputs=0)),
+        ("line-3", {}), ("line-4", {}), ("line-5", {}), ("line-6", {}),
+        ("grid-2x3", {}), ("ccz-triangle", {}), ("bv-chain", {}),
+        ("built-cycle5", dict(trials=10)),
+        ("w-product", dict(exhaustive_limit=1, trials=12)),
+    ])
+    def test_commuting_path_matches_walk(self, name, kw, monkeypatch):
+        if name == "w-product":
+            inst = states.w_product_9()
+            chans, space = list(inst.witness_channels), inst.space
+        else:
+            chans, space = commutator_case(name)
+            inst = cycle5() if name == "built-cycle5" else COMMUTATOR_CASES[name]()
+        rep = verify_robustness(chans, inst.psi, space, **kw)
+        walk = forced_walk(monkeypatch, chans, inst.psi, space, **kw)
+        assert (rep.method, rep.orders_computed) == ("commuting", 1)
+        pairs = sum(swap_bound(a, b, space) for a, b in itertools.combinations(chans, 2))
+        assert rep.order_bound == pytest.approx(pairs, rel=1e-12, abs=0.0) and rep.order_bound < 1e-12
+        assert walk.method == ("exhaustive" if walk.exhaustive else "sampled")
+        assert walk.orders_computed == walk.distinct_orders
+        assert (rep.orders_run, rep.distinct_orders, rep.exhaustive) == (
+            walk.orders_run, walk.distinct_orders, walk.exhaustive)
+        assert rep.passed and walk.passed
+        assert abs(rep.max_final_distance - walk.max_final_distance) <= rep.order_bound + 1e-15
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-5, 1e-2, 0.3])
+    def test_swap_distance_within_bound(self, eps, rng):
+        a, b = eps_pair(eps)
+        sp = uniform_space(2)
+        bound = swap_bound(a, b, sp)
+        basis = [np.diag(np.eye(4)[i]).astype(complex) for i in range(4)]
+        inputs = [np.eye(4) / 4] + basis + [random_density(4, rng) for _ in range(20)]
+        swap = max(trace_distance(ch.apply(a, ch.apply(b, r, sp), sp), ch.apply(b, ch.apply(a, r, sp), sp))
+                   for r in inputs)
+        assert swap <= bound
+        assert bound <= 4 * eps + 1e-15
+
+    @pytest.mark.parametrize("theta", [0.01, 0.1, 0.5])
+    def test_rotation_pair_needs_the_linear_term(self, theta, rng):
+        # unitary channels exp(-i theta X) and exp(-i theta Z) on one qubit:
+        # a pure input moves by about ||C||_F / sqrt(2) when the order swaps,
+        # so a bound of half the commutator norm would not hold
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.diag([1.0, -1.0]).astype(complex)
+        sp = uniform_space(1)
+        a, b = (ch.unitary_channel(expm(-1j * theta * g), [0]) for g in (x, z))
+        c = kraus_commutator_norms(a, b, sp)[0, 0]
+        swap = 0.0
+        for _ in range(200):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+            swap = max(swap, trace_distance(ch.apply(a, ch.apply(b, rho, sp), sp),
+                                            ch.apply(b, ch.apply(a, rho, sp), sp)))
+        assert c / 2 < swap <= swap_bound(a, b, sp)
+
+    @pytest.mark.parametrize("eps, method, passed", [
+        (1e-12, "commuting", True),
+        (1e-5, "exhaustive", True),  # the bound is above tol; from I/4 every order is within eps^2
+        (0.3, "exhaustive", False),
+    ])
+    def test_verdict_matches_walk(self, eps, method, passed, monkeypatch):
+        chans, sp = eps_pair(eps), uniform_space(2)
+        rep = verify_robustness(chans, ZERO2, sp, n_random_inputs=0)
+        walk = forced_walk(monkeypatch, chans, ZERO2, sp, n_random_inputs=0)
+        assert (rep.method, rep.passed, walk.passed) == (method, passed, passed)
+        assert rep.orders_computed == (1 if method == "commuting" else 2)
+        if method == "commuting":
+            assert abs(rep.max_final_distance - walk.max_final_distance) <= rep.order_bound + 1e-15
+        else:
+            assert rep.order_bound == math.inf and rep.max_final_distance == walk.max_final_distance
+
+    def test_bound_straddling_tol_falls_back_to_walk(self, monkeypatch):
+        # a half reset leaves the identity order at a distance d0 > 0; with
+        # tol = d0 + B/2 the bound B is below tol but d0 + B is not, so the
+        # drawn orders decide
+        chans, sp = eps_pair(1e-12, p=0.5), uniform_space(2)
+        first = verify_robustness(chans, ZERO2, sp)
+        assert (first.method, first.passed) == ("commuting", False)
+        assert 0.0 < first.order_bound < 1e-10
+        tol = first.max_final_distance + first.order_bound / 2
+        rep = verify_robustness(chans, ZERO2, sp, tol=tol)
+        walk = forced_walk(monkeypatch, chans, ZERO2, sp, tol=tol)
+        assert (rep.method, rep.orders_computed) == ("exhaustive", 2)
+        assert rep.order_bound == first.order_bound
+        assert rep.passed == walk.passed
+        assert rep.max_final_distance == walk.max_final_distance
+
+    def test_worst_input_bound_covers_every_input_and_order(self, rng):
+        chans, sp = eps_pair(1e-12, p=0.5), uniform_space(2)
+        rep = verify_robustness(chans, ZERO2, sp)
+        basis = [np.diag(np.eye(4)[i]).astype(complex) for i in range(4)]
+        for rho in basis + [random_density(4, rng) for _ in range(10)]:
+            for order in ((0, 1), (1, 0)):
+                out = rho
+                for k in order:
+                    out = ch.apply(chans[k], out, sp)
+                assert 1.0 - (ZERO2.conj() @ out @ ZERO2).real <= rep.worst_input_bound + 1e-15
+        assert rep.worst_input_bound < 1.0 + 1e-9
+
+    def test_mixed_target_has_no_input_bound(self):
+        inst = states.graph_gibbs(3, beta=1.0)
+        rep = verify_robustness(list(inst.witness_channels), inst.rho, inst.space)
+        assert rep.passed and rep.worst_input_bound is None
+
+    def test_uncertified_pairs_run_probes(self, monkeypatch):
+        # the 2x5x2 witnesses commute as maps but not Kraus by Kraus (0.5):
+        # the probes decide that pair, and only that one draws
+        inst = states.nonfactorizable_252()
+        chans = list(inst.witness_channels)
+        assert swap_bound(*chans, inst.space) > 1.0
+        draws = []
+        density = rfts.random_density
+        monkeypatch.setattr(rfts, "random_density", lambda d, rng: draws.append(d) or density(d, rng))
+        assert channels_commute_pairwise(chans, inst.space) < 1e-12
+        assert len(draws) == 3
+        draws.clear()
+        line = states.line_graph_state(4)
+        assert channels_commute_pairwise(list(line.witness_channels), line.space) < 1e-12
+        assert draws == []
 
 
 class TestBuildCircuit:
