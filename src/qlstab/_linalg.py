@@ -146,12 +146,6 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -162,11 +156,6 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return herm(g)
 
 
 def projector(basis: np.ndarray) -> np.ndarray:

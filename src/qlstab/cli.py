@@ -643,6 +643,7 @@ def cmd_mixing(args) -> int:
                 "gap": rep.nu,
                 "samples": [[n, t, lo, hi] for n, t, lo, hi in rep.samples],
                 "fit": {"c": float(np.exp(rep.log_c)), "gamma": rep.gamma, "delta": rep.delta},
+                "applies": rep.applies,
             },
             {"gamma_slack": 0.05, "delta_cap": 1.1}, args.seed, t0,
         )
@@ -657,14 +658,11 @@ def cmd_mixing(args) -> int:
     gap = fam.per_channel_gap(max_side=args.cap_superop)
     ts_src = options.get("ts") if options.get("ts") is not None else args.ts
     ts = [float(t) for t in (ts_src or [])]
-    samples = []
-    for t in ts:
-        es = fam.eta_sample(t, seed=args.seed)
-        samples.append({"t": es.t, "lower": es.lower, "upper": es.upper})
+    samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts, seed=args.seed)]
     report = _report(
         "mixing", True,
         {"per_channel_gap": gap},
-        {"gap": gap, "eta_samples": samples},
+        {"gap": gap, "eta_samples": samples, "applies": fam.applies},
         {"tol": args.tol}, args.seed, t0,
     )
     _emit(report, args.output)
@@ -988,8 +986,9 @@ def _repro_rapid_mixing(seed):
     fams = _line_graph_families((3, 4, 5, 6))
     ts = [1.5, 2.5, 4.0, 6.0]
     rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=seed)
+    whole = {(n, t): lo for n, t, lo, _ in rep.samples}
     additive = all(
-        fam.eta_sample(t, seed=seed).lower
+        whole[fam.space.n_subsystems, t]
         <= sum(fam.eta_single_channel(k, t, seed=seed) for k in range(len(fam.channels))) + 1e-6
         for fam in fams[:2] for t in ts
     )
@@ -998,7 +997,8 @@ def _repro_rapid_mixing(seed):
         "gamma >= 0.95": rep.gamma >= 0.95,
         "eta <= sum of single-channel etas + 1e-6 (n = 3, 4)": additive,
     }
-    return checks, {"gamma": rep.gamma, "delta": rep.delta, "nu": rep.nu}
+    return checks, {"gamma": rep.gamma, "delta": rep.delta, "nu": rep.nu,
+                    "applies": sum(fam.applies for fam in fams)}
 
 
 REPRODUCTIONS = {

@@ -66,10 +66,6 @@ class FtsPlan:
         return self.local_blocks.shape[0]
 
     @property
-    def remainder_dim(self) -> int:
-        return self.local_dim - self.cooling_rate * self.schmidt_dim
-
-    @property
     def n_group_vectors(self) -> int:
         """Basis vectors per copy family: s * dim of the complement."""
         rest = self.space.total_dim // self.local_dim

@@ -75,9 +75,6 @@ class NeighborhoodStructure:
             sets = [a for a in sets if not any(set(a) < set(b) for b in sets)]
         object.__setattr__(self, "neighborhoods", tuple(sets))
 
-    def normalized(self) -> "NeighborhoodStructure":
-        return NeighborhoodStructure(self.neighborhoods, normalize=True)
-
     def __len__(self) -> int:
         return len(self.neighborhoods)
 
@@ -90,21 +87,6 @@ class NeighborhoodStructure:
     def covers(self, space: MultipartiteSpace) -> bool:
         seen = set(itertools.chain.from_iterable(self.neighborhoods))
         return seen >= set(range(space.n_subsystems))
-
-    def is_connected(self) -> bool:
-        """Connectivity of the intersection graph of the neighborhoods."""
-        if not self.neighborhoods:
-            return True
-        sets = [set(nk) for nk in self.neighborhoods]
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            j = frontier.pop()
-            for k in range(len(sets)):
-                if k not in reached and sets[j] & sets[k]:
-                    reached.add(k)
-                    frontier.append(k)
-        return len(reached) == len(sets)
 
 
 @dataclass(frozen=True)
@@ -325,18 +307,3 @@ def neighborhood_expansion(nstruct: NeighborhoodStructure, region) -> tuple[int,
         if region & set(nk):
             out.update(nk)
     return tuple(sorted(out))
-
-
-def basis_state(space: MultipartiteSpace, occupations) -> np.ndarray:
-    """Computational basis vector |occupations>."""
-    occupations = list(occupations)
-    if len(occupations) != space.n_subsystems:
-        raise DimensionError("one occupation per subsystem required")
-    idx = 0
-    for d, o in zip(space.dims, occupations):
-        if not 0 <= o < d:
-            raise DimensionError(f"occupation {o} out of range for dimension {d}")
-        idx = idx * d + o
-    v = np.zeros(space.total_dim, dtype=complex)
-    v[idx] = 1.0
-    return v

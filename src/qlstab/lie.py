@@ -70,11 +70,6 @@ class LieBasis:
     def ambient(self) -> int:
         return self.elements[0].shape[0] if self.elements else 0
 
-    def gram_defect(self) -> float:
-        v = _Packer(self.ambient).pack(np.stack(self.elements))
-        g = v @ v.T
-        return float(np.max(np.abs(g - np.eye(self.dim))))
-
 
 def stabilizer_algebra(psi: np.ndarray) -> LieBasis:
     """Basis of anti-Hermitian X with (I - |psi><psi|) X |psi> = 0.

@@ -325,19 +325,6 @@ class ProjectorSet:
         """Dense D x D projectors, built on each access."""
         return tuple(s.projector() for s in self.spans)
 
-    def hamiltonian(self) -> np.ndarray:
-        """Dense H = sum_k (I - Pi_k)."""
-        d = self.spans[0].ambient_dim
-        h = len(self.spans) * np.eye(d, dtype=complex)
-        for p in self.projectors:
-            h -= p
-        return h
-
-    def frustration_defect(self) -> float:
-        """||H |psi>||; zero by construction up to roundoff."""
-        h_psi = sum(self.target - s.apply_projector(self.target) for s in self.spans)
-        return float(np.linalg.norm(h_psi))
-
 
 def canonical_hamiltonian(
     psi: np.ndarray,
@@ -458,4 +445,3 @@ def check_matching_overlap(
     if n > cap:
         return MatchingOverlapVerdict(status="unknown")
     return MatchingOverlapVerdict(status="satisfied")
-

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import unitary_channel
 from qlstab import channels as ch
 
 
@@ -13,7 +14,7 @@ def _dense_step(step):
     if not isinstance(step, ch.PermutationStep):
         return step
     b = step.frame.basis
-    return ch.unitary_channel(b[:, step.perm] @ b.conj().T, step.support, label=step.label)
+    return unitary_channel(b[:, step.perm] @ b.conj().T, step.support, label=step.label)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_unitary, unitary_channel
 from qlstab import channels as ch
 from qlstab import hilbert
 from qlstab import states
@@ -18,7 +19,6 @@ from qlstab.channels import (
     restrict_to_support,
     run,
     superoperator,
-    unitary_channel,
 )
 from qlstab.hilbert import MultipartiteSpace, RegionOperator, embed, uniform_space
 
@@ -61,10 +61,13 @@ class TestApply:
         pytest.param([2, 3, 2], [0, 2], "unitary", "kraus", id="unitary-02-of-232"),
         pytest.param([2, 3, 2], [1], "reset", "liouville", id="reset-1-of-232"),
         pytest.param([2, 3, 2, 3], [1, 3], "reset", "kraus", id="reset-13-of-2323"),
-        pytest.param([2, 3, 2, 3], [3, 0], "three", "kraus", id="three-03-of-2323"),
+        pytest.param([2, 3, 2, 3], [3, 0], "three", "liouville", id="three-03-of-2323"),
         pytest.param([3, 2, 2], [0, 1, 2], "three", "full", id="three-full-of-322"),
         pytest.param([2, 3, 2, 3], [0, 2], "reset", "liouville", id="reset-02-of-2323"),
         pytest.param([2, 2, 2], [0, 2], "three", "kraus", id="three-02-of-222"),
+        pytest.param([2, 2, 2, 2], [3, 1], "two", "liouville", id="two-13-of-2222"),
+        pytest.param([2] * 6, [0, 2, 5], "two", "liouville", id="two-025-of-2x6"),
+        pytest.param([2] * 8, [0, 2, 5, 7], "two", "kraus", id="two-0257-of-2x8"),
     ])
     def test_local_apply_matches_embedded(self, rng, dims, support, kind, branch):
         sp = MultipartiteSpace(dims)
@@ -74,7 +77,7 @@ class TestApply:
             c = reset_channel(random_pure(m, rng), support)
             assert len(c.kraus) == m
         else:
-            nk = 1 if kind == "unitary" else 3
+            nk = {"unitary": 1, "two": 2, "three": 3}[kind]
             g = rng.normal(size=(nk * m, m)) + 1j * rng.normal(size=(nk * m, m))
             v, _ = np.linalg.qr(g)
             c = make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
@@ -300,7 +303,6 @@ class TestFactorResetChannel:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_product_of_maps(self, rng, mixed):
         # two qutrits, each with the local support spanned by |0>, |1>
-        from qlstab._linalg import random_unitary
 
         sp = uniform_space(2, 3)
         w = np.eye(3, 2, dtype=complex)
@@ -354,7 +356,6 @@ class TestFramedRun:
         assert ch.frame_defect(Circuit(steps, sp)) == 0.0
 
     def test_non_monomial_channel_rejected(self, rng):
-        from qlstab._linalg import random_unitary
 
         sp = uniform_space(2)
         frame = _whole_frame(sp, random_unitary(4, rng))
@@ -421,7 +422,6 @@ class TestFactoredFrame:
         np.array([0.6, 0, 0, 0, 0, 0.8j]),
     ], ids=["phase-e0", "c0[0]-zero", "generic"])
     def test_householder_sends_e0_to_c0(self, c0, rng):
-        from qlstab._linalg import random_unitary
 
         # region {0, 2} of dims (2, 3, 2): m = 4, R = 3, s = 2 and n = 6, r = 2
         sp = MultipartiteSpace([2, 3, 2])
@@ -437,7 +437,6 @@ class TestFactoredFrame:
 
     @pytest.mark.parametrize("size", [1, 5, 12])
     def test_rotations_match_dense(self, size, rng):
-        from qlstab._linalg import random_unitary
 
         sp = MultipartiteSpace([2, 3, 2])
         frame = ch.Frame(sp, [1], random_unitary(3, rng), 1, 2, random_pure(8, rng))
@@ -488,7 +487,6 @@ def test_compose_preserves_cptp(seed, n_kraus):
     rng = np.random.default_rng(seed)
     sp = uniform_space(2)
     # random channel from a Haar isometry, split into n_kraus pieces
-    from qlstab._linalg import random_unitary
 
     u = random_unitary(2 * n_kraus, rng)[:, :2]
     kraus_a = [u[2 * i : 2 * i + 2, :] for i in range(n_kraus)]

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qlstab import mixing, states
 from qlstab.cli import (
     REPRODUCTIONS,
     channel_from_json,
@@ -323,6 +324,32 @@ class TestScheduleMixing:
         assert rc == 0
         assert abs(out["verdicts"]["per_channel_gap"] - 1.0) < 1e-9
         assert out["certificates"]["eta_samples"] == []
+
+    def test_mixing_eta_grid(self, tmp_path, capsys):
+        path = write_json(tmp_path, "g.json", {
+            "state": {"constructor": {"name": "graph-line", "params": {"n": 3}}},
+        })
+        rc = main(["--seed", "5", "mixing", path, "--ts", "1", "2.5"])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert rc == 0
+        inst = states.line_graph_state(3)
+        fam = mixing.CommutingResetFamily(list(inst.witness_channels), inst.space, inst.psi)
+        fam.eta_samples([1.0, 2.5], seed=5)
+        assert cert["applies"] == fam.applies > 0
+        for got, t in zip(cert["eta_samples"], [1.0, 2.5], strict=True):
+            one = fam.eta_sample(t, seed=5)
+            assert got["t"] == t
+            assert abs(got["lower"] - one.lower) <= 1e-14
+            assert abs(got["upper"] - one.upper) <= 1e-13 * one.upper
+
+    def test_mixing_family_reports_applies(self, capsys):
+        rc = main(["mixing", "--family-sizes", "3", "4"])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        fams = [mixing.CommutingResetFamily(list(i.witness_channels), i.space, i.psi)
+                for i in (states.line_graph_state(3), states.line_graph_state(4))]
+        rep = mixing.rapid_mixing_check(fams, ts=[1.5, 2.5, 4.0, 6.0])
+        assert rc == (0 if rep.passed else 1)
+        assert cert["applies"] == rep.applies > 0
 
 
 class TestReproduce:

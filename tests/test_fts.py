@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import basis_state, remainder_dim
 from qlstab import channels as ch
 from qlstab import states
 from qlstab._linalg import random_density, random_pure, trace_distance
@@ -22,7 +23,7 @@ class TestPlan:
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         assert plan.schmidt_dim == 2
         assert plan.cooling_rate == 4  # floor(8/2)
-        assert plan.remainder_dim == 0
+        assert remainder_dim(plan) == 0
         assert plan.neighborhood_index == 0  # tie-break lowest index
 
     def test_vbs3_plan(self):
@@ -30,7 +31,7 @@ class TestPlan:
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         assert plan.schmidt_dim == 2
         assert plan.cooling_rate == 4  # floor(9/2)
-        assert plan.remainder_dim == 1
+        assert remainder_dim(plan) == 1
 
     def test_product_rate_is_local_dim(self):
         sp = uniform_space(2, 3)
@@ -66,7 +67,7 @@ class TestCoolingMap:
         w = cooling_map(plan)
         out = apply(w, np.eye(16, dtype=complex) / 16, inst.space)
         # each copy family collapses: rank (s + remainder) * dim(rest)
-        expected = (plan.schmidt_dim + plan.remainder_dim) * 2
+        expected = (plan.schmidt_dim + remainder_dim(plan)) * 2
         ev = np.linalg.eigvalsh(out)
         assert int(np.sum(ev > 1e-12)) == expected
 
@@ -81,7 +82,6 @@ class TestCoolingMap:
 
         def omega_state(bits, nu):
             a, b, c = bits
-            from qlstab.hilbert import basis_state
 
             v = (
                 basis_state(sp3, [a, b, c])
@@ -94,8 +94,8 @@ class TestCoolingMap:
             [
                 s001,
                 s011,
-                states.hilbert.basis_state(sp3, [0, 0, 0]),
-                states.hilbert.basis_state(sp3, [1, 1, 1]),
+                basis_state(sp3, [0, 0, 0]),
+                basis_state(sp3, [1, 1, 1]),
                 omega_state([0, 0, 1], w),
                 omega_state([0, 1, 1], w),
                 omega_state([0, 0, 1], w**2),
@@ -109,8 +109,8 @@ class TestCoolingMap:
         ours = cooling_map(plan)
         k_paper = [
             np.outer(s001, s001.conj()) + np.outer(s011, s011.conj()),
-            np.outer(s001, states.hilbert.basis_state(sp3, [0, 0, 0]).conj())
-            + np.outer(s011, states.hilbert.basis_state(sp3, [1, 1, 1]).conj()),
+            np.outer(s001, basis_state(sp3, [0, 0, 0]).conj())
+            + np.outer(s011, basis_state(sp3, [1, 1, 1]).conj()),
             np.outer(s001, omega_state([0, 0, 1], w).conj())
             + np.outer(s011, omega_state([0, 1, 1], w).conj()),
             np.outer(s001, omega_state([0, 0, 1], w**2).conj())

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import basis_state, is_connected, normalized
 from qlstab import hilbert
 from qlstab.hilbert import (
     MultipartiteSpace,
     NeighborhoodStructure,
     RegionOperator,
-    basis_state,
     coarse_grain,
     embed,
     neighborhood_expansion,
@@ -213,7 +213,7 @@ def test_neighborhood_normal_form():
     assert n.neighborhoods == ((1, 2, 3), (0, 1))
     raw = NeighborhoodStructure([[2, 1], [1, 2, 3], [0, 1]])
     assert raw.neighborhoods == ((1, 2), (1, 2, 3), (0, 1))
-    assert raw.normalized().neighborhoods == ((1, 2, 3), (0, 1))
+    assert normalized(raw).neighborhoods == ((1, 2, 3), (0, 1))
     with pytest.raises(ValueError):
         NeighborhoodStructure([[0, 1], [1, 0]])
 
@@ -275,5 +275,5 @@ def test_neighborhood_expansion_monotone(a, b):
 
 
 def test_connectivity():
-    assert NeighborhoodStructure([[0, 1], [1, 2]]).is_connected()
-    assert not NeighborhoodStructure([[0, 1], [2, 3]]).is_connected()
+    assert is_connected(NeighborhoodStructure([[0, 1], [1, 2]]))
+    assert not is_connected(NeighborhoodStructure([[0, 1], [2, 3]]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import unitary_channel
 from qlstab import channels as chan_mod
 from qlstab import states
 from qlstab._linalg import random_density, trace_distance
-from qlstab.channels import reset_channel, unitary_channel
+from qlstab.channels import reset_channel
 from qlstab.hilbert import uniform_space
 from qlstab._linalg import nullspace
 from qlstab.mixing import (
@@ -76,17 +77,17 @@ def contraction_eta(
     d = l.dim
     sh = s.conj().T
 
-    def ap(x):
+    def ap(x, _):
         y = (x.reshape(-1, d * d) @ s.T).reshape(x.shape)
         return y - rho_star * _trace(y)
 
-    def adj(x):
+    def adj(x, _):
         y = x - np.eye(d) * _trace(rho_star.conj().T @ x)
         return (y.reshape(-1, d * d) @ sh.T).reshape(x.shape)
 
-    m = _Map(d, ap, adj)
-    lo = _eta_lower(m, rng, n_samples=n_samples)
-    up = _eta_upper(m, rng)
+    m = _Map(d, 1, ap, adj)
+    lo = float(_eta_lower(m, rng, n_samples=n_samples)[0])
+    up = float(_eta_upper(m, rng)[0])
     return EtaSample(t=t, lower=lo, upper=max(up, lo))
 
 
@@ -186,7 +187,69 @@ class TestEta:
             assert r > 0.4 * gap  # decaying at a rate comparable to the gap
 
 
+GRID = [1.5, 2.5, 4.0, 6.0]
+
+
 class TestEtaSweep:
+    @pytest.mark.parametrize("seed", [0, 7, 1000, 26000])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_grid_matches_one_t_at_a_time(self, n, seed):
+        # every t draws the same samples from the seed, so the grid's lockstep
+        # ascents and power iterations are each t's own, up to roundoff
+        fam = family_for(n)
+        grid = fam.eta_samples(GRID, seed=seed)
+        assert [es.t for es in grid] == GRID
+        for es in grid:
+            one = fam.eta_sample(es.t, seed=seed)
+            assert abs(es.lower - one.lower) <= 1e-14
+            assert abs(es.upper - one.upper) <= 1e-13 * one.upper
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_grid_lockstep_matches_one_state_at_a_time(self, n, monkeypatch):
+        fam = family_for(n)
+        stacked = fam.eta_samples(GRID, seed=7)
+        monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)  # stacks of one state
+        single = fam.eta_samples(GRID, seed=7)
+        for a, b in zip(stacked, single):
+            assert abs(a.lower - b.lower) <= 1e-14
+            assert abs(a.upper - b.upper) <= 1e-13 * b.upper
+
+    def test_stacked_eigh_failure_falls_back_per_matrix(self, monkeypatch):
+        fam = family_for(4)
+        expected = fam.eta_samples(GRID, seed=3)
+        eigh = np.linalg.eigh
+        stacks = []
+
+        def no_convergence_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) == 3 and len(a) > 1:
+                stacks.append(len(a))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence_on_stacks)
+        got = fam.eta_samples(GRID, seed=3)
+        assert stacks  # the ascents did run as stacks, and each one fell back
+        for a, b in zip(got, expected):
+            assert abs(a.lower - b.lower) <= 1e-14
+            assert a.upper == b.upper
+
+    def test_applies_counts_channel_applies(self, monkeypatch):
+        calls = []
+        apply = chan_mod.apply
+        monkeypatch.setattr(chan_mod, "apply", lambda *args: calls.append(1) or apply(*args))
+        fam = family_for(4)
+        fam.eta_samples(GRID, seed=0)
+        assert fam.applies == len(calls)
+        # the grid takes about as many stacked applies as one t alone, and
+        # far fewer than one estimate per t
+        per_t = family_for(4)
+        for t in GRID:
+            per_t.eta_sample(t, seed=0)
+        assert fam.applies < per_t.applies / 2
+        fams = [family_for(3), family_for(4)]
+        rep = rapid_mixing_check(fams, ts=GRID)
+        assert rep.applies == sum(f.applies for f in fams) > 0
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_stacked_sweep_matches_one_state_at_a_time(self, n, monkeypatch):
         fam = family_for(n)

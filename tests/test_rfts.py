@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+from helpers import basis_state, random_hermitian, random_unitary, unitary_channel
 from qlstab import channels as ch
 from qlstab import hilbert, rfts, states, subspaces
 from qlstab._linalg import (
     DEFAULT_TOL,
     nullspace,
     random_density,
-    random_hermitian,
-    random_unitary,
     trace_distance,
 )
 from qlstab.channels import Channel, make_channel, reset_channel, superoperator
@@ -81,7 +80,6 @@ class TestCommutant:
             assert np.max(np.abs(e @ probe - probe @ e)) < 1e-8
 
     def test_irreducible_set_has_trivial_commutant(self, rng):
-        from qlstab._linalg import random_unitary
 
         ops = [random_unitary(4, rng) for _ in range(3)]
         out = commutant(ops)
@@ -165,7 +163,6 @@ class TestBlockAlgebras:
 class TestFactorRepresentation:
     def test_tensor_factor(self, rng):
         # the algebra B(C3) (x) I_2 in a scrambled basis
-        from qlstab._linalg import random_unitary
 
         u = random_unitary(6, rng)
         elems = []
@@ -443,7 +440,6 @@ class TestAlgebraicRfts:
 
     def test_ghz_not_qls(self):
         sp = uniform_space(3)
-        from qlstab.hilbert import basis_state
 
         ghz = (basis_state(sp, [0, 0, 0]) + basis_state(sp, [1, 1, 1])) / np.sqrt(2)
         res = check_algebraic_rfts(ghz, NeighborhoodStructure([[0, 1], [1, 2]]), sp)
@@ -667,7 +663,7 @@ class TestRobustness:
         # reset to |0> then flip ends in |1>; flip then reset ends in |0>
         sp = uniform_space(1)
         zero = np.array([1.0, 0.0], dtype=complex)
-        flip = ch.unitary_channel(np.array([[0, 1], [1, 0]], dtype=complex), [0])
+        flip = unitary_channel(np.array([[0, 1], [1, 0]], dtype=complex), [0])
         rep = verify_robustness(
             [reset_channel(zero, [0]), flip], zero, sp, exhaustive_limit=exhaustive_limit
         )
@@ -835,7 +831,7 @@ class TestOrderCertificate:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0]).astype(complex)
         sp = uniform_space(1)
-        a, b = (ch.unitary_channel(expm(-1j * theta * g), [0]) for g in (x, z))
+        a, b = (unitary_channel(expm(-1j * theta * g), [0]) for g in (x, z))
         c = kraus_commutator_norms(a, b, sp)[0, 0]
         swap = 0.0
         for _ in range(200):
@@ -1034,7 +1030,6 @@ class TestCorrelationCmi:
 
     def test_ghz_cmi_one_bit(self):
         sp = uniform_space(3)
-        from qlstab.hilbert import basis_state
 
         ghz = (basis_state(sp, [0, 0, 0]) + basis_state(sp, [1, 1, 1])) / np.sqrt(2)
         val = cmi(ghz, [0], [2], [1], sp)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import basis_state, hamiltonian, random_hermitian
 from qlstab import channels as ch
 from qlstab import states
 from qlstab._linalg import DEFAULT_TOL, trace_distance
@@ -8,7 +9,6 @@ from qlstab.channels import apply, check_invariance, kraus_support, superoperato
 from qlstab.hilbert import (
     MultipartiteSpace,
     RegionOperator,
-    basis_state,
     embed,
     permute_subsystems,
     uniform_space,
@@ -473,7 +473,7 @@ class TestGibbs:
         from qlstab.subspaces import canonical_hamiltonian
 
         pset = canonical_hamiltonian(inst.psi, inst.neighborhoods, inst.space)
-        h_canonical = pset.hamiltonian()
+        h_canonical = hamiltonian(pset)
         gibbs = states.graph_state_gibbs(inst, beta=0.7)
         from scipy.linalg import expm
 
@@ -522,7 +522,7 @@ class TestGraphProductMixed:
         h2 = np.array([[1, 1], [1, -1]], dtype=complex)
         diag = states._phase_diagonal(inst.space, edges, lambda a, b: h2[a, b])
         hmat = h2 / np.sqrt(2)
-        from qlstab._linalg import kron_all, random_hermitian
+        from qlstab._linalg import kron_all
 
         v = np.diag(diag) @ kron_all([hmat] * 3)
         terms = [(i, random_hermitian(2, rng)) for i in range(3)]

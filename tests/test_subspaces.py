@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import basis_state, frustration_defect
 from qlstab import states
 from qlstab import hilbert, subspaces
 from qlstab._linalg import DEFAULT_TOL, nullspace, orthonormal_columns, projector, rank_cutoff
@@ -8,7 +9,6 @@ from qlstab.channels import CapExceeded
 from qlstab.hilbert import (
     MultipartiteSpace,
     NeighborhoodStructure,
-    basis_state,
     uniform_space,
 )
 from qlstab.subspaces import (
@@ -191,7 +191,7 @@ class TestCanonicalHamiltonian:
         v /= np.linalg.norm(v)
         n = NeighborhoodStructure([[0, 1], [1, 2]])
         pset = canonical_hamiltonian(v, n, sp)
-        assert pset.frustration_defect() < 1e-10
+        assert frustration_defect(pset) < 1e-10
         for p in pset.projectors:
             assert np.max(np.abs(p @ p - p)) < 1e-9
             assert np.max(np.abs(p - p.conj().T)) < 1e-10
