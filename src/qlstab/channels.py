@@ -571,17 +571,9 @@ def run(
     """Apply the circuit steps in order; returns final state and trajectory.
 
     A circuit with permutation steps runs in their frame B: the state is
-    rotated in once, permutation steps reindex it, and channel steps act
-    through their monomial frame forms, each at O(D^2). Rank and trace
-    distance are unitarily invariant, so the trajectory is computed in the
-    frame.
-
-    Each point works on the occupied set S of the state (`occupied`): the
-    framed state is exactly zero off S, which shrinks with every cooling
-    round. The rank is that of rho[S, S] cut at the full shape, the distance
-    to the pure target t is `trace_distance_to_pure_on` over S, and the final
-    state is rotated out as B[:, S] rho[S, S] B[:, S]^H. Without a frame, or
-    with S every index, these are the dense D x D computations.
+    rotated in once, the steps act on it there (`run_framed`), and the final
+    state is rotated out as B[:, S] rho[S, S] B[:, S]^H, S its occupied set.
+    Without a frame the steps act on rho0 as it is.
 
     With `record` the trajectory holds a point per step and one for the
     input; without it, only the final point when a target is given, and
@@ -597,6 +589,35 @@ def run(
         rho = frame.rotate_in(rho)
         if target is not None:
             target = frame.apply(target, adjoint=True)
+    rho, traj = run_framed(circuit, rho, target, record)
+    if frame is not None:
+        s = occupied(rho)
+        rho = frame.rotate_out(rho[np.ix_(s, s)], s)
+    return rho, traj
+
+
+def run_framed(
+    circuit: Circuit,
+    rho: np.ndarray,
+    target: np.ndarray | None = None,
+    record: bool = True,
+) -> tuple[np.ndarray, list[TrajectoryPoint]]:
+    """The steps of `run` on a state and target already written in the
+    circuit's frame B (B^H rho B and B^H target); returns the framed final
+    state and the trajectory, which `run` documents. Without a frame, B is
+    the identity. The caller checks `frame_defect`, as `run` does.
+
+    Permutation steps reindex the state, and channel steps act through their
+    monomial frame forms, each at O(D^2). Rank and trace distance are
+    unitarily invariant, so the trajectory is computed in the frame. Each
+    point works on the occupied set S of the state (`occupied`): the framed
+    state is exactly zero off S, which shrinks with every cooling round. The
+    rank is that of rho[S, S] cut at the full shape, and the distance to the
+    pure target t is `trace_distance_to_pure_on` over S. Without a frame, or
+    with S every index, these are the dense D x D computations.
+    """
+    space = circuit.space
+    frame = circuit.frame
 
     def point(t, r):
         dist = None
@@ -622,9 +643,6 @@ def run(
             traj.append(point(t, rho))
     if target is not None and not record:
         traj.append(point(len(circuit.steps), rho))
-    if frame is not None:
-        s = occupied(rho)
-        rho = frame.rotate_out(rho[np.ix_(s, s)], s)
     return rho, traj
 
 

@@ -497,7 +497,7 @@ def cmd_synth(args) -> int:
                 "cooling_rate": plan.cooling_rate,
                 "schmidt_dim": plan.schmidt_dim,
                 "final_distance": ver.max_final_distance,
-                "frame_defect": chan_mod.frame_defect(circ),
+                **_fts_cert(ver),
             },
             {"tol": 1e-8, "frame": DEFAULT_TOL.frame}, args.seed, t0,
         )
@@ -740,6 +740,19 @@ def _ugen_and_fts(inst, trials, seed):
     return ugen, cert, fts_mod.verify_fts(circ, inst.psi, trials=trials, seed=seed)
 
 
+def _fts_cert(ver) -> dict:
+    """The path that decided an FTS verification and its proof's margins."""
+    occ = ver.final_occupied
+    return {
+        "method": ver.method,
+        "drawn_inputs": ver.trials,
+        "final_occupied": None if occ is None else list(occ),
+        "tp_defect": ver.tp_defect,
+        "worst_input_bound": ver.worst_input_bound,
+        "frame_defect": ver.frame_defect,
+    }
+
+
 def _ugen_cert(ugen) -> dict:
     return {
         "ugen_dims": [ugen.generated_dim, ugen.target_dim],
@@ -795,6 +808,7 @@ def _repro_dicke_fts(seed):
         "neighborhood_dim": row["neighborhood_dim"],
         **_ugen_cert(ugen),
         "final_distance": ver.max_final_distance,
+        **_fts_cert(ver),
         "prop4_max_commutator": prop4.max_norm,
     }
 
@@ -826,6 +840,7 @@ def _repro_vbs_fts(n, spans, seed):
         **_ugen_cert(ugen),
         "ranks": list(cert.ranks),
         "final_distance": ver.max_final_distance,
+        **_fts_cert(ver),
     }
 
 
@@ -1087,7 +1102,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--circuit", default=None, help="write the circuit JSON here")
     ps.add_argument("--force", action="store_true",
                     help="skip the precondition checks")
-    ps.add_argument("--trials", type=int, default=5)
+    ps.add_argument("--trials", type=int, default=5,
+                    help="fts: random mixed and random pure inputs, each this many, run only for a "
+                         "circuit without permutation steps (a framed circuit is proved for every "
+                         "input from one I/D run); rfts: random step orders run beside the identity "
+                         "order when there are more than 720 orders and the commuting bound "
+                         "does not decide")
     ps.set_defaults(fn=cmd_synth)
 
     pm = sub.add_parser("simulate", parents=[common], help="run a circuit file")

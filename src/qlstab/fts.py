@@ -213,9 +213,28 @@ def synthesize_fts(
 
 @dataclass(frozen=True)
 class FtsVerification:
+    """What `verify_fts` proved or sampled.
+
+    `method` is "occupied-set" (every input, from one framed I/D run) or
+    "drawn-inputs" (I/D plus the drawn inputs, for a circuit without a frame).
+    `max_final_distance` is the largest final trace distance to the target
+    over the inputs run: on the occupied-set path, that of I/D alone.
+    `trials` counts the drawn inputs run, 0 on the occupied-set path. The
+    other fields are None on the drawn-inputs path: `final_occupied`, the
+    occupied set of the framed I/D run's final state; `tp_defect`, the
+    largest |c_j - 1| over the column sums c_j of the channel steps' monomial
+    forms; `worst_input_bound`, the bound on the final distance of every
+    input; and `frame_defect` (`channels.frame_defect`).
+    """
+
     passed: bool
     max_final_distance: float
     trials: int
+    method: str
+    final_occupied: tuple[int, ...] | None = None
+    tp_defect: float | None = None
+    worst_input_bound: float | None = None
+    frame_defect: float | None = None
 
 
 def verify_fts(
@@ -225,16 +244,69 @@ def verify_fts(
     seed: int = 1,
     tol: float = 1e-8,
 ) -> FtsVerification:
-    """Run the circuit from the maximally mixed state plus random inputs."""
-    rng = np.random.default_rng(seed)
+    """Prove that the circuit drives every input to psi, from one run of I/D
+    in its frame; a circuit without a frame runs I/D plus `trials` random
+    mixed and `trials` random pure inputs.
+
+    The proof holds under the model every framed run uses (`channels.run`):
+    the frame B is unitary and every channel step is its monomial form in B,
+    B^H K B = sum_j vals[j] |rows[j]><cols[j]|, both to `frame_defect` <=
+    `DEFAULT_TOL.frame`, which is checked (ChannelError otherwise). A step
+    writes out[rows, rows] += vals rho[cols, cols] vals^*, so the occupied
+    set of its output lies inside the union over Kraus operators of
+    rows[cols in S], S the occupied set of its input; a permutation step
+    reindexes S. From I/D, written in the frame as the exact diagonal 1/D,
+    every diagonal entry of that image is a sum of positive terms
+    (|vals| > `DEFAULT_TOL.frame`), so the I/D run's occupied set is the
+    image exactly, and by induction it holds every input's framed state at
+    every step. If the final set is {0}, every input ends as
+    tau |e_0><e_0|. Each channel step scales the trace of a positive input by
+    between 1 - delta and 1 + delta, delta = `tp_defect`, so any two inputs'
+    final traces differ by at most (1 + delta)^n - (1 - delta)^n over the n
+    channel steps, and every input's final distance to psi is at most
+    `worst_input_bound` = I/D's final distance + half that. The check passes
+    iff the final set is {0} and `worst_input_bound` < tol.
+    """
     d = circuit.space.total_dim
     psi = np.asarray(psi, dtype=complex)
-    inputs = [np.eye(d, dtype=complex) / d]
-    for _ in range(trials):
-        inputs.append(random_density(d, rng))
-        v = random_pure(d, rng)
-        inputs.append(np.outer(v, v.conj()))
-    worst = max(
-        ch.run(circuit, rho, target=psi, record=False)[1][-1].trace_distance for rho in inputs
+    frame = circuit.frame
+    if frame is None:
+        rng = np.random.default_rng(seed)
+        inputs = [np.eye(d, dtype=complex) / d]
+        for _ in range(trials):
+            inputs.append(random_density(d, rng))
+            v = random_pure(d, rng)
+            inputs.append(np.outer(v, v.conj()))
+        worst = max(
+            ch.run(circuit, rho, target=psi, record=False)[1][-1].trace_distance for rho in inputs
+        )
+        return FtsVerification(passed=worst < tol, max_final_distance=worst, trials=2 * trials,
+                               method="drawn-inputs")
+    defect = ch.frame_defect(circuit)
+    final, last = ch.run_framed(circuit, np.eye(d, dtype=complex) / d, frame.apply(psi, adjoint=True),
+                                record=False)
+    dist = last[-1].trace_distance
+    final_occupied = tuple(int(i) for i in ch.occupied(final))
+    channel_steps = [s for s in circuit.steps if isinstance(s, Channel)]
+    delta = max((_tp_defect(frame.monomial_kraus(s, circuit.space)[0], d) for s in channel_steps), default=0.0)
+    n = len(channel_steps)
+    bound = dist + 0.5 * ((1.0 + delta) ** n - (1.0 - delta) ** n)
+    return FtsVerification(
+        passed=final_occupied == (0,) and bound < tol,
+        max_final_distance=dist,
+        trials=0,
+        method="occupied-set",
+        final_occupied=final_occupied,
+        tp_defect=delta,
+        worst_input_bound=bound,
+        frame_defect=defect,
     )
-    return FtsVerification(passed=worst < tol, max_final_distance=worst, trials=trials)
+
+
+def _tp_defect(forms, d: int) -> float:
+    """max_j |c_j - 1| over the column sums c_j = sum_k |vals_k[j]|^2 of a
+    channel's monomial forms; a column no form holds has c_j = 0."""
+    c = np.zeros(d)
+    for _, cols, vals in forms:
+        c[cols] += np.abs(vals) ** 2
+    return float(np.max(np.abs(c - 1.0)))

@@ -270,9 +270,6 @@ class CommutingResetFamily:
         """e^{sum_k L_k t}(rho) using e^{L_k t} = I + (1 - e^{-t}) (E_k - I)."""
         return self._evolve(rho, 1.0 - math.exp(-t), self.channels)
 
-    def propagate_adjoint(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._evolve(x, 1.0 - math.exp(-t), reversed(self.adjoints))
-
     def per_channel_gap(self, max_side: int = DEFAULT_SUPEROP_SIDE) -> float:
         """min_k gap(E_k - I); idempotent channels give exactly 1."""
         gaps = []

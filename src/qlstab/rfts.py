@@ -704,7 +704,10 @@ class RobustnessReport:
     every input; it is inf when the Kraus commutators do not bound it below
     `tol`. For a pure target, `worst_input_bound` bounds 1 - <psi|E(rho)|psi>
     over every input state rho and every order E, from the identity order's
-    output on I/D; it is None for a mixed target.
+    output on I/D: D (|1 - F| + eps_F) + `order_bound`, with F the computed
+    fidelity <psi|E(I/D)|psi> and eps_F its roundoff (`_fidelity_roundoff`),
+    since rho <= D I/D. So the bound stays above zero when F reads 1 or more
+    in floating point. It is None for a mixed target.
     """
 
     passed: bool
@@ -719,6 +722,16 @@ class RobustnessReport:
     orders_computed: int
     order_bound: float
     worst_input_bound: float | None
+
+
+def _fidelity_roundoff(d: int) -> float:
+    """Rounding error bound of <psi|rho psi> computed as a matvec and a dot
+    product of length d, for a unit psi and a state rho (||rho||_2 <= 1):
+    each product errs by at most gamma_{d+2} |psi|^T |rho| |psi| <= gamma_{d+2}
+    in complex arithmetic (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.1 and 3.6), so 2 gamma_{d+2}, taken as
+    2 (d + 2) eps with eps = 2u to cover the higher-order terms."""
+    return 2.0 * (d + 2) * float(np.finfo(float).eps)
 
 
 def kraus_commutator_norms(a: Channel, b: Channel, space: MultipartiteSpace) -> np.ndarray:
@@ -914,7 +927,7 @@ def verify_robustness(
         method="commuting" if commuting else "exhaustive" if exhaustive else "sampled",
         orders_computed=len(final),
         order_bound=bound,
-        worst_input_bound=d * max(0.0, 1.0 - fidelity) + bound if target.ndim == 1 else None,
+        worst_input_bound=d * (abs(1.0 - fidelity) + _fidelity_roundoff(d)) + bound if target.ndim == 1 else None,
     )
 
 

@@ -212,6 +212,11 @@ class TestSynthSimulate:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["certificates"]["final_distance"] < 1e-10
+        cert = out["certificates"]
+        # the framed circuit is proved for every input; no input was drawn
+        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        assert cert["final_distance"] <= cert["worst_input_bound"] < 1e-10
+        assert 0.0 <= cert["tp_defect"] < 1e-12
         traj_path = str(tmp_path / "traj.csv")
         rc2 = main([
             "simulate", circuit_path, "--problem", problem,
@@ -376,6 +381,14 @@ class TestReproduce:
         assert (cert.get("method"), cert.get("orders_computed")) == (method, computed)
         if method == "commuting":
             assert cert["orders"] == 6 and cert["order_bound"] < 1e-12
+
+    @pytest.mark.parametrize("name", ["dicke-fts", "vbs3-fts", "vbs4-fts"])
+    def test_fts_path_reported(self, name, capsys):
+        assert main(["reproduce", name]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"][name]["certificates"]
+        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        assert cert["final_distance"] <= cert["worst_input_bound"] < 1e-10
+        assert cert["tp_defect"] < 1e-12 and cert["frame_defect"] < 1e-12
 
     def test_report_on_stdout(self, capsys):
         rc = main(["reproduce", "chain-depth3"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,12 +178,17 @@ class TestVerify:
         truncated = Circuit(circ.steps[:-1], circ.space)
         rep = verify_fts(truncated, inst.psi, trials=2)
         assert not rep.passed
+        # the proof path ran, and its final occupied set is not the target's
+        assert rep.method == "occupied-set" and len(rep.final_occupied) > 1
 
     def test_identity_circuit_not_attractive(self):
         inst = states.dicke(4, 2)
         circ = Circuit((), inst.space)
         rep = verify_fts(circ, inst.psi, trials=1)
         assert not rep.passed
+        # no frame: the drawn inputs decide, one mixed and one pure
+        assert (rep.method, rep.trials) == ("drawn-inputs", 2)
+        assert rep.final_occupied is rep.tp_defect is rep.worst_input_bound is rep.frame_defect is None
 
     def test_fts_implies_qls(self):
         for inst in (states.dicke(4, 2), states.vbs_1d(3)):
@@ -294,6 +301,95 @@ class TestFactoredFrame:
         assert np.max(np.abs(frame.basis - ref)) < 1e-13
 
 
+def _drawn_inputs(d, trials, seed):
+    """I/D, then `trials` random mixed and `trials` random pure states."""
+    rng = np.random.default_rng(seed)
+    inputs = [np.eye(d, dtype=complex) / d]
+    for _ in range(trials):
+        inputs.append(random_density(d, rng))
+        v = random_pure(d, rng)
+        inputs.append(np.outer(v, v.conj()))
+    return inputs
+
+
+def _framed_final(circ, rho):
+    return ch.run_framed(circ, circ.frame.rotate_in(rho), record=False)[0]
+
+
+class TestOccupiedSetProof:
+    """The occupied-set proof of `verify_fts` against drawn inputs run through
+    the framed circuit: every drawn final lies on the proved occupied set and
+    within the proved bound, and a circuit, channel or target that breaks a
+    hypothesis fails."""
+
+    @pytest.mark.parametrize("make", _FRAMED_STATES, ids=_FRAMED_IDS)
+    def test_drawn_inputs_inside_proof(self, make):
+        inst = make()
+        circ = _fts_circuit(inst)
+        rep = verify_fts(circ, inst.psi)
+        assert rep.passed and (rep.method, rep.trials, rep.final_occupied) == ("occupied-set", 0, (0,))
+        assert rep.max_final_distance <= rep.worst_input_bound < 1e-12
+        assert 0.0 <= rep.tp_defect < 1e-12 and rep.frame_defect == ch.frame_defect(circ)
+        for rho in _drawn_inputs(inst.space.total_dim, 2, 7):
+            assert set(ch.occupied(_framed_final(circ, rho))) <= set(rep.final_occupied)
+            dist = ch.run(circ, rho, target=inst.psi, record=False)[1][-1].trace_distance
+            assert dist <= rep.worst_input_bound
+            assert abs(dist - rep.max_final_distance) < 1e-14
+
+    def test_occupied_sets_shrink_to_target_on_vbs6(self):
+        # the final occupied set of each framed prefix (the first step alone
+        # has no frame); only the whole circuit passes
+        inst = states.vbs_1d(6)
+        circ = _fts_circuit(inst)
+        reps = [verify_fts(Circuit(circ.steps[:k], circ.space), inst.psi) for k in range(2, len(circ) + 1)]
+        assert [len(r.final_occupied) for r in reps] == [243, 61, 61, 16, 16, 4, 4, 1]
+        assert reps[-1].final_occupied == (0,)
+        assert [r.passed for r in reps] == [False] * 7 + [True]
+
+    def test_occupied_set_decides_where_id_distance_does_not(self):
+        # without its last cooling step the I/D distance is 0.75, below a
+        # loose tol = 1, but twelve of the sixteen frame vectors end
+        # orthogonal to psi; the final occupied set {0, 1, 2, 3} shows it
+        inst = states.dicke(4, 2)
+        circ = _fts_circuit(inst)
+        truncated = Circuit(circ.steps[:-1], circ.space)
+        rep = verify_fts(truncated, inst.psi, tol=1.0)
+        assert rep.worst_input_bound < 1.0 and not rep.passed
+        assert rep.final_occupied == (0, 1, 2, 3)
+        b = circ.frame.basis
+        dists = [ch.run(truncated, np.outer(v, v.conj()), target=inst.psi, record=False)[1][-1].trace_distance
+                 for v in b.T]
+        assert max(dists) > 1.0 - 1e-12
+
+    def test_scaled_kraus_trip_tp_defect(self):
+        # Kraus operators scaled by 1 - 1e-6 lose 2e-6 of the trace per
+        # cooling step; make_channel would refuse them, so they are set directly
+        inst = states.dicke(4, 2)
+        circ = _fts_circuit(inst)
+        steps = tuple(
+            replace(s, kraus=tuple((1 - 1e-6) * k for k in s.kraus)) if isinstance(s, ch.Channel) else s
+            for s in circ.steps
+        )
+        lossy = Circuit(steps, circ.space)
+        rep = verify_fts(lossy, inst.psi)
+        n_w = sum(isinstance(s, ch.Channel) for s in steps)
+        assert not rep.passed and rep.final_occupied == (0,)
+        assert abs(rep.tp_defect - (1 - (1 - 1e-6) ** 2)) < 1e-12
+        # half of (1 + delta)^n - (1 - delta)^n is n delta to first order
+        assert rep.worst_input_bound == pytest.approx(rep.max_final_distance + n_w * rep.tp_defect, rel=1e-9)
+        for rho in _drawn_inputs(16, 2, 8):
+            dist = ch.run(lossy, rho, target=inst.psi, record=False)[1][-1].trace_distance
+            assert dist <= rep.worst_input_bound
+
+    def test_wrong_target_fails(self):
+        inst = states.dicke(4, 2)
+        circ = _fts_circuit(inst)
+        wrong = states.dicke(4, 1).psi
+        rep = verify_fts(circ, wrong)
+        assert not rep.passed and rep.final_occupied == (0,)
+        assert rep.max_final_distance > 0.5
+
+
 class TestFinalPoint:
     """The final trajectory point that a run with a target returns, and the
     verification distances read from it."""
@@ -319,13 +415,7 @@ class TestFinalPoint:
         inst = make()
         circ = _fts_circuit(inst)
         rep = verify_fts(circ, inst.psi, trials=2, seed=4)
-        rng = np.random.default_rng(4)
-        d = inst.space.total_dim
-        inputs = [np.eye(d, dtype=complex) / d]
-        for _ in range(2):
-            inputs.append(random_density(d, rng))
-            v = random_pure(d, rng)
-            inputs.append(np.outer(v, v.conj()))
+        inputs = _drawn_inputs(inst.space.total_dim, 2, 4)
         finals = [ch.run(circ, rho, record=False)[0] for rho in inputs]
         worst = max(trace_distance(f, inst.density()) for f in finals)
         assert abs(rep.max_final_distance - worst) < 1e-14

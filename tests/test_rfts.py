@@ -885,6 +885,14 @@ class TestOrderCertificate:
                 assert 1.0 - (ZERO2.conj() @ out @ ZERO2).real <= rep.worst_input_bound + 1e-15
         assert rep.worst_input_bound < 1.0 + 1e-9
 
+    def test_worst_input_bound_keeps_roundoff_floor(self):
+        # two resets: the identity output on I/D is |00><00| up to roundoff,
+        # and its fidelity can read 1, so the floor D eps_F must stay in
+        chans, sp = eps_pair(0.0), uniform_space(2)
+        rep = verify_robustness(chans, ZERO2, sp)
+        assert rep.passed and rep.method == "commuting"
+        assert 4 * rfts._fidelity_roundoff(4) + rep.order_bound <= rep.worst_input_bound < 1e-13
+
     def test_mixed_target_has_no_input_bound(self):
         inst = states.graph_gibbs(3, beta=1.0)
         rep = verify_robustness(list(inst.witness_channels), inst.rho, inst.space)
