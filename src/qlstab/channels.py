@@ -558,8 +558,19 @@ def state_rank(rho: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
     the spectrum is exactly zero.
     """
     s = occupied(rho)
-    ev = np.linalg.eigvalsh(rho[np.ix_(s, s)])
-    return rank_cutoff(np.abs(ev[::-1]), rho.shape, rtol)
+    return _block_rank(rho[np.ix_(s, s)], rho.shape, rtol)
+
+
+def _block_rank(block: np.ndarray, shape, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
+    """Rank of a state that vanishes off `block`, cut at `shape`."""
+    ev = np.linalg.eigvalsh(block)
+    return rank_cutoff(np.abs(ev[::-1]), shape, rtol)
+
+
+def diagonal_rank(p: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
+    """Rank of diag(p) under the package rule, cut at (D, D): the eigenvalues
+    of a diagonal matrix are its entries, so no eigensolve is needed."""
+    return rank_cutoff(np.abs(p[p != 0]), (p.size, p.size), rtol)
 
 
 def run(
@@ -573,7 +584,9 @@ def run(
     A circuit with permutation steps runs in their frame B: the state is
     rotated in once, the steps act on it there (`run_framed`), and the final
     state is rotated out as B[:, S] rho[S, S] B[:, S]^H, S its occupied set.
-    Without a frame the steps act on rho0 as it is.
+    Without a frame the steps act on rho0 as it is. An input that is
+    diagonal in B, such as I/D, needs no rotation at all: `run_diagonal`
+    runs it as its weight vector.
 
     With `record` the trajectory holds a point per step and one for the
     input; without it, only the final point when a target is given, and
@@ -596,6 +609,21 @@ def run(
     return rho, traj
 
 
+def _walk(circuit: Circuit, state, step, point, final_point: bool, record: bool):
+    """The step loop that `run_framed` and `run_diagonal` share: `step(st, state)`
+    applies one circuit step, `point(t, state)` evaluates a trajectory point.
+    With `record` every point is taken; otherwise only the final one, and
+    only with `final_point`."""
+    traj = [point(0, state)] if record else []
+    for t, st in enumerate(circuit.steps, start=1):
+        state = step(st, state)
+        if record:
+            traj.append(point(t, state))
+    if final_point and not record:
+        traj.append(point(len(circuit.steps), state))
+    return state, traj
+
+
 def run_framed(
     circuit: Circuit,
     rho: np.ndarray,
@@ -610,21 +638,21 @@ def run_framed(
     Permutation steps reindex the state, and channel steps act through their
     monomial frame forms, each at O(D^2). Rank and trace distance are
     unitarily invariant, so the trajectory is computed in the frame. Each
-    point works on the occupied set S of the state (`occupied`): the framed
-    state is exactly zero off S, which shrinks with every cooling round. The
-    rank is that of rho[S, S] cut at the full shape, and the distance to the
-    pure target t is `trace_distance_to_pure_on` over S. Without a frame, or
-    with S every index, these are the dense D x D computations.
+    point scans the state once for its occupied set S (`occupied`): the
+    framed state is exactly zero off S, which shrinks with every cooling
+    round. The rank is that of the block rho[S, S] cut at the full shape,
+    and the distance to the pure target t is `trace_distance_to_pure_on` of
+    the same block: two eigensolves of at most |S| + 1 rows. Without a
+    frame, or with S every index, these are the dense D x D computations.
     """
     space = circuit.space
     frame = circuit.frame
 
     def point(t, r):
-        dist = None
-        if target is not None:
-            s = occupied(r)
-            dist = trace_distance_to_pure_on(r[np.ix_(s, s)], s, target)
-        return TrajectoryPoint(t, state_rank(r), dist)
+        s = occupied(r)
+        block = r[np.ix_(s, s)]
+        dist = None if target is None else trace_distance_to_pure_on(block, s, target)
+        return TrajectoryPoint(t, _block_rank(block, r.shape), dist)
 
     def step(ch, r):
         if isinstance(ch, PermutationStep):
@@ -634,16 +662,52 @@ def run_framed(
             return _apply_monomial(frame.monomial_kraus(ch, space)[0], r)
         return apply(ch, r, space)
 
-    traj = []
-    if record:
-        traj.append(point(0, rho))
-    for t, ch in enumerate(circuit.steps, start=1):
-        rho = step(ch, rho)
-        if record:
-            traj.append(point(t, rho))
-    if target is not None and not record:
-        traj.append(point(len(circuit.steps), rho))
-    return rho, traj
+    return _walk(circuit, rho, step, point, target is not None, record)
+
+
+def run_diagonal(
+    circuit: Circuit,
+    p: np.ndarray,
+    target: np.ndarray | None = None,
+    record: bool = True,
+) -> tuple[np.ndarray, list[TrajectoryPoint]]:
+    """`run_framed` on the framed state diag(p), held as its weight vector p.
+
+    A monomial channel step maps a state diagonal in the frame B to one
+    diagonal in B, out[rows] += |vals|^2 p[cols] over its forms, and a
+    permutation step reindexes p; so every input diagonal in B, I/D among
+    them, stays diagonal, and the run costs O(D) per step with no D x D
+    state, `rotate_in` or `rotate_out`. The entries are sums of nonnegative
+    terms, so an exact zero stays zero and `flatnonzero(p)` is the occupied
+    set of the framed state. Each point takes the rank from p over that set
+    S (`diagonal_rank`) and the distance to the framed target B^H psi from
+    `trace_distance_to_pure_on(diag(p[S]), S, target)`, as `run_framed`
+    does. Returns the final p and the trajectory, which `run` documents.
+    The circuit must have a frame; the caller checks `frame_defect`.
+    """
+    space = circuit.space
+    frame = circuit.frame
+    if frame is None:
+        raise ChannelError("a diagonal run needs a circuit with permutation steps")
+    p = np.asarray(p, dtype=float)
+    d = space.total_dim
+    if p.shape != (d,):
+        raise ChannelError("weight vector does not match the space")
+
+    def point(t, w):
+        s = np.flatnonzero(w)
+        dist = None if target is None else trace_distance_to_pure_on(np.diag(w[s]), s, target)
+        return TrajectoryPoint(t, diagonal_rank(w), dist)
+
+    def step(ch, w):
+        if isinstance(ch, PermutationStep):
+            return w[np.argsort(ch.perm)]
+        out = np.zeros(d)
+        for rows, cols, vals in frame.monomial_kraus(ch, space)[0]:
+            out[rows] += (vals * vals.conj()).real * w[cols]
+        return out
+
+    return _walk(circuit, p, step, point, target is not None, record)
 
 
 @dataclass(frozen=True)

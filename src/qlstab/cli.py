@@ -556,13 +556,12 @@ def cmd_simulate(args) -> int:
     if args.problem:
         inst, _ = load_problem(args.problem)
         target = inst.psi
-    if args.initial == "mixed":
-        rho0 = np.eye(d, dtype=complex) / d
-    elif args.initial == "random":
+    rho0 = None  # I/D, for --initial mixed
+    if args.initial == "random":
         from ._linalg import random_density
 
         rho0 = random_density(d, rng)
-    else:
+    elif args.initial != "mixed":
         try:
             with open(args.initial) as fh:
                 v = _j2vec(json.load(fh))
@@ -574,30 +573,51 @@ def cmd_simulate(args) -> int:
     if args.shuffle:
         for _ in range(max(args.trials - 1, 0)):
             orders.append(tuple(rng.permutation(len(circ.steps))))
-    worst = 0.0
-    rows = None
-    # a repeated order gives the same final state, so each distinct one runs once
+    defect = chan_mod.frame_defect(circ)
+    # I/D is diagonal in the frame and stays so: it runs as its weight vector
+    diagonal = rho0 is None and circ.frame is not None
+    if diagonal:
+        framed_target = None if target is None else circ.frame.apply(target, adjoint=True)
+
+        def run_order(c, record):
+            return chan_mod.run_diagonal(c, np.full(d, 1.0 / d), framed_target, record)
+    else:
+        if rho0 is None:
+            rho0 = np.eye(d, dtype=complex) / d
+
+        def run_order(c, record):
+            return chan_mod.run(c, rho0, target, record)
+    worst, worst_order = 0.0, None
+    rows = final = None
+    # a repeated order gives the same final state, so each distinct one runs
+    # once; trajectory points are evaluated only for a --trajectory file
     distinct = list(dict.fromkeys(orders))
     for order in distinct:
         steps = tuple(circ.steps[i] for i in order)
-        _, traj = chan_mod.run(Circuit(steps, circ.space), rho0, target=target, record=rows is None)
+        state, traj = run_order(Circuit(steps, circ.space), args.trajectory is not None and rows is None)
         if rows is None:
-            rows = traj
-        if target is not None:
-            worst = max(worst, traj[-1].trace_distance)
+            rows, final = traj, state
+        if target is not None and (worst_order is None or traj[-1].trace_distance > worst):
+            worst, worst_order = traj[-1].trace_distance, order
     if args.trajectory:
         with open(args.trajectory, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "rank", "trace_distance"])
             for p in rows:
                 writer.writerow([p.step, p.rank, "" if p.trace_distance is None else f"{p.trace_distance:.12e}"])
+    if rows:
+        final_rank = rows[-1].rank
+    else:
+        final_rank = chan_mod.diagonal_rank(final) if diagonal else chan_mod.state_rank(final)
     ok = target is None or worst < args.tol
     report = _report(
         "simulate", ok,
         {"converged": ok},
         {"orders": len(orders), "distinct_orders": len(distinct),
+         "method": "diagonal" if diagonal else "dense",
          "final_distance": worst if target is not None else None,
-         "final_rank": rows[-1].rank, "frame_defect": chan_mod.frame_defect(circ)},
+         "worst_order": None if worst_order is None else [int(i) for i in worst_order],
+         "final_rank": final_rank, "frame_defect": defect},
         {"tol": args.tol, "frame": DEFAULT_TOL.frame}, args.seed, t0,
     )
     _emit(report, args.output)
@@ -1118,7 +1138,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--trials", type=int, default=1)
     pm.add_argument("--shuffle", action="store_true",
                     help="also run random step orders")
-    pm.add_argument("--trajectory", default=None, help="write the trajectory CSV here")
+    pm.add_argument("--trajectory", default=None,
+                    help="write the trajectory CSV here; the points before the last are evaluated only for it")
     pm.set_defaults(fn=cmd_simulate)
 
     px = sub.add_parser("mixing", parents=[common], help="continuous-time mixing analysis")

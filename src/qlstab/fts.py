@@ -255,15 +255,16 @@ def verify_fts(
     writes out[rows, rows] += vals rho[cols, cols] vals^*, so the occupied
     set of its output lies inside the union over Kraus operators of
     rows[cols in S], S the occupied set of its input; a permutation step
-    reindexes S. From I/D, written in the frame as the exact diagonal 1/D,
-    every diagonal entry of that image is a sum of positive terms
-    (|vals| > `DEFAULT_TOL.frame`), so the I/D run's occupied set is the
-    image exactly, and by induction it holds every input's framed state at
-    every step. If the final set is {0}, every input ends as
-    tau |e_0><e_0|. Each channel step scales the trace of a positive input by
-    between 1 - delta and 1 + delta, delta = `tp_defect`, so any two inputs'
-    final traces differ by at most (1 + delta)^n - (1 - delta)^n over the n
-    channel steps, and every input's final distance to psi is at most
+    reindexes S. I/D is the exact diagonal 1/D in the frame, and it stays
+    diagonal, so it runs as its weight vector p (`channels.run_diagonal`),
+    with out[rows] += |vals|^2 p[cols]: every entry of that image is a sum of
+    positive terms (|vals| > `DEFAULT_TOL.frame`), so the I/D run's occupied
+    set, the support of p, is the image exactly, and by induction it holds
+    every input's framed state at every step. If the final set is {0},
+    every input ends as tau |e_0><e_0|. Each channel step scales the trace
+    of a positive input by between 1 - delta and 1 + delta, delta =
+    `tp_defect`, so any two inputs' final traces differ by at most
+    (1 + delta)^n - (1 - delta)^n over the n channel steps, and every input's final distance to psi is at most
     `worst_input_bound` = I/D's final distance + half that. The check passes
     iff the final set is {0} and `worst_input_bound` < tol.
     """
@@ -283,10 +284,9 @@ def verify_fts(
         return FtsVerification(passed=worst < tol, max_final_distance=worst, trials=2 * trials,
                                method="drawn-inputs")
     defect = ch.frame_defect(circuit)
-    final, last = ch.run_framed(circuit, np.eye(d, dtype=complex) / d, frame.apply(psi, adjoint=True),
-                                record=False)
+    final, last = ch.run_diagonal(circuit, np.full(d, 1.0 / d), frame.apply(psi, adjoint=True), record=False)
     dist = last[-1].trace_distance
-    final_occupied = tuple(int(i) for i in ch.occupied(final))
+    final_occupied = tuple(int(i) for i in np.flatnonzero(final))
     channel_steps = [s for s in circuit.steps if isinstance(s, Channel)]
     delta = max((_tp_defect(frame.monomial_kraus(s, circuit.space)[0], d) for s in channel_steps), default=0.0)
     n = len(channel_steps)

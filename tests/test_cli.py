@@ -225,6 +225,7 @@ class TestSynthSimulate:
         out2 = json.loads(capsys.readouterr().out)
         assert rc2 == 0
         assert out2["certificates"]["final_distance"] < 1e-10
+        assert out2["certificates"]["method"] == "diagonal"
         with open(traj_path) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "step,rank,trace_distance"
@@ -641,6 +642,9 @@ class TestMalformedCircuit:
         assert main(["simulate", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["certificates"]["frame_defect"] == 0.0
+        # neither a target nor a trajectory: the rank is read from the final
+        # weights, which X leaves at I/D
+        assert (out["certificates"]["method"], out["certificates"]["final_rank"]) == ("diagonal", 4)
 
 
 class TestFramedCircuitFile:
@@ -727,3 +731,78 @@ class TestFramedCircuitFile:
         assert framed["final_rank"] == reference["final_rank"] == 1
         assert abs(framed["final_distance"] - reference["final_distance"]) < 1e-10
         assert framed["frame_defect"] < 1e-12 and reference["frame_defect"] is None
+
+
+def _simulate_cases(tmp_path, capsys):
+    """(circuit, problem) for the framed Dicke(4, 2) FTS circuit and the
+    frameless rfts circuit of the 5-cycle."""
+    dicke = dicke_problem(tmp_path)
+    fts_circuit = str(tmp_path / "fts.json")
+    assert main(["synth", "fts", dicke, "--circuit", fts_circuit, "--force"]) == 0
+    cycle = os.path.join(PROBLEMS, "graph_cycle5.json")
+    rfts_circuit = str(tmp_path / "rfts.json")
+    assert main(["synth", "rfts", cycle, "--circuit", rfts_circuit, "--trials", "1"]) == 0
+    capsys.readouterr()
+    return {"fts": (fts_circuit, dicke), "rfts": (rfts_circuit, cycle)}
+
+
+class TestSimulatePaths:
+    """Which run `simulate` takes, and the points it computes: I/D through a
+    framed circuit as its weight vector, every other input dense, and the
+    trajectory points only for a --trajectory file."""
+
+    @pytest.mark.parametrize("case, extra, method", [
+        ("fts", [], "diagonal"),
+        ("fts", ["--initial", "random"], "dense"),
+        ("rfts", [], "dense"),
+    ], ids=["fts-mixed", "fts-random", "rfts-mixed"])
+    def test_trajectory_leaves_final_point(self, case, extra, method, tmp_path, capsys):
+        circuit, problem = _simulate_cases(tmp_path, capsys)[case]
+        certs = []
+        for traj in ([], ["--trajectory", str(tmp_path / "traj.csv")]):
+            assert main(["simulate", circuit, "--problem", problem, "--seed", "2"] + extra + traj) == 0
+            certs.append(json.loads(capsys.readouterr().out)["certificates"])
+        plain, traced = certs
+        assert plain["method"] == traced["method"] == method
+        assert plain["final_distance"] == traced["final_distance"] < 1e-9
+        assert plain["final_rank"] == traced["final_rank"] == 1
+
+    @pytest.mark.parametrize("case", ["fts", "rfts"])
+    def test_one_distance_per_order(self, case, tmp_path, capsys, monkeypatch):
+        from qlstab import channels as ch
+
+        circuit, problem = _simulate_cases(tmp_path, capsys)[case]
+        calls = []
+        dist = ch.trace_distance_to_pure_on
+        monkeypatch.setattr(ch, "trace_distance_to_pure_on", lambda *a: calls.append(1) or dist(*a))
+        # the FTS circuit is not robust: some shuffled orders miss psi
+        rc = main(["simulate", circuit, "--problem", problem, "--shuffle", "--trials", "6", "--seed", "3"])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert rc == (0 if cert["final_distance"] < 1e-8 else 1)
+        assert len(calls) == cert["distinct_orders"] > 1
+
+    @pytest.mark.parametrize("case", ["fts", "rfts"])
+    def test_worst_order_reruns_to_final_distance(self, case, tmp_path, capsys):
+        from qlstab import channels as ch
+
+        circuit, problem = _simulate_cases(tmp_path, capsys)[case]
+        # the FTS circuit is not robust: some shuffled orders miss psi
+        rc = main(["simulate", circuit, "--problem", problem, "--shuffle", "--trials", "6", "--seed", "3"])
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert rc == (0 if cert["final_distance"] < 1e-8 else 1)
+        with open(circuit) as fh:
+            circ = circuit_from_json(json.load(fh))
+        order = cert["worst_order"]
+        assert sorted(order) == list(range(len(circ)))
+        psi = load_problem(problem)[0].psi
+        d = circ.space.total_dim
+        rerun = Circuit(tuple(circ.steps[i] for i in order), circ.space)
+        last = ch.run(rerun, np.eye(d, dtype=complex) / d, target=psi, record=False)[1][-1]
+        assert abs(last.trace_distance - cert["final_distance"]) < 1e-14
+
+    def test_no_target_reports_no_worst_order(self, tmp_path, capsys):
+        circuit, _ = _simulate_cases(tmp_path, capsys)["fts"]
+        assert main(["simulate", circuit]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert cert["final_distance"] is cert["worst_order"] is None
+        assert (cert["method"], cert["final_rank"]) == ("diagonal", 1)

@@ -419,3 +419,67 @@ class TestFinalPoint:
         finals = [ch.run(circ, rho, record=False)[0] for rho in inputs]
         worst = max(trace_distance(f, inst.density()) for f in finals)
         assert abs(rep.max_final_distance - worst) < 1e-14
+
+
+def _with_identity_permutation(circ, k):
+    """The first k steps of a framed circuit, then the identity permutation on
+    its frame, so that every prefix keeps the frame, the first step included."""
+    ident = ch.permutation_step(np.arange(circ.space.total_dim), circ.frame, circ.space)
+    return Circuit(circ.steps[:k] + (ident,), circ.space)
+
+
+class TestDiagonalRun:
+    """`run_diagonal` on the weight vector of I/D against `run_framed` on the
+    dense framed I/D, the exact diagonal 1/D."""
+
+    @pytest.mark.parametrize("make", _FRAMED_STATES, ids=_FRAMED_IDS)
+    def test_matches_framed_run(self, make):
+        inst = make()
+        circ = _fts_circuit(inst)
+        d = inst.space.total_dim
+        rho0, p0 = np.eye(d, dtype=complex) / d, np.full(d, 1.0 / d)
+        for k in range(len(circ) + 1):
+            prefix = _with_identity_permutation(circ, k)
+            dense = ch.run_framed(prefix, rho0, record=False)[0]
+            diag = ch.run_diagonal(prefix, p0, record=False)[0]
+            assert np.array_equal(ch.occupied(dense), np.flatnonzero(diag))
+            assert np.max(np.abs(np.diag(dense) - diag)) <= 1e-15
+        target = circ.frame.apply(inst.psi, adjoint=True)
+        dense_traj = ch.run_framed(circ, rho0, target)[1]
+        diag_traj = ch.run_diagonal(circ, p0, target)[1]
+        assert len(diag_traj) == len(circ) + 1
+        assert [p.rank for p in diag_traj] == [p.rank for p in dense_traj]
+        dists = np.array([[a.trace_distance, b.trace_distance] for a, b in zip(dense_traj, diag_traj)])
+        assert np.max(np.abs(dists[:, 0] - dists[:, 1])) <= 1e-14
+
+    def test_unrecorded_run_returns_last_point(self):
+        inst = states.vbs_1d(3)
+        circ = _fts_circuit(inst)
+        p0 = np.full(27, 1.0 / 27)
+        target = circ.frame.apply(inst.psi, adjoint=True)
+        final, traj = ch.run_diagonal(circ, p0, target)
+        final2, last = ch.run_diagonal(circ, p0, target, record=False)
+        assert last == [traj[-1]] and np.array_equal(final, final2)
+        assert ch.run_diagonal(circ, p0, record=False)[1] == []
+        assert ch.diagonal_rank(final) == traj[-1].rank == 1
+
+    def test_needs_frame_and_matching_length(self):
+        inst = states.dicke(4, 2)
+        with pytest.raises(ch.ChannelError):
+            ch.run_diagonal(Circuit((), inst.space), np.full(16, 1.0 / 16))
+        with pytest.raises(ch.ChannelError):
+            ch.run_diagonal(_fts_circuit(inst), np.full(15, 1.0 / 15))
+
+    def test_verify_forms_no_dense_state(self, monkeypatch):
+        # the proof path runs I/D as its weight vector: no D x D framed run,
+        # no rotation into the frame
+        inst = states.vbs_1d(4)
+        circ = _fts_circuit(inst)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense framed run")
+
+        monkeypatch.setattr(ch, "run_framed", refuse)
+        monkeypatch.setattr(ch.Frame, "rotate_in", refuse)
+        rep = verify_fts(circ, inst.psi)
+        assert rep.passed and rep.final_occupied == (0,)
