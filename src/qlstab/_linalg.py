@@ -136,10 +136,23 @@ def trace_distance_to_pure_on(block: np.ndarray, idx: np.ndarray, psi: np.ndarra
 
 
 def trace_distance_to_pure_bound(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Cheap upper bound (1/2)sqrt(D)*||rho - psi psi^H||_F, avoids a big eigh."""
-    d = rho.shape[0]
-    delta = rho - np.outer(psi, psi.conj())
-    return 0.5 * np.sqrt(d) * float(np.linalg.norm(delta))
+    """Upper bound on (1/2)||rho - psi psi^H||_1 for a positive semidefinite
+    rho and a unit psi, from one matvec and no eigensolve.
+
+    With P = psi psi^H, a = <psi|rho|psi> and b = (I - P) rho psi, rho - P
+    has the block form [[a - 1, b^H], [b, C]] on span(psi) and its
+    complement, C = (I - P) rho (I - P) >= 0 with trace tr(rho) - a. The
+    diagonal blocks contribute |a - 1| + tr C to the trace norm and the
+    off-diagonal ones 2||b||, so the bound is
+    (1/2)(|a - 1| + (tr(rho) - a) + 2||b||). For a unit-trace rho it is at
+    most the Frobenius bound (1/2) sqrt(D) ||rho - P||_F once D >= 6, since
+    c + ||b|| <= sqrt(3/2) sqrt(c^2 + 2||b||^2) with c = 1 - a; at D = 2 it
+    is above it whenever b != 0.
+    """
+    v = rho @ psi
+    a = float(np.vdot(psi, v).real)
+    b = v - a * psi
+    return 0.5 * (abs(a - 1.0) + (float(np.trace(rho).real) - a) + 2.0 * float(np.linalg.norm(b)))
 
 
 def frob(a: np.ndarray) -> float:

@@ -638,6 +638,14 @@ def _line_graph_families(sizes):
     return fams
 
 
+def _mixing_proof_fields(rep) -> dict:
+    """The path and hypothesis defects of a `RapidMixingReport`."""
+    return {"method": rep.method, "identity_defect": rep.identity_defect,
+            "commutation_defect": rep.commutation_defect,
+            "largest_kept": rep.largest_kept, "smallest_dropped": rep.smallest_dropped,
+            "max_gap": rep.max_gap}
+
+
 def cmd_mixing(args) -> int:
     t0 = time.perf_counter()
     if args.no_go:
@@ -664,6 +672,7 @@ def cmd_mixing(args) -> int:
                 "samples": [[n, t, lo, hi] for n, t, lo, hi in rep.samples],
                 "fit": {"c": float(np.exp(rep.log_c)), "gamma": rep.gamma, "delta": rep.delta},
                 "applies": rep.applies,
+                **_mixing_proof_fields(rep),
             },
             {"gamma_slack": 0.05, "delta_cap": 1.1}, args.seed, t0,
         )
@@ -678,11 +687,14 @@ def cmd_mixing(args) -> int:
     gap = fam.per_channel_gap(max_side=args.cap_superop)
     ts_src = options.get("ts") if options.get("ts") is not None else args.ts
     ts = [float(t) for t in (ts_src or [])]
+    proof = fam.proof
     samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts, seed=args.seed)]
     report = _report(
         "mixing", True,
         {"per_channel_gap": gap},
-        {"gap": gap, "eta_samples": samples, "applies": fam.applies},
+        {"gap": gap, "eta_samples": samples, "applies": fam.applies, "method": fam.method,
+         "identity_defect": proof.identity_defect, "commutation_defect": proof.commutation,
+         "intersection_dim": proof.intersection_dim},
         {"tol": args.tol}, args.seed, t0,
     )
     _emit(report, args.output)
@@ -1033,7 +1045,7 @@ def _repro_rapid_mixing(seed):
         "eta <= sum of single-channel etas + 1e-6 (n = 3, 4)": additive,
     }
     return checks, {"gamma": rep.gamma, "delta": rep.delta, "nu": rep.nu,
-                    "applies": sum(fam.applies for fam in fams)}
+                    "applies": sum(fam.applies for fam in fams), **_mixing_proof_fields(rep)}
 
 
 REPRODUCTIONS = {

@@ -1,14 +1,15 @@
 """Constructors and checks that only the tests use.
 
 The package never builds basis vectors, random unitaries or unitary channels,
-and never needs a projector set's dense Hamiltonian; the tests do, to state
-inputs and oracles.
+never needs a projector set's dense Hamiltonian and never estimates eta from
+above by power iteration; the tests do, to state inputs and oracles.
 """
 
 import numpy as np
 
+from qlstab import channels as chan_mod
 from qlstab import lie
-from qlstab._linalg import herm
+from qlstab._linalg import herm, random_density
 from qlstab.channels import Channel, make_channel
 from qlstab.fts import FtsPlan
 from qlstab.hilbert import DimensionError, MultipartiteSpace, NeighborhoodStructure
@@ -91,3 +92,30 @@ def frustration_defect(pset: ProjectorSet) -> float:
 def remainder_dim(plan: FtsPlan) -> int:
     """Dimensions of the local block left outside the cooling copies."""
     return plan.local_dim - plan.cooling_rate * plan.schmidt_dim
+
+
+def eta_upper(m, rng, iters: int = 40) -> np.ndarray:
+    """(1/2) sqrt(D) * sigma_max(M_j) for every map j of the `mixing._Map`
+    `m`, with sigma_max from power iteration on M^H M from one drawn start;
+    the maps' iterations run in lockstep, in groups of
+    `channels.stack_size(D)`. Power iteration approaches sigma_max from
+    below, so this estimates a bound on eta without being one."""
+    d = m.dim
+    x0 = random_density(d, rng).astype(complex)
+    x0 = x0 / np.linalg.norm(x0)
+    out = np.zeros(m.count)
+    per = chan_mod.stack_size(d)
+    for g in range(0, m.count, per):
+        k = np.arange(g, min(g + per, m.count))
+        x = np.repeat(x0[None], k.size, axis=0)
+        for _ in range(iters):
+            z = m.adjoint(m.apply(x, k), k)
+            nz = np.linalg.norm(z, axis=(-2, -1))
+            live = nz >= 1e-300  # M^H M x = 0: the estimate stays 0
+            k, x = k[live], z[live] / nz[live, None, None]
+            if not k.size:
+                break
+        if k.size:
+            y = m.apply(x, k)
+            out[k] = 0.5 * np.sqrt(d) * np.linalg.norm(y, axis=(-2, -1)) / np.linalg.norm(x, axis=(-2, -1))
+    return out

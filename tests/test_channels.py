@@ -478,6 +478,51 @@ class TestOccupiedBlock:
         assert ch.state_rank(rho) == rank_cutoff(np.abs(ev[::-1]), rho.shape)
 
 
+class TestPureDistanceBound:
+    """`trace_distance_to_pure_bound` lies between the exact trace distance
+    and the Frobenius bound (1/2) sqrt(D) ||rho - psi psi^H||_F it replaced."""
+
+    @staticmethod
+    def check(rho, psi, below_frobenius=True):
+        from qlstab._linalg import trace_distance_to_pure_bound
+
+        target = np.outer(psi, psi.conj())
+        exact = trace_distance(rho, target)
+        frobenius = 0.5 * np.sqrt(len(psi)) * np.linalg.norm(rho - target)
+        bound = trace_distance_to_pure_bound(rho, psi)
+        assert exact - 1e-13 <= bound
+        assert (bound <= frobenius + 1e-13) == below_frobenius
+        return exact, bound
+
+    def test_above_frobenius_at_d2(self):
+        # |a - 1| + tr C + 2|b| = 2(c + |b|) against 2 sqrt(c^2 + |b|^2)
+        psi = np.array([1.0, 0.0], dtype=complex)
+        v = np.array([np.sqrt(0.9), np.sqrt(0.1)], dtype=complex)
+        assert self.check(np.outer(v, v.conj()), psi, below_frobenius=False)[1] == pytest.approx(0.1 + 0.3)
+
+    @pytest.mark.parametrize("d", [6, 16, 64])
+    def test_random_states(self, d, rng):
+        for rank in (1, 2, d):
+            psi = random_pure(d, rng)
+            self.check(random_density(d, rng, rank=rank), psi)
+            # a state near the target, as a verification's final state is
+            rho = 0.999 * np.outer(psi, psi.conj()) + 0.001 * random_density(d, rng, rank=rank)
+            self.check(rho, psi)
+        # the target itself
+        assert self.check(np.outer(psi, psi.conj()), psi)[1] < 1e-15
+
+    def test_kagome_outputs(self, rng):
+        inst = states.ccz_kagome(3, 1)
+        d = inst.space.total_dim
+        for rho in (np.eye(d, dtype=complex) / d, random_density(d, rng, rank=3)):
+            for k, c in enumerate(inst.witness_channels):
+                rho = apply(c, rho, inst.space)
+                if k % 2:
+                    self.check(rho, inst.psi)
+            exact, bound = self.check(rho, inst.psi)
+            assert bound < 1e-13  # the witnesses prepare the target
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import unitary_channel
+from helpers import eta_upper, unitary_channel
 from qlstab import channels as chan_mod
 from qlstab import states
 from qlstab._linalg import random_density, trace_distance
-from qlstab.channels import reset_channel
+from qlstab.channels import make_channel, reset_channel
 from qlstab.hilbert import uniform_space
 from qlstab._linalg import nullspace
 from qlstab.mixing import (
@@ -13,7 +13,6 @@ from qlstab.mixing import (
     EtaSample,
     Liouvillian,
     _eta_lower,
-    _eta_upper,
     _Map,
     _trace,
     amplitude_damping_liouvillian,
@@ -87,13 +86,26 @@ def contraction_eta(
 
     m = _Map(d, 1, ap, adj)
     lo = float(_eta_lower(m, rng, n_samples=n_samples)[0])
-    up = float(_eta_upper(m, rng)[0])
+    up = float(eta_upper(m, rng)[0])
     return EtaSample(t=t, lower=lo, upper=max(up, lo))
 
 
 def family_for(n):
     inst = states.line_graph_state(n)
     return CommutingResetFamily(list(inst.witness_channels), inst.space, inst.psi)
+
+
+def sampled_bounds(fam, ts, seed=0, n_samples=128) -> list[EtaSample]:
+    """The sampled lower estimate of a family over `ts`, with the power-
+    iteration upper estimate of its maps from the same seed: the sampled
+    estimator, which the closed form replaced and the tests keep as oracle."""
+    lo = fam.sampled_eta(ts, seed=seed, n_samples=n_samples)
+    up = eta_upper(fam._eta_map(ts), np.random.default_rng(seed), iters=25)
+    return [EtaSample(t=float(t), lower=float(l), upper=float(max(u, l))) for t, l, u in zip(ts, lo, up)]
+
+
+def envelope(t, n):
+    return 1.0 - (1.0 - np.exp(-t)) ** n
 
 
 class TestLiouvillian:
@@ -197,26 +209,26 @@ class TestEtaSweep:
         # every t draws the same samples from the seed, so the grid's lockstep
         # ascents and power iterations are each t's own, up to roundoff
         fam = family_for(n)
-        grid = fam.eta_samples(GRID, seed=seed)
+        grid = sampled_bounds(fam, GRID, seed=seed)
         assert [es.t for es in grid] == GRID
         for es in grid:
-            one = fam.eta_sample(es.t, seed=seed)
+            one = sampled_bounds(fam, [es.t], seed=seed)[0]
             assert abs(es.lower - one.lower) <= 1e-14
             assert abs(es.upper - one.upper) <= 1e-13 * one.upper
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_grid_lockstep_matches_one_state_at_a_time(self, n, monkeypatch):
         fam = family_for(n)
-        stacked = fam.eta_samples(GRID, seed=7)
+        stacked = sampled_bounds(fam, GRID, seed=7)
         monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)  # stacks of one state
-        single = fam.eta_samples(GRID, seed=7)
+        single = sampled_bounds(fam, GRID, seed=7)
         for a, b in zip(stacked, single):
             assert abs(a.lower - b.lower) <= 1e-14
             assert abs(a.upper - b.upper) <= 1e-13 * b.upper
 
     def test_stacked_eigh_failure_falls_back_per_matrix(self, monkeypatch):
         fam = family_for(4)
-        expected = fam.eta_samples(GRID, seed=3)
+        expected = sampled_bounds(fam, GRID, seed=3)
         eigh = np.linalg.eigh
         stacks = []
 
@@ -227,7 +239,7 @@ class TestEtaSweep:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence_on_stacks)
-        got = fam.eta_samples(GRID, seed=3)
+        got = sampled_bounds(fam, GRID, seed=3)
         assert stacks  # the ascents did run as stacks, and each one fell back
         for a, b in zip(got, expected):
             assert abs(a.lower - b.lower) <= 1e-14
@@ -238,13 +250,13 @@ class TestEtaSweep:
         apply = chan_mod.apply
         monkeypatch.setattr(chan_mod, "apply", lambda *args: calls.append(1) or apply(*args))
         fam = family_for(4)
-        fam.eta_samples(GRID, seed=0)
+        fam.sampled_eta(GRID, seed=0)
         assert fam.applies == len(calls)
         # the grid takes about as many stacked applies as one t alone, and
         # far fewer than one estimate per t
         per_t = family_for(4)
         for t in GRID:
-            per_t.eta_sample(t, seed=0)
+            per_t.sampled_eta([t], seed=0)
         assert fam.applies < per_t.applies / 2
         fams = [family_for(3), family_for(4)]
         rep = rapid_mixing_check(fams, ts=GRID)
@@ -253,9 +265,9 @@ class TestEtaSweep:
     @pytest.mark.parametrize("n", [3, 5])
     def test_stacked_sweep_matches_one_state_at_a_time(self, n, monkeypatch):
         fam = family_for(n)
-        stacked = (fam.eta_sample(1.5, seed=7), fam.eta_single_channel(1, 1.5, seed=7))
+        stacked = (sampled_bounds(fam, [1.5], seed=7)[0], fam.sampled_eta_single_channel(1, 1.5, seed=7))
         monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)  # stacks of one state
-        single = (fam.eta_sample(1.5, seed=7), fam.eta_single_channel(1, 1.5, seed=7))
+        single = (sampled_bounds(fam, [1.5], seed=7)[0], fam.sampled_eta_single_channel(1, 1.5, seed=7))
         assert abs(stacked[0].lower - single[0].lower) <= 1e-14
         assert stacked[0].upper == single[0].upper
         assert abs(stacked[1] - single[1]) <= 1e-14
@@ -270,18 +282,18 @@ class TestEtaSweep:
     def test_line6_seed_26000_converges(self):
         # np.linalg.eigh (zheevd) of the adjoint image fails to converge here
         fam = family_for(6)
-        es = fam.eta_sample(1.5, seed=26000)
+        es = sampled_bounds(fam, [1.5], seed=26000)[0]
         assert 0.0 < es.lower <= es.upper
 
     def test_full_eigh_falls_back_to_mrrr(self, monkeypatch):
         fam = family_for(4)
-        expected = fam.eta_sample(1.5, seed=3)
+        expected = sampled_bounds(fam, [1.5], seed=3)[0]
 
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-        es = fam.eta_sample(1.5, seed=3)
+        es = sampled_bounds(fam, [1.5], seed=3)[0]
         assert abs(es.lower - expected.lower) < 1e-12
         assert es.upper == expected.upper
 
@@ -289,9 +301,8 @@ class TestEtaSweep:
 class TestCommutingFamily:
     def test_structure_verified(self):
         fam = family_for(3)
-        chk = fam.verify_structure()
-        assert chk["commutation"] < 1e-9
-        assert chk["idempotency"] < 1e-9
+        assert fam.proof.commutation < 1e-9
+        assert fam.proof.identity_defect < 1e-9
 
     def test_per_channel_gap_is_one(self):
         fam = family_for(3)
@@ -311,6 +322,11 @@ class TestCommutingFamily:
         lhs = (expm(t * s) @ rho.reshape(-1)).reshape(8, 8)
         rhs = fam.propagate(rho, t)
         assert trace_distance(lhs, rhs) < 1e-10
+        # a stack of times is each time propagated alone
+        stack = fam.propagate(rho, [t, 2.0])
+        assert stack.shape == (2, 8, 8)
+        assert np.abs(stack[0] - rhs).max() < 1e-15
+        assert trace_distance(stack[1], (expm(2.0 * s) @ rho.reshape(-1)).reshape(8, 8)) < 1e-10
 
     def test_additivity_bound(self):
         # eta(e^{sum L_j t}) <= sum_j eta(e^{L_j t})
@@ -319,6 +335,97 @@ class TestCommutingFamily:
             whole = fam.eta_sample(t).lower
             parts = sum(fam.eta_single_channel(k, t) for k in range(len(fam.channels)))
             assert whole <= parts + 1e-6
+
+
+class TestClosedForm:
+    """The proven envelope 1 - (1 - e^{-t})^N against the sampled estimator,
+    which is the oracle here."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_hypotheses_hold_on_lines(self, n):
+        fam = family_for(n)
+        proof = fam.proof
+        assert proof.holds and fam.method == "closed-form"
+        assert proof.range_dims == (2,) + (4,) * (n - 2) + (2,)
+        assert proof.identity_defect < 1e-14 and proof.commutation < 1e-14
+        assert proof.intersection_dim == 1 and proof.contains_target
+        assert proof.largest_kept < 1e-14 and proof.smallest_dropped > 0.3
+        assert proof.range_margin == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-14))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sampled_eta_attains_envelope(self, n, seed):
+        fam = family_for(n)
+        env = envelope(np.array(GRID), n)
+        closed = fam.eta_samples(GRID, seed=seed)
+        assert [es.upper for es in closed] == pytest.approx(env, rel=1e-15)
+        # the witness input attains the envelope
+        for es in closed:
+            assert es.upper * (1 - 1e-12) <= es.lower <= es.upper * (1 + 1e-12)
+        lo = fam.sampled_eta(GRID, seed=seed)
+        assert np.all(lo <= env + 1e-12)
+        assert np.all(np.abs(lo - env) <= 1e-10 * env)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_single_channel_is_exp_minus_t(self, n, seed):
+        fam = family_for(n)
+        for k in range(n):
+            for t in GRID:
+                assert fam.eta_single_channel(k, t, seed=seed) == pytest.approx(np.exp(-t), rel=1e-14)
+                assert fam.sampled_eta_single_channel(k, t, seed=seed) <= np.exp(-t) * (1 + 1e-12)
+
+    def test_witness_runs_through_propagate(self, monkeypatch):
+        fam = family_for(4)
+        calls = []
+        propagate = fam.propagate
+        monkeypatch.setattr(fam, "propagate", lambda rho, t: calls.append(np.size(t)) or propagate(rho, t))
+        fam.eta_samples(GRID)
+        assert calls == [len(GRID)]  # one stack of every t
+
+    def test_sampled_path_ignores_roundoff_signs(self, monkeypatch):
+        # the two apply branches differ by roundoff; the ascent directions
+        # drop the signs of roundoff eigenvalues, so both reach one estimate
+        fam = family_for(4)
+        natural = fam.sampled_eta_single_channel(0, 2.5, seed=0)  # m = 4: the S branch
+        pays = chan_mod._liouville_pays
+        forced = []
+        monkeypatch.setattr(chan_mod, "_liouville_pays", lambda *a: forced.append(not pays(*a)) or forced[-1])
+        kraus = family_for(4).sampled_eta_single_channel(0, 2.5, seed=0)
+        assert forced and not any(forced)  # every apply took the Kraus branch
+        assert abs(natural - kraus) <= 1e-10
+
+    def test_dropped_channel_is_sampled(self):
+        inst = states.line_graph_state(4)
+        fam = CommutingResetFamily(list(inst.witness_channels[:-1]), inst.space, inst.psi)
+        proof = fam.proof
+        assert proof.intersection_dim == 2 and proof.contains_target and not proof.holds
+        assert fam.method == "sampled"
+        got = fam.eta_samples(GRID, seed=0)
+        assert [es.lower for es in got] == list(fam.sampled_eta(GRID, seed=0))
+        assert all(es.upper == 1.0 for es in got)
+        rep = rapid_mixing_check([family_for(3), fam], ts=GRID)
+        assert rep.method == "sampled" and rep.max_gap is not None
+
+    def test_non_idempotent_channel_is_sampled(self):
+        eps = 1e-3
+        inst = states.line_graph_state(3)
+        first = inst.witness_channels[0]
+        kraus = [np.sqrt(1 - eps) * k for k in first.kraus] + [np.sqrt(eps) * np.eye(first.local_dim)]
+        chans = [make_channel(kraus, first.support)] + list(inst.witness_channels[1:])
+        fam = CommutingResetFamily(chans, inst.space, inst.psi)
+        proof = fam.proof
+        assert proof.range_dims[0] == first.local_dim  # (1 - eps) E(I) + eps I is full rank
+        assert proof.identity_defects[0] > 1e-4 and not proof.holds
+        assert fam.method == "sampled"
+        assert fam.eta_single_channel(0, 2.5) == fam.sampled_eta_single_channel(0, 2.5)
+        rep = rapid_mixing_check([fam], ts=GRID)
+        assert rep.method == "sampled" and rep.max_gap is None
+
+    def test_mixed_target_is_sampled(self):
+        inst = states.line_graph_state(3)
+        fam = CommutingResetFamily(list(inst.witness_channels), inst.space, np.eye(8) / 8)
+        assert not fam.proof.pure_target and fam.method == "sampled"
 
 
 @pytest.mark.slow
