@@ -314,7 +314,8 @@ def _report(task: str, verdict_true: bool, verdicts: dict, certificates: dict,
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, default=_json_default)
+    # a NaN or an infinity is not JSON: a report must say null instead
+    text = json.dumps(report, indent=2, default=_json_default, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

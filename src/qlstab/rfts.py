@@ -250,6 +250,48 @@ def _operator_schmidt_factors(op, region, space: MultipartiteSpace, rtol: float 
     return [ (s[j] * u[:, j]).reshape(da, da) for j in range(r) ]
 
 
+def _commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace) -> np.ndarray:
+    """||[X_i (x) I, Y_j (x) I]||_F for every X_i on the sites `x_support` of
+    `space` and Y_j on `y_support`, on the union of the supports; zeros when
+    they are disjoint.
+
+    Operator Schmidt factors across the overlap O, X = sum_mu A_mu (x) B_mu
+    and Y = sum_nu C_nu (x) E_nu with the B_mu and the E_nu orthonormal and
+    every nonzero singular value kept, give ||[X, Y]||^2 =
+    sum_{mu,nu} ||[A_mu, C_nu]||^2. The commutators are formed explicitly (a
+    trace expansion of the square loses half the digits), as two GEMMs per
+    chunk of A factors: the chunk stacked times the C factors side by side,
+    and the C factors stacked times the chunk side by side. One chunk's
+    product fits in `channels.STACK_MAX_BYTES`.
+    """
+    overlap = sorted(set(x_support) & set(y_support))
+    if not overlap:
+        return np.zeros((len(xs), len(ys)))
+    do = space.dim_of(overlap)
+
+    def factors(ops, support):
+        # every overlap factor of `ops` stacked (F, do, do), and their owners one-hot (F, len(ops))
+        sub = MultipartiteSpace([space.dims[i] for i in support])
+        pos = [list(support).index(i) for i in overlap]
+        per_op = [_operator_schmidt_factors(op, pos, sub, rtol=0.0) for op in ops]
+        owner = np.repeat(np.arange(len(ops)), [len(f) for f in per_op])
+        stack = np.array([f for fs in per_op for f in fs], dtype=complex).reshape(-1, do, do)
+        return stack, np.eye(len(ops))[owner]
+
+    (a, a_owner), (c, c_owner) = factors(xs, x_support), factors(ys, y_support)
+    side = c.transpose(1, 0, 2).reshape(do, -1)
+    sq = np.zeros((len(xs), len(ys)))
+    chunk = max(1, ch.STACK_MAX_BYTES // (16 * do * do * max(len(c), 1)))
+    for lo in range(0, len(a), chunk):
+        blk = a[lo:lo + chunk]
+        ac = (blk.reshape(-1, do) @ side).reshape(len(blk), do, len(c), do)
+        ca = (c.reshape(-1, do) @ blk.transpose(1, 0, 2).reshape(do, -1)).reshape(len(c), do, len(blk), do)
+        ac -= ca.transpose(2, 1, 0, 3)
+        re_im = ac.view(float)
+        sq += a_owner[lo:lo + chunk].T @ np.einsum("irjc,irjc->ij", re_im, re_im) @ c_owner
+    return np.sqrt(sq)
+
+
 # ---------------------------------------------------------------------------
 # neighborhood algebras
 # ---------------------------------------------------------------------------
@@ -380,6 +422,10 @@ class Factorization:
 
 @dataclass(frozen=True)
 class AlgebraicRftsResult:
+    """`commutation_defect` is the largest ||[x (x) I, y (x) I]||_F over basis
+    elements x, y of two overlapping neighborhood algebras, on the union of
+    their restricted neighborhoods (`_pairwise_algebra_commutation`)."""
+
     ok: bool
     reason: str
     qls: bool
@@ -550,29 +596,11 @@ def check_algebraic_rfts(
 
 
 def _pairwise_algebra_commutation(algebras, cn, support: LocalSupport) -> float:
-    """Max cross-commutator norm, reduced to operator Schmidt factors on overlaps."""
-    worst = 0.0
-    for j in range(len(cn)):
-        for k in range(j + 1, len(cn)):
-            overlap = sorted(set(cn[j]) & set(cn[k]))
-            if not overlap:
-                continue
-            comps_j = _overlap_components(algebras[j], cn[j], overlap, support)
-            comps_k = _overlap_components(algebras[k], cn[k], overlap, support)
-            for a in comps_j:
-                for b in comps_k:
-                    worst = max(worst, frob(a @ b - b @ a))
-    return worst
-
-
-def _overlap_components(algebra: AlgebraBasis, region, overlap, support: LocalSupport):
-    """Overlap-side operator Schmidt factors of every basis element."""
-    region = list(region)
-    if len(overlap) == len(region):
-        return list(algebra.elements)
-    space = MultipartiteSpace([support.restricted_dims[i] for i in region])
-    axes_a = [region.index(i) for i in overlap]
-    return [f for e in algebra.elements for f in _operator_schmidt_factors(e, axes_a, space)]
+    """Largest `_commutator_norms` of two neighborhood algebras' bases."""
+    space = MultipartiteSpace(support.restricted_dims)
+    pairs = itertools.combinations(zip(algebras, cn), 2)
+    return max((float(np.max(_commutator_norms(a.elements, na, b.elements, nb, space), initial=0.0))
+                for (a, na), (b, nb) in pairs), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +612,7 @@ class MatchingOverlapRftsVerdict:
     ok: bool
     matching_overlap: str
     qls: bool
-    max_pairwise_commutator: float
+    max_pairwise_commutator: float | None  # None when a precondition failed
     reason: str = ""
 
 
@@ -598,13 +626,11 @@ def check_matching_overlap_rfts(
     """Matching overlap + QLS + pairwise commuting projectors => RFTS."""
     mo = subspaces.check_matching_overlap(nstruct)
     qv = subspaces.check_qls(psi, nstruct, space)
-    if mo.status != "satisfied" or not qv.qls:
+    failed = [name for name, ok in (("matching-overlap", mo.status == "satisfied"), ("qls", qv.qls)) if not ok]
+    if failed:
         return MatchingOverlapRftsVerdict(
             ok=False, matching_overlap=mo.status, qls=qv.qls,
-            max_pairwise_commutator=float("nan"),
-            reason="precondition: "
-            + ("matching-overlap " if mo.status != "satisfied" else "")
-            + ("qls" if not qv.qls else ""),
+            max_pairwise_commutator=None, reason="precondition: " + ", ".join(failed),
         )
     pset = subspaces.canonical_hamiltonian(psi, nstruct, space)
     mat = subspaces.pairwise_projector_commutators(pset)
@@ -734,39 +760,6 @@ def _fidelity_roundoff(d: int) -> float:
     return 2.0 * (d + 2) * float(np.finfo(float).eps)
 
 
-def kraus_commutator_norms(a: Channel, b: Channel, space: MultipartiteSpace) -> np.ndarray:
-    """||[K_i, L_j]||_F for every Kraus operator K_i of `a` and L_j of `b`,
-    each with the identity on the rest of the union of their supports.
-
-    Taken on the overlap O of the supports, through operator Schmidt factors:
-    K = sum_mu A_mu (x) B_mu and L = sum_nu C_nu (x) E_nu across O and the
-    private parts, with the B_mu and the E_nu orthonormal, give
-    ||[K, L]||^2 = sum_{mu,nu} ||[A_mu, C_nu]||^2. Every nonzero singular
-    value is kept, so nothing is dropped from the norm. Disjoint supports give
-    zeros.
-    """
-    norms = np.zeros((len(a.kraus), len(b.kraus)))
-    overlap = sorted(set(a.support) & set(b.support))
-    if not overlap:
-        return norms
-    do = space.dim_of(overlap)
-
-    def factors(c: Channel, k: np.ndarray) -> np.ndarray:
-        sub = MultipartiteSpace([space.dims[i] for i in c.support])
-        pos = [c.support.index(i) for i in overlap]
-        return np.array(_operator_schmidt_factors(k, pos, sub, rtol=0.0)).reshape(-1, do, do)
-
-    ys = [factors(b, l) for l in b.kraus]
-    y = np.concatenate(ys)
-    owner = np.repeat(np.arange(len(ys)), [len(f) for f in ys])
-    for i, k in enumerate(a.kraus):
-        sq = np.zeros(len(y))
-        for x in factors(a, k):
-            sq += np.linalg.norm(x @ y - y @ x, axis=(1, 2)) ** 2
-        norms[i] = np.sqrt(np.bincount(owner, weights=sq, minlength=len(ys)))
-    return norms
-
-
 def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace) -> float:
     """Bound on the trace distance between a(b(rho)) and b(a(rho)) over every
     state rho: (1/2) sum_ij c_ij (2 + c_ij), c_ij = ||[K_i, L_j]||_F.
@@ -775,7 +768,7 @@ def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace) -> float:
     C rho (L_j K_i)^H + L_j K_i rho C^H + C rho C^H, and every Kraus operator
     has operator norm at most 1. Zero for disjoint supports.
     """
-    c = kraus_commutator_norms(a, b, space)
+    c = _commutator_norms(a.kraus, a.support, b.kraus, b.support, space)
     return 0.5 * float(np.sum(c * (2.0 + c)))
 
 

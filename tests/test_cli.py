@@ -110,6 +110,21 @@ class TestCheck:
         rc = main(["check", "matching-overlap", path])
         assert rc == 0
 
+    @pytest.mark.parametrize("problem, reason", [
+        ("graph_cycle5.json", "precondition: matching-overlap"),
+        ("ghz3.json", "precondition: qls"),
+    ])
+    def test_matching_overlap_rfts_failed_precondition_is_strict_json(self, problem, reason, capsys):
+        # the commutator is not computed, so the report holds null, not NaN
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        rc = main(["check", "matching-overlap-rfts", os.path.join(PROBLEMS, problem)])
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rc == 1
+        assert out["verdicts"]["reason"] == reason
+        assert out["certificates"]["max_pairwise_commutator"] is None
+
     def test_algebraic_rfts_reports_cluster_margin(self, tmp_path, capsys):
         path = write_json(tmp_path, "c5.json", {
             "state": {"constructor": {"name": "graph-cycle", "params": {"n": 5}}},

@@ -35,7 +35,6 @@ from qlstab.rfts import (
     correlation,
     correlation_probe,
     factor_representation,
-    kraus_commutator_norms,
     local_support,
     neighborhood_algebra,
     recoverability_probe,
@@ -44,6 +43,7 @@ from qlstab.rfts import (
     verify_robustness,
 )
 from qlstab.rfts import (
+    _commutator_norms,
     _distance_to_target,
     _factor_split,
     _pairwise_algebra_commutation,
@@ -357,6 +357,30 @@ class TestLocalFactorization:
         for a, b in zip(built, oracle):
             (a_loc, sub), (b_loc, _) = (ch.relocate(c, c.support, inst.space) for c in (a, b))
             assert np.max(np.abs(superoperator(a_loc, sub) - superoperator(b_loc, sub))) < 1e-12
+
+
+def coarse_algebras(inst):
+    """The neighbourhood algebras `check_algebraic_rfts` computes, with their
+    coarse neighbourhoods and local support."""
+    cg = hilbert.coarse_grain(inst.space, reduce_full_rank_factors(inst.psi, inst.neighborhoods, inst.space)[0])
+    psi_c = hilbert.coarse_grain_state(inst.psi, cg, inst.space)
+    support = local_support(psi_c, cg.space)
+    cn = cg.neighborhoods
+    return [neighborhood_algebra(psi_c, cn, j, cg.space, support) for j in range(len(cn))], cn, support
+
+
+class TestAlgebraCommutation:
+    @pytest.mark.parametrize("name", ["cycle5", "ccz-triangle", "nonfactorizable-252", "kagome-3x1"])
+    def test_matches_union_embed(self, name):
+        # every pair of basis elements of two overlapping algebras, embedded
+        # on the union of the two restricted neighbourhoods
+        algebras, cn, support = coarse_algebras(LIFTED_CASES[name]())
+        space = MultipartiteSpace(support.restricted_dims)
+        oracle = max((float(np.max(union_embed_norms(algebras[j].elements, cn[j], algebras[k].elements, cn[k],
+                                                     space), initial=0.0))
+                      for j, k in itertools.combinations(range(len(cn)), 2) if set(cn[j]) & set(cn[k])),
+                     default=0.0)
+        assert abs(_pairwise_algebra_commutation(algebras, cn, support) - oracle) <= 1e-12
 
 
 class TestLocalSupport:
@@ -694,16 +718,22 @@ class TestRobustness:
         assert defect < 1e-9
 
 
-def union_embed_norms(a: Channel, b: Channel, space) -> np.ndarray:
-    """Oracle for `kraus_commutator_norms`: every Kraus operator embedded on
-    the union of the two supports (`hilbert.act` on the identity), and each
-    commutator taken there."""
-    union = sorted(set(a.support) | set(b.support))
-    (a_loc, sub), (b_loc, _) = (ch.relocate(c, union, space) for c in (a, b))
+def union_embed_norms(xs, x_support, ys, y_support, space) -> np.ndarray:
+    """Oracle for `_commutator_norms`: every operator embedded on the union
+    of the two supports (`hilbert.act` on the identity), and each commutator
+    taken there."""
+    union = sorted(set(x_support) | set(y_support))
+    sub = MultipartiteSpace([space.dims[i] for i in union])
     eye = np.eye(sub.total_dim, dtype=complex)
-    ka = [hilbert.act(k, a_loc.support, eye, sub) for k in a.kraus]
-    kb = [hilbert.act(k, b_loc.support, eye, sub) for k in b.kraus]
-    return np.array([[np.linalg.norm(x @ y - y @ x) for y in kb] for x in ka])
+    ex, ey = ([hilbert.act(op, [union.index(i) for i in support], eye, sub) for op in ops]
+              for ops, support in ((xs, x_support), (ys, y_support)))
+    return np.array([[np.linalg.norm(x @ y - y @ x) for y in ey] for x in ex]).reshape(len(xs), len(ys))
+
+
+def unit_ops(count: int, m: int, rng) -> list[np.ndarray]:
+    """`count` random complex m x m operators of unit Frobenius norm."""
+    ops = rng.normal(size=(count, m, m)) + 1j * rng.normal(size=(count, m, m))
+    return list(ops / np.linalg.norm(ops, axis=(1, 2), keepdims=True))
 
 
 def built_channels(inst) -> list[Channel]:
@@ -775,15 +805,41 @@ class TestOrderCertificate:
         chans, space = commutator_case(name)
         pairs = 0
         for a, b in itertools.combinations(chans, 2):
+            args = (a.kraus, a.support, b.kraus, b.support, space)
+            norms = _commutator_norms(*args)
+            assert norms.shape == (len(a.kraus), len(b.kraus))
             if set(a.support) & set(b.support):
                 pairs += 1
-                norms = kraus_commutator_norms(a, b, space)
-                assert norms.shape == (len(a.kraus), len(b.kraus))
-                assert np.max(np.abs(norms - union_embed_norms(a, b, space))) <= 1e-12
+                assert np.max(np.abs(norms - union_embed_norms(*args))) <= 1e-12
             else:
-                assert not np.any(kraus_commutator_norms(a, b, space))
+                assert not np.any(norms)
                 assert swap_bound(a, b, space) == 0.0
         assert pairs > 0
+
+    @pytest.mark.parametrize("x_support, y_support", [
+        ((1,), (0, 1, 2)), ((0, 1, 2), (0, 2)), ((0, 1), (0, 1)),
+    ])
+    def test_nested_supports_match_union_embed(self, x_support, y_support, rng):
+        # the nested side has no private sites, so each of its operators is
+        # its own single overlap factor; a zero operator has no factor
+        space = MultipartiteSpace([2, 3, 2])
+        xs = unit_ops(3, space.dim_of(x_support), rng) + [np.zeros((space.dim_of(x_support),) * 2)]
+        ys = unit_ops(2, space.dim_of(y_support), rng)
+        norms = _commutator_norms(xs, x_support, ys, y_support, space)
+        assert norms.shape == (4, 2) and not np.any(norms[-1]) and np.all(norms[:-1] > 0.1)
+        assert np.max(np.abs(norms - union_embed_norms(xs, x_support, ys, y_support, space))) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 16 * 3 * 12 * 3 * 5])
+    def test_factor_chunks_match_union_embed(self, budget, rng, monkeypatch):
+        # on the overlap (site 1, dim 3) the X side has 16 factors and the Y
+        # side 12, so these budgets take the X factors 1 and 5 at a time
+        space = MultipartiteSpace([2, 3, 2])
+        xs, ys = unit_ops(4, 6, rng), unit_ops(3, 6, rng)
+        whole = _commutator_norms(xs, (0, 1), ys, (1, 2), space)
+        monkeypatch.setattr(ch, "STACK_MAX_BYTES", budget)
+        chunked = _commutator_norms(xs, (0, 1), ys, (1, 2), space)
+        assert np.max(np.abs(chunked - whole)) <= 1e-14
+        assert np.max(np.abs(chunked - union_embed_norms(xs, (0, 1), ys, (1, 2), space))) <= 1e-12
 
     @pytest.mark.parametrize("name, kw", [
         ("kagome-3x1", dict(trials=3, n_random_inputs=0)),
@@ -832,7 +888,7 @@ class TestOrderCertificate:
         z = np.diag([1.0, -1.0]).astype(complex)
         sp = uniform_space(1)
         a, b = (unitary_channel(expm(-1j * theta * g), [0]) for g in (x, z))
-        c = kraus_commutator_norms(a, b, sp)[0, 0]
+        c = _commutator_norms(a.kraus, a.support, b.kraus, b.support, sp)[0, 0]
         swap = 0.0
         for _ in range(200):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -995,6 +1051,17 @@ class TestMatchingOverlapRfts:
         v = check_matching_overlap_rfts(inst.psi, inst.neighborhoods, inst.space)
         assert v.matching_overlap == "violated"
         assert not v.ok
+
+    def test_failed_preconditions_listed(self):
+        # GHZ on the nested 3-body line neighbourhoods fails both; the
+        # projectors are then not compared
+        line = states.line_graph_state(4)
+        ghz = np.zeros(16, dtype=complex)
+        ghz[[0, 15]] = 1 / np.sqrt(2)
+        v = check_matching_overlap_rfts(ghz, line.neighborhoods, line.space)
+        assert (v.ok, v.qls, v.matching_overlap) == (False, False, "violated")
+        assert v.reason == "precondition: matching-overlap, qls"
+        assert v.max_pairwise_commutator is None
 
     def test_dicke_fails(self):
         inst = states.dicke(4, 2)
