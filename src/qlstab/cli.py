@@ -664,7 +664,10 @@ def cmd_mixing(args) -> int:
     if args.family_sizes:
         fams = _line_graph_families(args.family_sizes)
         ts = [float(t) for t in (args.ts if args.ts else [1.5, 2.5, 4.0, 6.0])]
-        rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=args.seed)
+        try:
+            rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=args.seed)
+        except ValueError as exc:
+            raise InputError(f"mixing family: {exc}") from exc
         report = _report(
             "mixing family", rep.passed,
             {"rapid_mixing": rep.passed},
@@ -689,7 +692,10 @@ def cmd_mixing(args) -> int:
     ts_src = options.get("ts") if options.get("ts") is not None else args.ts
     ts = [float(t) for t in (ts_src or [])]
     proof = fam.proof
-    samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts, seed=args.seed)]
+    try:
+        samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts)]
+    except ValueError as exc:
+        raise InputError(f"mixing: {exc}") from exc
     report = _report(
         "mixing", True,
         {"per_channel_gap": gap},

@@ -6,27 +6,25 @@ is capped (default side 4096, i.e. D <= 64); commuting idempotent channel
 families use the closed-form propagator e^{(E-I)t} = I + (1-e^{-t})(E-I)
 instead, which keeps everything at matrix level.
 
-eta(t) of a `CommutingResetFamily` is proven, not estimated, once its
-hypotheses hold (`ResetProof`, checked once per family from local data):
-each E_k is the identity on B(W_k), W_k the range of E_k(I) on its support;
-the maps commute; and the intersection of the W_k (x) I is span(psi). Then
-e^{tL} = prod_k ((1 - w) id + w E_k) with w = 1 - e^{-t}, and
-eta(t) <= 1 - (1 - e^{-t})^N <= N e^{-t}: rapid mixing in the sense of
-Kastoryano & Temme (J. Math. Phys. 54:052202, 2013), with unit constants.
-The envelope is each sample's upper bound and what `rapid_mixing_check`
-fits; the lower bound is the exact distance at one witness input, which
+eta(t) of a `CommutingResetFamily` is proven, never estimated, and nothing
+here draws an input. The hypotheses (`ResetProof`, checked once per family
+from local data) are: each E_k is the identity on B(W_k), W_k the range of
+E_k(I) on its support; the maps commute; and the intersection of the
+W_k (x) I is span(psi). Then e^{tL} = prod_k ((1 - w) id + w E_k) with
+w = 1 - e^{-t}, and eta(t) <= 1 - (1 - e^{-t})^N <= N e^{-t}: rapid mixing
+in the sense of Kastoryano & Temme (J. Math. Phys. 54:052202, 2013), with
+unit constants. The envelope is each sample's upper bound and the only
+thing `rapid_mixing_check` fits; a family that fails a hypothesis stops the
+check. The lower bound is the exact distance at one witness input, which
 attains the envelope on the line-graph families to about 1e-14. For one
-channel, eta is e^{-t} when W_k is proper. The sampled estimate
-(`_eta_lower`: drawn pure inputs, then ascents) runs only for a family that
-fails the hypotheses, such as one with a mixed target, and the tests keep it
-as the oracle of the envelope.
+channel, eta is e^{-t} when W_k is proper.
 
-The sampled estimates over a time grid run as one stacked pass
-(`CommutingResetFamily.sampled_eta`). Every t is estimated from the same
-seed, so all t draw the same samples, and the ascents draw nothing after
-that. Running the t in lockstep therefore changes neither the draws nor the
-iterates: each t gets the estimate it gets alone, up to roundoff, for about
-the channel applies of one t.
+A family that fails the hypotheses but whose maps commute and are each
+idempotent (a mixed target, a dropped channel) still has the product
+propagator: its samples are "unproven", with the witness distance as
+`lower` and the trivial bound 1 as `upper`. When the maps do not commute,
+or one is not idempotent, the product is not e^{tL}, and asking for eta
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import expm
 
 from . import channels as chan_mod
-from ._linalg import DEFAULT_TOL, herm, random_pure, rank_cutoff, trace_distance
+from ._linalg import DEFAULT_TOL, herm, rank_cutoff, trace_distance
 from .channels import Channel
 from .hilbert import MultipartiteSpace
 from .subspaces import ExtendedSpan, _sweep, _tightest
@@ -104,126 +101,17 @@ def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
 # contraction coefficient
 # ---------------------------------------------------------------------------
 
-class _Map:
-    """`count` linear maps on D x D matrices, given by apply/adjoint callables
-    on an (S, D, D) stack and an index array k of length S: matrix i of the
-    stack goes through map k[i]."""
-
-    def __init__(self, dim, count, apply_fn, adjoint_fn):
-        self.dim = dim
-        self.count = count
-        self.apply = apply_fn
-        self.adjoint = adjoint_fn
-
-
-def _trace(x: np.ndarray) -> np.ndarray:
-    """Trace of a matrix, or of each matrix of a stack, shaped to broadcast
-    against it."""
-    return np.trace(x, axis1=-2, axis2=-1)[..., None, None]
-
-
 def _half_trace_norm(a: np.ndarray) -> np.ndarray:
     """(1/2)||herm(a)||_1 of each matrix of a stack."""
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm(a))), axis=-1)
 
 
-def _eigh(a: np.ndarray):
-    """Eigenpairs of each matrix of a Hermitian stack; if the stacked zheevd
-    does not converge, each matrix by MRRR."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        pairs = [scipy.linalg.eigh(x, driver="evr") for x in a]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-
-def _top_vectors(b: np.ndarray) -> np.ndarray:
-    """Top eigenvector of each matrix of a Hermitian stack, by MRRR on that
-    one index."""
-    d = b.shape[-1]
-    return np.array([scipy.linalg.eigh(x, subset_by_index=[d - 1, d - 1], driver="evr")[1][:, 0] for x in b])
-
-
-def _pure(v: np.ndarray) -> np.ndarray:
-    """|v><v| for each row v."""
-    return v[:, :, None] * v[:, None, :].conj()
-
-
-def _ascent_signs(ev: np.ndarray) -> np.ndarray:
-    """Sign of each eigenvalue of a stack, set to 0 where |lambda| is at or
-    below D * eps * max|lambda| of its matrix, the roundoff of its
-    eigensolve: such eigenvalues (1e-20 to 1e-18 on the rank-deficient
-    images of `sampled_eta_single_channel`) would steer the ascent by
-    roundoff. The rank rule's cut, 1e-10 * D, would be too coarse: at large
-    t the images have true eigenvalues near e^{-2t} of the largest, and
-    zeroing their signs left the sampled eta 3e-9 below the envelope on
-    line 6."""
-    mag = np.abs(ev)
-    cut = ev.shape[-1] * np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
-    return np.where(mag > cut, np.sign(ev), 0.0)
-
-
-def _eta_lower(m: _Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int = 20) -> np.ndarray:
-    """sup over pure inputs of (1/2)||M_j(rho)||_1 for every map j of `m`, by
-    sampling plus alternating ascent.
-
-    One set of samples is drawn, in order, and serves every map: the sweep
-    pushes each (map, sample) pair through as stacks of
-    `channels.stack_size(D)` inputs. Each map then refines its `n_refine`
-    best samples, and all count * n_refine ascents run in lockstep, in groups
-    of the same size; an ascent that meets its stop test leaves its group. An
-    ascent draws nothing once its start is chosen, so the result equals the
-    maps taken one at a time, each after drawing the same samples: callers
-    that seed every map alike (`CommutingResetFamily.sampled_eta`) get each
-    map's single estimate, up to roundoff. Each step's image M(rho_new) is
-    the next step's M(rho), so a step costs one adjoint and one apply. The
-    ascent direction V sign(Lambda) V^H gives roundoff eigenvalues sign 0
-    (`_ascent_signs`), so the path does not depend on roundoff.
-
-    LAPACK's divide-and-conquer zheevd (`np.linalg.eigh`) can fail to
-    converge on a finite, exactly Hermitian input: it did on a 64 x 64
-    adjoint image with a paired spectrum (line 6, t = 1.5, seed 26000), where
-    the MRRR driver converges. So the ascent takes only the top eigenvector
-    of each adjoint image, by MRRR on that one index, and when a stacked
-    `eigh` of the images fails, retries each image with MRRR.
-    """
-    d, count = m.dim, m.count
-    per = chan_mod.stack_size(d)
-    vecs = np.array([random_pure(d, rng) for _ in range(n_samples)])
-    # entry i of the sweep is sample i % n_samples through map i // n_samples
-    vals = np.empty(count * n_samples)
-    for start in range(0, vals.size, per):
-        i = np.arange(start, min(start + per, vals.size))
-        vals[i] = _half_trace_norm(m.apply(_pure(vecs[i % n_samples]), i // n_samples))
-    vals = vals.reshape(count, n_samples)
-    best = vals.max(axis=1)
-    starts = np.argsort(vals, axis=1)[:, ::-1][:, :n_refine].ravel()
-    maps = np.repeat(np.arange(count), n_refine)
-    for g in range(0, maps.size, per):
-        k, live = maps[g:g + per], np.arange(min(per, maps.size - g))
-        final = np.empty(live.size)
-        a = herm(m.apply(_pure(vecs[starts[g:g + per]]), k))
-        for _ in range(iters):
-            ev, vec = _eigh(a)
-            u = (vec * _ascent_signs(ev)[:, None, :]) @ np.swapaxes(vec, -1, -2).conj()
-            image = m.apply(_pure(_top_vectors(herm(m.adjoint(u, k[live])))), k[live])
-            val = 0.5 * np.einsum("kij,kji->k", u, image).real
-            stop = val <= 0.5 * np.sum(np.abs(ev), axis=-1) - 1e-14
-            final[live[stop]] = _half_trace_norm(a[stop])
-            live, a = live[~stop], herm(image[~stop])
-            if not live.size:
-                break
-        final[live] = _half_trace_norm(a)
-        np.maximum.at(best, k, final)
-    return best
-
-
 @dataclass(frozen=True)
 class EtaSample:
-    """eta(t) between `lower` and `upper`. On the closed-form path `upper` is
-    the proven envelope 1 - (1 - e^{-t})^N and `lower` the exact value at one
-    witness input; on the sampled path `lower` is the sampled estimate and
-    `upper` the trivial bound 1 (a trace distance between states)."""
+    """eta(t) between `lower` and `upper`. `lower` is the exact distance at
+    one witness input, so a true lower bound. `upper` is the proven envelope
+    1 - (1 - e^{-t})^N when the family's `proof` holds, and otherwise the
+    trivial bound 1 (a trace distance between states)."""
 
     t: float
     lower: float
@@ -244,14 +132,19 @@ class ResetProof:
     eigenvalue of E_k(I_m) over its largest, the tightest over k (None when
     no channel drops one). identity_defects[k] is the largest
     ||E_k(X) - X||_F over the r_k^2 matrix units X = w_i w_j^H of B(W_k).
-    commutation is `rfts.channels_commute_pairwise`. The intersection of the
-    W_k (x) I, from `subspaces._sweep`, has dimension intersection_dim, and
-    largest_kept and smallest_dropped are the margins of its cuts.
+    idempotency_defects[k] is the largest ||E_k(E_k(X)) - E_k(X)||_F over
+    the m_k^2 matrix units of its support, taken only when the identity
+    defect fails the gate, and None otherwise (then E_k is idempotent, see
+    `holds`). commutation is `rfts.channels_commute_pairwise`. The
+    intersection of the W_k (x) I, from `subspaces._sweep`, has dimension
+    intersection_dim, and largest_kept and smallest_dropped are the margins
+    of its cuts.
     """
 
     range_dims: tuple[int, ...]
     range_margin: tuple[float | None, float | None]
     identity_defects: tuple[float, ...]
+    idempotency_defects: tuple[float | None, ...]
     commutation: float
     pure_target: bool
     intersection_dim: int
@@ -264,6 +157,33 @@ class ResetProof:
         return max(self.identity_defects, default=0.0)
 
     @property
+    def product_failure(self) -> str | None:
+        """Why prod_k ((1 - w) id + w E_k) is not e^{tL}, or None when it is:
+        that takes commuting maps, each one idempotent."""
+        if self.commutation > DEFAULT_TOL.commutator:
+            return f"the maps do not commute (defect {self.commutation:.2e})"
+        for k, d in enumerate(self.idempotency_defects):
+            if d is not None and d > DEFAULT_TOL.invariance:
+                return f"channel {k} is not idempotent (defect {d:.2e})"
+        return None
+
+    @property
+    def failure(self) -> str | None:
+        """The first hypothesis of the envelope that fails, or None."""
+        if not self.pure_target:
+            return "the target is mixed"
+        if self.commutation > DEFAULT_TOL.commutator:
+            return self.product_failure  # which names the commutation defect
+        for k, d in enumerate(self.identity_defects):
+            if d > DEFAULT_TOL.invariance:
+                return f"channel {k} is not the identity on B(W_k) (defect {d:.2e})"
+        if self.intersection_dim != 1:
+            return f"the intersection of the W_k (x) I has dimension {self.intersection_dim}, not 1"
+        if not self.contains_target:
+            return "the intersection of the W_k (x) I does not contain the target"
+        return None
+
+    @property
     def holds(self) -> bool:
         """Each E_k sends every state onto W_k (x) H_rest, since E_k(rho) <=
         E_k(I) (x) I for rho <= I, and is the identity on B(W_k) (x) B(H_rest):
@@ -271,13 +191,7 @@ class ResetProof:
         points. With the maps commuting, a product over every channel leaves
         its output on the intersection of the W_k (x) I, which is span(psi).
         """
-        return (
-            self.pure_target
-            and self.commutation <= DEFAULT_TOL.commutator
-            and self.identity_defect <= DEFAULT_TOL.invariance
-            and self.intersection_dim == 1
-            and self.contains_target
-        )
+        return self.failure is None
 
 
 class CommutingResetFamily:
@@ -285,9 +199,6 @@ class CommutingResetFamily:
 
     def __init__(self, channels: list[Channel], space: MultipartiteSpace, target):
         self.channels = list(channels)
-        self.adjoints = [
-            Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label) for c in self.channels
-        ]
         self.space = space
         self.applies = 0  # channels.apply calls made through this family
         self.target = np.asarray(target, dtype=complex)
@@ -304,9 +215,10 @@ class CommutingResetFamily:
     @functools.cached_property
     def _local(self) -> list[tuple]:
         """Per channel: (W_k on the sorted support, its identity defect, the
-        eigenvalues of E_k(I_m) in descending order, and (1/2)||v v^H -
+        eigenvalues of E_k(I_m) in descending order, (1/2)||v v^H -
         E_k(v v^H)||_1 at the eigenvector v of the smallest one, or 0 when
-        W_k is the whole support)."""
+        W_k is the whole support, and its idempotency defect, or None when
+        the identity defect passes)."""
         out = []
         for c in self.channels:
             remap, sub = chan_mod.relocate(c, c.support, self.space)
@@ -321,7 +233,11 @@ class CommutingResetFamily:
             if r < m:
                 x = np.outer(vec[:, -1], vec[:, -1].conj())
                 away = float(_half_trace_norm(x - self._apply(remap, x, sub)))
-            out.append((w, defect, ev, away))
+            idempotency = None
+            if defect > DEFAULT_TOL.invariance:
+                once = self._apply(remap, np.eye(m * m, dtype=complex).reshape(m * m, m, m), sub)
+                idempotency = float(np.max(np.linalg.norm(self._apply(remap, once, sub) - once, axis=(1, 2))))
+            out.append((w, defect, ev, away, idempotency))
         return out
 
     @functools.cached_property
@@ -339,12 +255,13 @@ class CommutingResetFamily:
         inter = ExtendedSpan(v, region, self.space)
         pure = self.target.ndim == 1
         dims = [w.shape[1] for w, *_ in local]
-        kept_ev = [ev[r - 1] / ev[0] for r, (_, _, ev, _) in zip(dims, local)]
-        dropped_ev = [ev[r] / ev[0] for r, (_, _, ev, _) in zip(dims, local) if r < ev.size]
+        kept_ev = [ev[r - 1] / ev[0] for r, (_, _, ev, *_) in zip(dims, local)]
+        dropped_ev = [ev[r] / ev[0] for r, (_, _, ev, *_) in zip(dims, local) if r < ev.size]
         return ResetProof(
             range_dims=tuple(dims),
             range_margin=(float(min(kept_ev)), float(max(dropped_ev)) if dropped_ev else None),
             identity_defects=tuple(defect for _, defect, *_ in local),
+            idempotency_defects=tuple(idempotency for *_, idempotency in local),
             commutation=channels_commute_pairwise(self.channels, self.space),
             pure_target=pure,
             intersection_dim=inter.dim,
@@ -355,8 +272,9 @@ class CommutingResetFamily:
 
     @property
     def method(self) -> str:
-        """The path `eta_samples` takes: "closed-form" or "sampled"."""
-        return "closed-form" if self.proof.holds else "sampled"
+        """What `eta_samples` reports: "closed-form" when `proof` holds,
+        "unproven" otherwise."""
+        return "closed-form" if self.proof.holds else "unproven"
 
     @functools.cached_property
     def _witness(self) -> np.ndarray:
@@ -373,7 +291,9 @@ class CommutingResetFamily:
         return out
 
     def propagate(self, rho: np.ndarray, t) -> np.ndarray:
-        """e^{sum_k L_k t}(rho) using e^{L_k t} = I + (1 - e^{-t}) (E_k - I).
+        """e^{sum_k L_k t}(rho) using e^{L_k t} = I + (1 - e^{-t}) (E_k - I),
+        exact when the maps commute and each is idempotent
+        (`ResetProof.product_failure`).
 
         t is a scalar, or a 1-d array of times: then one stack holds rho
         propagated to each time.
@@ -393,103 +313,61 @@ class CommutingResetFamily:
             gaps.append(spectral_gap(l).gap)
         return float(min(gaps))
 
-    def eta_samples(self, ts, seed: int = 0, n_samples: int = 128) -> list[EtaSample]:
+    def eta_samples(self, ts) -> list[EtaSample]:
         """Bounds on eta(t), the largest half trace norm of e^{Lt}(rho) -
-        rho_star over pure rho, at every t of `ts`.
+        rho_star over pure rho, at every t of `ts`. Nothing is drawn.
 
-        When `proof` holds, e^{Lt} = prod_k ((1 - w) id + w E_k) with
-        w = 1 - e^{-t}. Expanded over subsets of the channels, the product of
-        all N is the reset to rho_star and every other product maps states
-        to states, so eta(t) <= 1 - w^N <= N e^{-t}: that envelope is `upper`.
-        `lower` is the exact distance at the witness input (`_witness`),
-        propagated to every t as one stack. Otherwise `lower` is
-        `sampled_eta` from `seed` and `n_samples`, and `upper` is 1.
+        With commuting idempotent maps, e^{Lt} = prod_k ((1 - w) id + w E_k)
+        with w = 1 - e^{-t} (`propagate`). `lower` is the exact distance at
+        the witness input (`_witness`), propagated to every t as one stack.
+        When `proof` holds, the product of all N is the reset to rho_star and
+        every other product over a subset of the channels maps states to
+        states, so eta(t) <= 1 - w^N <= N e^{-t}: that envelope is `upper`.
+        Otherwise `upper` is 1 (`method` "unproven"). Raises ValueError,
+        naming the hypothesis, when the maps do not commute or one is not
+        idempotent: the product is then not e^{tL}.
         """
+        failure = self.proof.product_failure
+        if failure is not None:
+            raise ValueError(f"eta needs commuting idempotent maps: {failure}")
         ts = [float(t) for t in ts]
         if not ts:
             return []
-        if not self.proof.holds:
-            lo = self.sampled_eta(ts, seed=seed, n_samples=n_samples)
-            return [EtaSample(t=t, lower=float(l), upper=1.0) for t, l in zip(ts, lo)]
         phi = np.outer(self._witness, self._witness.conj())
         per = chan_mod.stack_size(self.space.total_dim)
         lo = np.concatenate([_half_trace_norm(self.propagate(phi, ts[g:g + per]) - self.rho_star)
                              for g in range(0, len(ts), per)])
-        n = len(self.channels)
-        return [EtaSample(t=t, lower=float(l), upper=1.0 - (1.0 - math.exp(-t)) ** n) for t, l in zip(ts, lo)]
+        n, proven = len(self.channels), self.proof.holds
+        return [EtaSample(t=t, lower=float(l), upper=1.0 - (1.0 - math.exp(-t)) ** n if proven else 1.0)
+                for t, l in zip(ts, lo)]
 
-    def eta_sample(self, t: float, seed: int = 0, n_samples: int = 128) -> EtaSample:
-        return self.eta_samples([t], seed=seed, n_samples=n_samples)[0]
+    def eta_sample(self, t: float, seed: int = 0) -> EtaSample:
+        """`eta_samples` at one t; `seed` is not read."""
+        return self.eta_samples([t])[0]
 
-    def _eta_map(self, ts) -> _Map:
-        """e^{Lt} - rho_star Tr at each t of `ts`, with its adjoint, as one
-        `_Map`; the weight 1 - e^{-t} of each matrix is broadcast over the
-        stack."""
-        d = self.space.total_dim
-        ws = np.array([1.0 - math.exp(-float(t)) for t in ts])
-        adjoints = self.adjoints[::-1]
-
-        def ap(x, k):
-            y = self._evolve(x, ws[k][:, None, None], self.channels)
-            return y - self.rho_star * _trace(y)
-
-        def adj(x, k):
-            y = x - np.eye(d) * _trace(self.rho_star.conj().T @ x)
-            return self._evolve(y, ws[k][:, None, None], adjoints)
-
-        return _Map(d, len(ws), ap, adj)
-
-    def sampled_eta(self, ts, seed: int = 0, n_samples: int = 128) -> np.ndarray:
-        """Sampled lower estimate of eta(t) at every t of `ts`, in one
-        stacked pass.
-
-        The samples are drawn once from `seed` and serve every t, which is
-        what one call per t with the same seed draws; the ascents of all t
-        run in lockstep (`_eta_lower`).
-        """
-        return _eta_lower(self._eta_map(ts), np.random.default_rng(seed), n_samples=n_samples, n_refine=3, iters=12)
-
-    def eta_single_channel(self, k: int, t: float, seed: int = 0, n_samples: int = 64) -> float:
+    def eta_single_channel(self, k: int, t: float, seed: int = 0) -> float:
         """eta(e^{L_k t}) for one neighborhood generator, against E_k.
 
-        When E_k is the identity on B(W_k) (identity defect within
-        `DEFAULT_TOL.invariance`), it is idempotent and e^{L_k t} - E_k e^{L_k t}
-        = e^{-t} (id - E_k), so this is e^{-t} sup (1/2)||rho - E_k(rho)||_1:
-        e^{-t} when W_k is proper, attained at an input orthogonal to W_k,
-        where it is evaluated, and 0 when W_k is the whole support. Otherwise
-        the sampled lower estimate (`sampled_eta_single_channel`).
+        E_k must be the identity on B(W_k) (identity defect within
+        `DEFAULT_TOL.invariance`), and raises ValueError otherwise. It is
+        then idempotent and e^{L_k t} - E_k e^{L_k t} = e^{-t} (id - E_k), so
+        this is e^{-t} sup (1/2)||rho - E_k(rho)||_1: e^{-t} when W_k is
+        proper, attained at an input orthogonal to W_k, where it is
+        evaluated, and 0 when W_k is the whole support. `seed` is not read.
         """
-        _, defect, _, away = self._local[k]
-        if defect <= DEFAULT_TOL.invariance:
-            return math.exp(-t) * away
-        return self.sampled_eta_single_channel(k, t, seed=seed, n_samples=n_samples)
-
-    def sampled_eta_single_channel(self, k: int, t: float, seed: int = 0, n_samples: int = 64) -> float:
-        """Sampled lower estimate of eta(e^{L_k t}) against E_k."""
-        rng = np.random.default_rng(seed)
-        c, adjc = self.channels[k], self.adjoints[k]
-        w = 1.0 - math.exp(-t)
-
-        # E_phi for a single idempotent channel is the channel itself
-        def ap(x, _):
-            y = self._evolve(x, w, [c])
-            return y - self._apply(c, y)
-
-        def adj(x, _):
-            return self._evolve(x - self._apply(adjc, x), w, [adjc])
-
-        m = _Map(self.space.total_dim, 1, ap, adj)
-        return float(_eta_lower(m, rng, n_samples=n_samples, n_refine=2, iters=10)[0])
+        _, defect, _, away, _ = self._local[k]
+        if defect > DEFAULT_TOL.invariance:
+            raise ValueError(f"channel {k} is not the identity on B(W_k) (defect {defect:.2e})")
+        return math.exp(-t) * away
 
 
 @dataclass(frozen=True)
 class RapidMixingReport:
-    """`method` is "closed-form" when every family's `proof` holds and the
-    fit ran on the envelope, "sampled" otherwise (the fit then takes the
-    envelope of the proven families and the sampled lower estimate of the
-    others). identity_defect, commutation_defect and the intersection
-    margins are the worst over the families; max_gap is the largest
-    upper - lower over the proven families' samples (None if there is none).
+    """`method` is always "closed-form": the fit ran on the proven envelope,
+    since a family whose `proof` fails stops `rapid_mixing_check`.
+    identity_defect, commutation_defect and the intersection margins are the
+    worst over the families; max_gap is the largest upper - lower over the
+    samples.
     """
 
     passed: bool
@@ -504,7 +382,7 @@ class RapidMixingReport:
     identity_defect: float
     largest_kept: float | None
     smallest_dropped: float | None
-    max_gap: float | None
+    max_gap: float
 
 
 def rapid_mixing_check(
@@ -517,12 +395,13 @@ def rapid_mixing_check(
 ) -> RapidMixingReport:
     """Fit eta(t) ~ c N^delta e^{-gamma t} over a scalable commuting family.
 
-    The fit runs on the proven envelope 1 - (1 - e^{-t})^N of each family
-    whose `proof` holds, and on the sampled lower estimate otherwise. Its
-    large-t limit is N e^{-t}, so the fit reads close to gamma = delta = 1.
-    Early-time values saturate near eta ~ 1 and would bias the decay rate,
-    so only values below `fit_ceiling` (and above the numerical floor) enter
-    the fit. All samples are reported.
+    Every family must be proven: the first one whose `proof` fails raises
+    ValueError, naming the hypothesis. The fit runs on the proven envelope
+    1 - (1 - e^{-t})^N, whose large-t limit is N e^{-t}, so it reads close to
+    gamma = delta = 1. Early-time values saturate near eta ~ 1 and would
+    bias the decay rate, so only values below `fit_ceiling` (and above the
+    numerical floor) enter the fit. All samples are reported. `seed` is not
+    read.
     """
     rows = []
     samples = []
@@ -531,18 +410,16 @@ def rapid_mixing_check(
     gaps = []
     for fam in family:
         before = fam.applies
-        proof = fam.proof
-        if proof.commutation > DEFAULT_TOL.commutator:
-            raise ValueError("channel set does not commute")
-        nu = min(nu, fam.per_channel_gap())
         n = fam.space.n_subsystems
-        for es in fam.eta_samples(ts, seed=seed):
+        failure = fam.proof.failure
+        if failure is not None:
+            raise ValueError(f"the family with N = {n} is not proven: {failure}")
+        nu = min(nu, fam.per_channel_gap())
+        for es in fam.eta_samples(ts):
             samples.append((n, es.t, es.lower, es.upper))
-            value = es.upper if proof.holds else es.lower
-            if proof.holds:
-                gaps.append(es.upper - es.lower)
-            if 1e-11 < value < fit_ceiling:
-                rows.append((math.log(n), -es.t, math.log(value)))
+            gaps.append(es.upper - es.lower)
+            if 1e-11 < es.upper < fit_ceiling:
+                rows.append((math.log(n), -es.t, math.log(es.upper)))
         applies += fam.applies - before
     if len(rows) < 3:
         raise ValueError("not enough usable samples for a fit")
@@ -556,10 +433,10 @@ def rapid_mixing_check(
     return RapidMixingReport(
         passed=passed, gamma=gamma, delta=delta, log_c=log_c, nu=float(nu),
         samples=tuple(samples), commutation_defect=max(p.commutation for p in proofs), applies=applies,
-        method="closed-form" if all(p.holds for p in proofs) else "sampled",
+        method="closed-form",
         identity_defect=max(p.identity_defect for p in proofs),
         largest_kept=kept, smallest_dropped=dropped,
-        max_gap=max(gaps) if gaps else None,
+        max_gap=max(gaps),
     )
 
 

@@ -2,17 +2,22 @@
 
 The package never builds basis vectors, random unitaries or unitary channels,
 never needs a projector set's dense Hamiltonian and never estimates eta from
-above by power iteration; the tests do, to state inputs and oracles.
+drawn inputs, from below by ascents or from above by power iteration; the
+tests do, to state inputs and oracles.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from qlstab import channels as chan_mod
 from qlstab import lie
-from qlstab._linalg import herm, random_density
+from qlstab._linalg import herm, random_density, random_pure
 from qlstab.channels import Channel, make_channel
 from qlstab.fts import FtsPlan
 from qlstab.hilbert import DimensionError, MultipartiteSpace, NeighborhoodStructure
+from qlstab.mixing import _half_trace_norm
 from qlstab.subspaces import ProjectorSet
 
 
@@ -95,8 +100,7 @@ def remainder_dim(plan: FtsPlan) -> int:
 
 
 def eta_upper(m, rng, iters: int = 40) -> np.ndarray:
-    """(1/2) sqrt(D) * sigma_max(M_j) for every map j of the `mixing._Map`
-    `m`, with sigma_max from power iteration on M^H M from one drawn start;
+    """(1/2) sqrt(D) * sigma_max(M_j) for every map j of the `Map` `m`, with sigma_max from power iteration on M^H M from one drawn start;
     the maps' iterations run in lockstep, in groups of
     `channels.stack_size(D)`. Power iteration approaches sigma_max from
     below, so this estimates a bound on eta without being one."""
@@ -119,3 +123,171 @@ def eta_upper(m, rng, iters: int = 40) -> np.ndarray:
             y = m.apply(x, k)
             out[k] = 0.5 * np.sqrt(d) * np.linalg.norm(y, axis=(-2, -1)) / np.linalg.norm(x, axis=(-2, -1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sampled eta estimator: the oracle of the proven envelope
+# ---------------------------------------------------------------------------
+
+class Map:
+    """`count` linear maps on D x D matrices, given by apply/adjoint callables
+    on an (S, D, D) stack and an index array k of length S: matrix i of the
+    stack goes through map k[i]."""
+
+    def __init__(self, dim, count, apply_fn, adjoint_fn):
+        self.dim = dim
+        self.count = count
+        self.apply = apply_fn
+        self.adjoint = adjoint_fn
+
+
+def stack_trace(x: np.ndarray) -> np.ndarray:
+    """Trace of a matrix, or of each matrix of a stack, shaped to broadcast
+    against it."""
+    return np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+
+
+def _eigh(a: np.ndarray):
+    """Eigenpairs of each matrix of a Hermitian stack; if the stacked zheevd
+    does not converge, each matrix by MRRR."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        pairs = [scipy.linalg.eigh(x, driver="evr") for x in a]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _top_vectors(b: np.ndarray) -> np.ndarray:
+    """Top eigenvector of each matrix of a Hermitian stack, by MRRR on that
+    one index."""
+    d = b.shape[-1]
+    return np.array([scipy.linalg.eigh(x, subset_by_index=[d - 1, d - 1], driver="evr")[1][:, 0] for x in b])
+
+
+def _pure(v: np.ndarray) -> np.ndarray:
+    """|v><v| for each row v."""
+    return v[:, :, None] * v[:, None, :].conj()
+
+
+def _ascent_signs(ev: np.ndarray) -> np.ndarray:
+    """Sign of each eigenvalue of a stack, set to 0 where |lambda| is at or
+    below D * eps * max|lambda| of its matrix, the roundoff of its
+    eigensolve: such eigenvalues (1e-20 to 1e-18 on the rank-deficient
+    images of `sampled_eta_single_channel`) would steer the ascent by
+    roundoff. The rank rule's cut, 1e-10 * D, would be too coarse: at large
+    t the images have true eigenvalues near e^{-2t} of the largest, and
+    zeroing their signs left the sampled eta 3e-9 below the envelope on
+    line 6."""
+    mag = np.abs(ev)
+    cut = ev.shape[-1] * np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
+    return np.where(mag > cut, np.sign(ev), 0.0)
+
+
+def eta_lower(m: Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int = 20) -> np.ndarray:
+    """sup over pure inputs of (1/2)||M_j(rho)||_1 for every map j of `m`, by
+    sampling plus alternating ascent: a lower estimate.
+
+    One set of samples is drawn, in order, and serves every map: the sweep
+    pushes each (map, sample) pair through as stacks of
+    `channels.stack_size(D)` inputs. Each map then refines its `n_refine`
+    best samples, and all count * n_refine ascents run in lockstep, in groups
+    of the same size; an ascent that meets its stop test leaves its group. An
+    ascent draws nothing once its start is chosen, so the result equals the
+    maps taken one at a time, each after drawing the same samples: callers
+    that seed every map alike (`sampled_eta`) get each map's single
+    estimate, up to roundoff. Each step's image M(rho_new) is the next
+    step's M(rho), so a step costs one adjoint and one apply. The ascent
+    direction V sign(Lambda) V^H gives roundoff eigenvalues sign 0
+    (`_ascent_signs`), so the path does not depend on roundoff.
+
+    LAPACK's divide-and-conquer zheevd (`np.linalg.eigh`) can fail to
+    converge on a finite, exactly Hermitian input: it did on a 64 x 64
+    adjoint image with a paired spectrum (line 6, t = 1.5, seed 26000), where
+    the MRRR driver converges. So the ascent takes only the top eigenvector
+    of each adjoint image, by MRRR on that one index, and when a stacked
+    `eigh` of the images fails, retries each image with MRRR.
+    """
+    d, count = m.dim, m.count
+    per = chan_mod.stack_size(d)
+    vecs = np.array([random_pure(d, rng) for _ in range(n_samples)])
+    # entry i of the sweep is sample i % n_samples through map i // n_samples
+    vals = np.empty(count * n_samples)
+    for start in range(0, vals.size, per):
+        i = np.arange(start, min(start + per, vals.size))
+        vals[i] = _half_trace_norm(m.apply(_pure(vecs[i % n_samples]), i // n_samples))
+    vals = vals.reshape(count, n_samples)
+    best = vals.max(axis=1)
+    starts = np.argsort(vals, axis=1)[:, ::-1][:, :n_refine].ravel()
+    maps = np.repeat(np.arange(count), n_refine)
+    for g in range(0, maps.size, per):
+        k, live = maps[g:g + per], np.arange(min(per, maps.size - g))
+        final = np.empty(live.size)
+        a = herm(m.apply(_pure(vecs[starts[g:g + per]]), k))
+        for _ in range(iters):
+            ev, vec = _eigh(a)
+            u = (vec * _ascent_signs(ev)[:, None, :]) @ np.swapaxes(vec, -1, -2).conj()
+            image = m.apply(_pure(_top_vectors(herm(m.adjoint(u, k[live])))), k[live])
+            val = 0.5 * np.einsum("kij,kji->k", u, image).real
+            stop = val <= 0.5 * np.sum(np.abs(ev), axis=-1) - 1e-14
+            final[live[stop]] = _half_trace_norm(a[stop])
+            live, a = live[~stop], herm(image[~stop])
+            if not live.size:
+                break
+        final[live] = _half_trace_norm(a)
+        np.maximum.at(best, k, final)
+    return best
+
+
+def _adjoints(fam) -> list[Channel]:
+    """The adjoint channel of each map of a `mixing.CommutingResetFamily`."""
+    return [Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label) for c in fam.channels]
+
+
+def eta_map(fam, ts) -> Map:
+    """e^{Lt} - rho_star Tr of a `mixing.CommutingResetFamily` at each t of
+    `ts`, through its product propagator, with its adjoint, as one `Map`;
+    the weight 1 - e^{-t} of each matrix is broadcast over the stack. The
+    applies go through the family and count in its `applies`."""
+    d = fam.space.total_dim
+    ws = np.array([1.0 - math.exp(-float(t)) for t in ts])
+    adjoints = _adjoints(fam)[::-1]
+
+    def ap(x, k):
+        y = fam._evolve(x, ws[k][:, None, None], fam.channels)
+        return y - fam.rho_star * stack_trace(y)
+
+    def adj(x, k):
+        y = x - np.eye(d) * stack_trace(fam.rho_star.conj().T @ x)
+        return fam._evolve(y, ws[k][:, None, None], adjoints)
+
+    return Map(d, len(ws), ap, adj)
+
+
+def sampled_eta(fam, ts, seed: int = 0, n_samples: int = 128) -> np.ndarray:
+    """Sampled lower estimate of eta(t) of a family at every t of `ts`, in
+    one stacked pass.
+
+    The samples are drawn once from `seed` and serve every t, which is what
+    one call per t with the same seed draws; the ascents of all t run in
+    lockstep (`eta_lower`).
+    """
+    return eta_lower(eta_map(fam, ts), np.random.default_rng(seed), n_samples=n_samples, n_refine=3, iters=12)
+
+
+def sampled_eta_single_channel(fam, k: int, t: float, seed: int = 0, n_samples: int = 64) -> float:
+    """Sampled lower estimate of eta(e^{L_k t}) against E_k, for an
+    idempotent E_k."""
+    rng = np.random.default_rng(seed)
+    c, adjc = fam.channels[k], _adjoints(fam)[k]
+    w = 1.0 - math.exp(-t)
+
+    # E_phi for a single idempotent channel is the channel itself
+    def ap(x, _):
+        y = fam._evolve(x, w, [c])
+        return y - fam._apply(c, y)
+
+    def adj(x, _):
+        return fam._evolve(x - fam._apply(adjc, x), w, [adjc])
+
+    m = Map(fam.space.total_dim, 1, ap, adj)
+    return float(eta_lower(m, rng, n_samples=n_samples, n_refine=2, iters=10)[0])

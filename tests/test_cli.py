@@ -1,12 +1,14 @@
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qlstab import mixing, states
 from qlstab.cli import (
+    CONSTRUCTORS,
     REPRODUCTIONS,
     channel_from_json,
     channel_to_json,
@@ -15,7 +17,7 @@ from qlstab.cli import (
     load_problem,
     main,
 )
-from qlstab.channels import Circuit
+from qlstab.channels import Circuit, make_channel
 
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -355,7 +357,7 @@ class TestScheduleMixing:
         assert rc == 0
         inst = states.line_graph_state(3)
         fam = mixing.CommutingResetFamily(list(inst.witness_channels), inst.space, inst.psi)
-        fam.eta_samples([1.0, 2.5], seed=5)
+        fam.eta_samples([1.0, 2.5])
         assert cert["applies"] == fam.applies > 0
         for got, t in zip(cert["eta_samples"], [1.0, 2.5], strict=True):
             one = fam.eta_sample(t, seed=5)
@@ -371,6 +373,40 @@ class TestScheduleMixing:
         rep = mixing.rapid_mixing_check(fams, ts=[1.5, 2.5, 4.0, 6.0])
         assert rc == (0 if rep.passed else 1)
         assert cert["applies"] == rep.applies > 0
+
+    def test_mixing_graph_gibbs_is_unproven(self, tmp_path, capsys):
+        # a mixed target fails the envelope's hypotheses, but the maps commute
+        # and are idempotent: the witness distance is an exact lower bound
+        path = write_json(tmp_path, "g.json", {
+            "state": {"constructor": {"name": "graph-gibbs", "params": {"n": 3}}},
+        })
+        rc = main(["mixing", path, "--ts", "1", "2.5"])
+        out = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert rc == 0
+        cert = out["certificates"]
+        assert cert["method"] == "unproven" and cert["intersection_dim"] == 8
+        inst = states.graph_gibbs(3, beta=1.0)
+        fam = mixing.CommutingResetFamily(list(inst.witness_channels), inst.space, inst.rho)
+        for got, es in zip(cert["eta_samples"], fam.eta_samples([1.0, 2.5]), strict=True):
+            assert (got["t"], got["lower"], got["upper"]) == (es.t, es.lower, 1.0)
+
+    def test_mixing_non_idempotent_exit_2(self, tmp_path, capsys, monkeypatch):
+        inst = states.line_graph_state(3)
+        first = inst.witness_channels[0]
+        kraus = [np.sqrt(0.8) * k for k in first.kraus] + [np.sqrt(0.2) * np.eye(first.local_dim)]
+        chans = (make_channel(kraus, first.support),) + inst.witness_channels[1:]
+        monkeypatch.setitem(CONSTRUCTORS, "graph-line", lambda p: replace(inst, witness_channels=chans))
+        path = write_json(tmp_path, "g.json", {
+            "state": {"constructor": {"name": "graph-line", "params": {"n": 3}}},
+        })
+        rc = main(["mixing", path, "--ts", "1"])
+        assert rc == 2
+        assert "channel 0 is not idempotent" in capsys.readouterr().err
+
+    def test_mixing_family_without_fit_exit_2(self, capsys):
+        rc = main(["mixing", "--family-sizes", "3", "4", "--ts", "60"])
+        assert rc == 2
+        assert "not enough usable samples" in capsys.readouterr().err
 
 
 class TestReproduce:

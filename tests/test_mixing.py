@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from helpers import eta_upper, unitary_channel
+from helpers import (
+    Map,
+    eta_lower,
+    eta_map,
+    eta_upper,
+    sampled_eta,
+    sampled_eta_single_channel,
+    stack_trace,
+    unitary_channel,
+)
 from qlstab import channels as chan_mod
 from qlstab import states
 from qlstab._linalg import random_density, trace_distance
-from qlstab.channels import make_channel, reset_channel
+from qlstab.channels import make_channel, reset_channel, superoperator
 from qlstab.hilbert import uniform_space
 from qlstab._linalg import nullspace
 from qlstab.mixing import (
     CommutingResetFamily,
     EtaSample,
     Liouvillian,
-    _eta_lower,
-    _Map,
-    _trace,
     amplitude_damping_liouvillian,
     liouvillian_from_channel,
     liouvillian_gksl,
@@ -25,7 +32,7 @@ from qlstab.mixing import (
 
 
 # Checks of a dense generator and the dense eta route. The package reads none
-# of them: its eta estimates come from `CommutingResetFamily`.
+# of them: its eta bounds come from `CommutingResetFamily`.
 
 def trace_annihilation_defect(l: Liouvillian, rng=None, probes: int = 4) -> float:
     rng = rng or np.random.default_rng(0)
@@ -78,14 +85,14 @@ def contraction_eta(
 
     def ap(x, _):
         y = (x.reshape(-1, d * d) @ s.T).reshape(x.shape)
-        return y - rho_star * _trace(y)
+        return y - rho_star * stack_trace(y)
 
     def adj(x, _):
-        y = x - np.eye(d) * _trace(rho_star.conj().T @ x)
+        y = x - np.eye(d) * stack_trace(rho_star.conj().T @ x)
         return (y.reshape(-1, d * d) @ sh.T).reshape(x.shape)
 
-    m = _Map(d, 1, ap, adj)
-    lo = float(_eta_lower(m, rng, n_samples=n_samples)[0])
+    m = Map(d, 1, ap, adj)
+    lo = float(eta_lower(m, rng, n_samples=n_samples)[0])
     up = float(eta_upper(m, rng)[0])
     return EtaSample(t=t, lower=lo, upper=max(up, lo))
 
@@ -99,13 +106,38 @@ def sampled_bounds(fam, ts, seed=0, n_samples=128) -> list[EtaSample]:
     """The sampled lower estimate of a family over `ts`, with the power-
     iteration upper estimate of its maps from the same seed: the sampled
     estimator, which the closed form replaced and the tests keep as oracle."""
-    lo = fam.sampled_eta(ts, seed=seed, n_samples=n_samples)
-    up = eta_upper(fam._eta_map(ts), np.random.default_rng(seed), iters=25)
+    lo = sampled_eta(fam, ts, seed=seed, n_samples=n_samples)
+    up = eta_upper(eta_map(fam, ts), np.random.default_rng(seed), iters=25)
     return [EtaSample(t=float(t), lower=float(l), upper=float(max(u, l))) for t, l, u in zip(ts, lo, up)]
 
 
 def envelope(t, n):
     return 1.0 - (1.0 - np.exp(-t)) ** n
+
+
+def dense_generator(fam) -> np.ndarray:
+    """sum_k (S_k - I) of a family, S_k the natural matrix of E_k on the whole
+    space."""
+    d = fam.space.total_dim
+    return sum(superoperator(c, fam.space) for c in fam.channels) - len(fam.channels) * np.eye(d * d)
+
+
+def witness_distances(fam, ts) -> list[float]:
+    """(1/2)||e^{Lt}(phi) - rho_star||_1 at the family's witness input phi,
+    with e^{Lt} the dense exponential of `dense_generator`."""
+    d = fam.space.total_dim
+    s = dense_generator(fam)
+    phi = np.outer(fam._witness, fam._witness.conj()).reshape(-1)
+    return [trace_distance((expm(t * s) @ phi).reshape(d, d), fam.rho_star) for t in ts]
+
+
+def non_idempotent_family(eps):
+    """Line 3 with channel 0 mixed with eps * id: not idempotent."""
+    inst = states.line_graph_state(3)
+    first = inst.witness_channels[0]
+    kraus = [np.sqrt(1 - eps) * k for k in first.kraus] + [np.sqrt(eps) * np.eye(first.local_dim)]
+    chans = [make_channel(kraus, first.support)] + list(inst.witness_channels[1:])
+    return CommutingResetFamily(chans, inst.space, inst.psi)
 
 
 class TestLiouvillian:
@@ -250,13 +282,13 @@ class TestEtaSweep:
         apply = chan_mod.apply
         monkeypatch.setattr(chan_mod, "apply", lambda *args: calls.append(1) or apply(*args))
         fam = family_for(4)
-        fam.sampled_eta(GRID, seed=0)
+        sampled_eta(fam, GRID, seed=0)
         assert fam.applies == len(calls)
         # the grid takes about as many stacked applies as one t alone, and
         # far fewer than one estimate per t
         per_t = family_for(4)
         for t in GRID:
-            per_t.sampled_eta([t], seed=0)
+            sampled_eta(per_t, [t], seed=0)
         assert fam.applies < per_t.applies / 2
         fams = [family_for(3), family_for(4)]
         rep = rapid_mixing_check(fams, ts=GRID)
@@ -265,9 +297,9 @@ class TestEtaSweep:
     @pytest.mark.parametrize("n", [3, 5])
     def test_stacked_sweep_matches_one_state_at_a_time(self, n, monkeypatch):
         fam = family_for(n)
-        stacked = (sampled_bounds(fam, [1.5], seed=7)[0], fam.sampled_eta_single_channel(1, 1.5, seed=7))
+        stacked = (sampled_bounds(fam, [1.5], seed=7)[0], sampled_eta_single_channel(fam, 1, 1.5, seed=7))
         monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)  # stacks of one state
-        single = (sampled_bounds(fam, [1.5], seed=7)[0], fam.sampled_eta_single_channel(1, 1.5, seed=7))
+        single = (sampled_bounds(fam, [1.5], seed=7)[0], sampled_eta_single_channel(fam, 1, 1.5, seed=7))
         assert abs(stacked[0].lower - single[0].lower) <= 1e-14
         assert stacked[0].upper == single[0].upper
         assert abs(stacked[1] - single[1]) <= 1e-14
@@ -310,13 +342,7 @@ class TestCommutingFamily:
 
     def test_propagate_matches_dense_exponential(self, rng):
         fam = family_for(3)
-        # dense composite superoperator route at D = 8
-        from qlstab.channels import superoperator
-        from scipy.linalg import expm
-
-        s = sum(
-            superoperator(c, fam.space) for c in fam.channels
-        ) - len(fam.channels) * np.eye(64)
+        s = dense_generator(fam)  # dense composite superoperator route at D = 8
         rho = random_density(8, rng)
         t = 0.7
         lhs = (expm(t * s) @ rho.reshape(-1)).reshape(8, 8)
@@ -357,12 +383,12 @@ class TestClosedForm:
     def test_sampled_eta_attains_envelope(self, n, seed):
         fam = family_for(n)
         env = envelope(np.array(GRID), n)
-        closed = fam.eta_samples(GRID, seed=seed)
+        closed = fam.eta_samples(GRID)
         assert [es.upper for es in closed] == pytest.approx(env, rel=1e-15)
         # the witness input attains the envelope
         for es in closed:
             assert es.upper * (1 - 1e-12) <= es.lower <= es.upper * (1 + 1e-12)
-        lo = fam.sampled_eta(GRID, seed=seed)
+        lo = sampled_eta(fam, GRID, seed=seed)
         assert np.all(lo <= env + 1e-12)
         assert np.all(np.abs(lo - env) <= 1e-10 * env)
 
@@ -373,7 +399,7 @@ class TestClosedForm:
         for k in range(n):
             for t in GRID:
                 assert fam.eta_single_channel(k, t, seed=seed) == pytest.approx(np.exp(-t), rel=1e-14)
-                assert fam.sampled_eta_single_channel(k, t, seed=seed) <= np.exp(-t) * (1 + 1e-12)
+                assert sampled_eta_single_channel(fam, k, t, seed=seed) <= np.exp(-t) * (1 + 1e-12)
 
     def test_witness_runs_through_propagate(self, monkeypatch):
         fam = family_for(4)
@@ -387,45 +413,74 @@ class TestClosedForm:
         # the two apply branches differ by roundoff; the ascent directions
         # drop the signs of roundoff eigenvalues, so both reach one estimate
         fam = family_for(4)
-        natural = fam.sampled_eta_single_channel(0, 2.5, seed=0)  # m = 4: the S branch
+        natural = sampled_eta_single_channel(fam, 0, 2.5, seed=0)  # m = 4: the S branch
         pays = chan_mod._liouville_pays
         forced = []
         monkeypatch.setattr(chan_mod, "_liouville_pays", lambda *a: forced.append(not pays(*a)) or forced[-1])
-        kraus = family_for(4).sampled_eta_single_channel(0, 2.5, seed=0)
+        kraus = sampled_eta_single_channel(family_for(4), 0, 2.5, seed=0)
         assert forced and not any(forced)  # every apply took the Kraus branch
         assert abs(natural - kraus) <= 1e-10
 
-    def test_dropped_channel_is_sampled(self):
+    def test_dropped_channel_is_unproven(self):
         inst = states.line_graph_state(4)
         fam = CommutingResetFamily(list(inst.witness_channels[:-1]), inst.space, inst.psi)
         proof = fam.proof
         assert proof.intersection_dim == 2 and proof.contains_target and not proof.holds
-        assert fam.method == "sampled"
-        got = fam.eta_samples(GRID, seed=0)
-        assert [es.lower for es in got] == list(fam.sampled_eta(GRID, seed=0))
+        assert proof.product_failure is None and fam.method == "unproven"
+        got = fam.eta_samples(GRID)
         assert all(es.upper == 1.0 for es in got)
-        rep = rapid_mixing_check([family_for(3), fam], ts=GRID)
-        assert rep.method == "sampled" and rep.max_gap is not None
+        assert [es.lower for es in got] == pytest.approx(witness_distances(fam, GRID), rel=0, abs=1e-10)
+        with pytest.raises(ValueError, match="N = 4 is not proven: .* has dimension 2, not 1"):
+            rapid_mixing_check([family_for(3), fam], ts=GRID)
 
-    def test_non_idempotent_channel_is_sampled(self):
-        eps = 1e-3
-        inst = states.line_graph_state(3)
-        first = inst.witness_channels[0]
-        kraus = [np.sqrt(1 - eps) * k for k in first.kraus] + [np.sqrt(eps) * np.eye(first.local_dim)]
-        chans = [make_channel(kraus, first.support)] + list(inst.witness_channels[1:])
-        fam = CommutingResetFamily(chans, inst.space, inst.psi)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_graph_gibbs_is_unproven(self, n):
+        # a mixed target: the witnesses reset each virtual factor to its
+        # Gibbs state, which is full rank, so E_k(I) spans the whole support
+        inst = states.graph_gibbs(n, beta=1.0)
+        fam = CommutingResetFamily(list(inst.witness_channels), inst.space, inst.rho)
         proof = fam.proof
-        assert proof.range_dims[0] == first.local_dim  # (1 - eps) E(I) + eps I is full rank
-        assert proof.identity_defects[0] > 1e-4 and not proof.holds
-        assert fam.method == "sampled"
-        assert fam.eta_single_channel(0, 2.5) == fam.sampled_eta_single_channel(0, 2.5)
-        rep = rapid_mixing_check([fam], ts=GRID)
-        assert rep.method == "sampled" and rep.max_gap is None
+        assert proof.failure == "the target is mixed" and fam.method == "unproven"
+        assert min(proof.identity_defects) > 0.1
+        assert max(proof.idempotency_defects) < 1e-14 and proof.commutation < 1e-13
+        got = fam.eta_samples(GRID)
+        assert all(es.upper == 1.0 for es in got)
+        assert [es.lower for es in got] == pytest.approx(witness_distances(fam, GRID), rel=0, abs=1e-10)
+        with pytest.raises(ValueError, match="the target is mixed"):
+            rapid_mixing_check([fam], ts=GRID)
 
-    def test_mixed_target_is_sampled(self):
+    def test_non_idempotent_channel_raises(self):
+        fam = non_idempotent_family(1e-3)
+        proof = fam.proof
+        assert proof.range_dims[0] == fam.channels[0].local_dim  # (1 - eps) E(I) + eps I is full rank
+        assert proof.identity_defects[0] > 1e-4 and not proof.holds and fam.method == "unproven"
+        assert proof.idempotency_defects[0] > 1e-4 and proof.idempotency_defects[1:] == (None, None)
+        # the product formula is not e^{tL}: it is off at the witness input
+        assert abs(witness_distances(fam, [1.0])[0]
+                   - trace_distance(fam.propagate(np.outer(fam._witness, fam._witness.conj()), 1.0),
+                                    fam.rho_star)) > 1e-5
+        with pytest.raises(ValueError, match="channel 0 is not idempotent"):
+            fam.eta_samples(GRID)
+        with pytest.raises(ValueError, match="channel 0 is not the identity on B"):
+            fam.eta_single_channel(0, 2.5)
+        with pytest.raises(ValueError, match="N = 3 is not proven: channel 0 is not the identity on B"):
+            rapid_mixing_check([fam], ts=GRID)
+
+    def test_non_commuting_maps_raise(self):
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        fam = CommutingResetFamily([reset_channel(bell, [0, 1]), reset_channel(bell, [1, 2])],
+                                   uniform_space(3), np.eye(8)[0])
+        assert fam.proof.commutation > 1e-3
+        with pytest.raises(ValueError, match="the maps do not commute"):
+            fam.eta_samples(GRID)
+        with pytest.raises(ValueError, match="the maps do not commute"):
+            rapid_mixing_check([fam], ts=GRID)
+
+    def test_mixed_target_is_unproven(self):
         inst = states.line_graph_state(3)
         fam = CommutingResetFamily(list(inst.witness_channels), inst.space, np.eye(8) / 8)
-        assert not fam.proof.pure_target and fam.method == "sampled"
+        assert not fam.proof.pure_target and fam.method == "unproven"
+        assert fam.proof.failure == "the target is mixed"
 
 
 @pytest.mark.slow
