@@ -11,6 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy >= 2 loads these on first use (`np.random.default_rng`, and
+# `np.unique` through `np.ma.is_masked`); loading them with the package keeps
+# that cost out of the first call that draws or takes a unique.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 
 @dataclass(frozen=True)
 class Tolerances:

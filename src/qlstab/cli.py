@@ -627,8 +627,8 @@ def cmd_simulate(args) -> int:
 
 def _amplitude_damping_no_go(samples: int):
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    l = mixing_mod.amplitude_damping_liouvillian(rate=1.0)
-    return mixing_mod.no_go_probe(l, psi0, np.linspace(0.0, 10.0, samples))
+    semigroup = mixing_mod.amplitude_damping_liouvillian(rate=1.0)
+    return mixing_mod.no_go_probe(semigroup, psi0, np.linspace(0.0, 10.0, samples))
 
 
 def _line_graph_families(sizes):
@@ -678,7 +678,8 @@ def cmd_mixing(args) -> int:
                 "applies": rep.applies,
                 **_mixing_proof_fields(rep),
             },
-            {"gamma_slack": 0.05, "delta_cap": 1.1}, args.seed, t0,
+            {"gamma_slack": mixing_mod.GAMMA_SLACK, "delta_cap": mixing_mod.DELTA_CAP,
+             "fit_ceiling": mixing_mod.FIT_CEILING}, args.seed, t0,
         )
         _emit(report, args.output)
         return 0 if rep.passed else 1

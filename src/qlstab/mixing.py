@@ -1,10 +1,12 @@
-"""Continuous-time analysis: Liouvillians, spectral gaps, contraction
-coefficients, rapid-mixing fits, and the finite-time no-go probe.
+"""Continuous-time analysis on Kraus channels: the proven contraction
+envelope of commuting reset families, the rapid-mixing fit over it, and the
+finite-time no-go probe.
 
-Superoperators act on row-major vectorized matrices. Dense superoperator work
-is capped (default side 4096, i.e. D <= 64); commuting idempotent channel
-families use the closed-form propagator e^{(E-I)t} = I + (1-e^{-t})(E-I)
-instead, which keeps everything at matrix level.
+Every map here is a `channels.Channel`, and there is no dense generator.
+Each E_k - I is exponentiated in closed form: for idempotent E_k,
+e^{(E_k - I)t} = I + (1 - e^{-t})(E_k - I), which keeps everything at matrix
+level. The only superoperator formed is each channel's own, on its support,
+for `per_channel_gap` (capped, default side 4096, i.e. m <= 64).
 
 eta(t) of a `CommutingResetFamily` is proven, never estimated, and nothing
 here draws an input. The hypotheses (`ResetProof`, checked once per family
@@ -25,6 +27,11 @@ propagator: its samples are "unproven", with the witness distance as
 `lower` and the trivial bound 1 as `upper`. When the maps do not commute,
 or one is not idempotent, the product is not e^{tL}, and asking for eta
 raises ValueError.
+
+The no-go side: a Markov semigroup reaches its fixed point only
+asymptotically. `no_go_probe` shows it on any semigroup given as t -> the
+channel e^{tL}, such as amplitude damping, whose semigroup has a closed
+form (`amplitude_damping_liouvillian`).
 """
 
 from __future__ import annotations
@@ -34,67 +41,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import channels as chan_mod
-from ._linalg import DEFAULT_TOL, herm, rank_cutoff, trace_distance
-from .channels import Channel
-from .hilbert import MultipartiteSpace
+from ._linalg import DEFAULT_TOL, complete_basis, herm, rank_cutoff, trace_distance
+from .channels import Channel, make_channel
+from .hilbert import MultipartiteSpace, uniform_space
 from .subspaces import ExtendedSpan, _sweep, _tightest
 
 DEFAULT_SUPEROP_SIDE = 4096
 
-
-@dataclass
-class Liouvillian:
-    """Dense generator on the vectorized space."""
-
-    matrix: np.ndarray
-    dim: int  # Hilbert space dimension D (matrix is D^2 x D^2)
-    label: str = ""
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
-
-    def propagator(self, t: float) -> np.ndarray:
-        return expm(t * self.matrix)
-
-
-def liouvillian_from_channel(
-    ch: Channel, space: MultipartiteSpace, max_side: int = DEFAULT_SUPEROP_SIDE
-) -> Liouvillian:
-    """L = E - I."""
-    s = chan_mod.superoperator(ch, space, max_side=max_side)
-    d = space.total_dim
-    return Liouvillian(matrix=s - np.eye(d * d), dim=d, label=f"E-I[{ch.label}]")
-
-
-def liouvillian_gksl(h: np.ndarray, lindblad_ops, label: str = "") -> Liouvillian:
-    """Canonical generator -i[H, .] + sum_k (L.L^dag - {L^dag L, .}/2)."""
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    eye = np.eye(d)
-    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in lindblad_ops:
-        l = np.asarray(l, dtype=complex)
-        ll = l.conj().T @ l
-        s += np.kron(l, l.conj())
-        s -= 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
-    return Liouvillian(matrix=s, dim=d, label=label)
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    gap: float
-    eigenvalues: np.ndarray
-
-
-def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
-    ev = np.linalg.eigvals(l.matrix)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    decaying = ev[ev.real < -tol * scale]
-    gap = float(np.min(np.abs(decaying.real))) if decaying.size else 0.0
-    return SpectralReport(gap=gap, eigenvalues=ev)
+# The rapid-mixing fit reads only envelope values below FIT_CEILING, and
+# passes when gamma >= nu - GAMMA_SLACK and delta <= DELTA_CAP.
+GAMMA_SLACK = 0.05
+DELTA_CAP = 1.1
+FIT_CEILING = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +239,11 @@ class CommutingResetFamily:
     @functools.cached_property
     def _witness(self) -> np.ndarray:
         """Ground vector of sum_k P_k, P_k the projector onto W_k (x) I: the
-        input farthest from every W_k."""
+        input farthest from every W_k. When every W_k is its whole support,
+        sum_k P_k = N I picks no vector, and the witness is the eigenvector of
+        rho_star for its smallest eigenvalue, the input farthest from it."""
+        if all(w.shape[0] == w.shape[1] for w, *_ in self._local):
+            return np.linalg.eigh(self.rho_star)[1][:, 0]
         return np.linalg.eigh(sum(span.projector() for span in self._spans))[1][:, 0]
 
     def _evolve(self, x: np.ndarray, w, chans) -> np.ndarray:
@@ -305,12 +269,17 @@ class CommutingResetFamily:
         return self._evolve(rho, w, self.channels)
 
     def per_channel_gap(self, max_side: int = DEFAULT_SUPEROP_SIDE) -> float:
-        """min_k gap(E_k - I); idempotent channels give exactly 1."""
+        """min_k gap(E_k - I), from the eigenvalues of each E_k's
+        superoperator on its support minus 1 (CapExceeded past `max_side`).
+        The gap is the smallest |Re| among the decaying eigenvalues, those
+        with Re below -1e-9 max(1, the largest modulus); idempotent channels
+        give exactly 1."""
         gaps = []
         for c in self.channels:
             remap, sub = chan_mod.relocate(c, c.support, self.space)
-            l = liouvillian_from_channel(remap, sub, max_side=max_side)
-            gaps.append(spectral_gap(l).gap)
+            ev = np.linalg.eigvals(chan_mod.superoperator(remap, sub, max_side=max_side)) - 1.0
+            decaying = ev.real[ev.real < -1e-9 * max(1.0, float(np.max(np.abs(ev))))]
+            gaps.append(float(np.min(-decaying)) if decaying.size else 0.0)
         return float(min(gaps))
 
     def eta_samples(self, ts) -> list[EtaSample]:
@@ -385,23 +354,16 @@ class RapidMixingReport:
     max_gap: float
 
 
-def rapid_mixing_check(
-    family: list[CommutingResetFamily],
-    ts,
-    seed: int = 0,
-    gamma_slack: float = 0.05,
-    delta_cap: float = 1.1,
-    fit_ceiling: float = 0.5,
-) -> RapidMixingReport:
+def rapid_mixing_check(family: list[CommutingResetFamily], ts, seed: int = 0) -> RapidMixingReport:
     """Fit eta(t) ~ c N^delta e^{-gamma t} over a scalable commuting family.
 
     Every family must be proven: the first one whose `proof` fails raises
     ValueError, naming the hypothesis. The fit runs on the proven envelope
     1 - (1 - e^{-t})^N, whose large-t limit is N e^{-t}, so it reads close to
     gamma = delta = 1. Early-time values saturate near eta ~ 1 and would
-    bias the decay rate, so only values below `fit_ceiling` (and above the
-    numerical floor) enter the fit. All samples are reported. `seed` is not
-    read.
+    bias the decay rate, so only values below `FIT_CEILING` (and above the
+    numerical floor) enter the fit. It passes when gamma >= nu - `GAMMA_SLACK`
+    and delta <= `DELTA_CAP`. All samples are reported. `seed` is not read.
     """
     rows = []
     samples = []
@@ -418,7 +380,7 @@ def rapid_mixing_check(
         for es in fam.eta_samples(ts):
             samples.append((n, es.t, es.lower, es.upper))
             gaps.append(es.upper - es.lower)
-            if 1e-11 < es.upper < fit_ceiling:
+            if 1e-11 < es.upper < FIT_CEILING:
                 rows.append((math.log(n), -es.t, math.log(es.upper)))
         applies += fam.applies - before
     if len(rows) < 3:
@@ -427,7 +389,7 @@ def rapid_mixing_check(
     y = np.array([r[2] for r in rows])
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     log_c, delta, gamma = float(coef[0]), float(coef[1]), float(coef[2])
-    passed = gamma >= nu - gamma_slack and delta <= delta_cap
+    passed = gamma >= nu - GAMMA_SLACK and delta <= DELTA_CAP
     proofs = [fam.proof for fam in family]
     kept, dropped = _tightest([(p.largest_kept, p.smallest_dropped) for p in proofs])
     return RapidMixingReport(
@@ -451,27 +413,25 @@ class NoGoReport:
     monotone: bool
 
 
-def no_go_probe(
-    l: Liouvillian,
-    psi: np.ndarray,
-    ts,
-    start: np.ndarray | None = None,
-) -> NoGoReport:
-    """Distance to the fixed point stays strictly positive at all finite times."""
+def no_go_probe(semigroup, psi: np.ndarray, ts, start: np.ndarray | None = None) -> NoGoReport:
+    """Trace distance to the fixed point |psi><psi| of the semigroup
+    t -> E_t = `semigroup(t)`, a one-site `Channel`, from `start` (default: a
+    pure state orthogonal to psi) at every t of `ts`. For a Markov semigroup
+    it stays strictly positive at every finite t. Raises ValueError when
+    E_t(target) differs from target by more than 1e-8 at some t of `ts`.
+    """
     psi = np.asarray(psi, dtype=complex)
     target = np.outer(psi, psi.conj())
-    fp_defect = float(np.max(np.abs(l.apply(target))))
-    if fp_defect > 1e-8:
-        raise ValueError(f"target is not a fixed point (defect {fp_defect:.2e})")
     if start is None:
-        # deterministic orthogonal start
-        from ._linalg import complete_basis
-
         q = complete_basis(psi / np.linalg.norm(psi))
         start = np.outer(q[:, 1], q[:, 1].conj())
+    space = uniform_space(1, psi.size)
     dists = []
     for t in ts:
-        rho_t = (l.propagator(float(t)) @ start.reshape(-1)).reshape(l.dim, l.dim)
+        fixed, rho_t = chan_mod.apply(semigroup(float(t)), np.stack([target, start]), space)
+        fp_defect = float(np.max(np.abs(fixed - target)))
+        if fp_defect > 1e-8:
+            raise ValueError(f"target is not a fixed point (defect {fp_defect:.2e} at t = {float(t)})")
         dists.append((float(t), trace_distance(rho_t, target)))
     values = [d for _, d in dists]
     monotone = all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
@@ -482,7 +442,15 @@ def no_go_probe(
     )
 
 
-def amplitude_damping_liouvillian(rate: float = 1.0) -> Liouvillian:
-    """Qubit decay toward |0>."""
-    l1 = np.sqrt(rate) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return liouvillian_gksl(np.zeros((2, 2)), [l1], label="amplitude-damping")
+def amplitude_damping_liouvillian(rate: float = 1.0):
+    """The semigroup t -> e^{tL} of qubit decay toward |0>, L = rate
+    (sigma_- . sigma_+ - {sigma_+ sigma_-, .}/2), in closed form (Nielsen &
+    Chuang, sec. 8.3.5): at time t, the channel with Kraus operators
+    |0><0| + e^{-rate t/2}|1><1| and sqrt(1 - e^{-rate t})|0><1|."""
+
+    def channel(t: float) -> Channel:
+        decay = math.exp(-rate * t)
+        return make_channel([np.diag([1.0, math.sqrt(decay)]), [[0.0, math.sqrt(1.0 - decay)], [0.0, 0.0]]],
+                            [0], label=f"amplitude-damping(t={t})")
+
+    return channel

@@ -535,10 +535,11 @@ def gibbs_virtual_product(
 
     factor_dims: dims of the virtual factors; v: unitary from (tensor of
     factors) to the physical space; terms: list of (factor index, local
-    Hermitian); assignment: factor index -> neighborhood index.
+    Hermitian); assignment: factor index -> neighborhood index. Each factor
+    exp(-beta h) comes from the eigenpairs of h, with the exponents shifted
+    by their largest so that none overflows; the normalization cancels the
+    shift.
     """
-    from scipy.linalg import expm
-
     factor_dims = list(factor_dims)
     if int(np.prod(factor_dims)) != space.total_dim:
         raise ValueError("factor dims do not multiply to the space dimension")
@@ -549,7 +550,9 @@ def gibbs_virtual_product(
         locals_h[j] = locals_h[j] + np.asarray(hloc, dtype=complex)
     gibbs_factors = []
     for h in locals_h:
-        g = expm(-beta * h)
+        ev, vec = np.linalg.eigh(h)
+        x = -beta * ev
+        g = (vec * np.exp(x - x.max())) @ vec.conj().T
         gibbs_factors.append(g / np.trace(g).real)
     rho_virtual = kron_all(gibbs_factors)
     rho = v @ rho_virtual @ v.conj().T

@@ -1,12 +1,14 @@
 """Constructors and checks that only the tests use.
 
 The package never builds basis vectors, random unitaries or unitary channels,
-never needs a projector set's dense Hamiltonian and never estimates eta from
-drawn inputs, from below by ascents or from above by power iteration; the
-tests do, to state inputs and oracles.
+never needs a projector set's dense Hamiltonian, never forms or exponentiates
+a dense generator, and never estimates eta from drawn inputs, from below by
+ascents or from above by power iteration; the tests do, to state inputs and
+oracles.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -97,6 +99,65 @@ def frustration_defect(pset: ProjectorSet) -> float:
 def remainder_dim(plan: FtsPlan) -> int:
     """Dimensions of the local block left outside the cooling copies."""
     return plan.local_dim - plan.cooling_rate * plan.schmidt_dim
+
+
+# ---------------------------------------------------------------------------
+# dense generators: the oracle of the package's closed-form semigroups
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Liouvillian:
+    """Dense generator on the row-major vectorized space."""
+
+    matrix: np.ndarray
+    dim: int  # Hilbert space dimension D (matrix is D^2 x D^2)
+    label: str = ""
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
+
+    def propagator(self, t: float) -> np.ndarray:
+        return scipy.linalg.expm(t * self.matrix)
+
+
+def liouvillian_from_channel(ch: Channel, space: MultipartiteSpace) -> Liouvillian:
+    """L = E - I."""
+    d = space.total_dim
+    return Liouvillian(matrix=chan_mod.superoperator(ch, space) - np.eye(d * d), dim=d, label=f"E-I[{ch.label}]")
+
+
+def liouvillian_gksl(h: np.ndarray, lindblad_ops, label: str = "") -> Liouvillian:
+    """Canonical generator -i[H, .] + sum_k (L.L^dag - {L^dag L, .}/2)."""
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    eye = np.eye(d)
+    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in lindblad_ops:
+        l = np.asarray(l, dtype=complex)
+        ll = l.conj().T @ l
+        s += np.kron(l, l.conj())
+        s -= 0.5 * (np.kron(ll, eye) + np.kron(eye, ll.T))
+    return Liouvillian(matrix=s, dim=d, label=label)
+
+
+def amplitude_damping_generator(rate: float = 1.0) -> Liouvillian:
+    """GKSL generator of qubit decay toward |0>."""
+    l1 = np.sqrt(rate) * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return liouvillian_gksl(np.zeros((2, 2)), [l1], label="amplitude-damping")
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    gap: float
+    eigenvalues: np.ndarray
+
+
+def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
+    ev = np.linalg.eigvals(l.matrix)
+    scale = max(1.0, float(np.max(np.abs(ev))))
+    decaying = ev[ev.real < -tol * scale]
+    gap = float(np.min(np.abs(decaying.real))) if decaying.size else 0.0
+    return SpectralReport(gap=gap, eigenvalues=ev)
 
 
 def eta_upper(m, rng, iters: int = 40) -> np.ndarray:

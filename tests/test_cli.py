@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -338,6 +339,14 @@ class TestScheduleMixing:
         assert rc == 0
         assert out["certificates"]["min_distance"] > 1e-6
 
+    def test_import_loads_no_scipy(self):
+        # the package runs on numpy alone; scipy is only the tests' oracle
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, qlstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_mixing_gap_only(self, tmp_path, capsys):
         path = write_json(tmp_path, "g.json", {
             "state": {"constructor": {"name": "graph-line", "params": {"n": 3}}},
@@ -367,7 +376,10 @@ class TestScheduleMixing:
 
     def test_mixing_family_reports_applies(self, capsys):
         rc = main(["mixing", "--family-sizes", "3", "4"])
-        cert = json.loads(capsys.readouterr().out)["certificates"]
+        out = json.loads(capsys.readouterr().out)
+        cert = out["certificates"]
+        assert out["tolerances"] == {"gamma_slack": mixing.GAMMA_SLACK, "delta_cap": mixing.DELTA_CAP,
+                                     "fit_ceiling": mixing.FIT_CEILING}
         fams = [mixing.CommutingResetFamily(list(i.witness_channels), i.space, i.psi)
                 for i in (states.line_graph_state(3), states.line_graph_state(4))]
         rep = mixing.rapid_mixing_check(fams, ts=[1.5, 2.5, 4.0, 6.0])

@@ -3,12 +3,16 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import (
+    Liouvillian,
     Map,
+    amplitude_damping_generator,
     eta_lower,
     eta_map,
     eta_upper,
+    liouvillian_from_channel,
     sampled_eta,
     sampled_eta_single_channel,
+    spectral_gap,
     stack_trace,
     unitary_channel,
 )
@@ -21,18 +25,15 @@ from qlstab._linalg import nullspace
 from qlstab.mixing import (
     CommutingResetFamily,
     EtaSample,
-    Liouvillian,
     amplitude_damping_liouvillian,
-    liouvillian_from_channel,
-    liouvillian_gksl,
     no_go_probe,
     rapid_mixing_check,
-    spectral_gap,
 )
 
 
-# Checks of a dense generator and the dense eta route. The package reads none
-# of them: its eta bounds come from `CommutingResetFamily`.
+# Checks of a dense generator (`helpers.Liouvillian`) and the dense eta route.
+# The package forms no generator: its eta bounds come from
+# `CommutingResetFamily`, and its semigroups are Kraus channels.
 
 def trace_annihilation_defect(l: Liouvillian, rng=None, probes: int = 4) -> float:
     rng = rng or np.random.default_rng(0)
@@ -163,22 +164,22 @@ class TestLiouvillian:
             assert min(abs(lam), abs(lam + 1.0)) < 1e-9
 
     def test_trace_annihilation_and_cptp(self, rng):
-        l = amplitude_damping_liouvillian(0.7)
+        l = amplitude_damping_generator(0.7)
         assert trace_annihilation_defect(l) < 1e-9
         assert choi_psd_defect(l) < 1e-9
 
     def test_gksl_stationary(self):
-        l = amplitude_damping_liouvillian(1.0)
+        l = amplitude_damping_generator(1.0)
         rho = stationary_state(l)
         assert np.allclose(rho, np.diag([1.0, 0.0]))
 
     def test_scaling_property(self):
-        l = amplitude_damping_liouvillian(1.0)
+        l = amplitude_damping_generator(1.0)
         l2 = Liouvillian(matrix=2.5 * l.matrix, dim=2)
         assert abs(spectral_gap(l2).gap - 2.5 * spectral_gap(l).gap) < 1e-9
 
     def test_semigroup_property(self):
-        l = amplitude_damping_liouvillian(0.9)
+        l = amplitude_damping_generator(0.9)
         s1 = l.propagator(0.4)
         s2 = l.propagator(0.6)
         s12 = l.propagator(1.0)
@@ -214,7 +215,7 @@ class TestEta:
         assert abs(e1 - e0 * np.exp(-1.0)) < 1e-6
 
     def test_contraction_eta_dense_route(self):
-        l = amplitude_damping_liouvillian(1.0)
+        l = amplitude_damping_generator(1.0)
         es = contraction_eta(l, 1.0, n_samples=64)
         # start |1>: distance decays like e^{-t} up to coherence factors
         assert es.lower > 0.3
@@ -222,7 +223,7 @@ class TestEta:
 
     def test_eta_bounds_sandwich_gap(self):
         # L exp(-gap t) <= eta(t) <= R exp(-nu t): fit constants empirically
-        l = amplitude_damping_liouvillian(1.0)
+        l = amplitude_damping_generator(1.0)
         gap = spectral_gap(l).gap
         ts = [0.5, 1.0, 2.0, 3.0]
         vals = [contraction_eta(l, t, n_samples=32).lower for t in ts]
@@ -305,7 +306,7 @@ class TestEtaSweep:
         assert abs(stacked[1] - single[1]) <= 1e-14
 
     def test_dense_route_stacked_matches_one_state_at_a_time(self, monkeypatch):
-        l = amplitude_damping_liouvillian(1.0)
+        l = amplitude_damping_generator(1.0)
         stacked = contraction_eta(l, 1.0, n_samples=64)
         monkeypatch.setattr(chan_mod, "STACK_MAX_BYTES", 1)
         single = contraction_eta(l, 1.0, n_samples=64)
@@ -339,6 +340,17 @@ class TestCommutingFamily:
     def test_per_channel_gap_is_one(self):
         fam = family_for(3)
         assert abs(fam.per_channel_gap() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kind, n", [("line", 3), ("line", 5), ("gibbs", 3), ("gibbs", 4)])
+    def test_per_channel_gap_matches_dense_generator(self, kind, n):
+        if kind == "line":
+            fam = family_for(n)
+        else:
+            inst = states.graph_gibbs(n, beta=1.0)
+            fam = CommutingResetFamily(list(inst.witness_channels), inst.space, inst.rho)
+        dense = min(spectral_gap(liouvillian_from_channel(*chan_mod.relocate(c, c.support, fam.space))).gap
+                    for c in fam.channels)
+        assert fam.per_channel_gap() == pytest.approx(dense, abs=1e-12)
 
     def test_propagate_matches_dense_exponential(self, rng):
         fam = family_for(3)
@@ -446,6 +458,12 @@ class TestClosedForm:
         got = fam.eta_samples(GRID)
         assert all(es.upper == 1.0 for es in got)
         assert [es.lower for es in got] == pytest.approx(witness_distances(fam, GRID), rel=0, abs=1e-10)
+        if n == 3:
+            # every W_k is its whole support, so sum_k P_k = N I picks no
+            # witness; the eigenvector of rho_star for its smallest eigenvalue
+            # does, and reaches what the sampled oracle reaches
+            assert proof.range_dims == (4, 8, 4)
+            assert fam.eta_samples([1.0])[0].lower >= 0.378
         with pytest.raises(ValueError, match="the target is mixed"):
             rapid_mixing_check([fam], ts=GRID)
 
@@ -496,26 +514,39 @@ class TestRapidMixing:
 
 class TestNoGo:
     def test_amplitude_damping_positive_distance(self):
-        l = amplitude_damping_liouvillian(1.0)
+        semigroup = amplitude_damping_liouvillian(1.0)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         ts = np.linspace(0.0, 10.0, 21)
-        rep = no_go_probe(l, psi0, ts)
+        rep = no_go_probe(semigroup, psi0, ts)
         assert rep.min_distance > 1e-6
         assert rep.monotone
         # exact solution: distance e^{-t}
         for t, d in rep.distances[1:]:
             assert abs(d - np.exp(-t)) < 1e-8
+        # and the dense exponential of the GKSL generator, from |1><1|
+        l = amplitude_damping_generator(1.0)
+        start = np.diag([0.0, 1.0]).reshape(-1)
+        for t, d in rep.distances:
+            dense = (l.propagator(t) @ start).reshape(2, 2)
+            assert abs(d - trace_distance(dense, np.diag([1.0, 0.0]))) < 1e-12
 
     def test_target_start_stays_at_zero(self):
-        l = amplitude_damping_liouvillian(1.0)
+        semigroup = amplitude_damping_liouvillian(1.0)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         rep = no_go_probe(
-            l, psi0, [0.0, 1.0, 2.0], start=np.outer(psi0, psi0.conj())
+            semigroup, psi0, [0.0, 1.0, 2.0], start=np.outer(psi0, psi0.conj())
         )
         assert rep.min_distance < 1e-10
 
     def test_fixed_point_mismatch_rejected(self):
-        l = amplitude_damping_liouvillian(1.0)
+        semigroup = amplitude_damping_liouvillian(1.0)
         psi1 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(ValueError):
-            no_go_probe(l, psi1, [1.0])
+            no_go_probe(semigroup, psi1, [1.0])
+
+    @pytest.mark.parametrize("rate", [0.7, 1.0, 2.5])
+    def test_closed_form_is_the_gksl_exponential(self, rate):
+        semigroup = amplitude_damping_liouvillian(rate)
+        l = amplitude_damping_generator(rate)
+        for t in (0.0, 0.1, 0.5, 1.0, 2.5, 7.0):
+            assert np.abs(superoperator(semigroup(t), uniform_space(1)) - l.propagator(t)).max() < 1e-12
