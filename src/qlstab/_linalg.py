@@ -182,10 +182,10 @@ def projector(basis: np.ndarray) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def von_neumann_entropy(rho: np.ndarray, floor: float = DEFAULT_TOL.entropy_floor) -> float:
-    """Entropy in bits; eigenvalues below `floor` contribute zero."""
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy in bits; eigenvalues below `DEFAULT_TOL.entropy_floor` contribute zero."""
     ev = np.linalg.eigvalsh(rho)
-    ev = ev[ev > floor]
+    ev = ev[ev > DEFAULT_TOL.entropy_floor]
     return float(-np.sum(ev * np.log2(ev)))
 
 

@@ -60,7 +60,7 @@ class Channel:
         return _natural(self.kraus, self.local_dim, len(self.kraus))
 
 
-def make_channel(kraus, support, label: str = "", tp_tol: float = DEFAULT_TOL.trace_preserving) -> Channel:
+def make_channel(kraus, support, label: str = "") -> Channel:
     kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
     if not kraus:
         raise ChannelError("no Kraus operators")
@@ -70,7 +70,7 @@ def make_channel(kraus, support, label: str = "", tp_tol: float = DEFAULT_TOL.tr
             raise ChannelError("Kraus operators must be square and equally sized")
     ch = Channel(kraus=kraus, support=tuple(sorted(int(i) for i in support)), label=label)
     defect = ch.tp_defect()
-    if defect > tp_tol:
+    if defect > DEFAULT_TOL.trace_preserving:
         raise ChannelError(f"trace preservation violated, defect {defect:.3e}")
     return ch
 

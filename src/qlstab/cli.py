@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 
@@ -238,15 +238,7 @@ def load_problem(path: str):
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"/state/constructor/params: {type(exc).__name__}: {exc}") from exc
         if "neighborhoods" in data:
-            inst = states_mod.StateInstance(
-                name=inst.name,
-                space=inst.space,
-                neighborhoods=_parse_neighborhoods(data["neighborhoods"], inst.space),
-                psi=inst.psi,
-                rho=inst.rho,
-                witness_channels=inst.witness_channels,
-                metadata=inst.metadata,
-            )
+            inst = replace(inst, neighborhoods=_parse_neighborhoods(data["neighborhoods"], inst.space))
         return inst, options
     try:
         space = MultipartiteSpace(data["space"]["dims"])
@@ -299,20 +291,6 @@ def _regions_ab(options: dict, space: MultipartiteSpace) -> tuple[list[int], lis
     return a, b
 
 
-def _report(task: str, verdict_true: bool, verdicts: dict, certificates: dict,
-            tolerances: dict, seed, t0: float) -> dict:
-    return {
-        "task": task,
-        "pass": bool(verdict_true),
-        "verdicts": verdicts,
-        "certificates": certificates,
-        "tolerances": tolerances,
-        "seed": seed,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-        "version": __version__,
-    }
-
-
 def _emit(report: dict, out_path: str | None):
     # a NaN or an infinity is not JSON: a report must say null instead
     text = json.dumps(report, indent=2, default=_json_default, allow_nan=False)
@@ -336,6 +314,10 @@ def _json_default(obj):
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each `cmd_*` returns (task, ok, verdicts, certificates, tolerances), where
+# `tolerances` holds the values the verdict was decided against; `main` times
+# the call, emits the report and maps ok to the exit code.
 # ---------------------------------------------------------------------------
 
 def _intersection_margin(v) -> dict:
@@ -349,186 +331,167 @@ def _cluster_gaps(gaps: tuple[float, float]) -> dict:
     return {"largest_merged": merged, "smallest_split": split if math.isfinite(split) else None}
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
-    inst, options = load_problem(args.problem)
-    tol = args.tol
-    state = inst.psi if inst.psi is not None else inst.rho
-    sub = args.what
-    if inst.psi is None and sub not in ("correlations", "cmi", "matching-overlap"):
-        raise InputError(f"check {sub} needs a pure target state")
-    verdicts: dict = {}
-    certificates: dict = {}
-    tolerances: dict = {"tol": tol}
-    if sub == "qls":
-        v = sub_mod.check_qls(inst.psi, inst.neighborhoods, inst.space)
-        verdicts = {"qls": v.qls}
-        certificates = {
-            "intersection_dim": v.intersection_dim,
-            "contains_target": v.contains_target,
-            "intersection_margin": _intersection_margin(v),
-        }
-        ok = v.qls
-    elif sub == "sss":
-        rep = sub_mod.check_small_schmidt_span(inst.psi, inst.neighborhoods, inst.space)
-        verdicts = {"small_schmidt_span": rep.satisfied}
-        certificates = {"per_neighborhood": [
-            {**r, "neighborhood": [i + 1 for i in r["neighborhood"]]}
-            for r in rep.per_neighborhood
-        ]}
-        ok = rep.satisfied
-    elif sub == "ugen":
-        v = lie_mod.check_unitary_generation(
-            inst.psi, inst.neighborhoods, inst.space, seed=args.seed
-        )
-        verdicts = {"unitary_generation": v.ok}
-        certificates = {
-            "generated_dim": v.generated_dim,
-            "target_dim": v.target_dim,
-            "passes": v.passes,
-            "method": v.method,
-            "cluster_gaps": _cluster_gaps(v.cluster_gaps),
-            "weakest_edge": v.weakest_edge,
-        }
-        tolerances["cluster_rtol"] = CLUSTER_RTOL
-        ok = v.ok
-    elif sub == "commuting-projectors":
-        v = sub_mod.check_commuting_projectors(
-            inst.psi, inst.neighborhoods, inst.space, tol=tol
-        )
-        verdicts = {"commuting_projectors": v.ok}
-        certificates = {
-            "max_commutator_norm": v.max_norm,
-            "intersection_margin": _intersection_margin(v),
-        }
-        ok = v.ok
-    elif sub == "matching-overlap":
-        v = sub_mod.check_matching_overlap(inst.neighborhoods)
-        verdicts = {"matching_overlap": v.status}
-        certificates = {"witness_subset": list(v.witness) if v.witness else None}
-        ok = v.status == "satisfied"
-    elif sub == "algebraic-rfts":
-        res = rfts_mod.check_algebraic_rfts(
-            inst.psi, inst.neighborhoods, inst.space, seed=args.seed
-        )
-        verdicts = {"algebraic_rfts": res.ok, "reason": res.reason}
-        certificates = {
-            "factor_dims": list(res.factor_dims),
-            "algebra_dims": list(res.algebra_dims),
-            "commutation_defect": res.commutation_defect,
-            "target_factor_residual": res.target_factor_residual,
-            "projector_block_residual": res.projector_block_residual,
-            "coarse_groups": [[i + 1 for i in g] for g in res.coarse_groups],
-            "cluster_gaps": _cluster_gaps(res.cluster_gaps),
-        }
-        tolerances["cluster_rtol"] = CLUSTER_RTOL
-        ok = res.ok
-    elif sub == "matching-overlap-rfts":
-        res = rfts_mod.check_matching_overlap_rfts(
-            inst.psi, inst.neighborhoods, inst.space, seed=args.seed
-        )
-        verdicts = {"matching_overlap_rfts": res.ok, "reason": res.reason}
-        certificates = {
-            "matching_overlap": res.matching_overlap,
-            "max_pairwise_commutator": res.max_pairwise_commutator,
-        }
-        ok = res.ok
-    elif sub == "correlations":
-        a, b = _regions_ab(options, inst.space)
-        probe = rfts_mod.correlation_probe(
-            state, a, b, inst.space, nstruct=inst.neighborhoods
-        )
-        verdicts = {"uncorrelated": probe.max_abs_covariance < tol}
-        certificates = {
-            "max_abs_covariance": probe.max_abs_covariance,
-            "expansions_disjoint": probe.expansions_disjoint,
-        }
-        ok = verdicts["uncorrelated"]
-    elif sub == "cmi":
-        a, b = _regions_ab(options, inst.space)
-        if "region_c" in options:
-            c = _parse_region(options, "region_c", inst.space, None)
-        else:
-            exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
-            c = sorted(set(exp_a) - set(a))
-        if set(c) & (set(a) | set(b)):
-            raise InputError("/options: region_c (by default the neighborhood expansion of region_a, "
-                             "less region_a) must be disjoint from region_a and region_b")
-        val = rfts_mod.cmi(state, a, b, c, inst.space)
-        verdicts = {"zero_cmi": val < tol}
-        certificates = {"cmi_bits": val, "region_c": [i + 1 for i in c]}
-        ok = verdicts["zero_cmi"]
+def _target(inst):
+    return inst.psi if inst.psi is not None else inst.rho
+
+
+# `check <what>`: each maps (instance, options, args) to (ok, verdicts,
+# certificates, tolerances)
+
+def _check_qls(inst, options, args):
+    v = sub_mod.check_qls(inst.psi, inst.neighborhoods, inst.space)
+    certificates = {
+        "intersection_dim": v.intersection_dim,
+        "contains_target": v.contains_target,
+        "intersection_margin": _intersection_margin(v),
+    }
+    return v.qls, {"qls": v.qls}, certificates, {"intersect_eig": DEFAULT_TOL.intersect_eig}
+
+
+def _check_sss(inst, options, args):
+    rep = sub_mod.check_small_schmidt_span(inst.psi, inst.neighborhoods, inst.space)
+    rows = [{**r, "neighborhood": [i + 1 for i in r["neighborhood"]]} for r in rep.per_neighborhood]
+    return rep.satisfied, {"small_schmidt_span": rep.satisfied}, {"per_neighborhood": rows}, {}
+
+
+def _check_ugen(inst, options, args):
+    v = lie_mod.check_unitary_generation(inst.psi, inst.neighborhoods, inst.space, seed=args.seed)
+    certificates = {
+        "generated_dim": v.generated_dim,
+        "target_dim": v.target_dim,
+        "passes": v.passes,
+        "method": v.method,
+        "cluster_gaps": _cluster_gaps(v.cluster_gaps),
+        "weakest_edge": v.weakest_edge,
+    }
+    return v.ok, {"unitary_generation": v.ok}, certificates, {"cluster_rtol": CLUSTER_RTOL}
+
+
+def _check_commuting_projectors(inst, options, args):
+    v = sub_mod.check_commuting_projectors(inst.psi, inst.neighborhoods, inst.space, tol=args.tol)
+    certificates = {"max_commutator_norm": v.max_norm, "intersection_margin": _intersection_margin(v)}
+    return v.ok, {"commuting_projectors": v.ok}, certificates, {"tol": args.tol}
+
+
+def _check_matching_overlap(inst, options, args):
+    v = sub_mod.check_matching_overlap(inst.neighborhoods)
+    certificates = {"witness_subset": list(v.witness) if v.witness else None}
+    return v.status == "satisfied", {"matching_overlap": v.status}, certificates, {}
+
+
+def _check_algebraic_rfts(inst, options, args):
+    res = rfts_mod.check_algebraic_rfts(inst.psi, inst.neighborhoods, inst.space, seed=args.seed)
+    certificates = {
+        "factor_dims": list(res.factor_dims),
+        "algebra_dims": list(res.algebra_dims),
+        "commutation_defect": res.commutation_defect,
+        "target_factor_residual": res.target_factor_residual,
+        "projector_block_residual": res.projector_block_residual,
+        "coarse_groups": [[i + 1 for i in g] for g in res.coarse_groups],
+        "cluster_gaps": _cluster_gaps(res.cluster_gaps),
+    }
+    return res.ok, {"algebraic_rfts": res.ok, "reason": res.reason}, certificates, {"cluster_rtol": CLUSTER_RTOL}
+
+
+def _check_matching_overlap_rfts(inst, options, args):
+    res = rfts_mod.check_matching_overlap_rfts(
+        inst.psi, inst.neighborhoods, inst.space, tol=args.tol, seed=args.seed
+    )
+    certificates = {
+        "matching_overlap": res.matching_overlap,
+        "max_pairwise_commutator": res.max_pairwise_commutator,
+    }
+    return res.ok, {"matching_overlap_rfts": res.ok, "reason": res.reason}, certificates, {"tol": args.tol}
+
+
+def _check_correlations(inst, options, args):
+    a, b = _regions_ab(options, inst.space)
+    probe = rfts_mod.correlation_probe(_target(inst), a, b, inst.space, nstruct=inst.neighborhoods)
+    ok = probe.max_abs_covariance < args.tol
+    certificates = {
+        "max_abs_covariance": probe.max_abs_covariance,
+        "expansions_disjoint": probe.expansions_disjoint,
+    }
+    return ok, {"uncorrelated": ok}, certificates, {"tol": args.tol}
+
+
+def _check_cmi(inst, options, args):
+    a, b = _regions_ab(options, inst.space)
+    if "region_c" in options:
+        c = _parse_region(options, "region_c", inst.space, None)
     else:
-        raise InputError(f"unknown check subcommand {sub}")
-    report = _report(f"check {sub}", ok, verdicts, certificates, tolerances, args.seed, t0)
-    _emit(report, args.output)
-    return 0 if ok else 1
+        exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
+        c = sorted(set(exp_a) - set(a))
+    if set(c) & (set(a) | set(b)):
+        raise InputError("/options: region_c (by default the neighborhood expansion of region_a, "
+                         "less region_a) must be disjoint from region_a and region_b")
+    val = rfts_mod.cmi(_target(inst), a, b, c, inst.space)
+    ok = val < args.tol
+    return ok, {"zero_cmi": ok}, {"cmi_bits": val, "region_c": [i + 1 for i in c]}, {"tol": args.tol}
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+CHECKS = {
+    "qls": _check_qls,
+    "sss": _check_sss,
+    "ugen": _check_ugen,
+    "commuting-projectors": _check_commuting_projectors,
+    "matching-overlap": _check_matching_overlap,
+    "algebraic-rfts": _check_algebraic_rfts,
+    "matching-overlap-rfts": _check_matching_overlap_rfts,
+    "correlations": _check_correlations,
+    "cmi": _check_cmi,
+}
+
+
+def cmd_check(args):
+    inst, options = load_problem(args.problem)
+    if inst.psi is None and args.what not in ("correlations", "cmi", "matching-overlap"):
+        raise InputError(f"check {args.what} needs a pure target state")
+    return (f"check {args.what}", *CHECKS[args.what](inst, options, args))
+
+
+def cmd_synth(args):
     inst, options = load_problem(args.problem)
     if inst.psi is None:
         raise InputError("synthesis needs a pure target state")
+    task = f"synth {args.what}"
     if args.what == "fts":
         try:
             plan = fts_mod.plan_fts(
                 inst.psi, inst.neighborhoods, inst.space, force=args.force
             )
         except fts_mod.FtsError as exc:
-            report = _report(
-                "synth fts", False, {"synthesized": False, "reason": str(exc)},
-                {}, {"tol": args.tol}, args.seed, t0,
-            )
-            _emit(report, args.output)
-            return 1
+            return task, False, {"synthesized": False, "reason": str(exc)}, {}, {"tol": args.tol}
         circ, cert = fts_mod.synthesize_fts(
             inst.psi, inst.neighborhoods, inst.space, plan=plan
         )
-        ver = fts_mod.verify_fts(circ, inst.psi, trials=args.trials, seed=args.seed)
-        if args.circuit:
-            with open(args.circuit, "w") as fh:
-                fh.write(json.dumps(circuit_to_json(circ)))
-        report = _report(
-            "synth fts", ver.passed,
-            {"synthesized": True, "verified": ver.passed},
-            {
-                "ranks": list(cert.ranks),
-                "steps": cert.steps,
-                "cooling_rate": plan.cooling_rate,
-                "schmidt_dim": plan.schmidt_dim,
-                "final_distance": ver.max_final_distance,
-                **_fts_cert(ver),
-            },
-            {"tol": 1e-8, "frame": DEFAULT_TOL.frame}, args.seed, t0,
+        ver = fts_mod.verify_fts(circ, inst.psi, trials=args.trials, seed=args.seed, tol=args.tol)
+        ok, verdicts = ver.passed, {"synthesized": True, "verified": ver.passed}
+        certificates = {
+            "ranks": list(cert.ranks),
+            "steps": cert.steps,
+            "cooling_rate": plan.cooling_rate,
+            "schmidt_dim": plan.schmidt_dim,
+            "final_distance": ver.max_final_distance,
+            **_fts_cert(ver),
+        }
+        tolerances = {"tol": args.tol, "frame": DEFAULT_TOL.frame}
+    else:
+        res = rfts_mod.check_algebraic_rfts(
+            inst.psi, inst.neighborhoods, inst.space, seed=args.seed
         )
-        _emit(report, args.output)
-        return 0 if ver.passed else 1
-    # rfts
-    res = rfts_mod.check_algebraic_rfts(
-        inst.psi, inst.neighborhoods, inst.space, seed=args.seed
-    )
-    if not res.ok:
-        report = _report(
-            "synth rfts", False, {"synthesized": False, "reason": res.reason},
-            {"algebra_dims": list(res.algebra_dims)}, {"tol": args.tol}, args.seed, t0,
+        if not res.ok:
+            return (task, False, {"synthesized": False, "reason": res.reason},
+                    {"algebra_dims": list(res.algebra_dims)}, {"tol": args.tol})
+        channels = rfts_mod.build_rfts_circuit(
+            res.factorization, inst.psi, cg=res.coarse, original_space=inst.space
         )
-        _emit(report, args.output)
-        return 1
-    channels = rfts_mod.build_rfts_circuit(
-        res.factorization, inst.psi, cg=res.coarse, original_space=inst.space
-    )
-    rep = rfts_mod.verify_robustness(
-        channels, inst.psi, inst.space, trials=args.trials, seed=args.seed
-    )
-    if args.circuit:
+        rep = rfts_mod.verify_robustness(
+            channels, inst.psi, inst.space, trials=args.trials, tol=args.tol, seed=args.seed
+        )
         circ = Circuit(tuple(channels), inst.space)
-        with open(args.circuit, "w") as fh:
-            fh.write(json.dumps(circuit_to_json(circ)))
-    report = _report(
-        "synth rfts", rep.passed,
-        {"synthesized": True, "robust": rep.passed},
-        {
+        ok, verdicts = rep.passed, {"synthesized": True, "robust": rep.passed}
+        certificates = {
             "factor_dims": list(res.factor_dims),
             "channels": len(channels),
             "orders_run": rep.orders_run,
@@ -537,15 +500,15 @@ def cmd_synth(args) -> int:
             "worst_order": list(rep.worst_order),
             **_order_cert(rep),
             "factorization": {"factor_dims": list(res.factor_dims), "h0_dim": res.factorization.h0_dim},
-        },
-        {"tol": 1e-8}, args.seed, t0,
-    )
-    _emit(report, args.output)
-    return 0 if rep.passed else 1
+        }
+        tolerances = {"tol": args.tol}
+    if args.circuit:
+        with open(args.circuit, "w") as fh:
+            fh.write(json.dumps(circuit_to_json(circ)))
+    return task, ok, verdicts, certificates, tolerances
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
     try:
         with open(args.circuit) as fh:
             circ = circuit_from_json(json.load(fh))
@@ -611,7 +574,7 @@ def cmd_simulate(args) -> int:
     else:
         final_rank = chan_mod.diagonal_rank(final) if diagonal else chan_mod.state_rank(final)
     ok = target is None or worst < args.tol
-    report = _report(
+    return (
         "simulate", ok,
         {"converged": ok},
         {"orders": len(orders), "distinct_orders": len(distinct),
@@ -619,10 +582,8 @@ def cmd_simulate(args) -> int:
          "final_distance": worst if target is not None else None,
          "worst_order": None if worst_order is None else [int(i) for i in worst_order],
          "final_rank": final_rank, "frame_defect": defect},
-        {"tol": args.tol, "frame": DEFAULT_TOL.frame}, args.seed, t0,
+        {"tol": args.tol, "frame": DEFAULT_TOL.frame},
     )
-    _emit(report, args.output)
-    return 0 if ok else 1
 
 
 def _amplitude_damping_no_go(samples: int):
@@ -647,20 +608,16 @@ def _mixing_proof_fields(rep) -> dict:
             "max_gap": rep.max_gap}
 
 
-def cmd_mixing(args) -> int:
-    t0 = time.perf_counter()
+def cmd_mixing(args):
     if args.no_go:
         rep = _amplitude_damping_no_go(args.samples)
-        ok = rep.min_distance > 1e-6 and rep.monotone
-        report = _report(
-            "mixing no-go", ok,
+        return (
+            "mixing no-go", rep.min_distance > 1e-6 and rep.monotone,
             {"strictly_positive": rep.min_distance > 1e-6, "monotone": rep.monotone},
             {"min_distance": rep.min_distance,
              "distances": [[t, d] for t, d in rep.distances]},
-            {"floor": 1e-6}, args.seed, t0,
+            {"floor": 1e-6},
         )
-        _emit(report, args.output)
-        return 0 if ok else 1
     if args.family_sizes:
         fams = _line_graph_families(args.family_sizes)
         ts = [float(t) for t in (args.ts if args.ts else [1.5, 2.5, 4.0, 6.0])]
@@ -668,7 +625,7 @@ def cmd_mixing(args) -> int:
             rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=args.seed)
         except ValueError as exc:
             raise InputError(f"mixing family: {exc}") from exc
-        report = _report(
+        return (
             "mixing family", rep.passed,
             {"rapid_mixing": rep.passed},
             {
@@ -679,16 +636,12 @@ def cmd_mixing(args) -> int:
                 **_mixing_proof_fields(rep),
             },
             {"gamma_slack": mixing_mod.GAMMA_SLACK, "delta_cap": mixing_mod.DELTA_CAP,
-             "fit_ceiling": mixing_mod.FIT_CEILING}, args.seed, t0,
+             "fit_ceiling": mixing_mod.FIT_CEILING},
         )
-        _emit(report, args.output)
-        return 0 if rep.passed else 1
     inst, options = load_problem(args.problem)
     if not inst.witness_channels:
         raise InputError("mixing analysis needs an instance with witness channels")
-    fam = mixing_mod.CommutingResetFamily(
-        list(inst.witness_channels), inst.space, inst.psi if inst.psi is not None else inst.rho
-    )
+    fam = mixing_mod.CommutingResetFamily(list(inst.witness_channels), inst.space, _target(inst))
     gap = fam.per_channel_gap(max_side=args.cap_superop)
     ts_src = options.get("ts") if options.get("ts") is not None else args.ts
     ts = [float(t) for t in (ts_src or [])]
@@ -697,16 +650,14 @@ def cmd_mixing(args) -> int:
         samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts)]
     except ValueError as exc:
         raise InputError(f"mixing: {exc}") from exc
-    report = _report(
+    return (
         "mixing", True,
         {"per_channel_gap": gap},
         {"gap": gap, "eta_samples": samples, "applies": fam.applies, "method": fam.method,
          "identity_defect": proof.identity_defect, "commutation_defect": proof.commutation,
          "intersection_dim": proof.intersection_dim},
-        {"tol": args.tol}, args.seed, t0,
+        {"invariance": DEFAULT_TOL.invariance, "commutator": DEFAULT_TOL.commutator},
     )
-    _emit(report, args.output)
-    return 0
 
 
 LATTICES = {
@@ -726,8 +677,7 @@ LATTICES = {
 }
 
 
-def cmd_schedule(args) -> int:
-    t0 = time.perf_counter()
+def cmd_schedule(args):
     try:
         with open(args.lattice) as fh:
             data = json.load(fh)
@@ -749,9 +699,8 @@ def cmd_schedule(args) -> int:
         inst, layering = sched_mod.layer_generic(lat)
         bound = len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
     rep = sched_mod.depth_report(inst, layering, bound=bound)
-    ok = rep.disjoint_ok and rep.coverage_ok
-    report = _report(
-        "schedule", ok,
+    return (
+        "schedule", rep.disjoint_ok and rep.coverage_ok,
         {"disjoint": rep.disjoint_ok, "coverage": rep.coverage_ok},
         {
             "size": rep.size,
@@ -759,10 +708,8 @@ def cmd_schedule(args) -> int:
             "depth_bound": rep.bound,
             "layers": [[i + 1 for i in layer] for layer in layering.layers],
         },
-        {}, args.seed, t0,
+        {},
     )
-    _emit(report, args.output)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -1078,28 +1025,25 @@ REPRODUCTIONS = {
 }
 
 
-def cmd_reproduce(args) -> int:
+def _reproduction(name: str, seed: int) -> dict:
+    """Run one registry entry, timed, and print its PASS/FAIL line to stderr."""
     t0 = time.perf_counter()
+    checks, cert = REPRODUCTIONS[name](seed)
+    failed = [check for check, ok in checks.items() if not ok]
+    elapsed = round(time.perf_counter() - t0, 3)
+    line = f"[{'FAIL' if failed else 'PASS'}] {name} ({elapsed}s)"
+    print(line + "".join(f"\n    failed: {check}" for check in failed), file=sys.stderr)
+    return {"pass": not failed, "failed_checks": failed, "certificates": cert, "elapsed_seconds": elapsed}
+
+
+def cmd_reproduce(args):
     if not args.all and args.name not in REPRODUCTIONS:
-        print(f"unknown reproduction '{args.name}'; available:", file=sys.stderr)
-        for n in sorted(REPRODUCTIONS):
-            print(f"  {n}", file=sys.stderr)
-        return 2
-    results = {}
-    for name in sorted(REPRODUCTIONS) if args.all else [args.name]:
-        t1 = time.perf_counter()
-        checks, cert = REPRODUCTIONS[name](args.seed)
-        failed = [check for check, ok in checks.items() if not ok]
-        elapsed = round(time.perf_counter() - t1, 3)
-        results[name] = {"pass": not failed, "failed_checks": failed,
-                         "certificates": cert, "elapsed_seconds": elapsed}
-        line = f"[{'FAIL' if failed else 'PASS'}] {name} ({elapsed}s)"
-        print(line + "".join(f"\n    failed: {check}" for check in failed), file=sys.stderr)
-    all_ok = all(r["pass"] for r in results.values())
-    report = _report("reproduce", all_ok, {n: r["pass"] for n, r in results.items()},
-                     results, {}, args.seed, t0)
-    _emit(report, args.output)
-    return 0 if all_ok else 1
+        raise InputError(f"unknown reproduction '{args.name}'; available:"
+                         + "".join(f"\n  {n}" for n in sorted(REPRODUCTIONS)))
+    names = sorted(REPRODUCTIONS) if args.all else [args.name]
+    results = {name: _reproduction(name, args.seed) for name in names}
+    verdicts = {name: r["pass"] for name, r in results.items()}
+    return "reproduce", all(verdicts.values()), verdicts, results, {}
 
 
 # ---------------------------------------------------------------------------
@@ -1129,10 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", parents=[common],
                         help="decision procedures on a problem file")
-    pc.add_argument("what", choices=[
-        "qls", "sss", "ugen", "commuting-projectors", "matching-overlap",
-        "algebraic-rfts", "matching-overlap-rfts", "correlations", "cmi",
-    ])
+    pc.add_argument("what", choices=CHECKS)
     pc.add_argument("problem")
     pc.set_defaults(fn=cmd_check)
 
@@ -1192,8 +1133,9 @@ def main(argv=None) -> int:
             threadpoolctl.threadpool_limits(args.threads)
         except ImportError:
             print("--threads ignored: threadpoolctl is not installed", file=sys.stderr)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        task, ok, verdicts, certificates, tolerances = args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -1203,6 +1145,17 @@ def main(argv=None) -> int:
     except ChannelError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    _emit({
+        "task": task,
+        "pass": bool(ok),
+        "verdicts": verdicts,
+        "certificates": certificates,
+        "tolerances": tolerances,
+        "seed": args.seed,
+        "elapsed_seconds": round(time.perf_counter() - t0, 3),
+        "version": __version__,
+    }, args.output)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

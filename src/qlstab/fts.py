@@ -77,7 +77,6 @@ def plan_fts(
     nstruct: NeighborhoodStructure,
     space: MultipartiteSpace,
     force: bool = False,
-    neighborhood_index: int | None = None,
     local_blocks: np.ndarray | None = None,
 ) -> FtsPlan:
     """Pick the neighborhood with maximal cooling rate and fix the basis order.
@@ -94,7 +93,7 @@ def plan_fts(
         span = subspaces.schmidt_span(psi, nk, space)
         spans.append(span)
         rates.append(space.dim_of(nk) // span.dim)
-    best = int(np.argmax(rates)) if neighborhood_index is None else neighborhood_index
+    best = int(np.argmax(rates))
     r = rates[best]
     if r < 2 and not force:
         raise FtsError(

@@ -253,7 +253,17 @@ def _operator_schmidt_factors(op, region, space: MultipartiteSpace, rtol: float 
 def _commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace) -> np.ndarray:
     """||[X_i (x) I, Y_j (x) I]||_F for every X_i on the sites `x_support` of
     `space` and Y_j on `y_support`, on the union of the supports; zeros when
-    they are disjoint.
+    they are disjoint."""
+    norms = np.zeros((len(xs), len(ys)))
+    for norms in _partial_commutator_norms(xs, x_support, ys, y_support, space):
+        pass  # the last yield is exact
+    return norms
+
+
+def _partial_commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace):
+    """Yield the `_commutator_norms` matrix over the A factors seen so far,
+    once per chunk of them; nothing when the supports are disjoint. No entry
+    ever decreases, and the last yield is the whole matrix.
 
     Operator Schmidt factors across the overlap O, X = sum_mu A_mu (x) B_mu
     and Y = sum_nu C_nu (x) E_nu with the B_mu and the E_nu orthonormal and
@@ -266,7 +276,7 @@ def _commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace) ->
     """
     overlap = sorted(set(x_support) & set(y_support))
     if not overlap:
-        return np.zeros((len(xs), len(ys)))
+        return
     do = space.dim_of(overlap)
 
     def factors(ops, support):
@@ -289,7 +299,7 @@ def _commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace) ->
         ac -= ca.transpose(2, 1, 0, 3)
         re_im = ac.view(float)
         sq += a_owner[lo:lo + chunk].T @ np.einsum("irjc,irjc->ij", re_im, re_im) @ c_owner
-    return np.sqrt(sq)
+        yield np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +770,23 @@ def _fidelity_roundoff(d: int) -> float:
     return 2.0 * (d + 2) * float(np.finfo(float).eps)
 
 
-def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace) -> float:
+def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace, cap: float = math.inf) -> float:
     """Bound on the trace distance between a(b(rho)) and b(a(rho)) over every
-    state rho: (1/2) sum_ij c_ij (2 + c_ij), c_ij = ||[K_i, L_j]||_F.
+    state rho: (1/2) sum_ij c_ij (2 + c_ij), c_ij = ||[K_i, L_j]||_F; or inf
+    once it reaches `cap`.
 
     With C = [K_i, L_j], K_i L_j rho (K_i L_j)^H - L_j K_i rho (L_j K_i)^H =
     C rho (L_j K_i)^H + L_j K_i rho C^H + C rho C^H, and every Kraus operator
-    has operator norm at most 1. Zero for disjoint supports.
+    has operator norm at most 1. Zero for disjoint supports. The sum is taken
+    after each chunk of `_partial_commutator_norms`, whose norms only grow,
+    so stopping at the first partial sum that reaches `cap` is exact.
     """
-    c = _commutator_norms(a.kraus, a.support, b.kraus, b.support, space)
-    return 0.5 * float(np.sum(c * (2.0 + c)))
+    bound = 0.0
+    for c in _partial_commutator_norms(a.kraus, a.support, b.kraus, b.support, space):
+        bound = 0.5 * float(np.sum(c * (2.0 + c)))
+        if bound >= cap:
+            return math.inf
+    return bound
 
 
 def _order_bound(channels: list[Channel], space: MultipartiteSpace, cap: float) -> float:
@@ -783,7 +800,7 @@ def _order_bound(channels: list[Channel], space: MultipartiteSpace, cap: float) 
     """
     total = 0.0
     for a, b in itertools.combinations(channels, 2):
-        total += swap_bound(a, b, space)
+        total += swap_bound(a, b, space, cap=cap - total)
         if total >= cap:
             return math.inf
     return total
@@ -924,32 +941,36 @@ def verify_robustness(
     )
 
 
+# random inputs on which `channels_commute_pairwise` compares the two orders of
+# a pair that its swap bound does not certify
+SWAP_PROBES = 3
+
+
 def channels_commute_pairwise(
     channels: list[Channel],
     space: MultipartiteSpace,
-    probes: int = 3,
     seed: int = 9,
 ) -> float:
     """Max over overlapping pairs of the order-swap defect.
 
     A pair whose `swap_bound` is below `DEFAULT_TOL.invariance` is certified
-    by that bound, over every input. The other pairs, whose Kraus operators do
-    not commute although the maps may, are compared on random inputs, on
-    their joint support region only, so the check stays cheap even when the
-    global space is large.
+    by that bound, over every input; the bound stops at that cut. The other
+    pairs, whose Kraus operators do not commute although the maps may, are
+    compared on `SWAP_PROBES` random inputs, on their joint support region
+    only, so the check stays cheap even when the global space is large.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for a, b in itertools.combinations(channels, 2):
         if not (set(a.support) & set(b.support)):
             continue
-        bound = swap_bound(a, b, space)
+        bound = swap_bound(a, b, space, cap=DEFAULT_TOL.invariance)
         if bound < DEFAULT_TOL.invariance:
             worst = max(worst, bound)
             continue
         union = set(a.support) | set(b.support)
         (a_loc, sub), (b_loc, _) = (ch.relocate(c, union, space) for c in (a, b))
-        for _ in range(probes):
+        for _ in range(SWAP_PROBES):
             rho = random_density(sub.total_dim, rng)
             ab = ch.apply(a_loc, ch.apply(b_loc, rho, sub), sub)
             ba = ch.apply(b_loc, ch.apply(a_loc, rho, sub), sub)

@@ -174,17 +174,15 @@ class Intersection(Subspace):
         object.__setattr__(self, "smallest_dropped", smallest_dropped)
 
 
-def intersect(
-    subspaces: list[_Span],
-    eig_tol: float = DEFAULT_TOL.intersect_eig,
-) -> Intersection:
+def intersect(subspaces: list[_Span]) -> Intersection:
     """Intersection from the spectrum of (1/K) sum_j (I - P_j) on the smallest span.
 
     With B the orthonormal basis (D, r) of the smallest span, the r x r matrix
     (1/K) sum_j ((I - P_j) B)^H ((I - P_j) B) has the intersection, in B
-    coordinates, as its kernel. Eigenvalues below eig_tol are kept; this is
-    the averaged-projector rule "eigenvalue > 1 - eig_tol" on C^D, and by
-    Cauchy interlacing only eigenvalues near the cut can differ between the two.
+    coordinates, as its kernel. Eigenvalues below `DEFAULT_TOL.intersect_eig`
+    are kept; this is the averaged-projector rule "eigenvalue > 1 - cut" on
+    C^D, and by Cauchy interlacing only eigenvalues near the cut can differ
+    between the two.
     """
     if not subspaces:
         raise ValueError("empty subspace list")
@@ -203,7 +201,7 @@ def intersect(
             z = b - sub.apply_projector(b)
             m += z.conj().T @ z
     ev, vec = np.linalg.eigh(m / len(subspaces))
-    keep = ev < eig_tol
+    keep = ev < DEFAULT_TOL.intersect_eig
     return Intersection(
         b @ vec[:, keep],
         largest_kept=float(ev[keep][-1]) if keep.any() else None,

@@ -501,6 +501,68 @@ class TestReportDeterminism:
         assert out1 == out2
 
 
+REPORT_KEYS = ["task", "pass", "verdicts", "certificates", "tolerances", "seed", "elapsed_seconds", "version"]
+
+# one invocation of every command kind: (argv, exit code, tolerance keys);
+# {p} is the problems directory and {tmp} the test's own
+EVERY_COMMAND = [
+    ("check qls {p}/dicke.json", 0, ["intersect_eig"]),
+    ("check sss {p}/dicke.json", 0, []),
+    ("check ugen {p}/dicke.json", 0, ["cluster_rtol"]),
+    ("check commuting-projectors {p}/dicke.json", 1, ["tol"]),
+    ("check matching-overlap {p}/graph_cycle5.json", 1, []),
+    ("check algebraic-rfts {p}/graph_cycle5.json", 0, ["cluster_rtol"]),
+    ("check matching-overlap-rfts {p}/graph_cycle5.json", 1, ["tol"]),
+    ("check correlations {p}/graph_cycle5.json", 0, ["tol"]),
+    # the default regions of the 5-cycle overlap (exit 2); Dicke's do not
+    ("check cmi {p}/dicke.json", 1, ["tol"]),
+    ("synth fts {p}/dicke.json --circuit {tmp}/fts.json", 0, ["tol", "frame"]),
+    ("synth rfts {p}/graph_cycle5.json", 0, ["tol"]),
+    ("synth rfts {p}/ghz3.json", 1, ["tol"]),
+    ("simulate {tmp}/fts.json --problem {p}/dicke.json", 0, ["tol", "frame"]),
+    ("mixing --no-go", 0, ["floor"]),
+    ("mixing --family-sizes 3 4", 0, ["gamma_slack", "delta_cap", "fit_ceiling"]),
+    ("mixing {p}/graph_cycle5.json --ts 1", 0, ["invariance", "commutator"]),
+    ("schedule {p}/chain9_lattice.json", 0, []),
+    ("reproduce chain-depth3", 0, []),
+]
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("command, code, tolerances", EVERY_COMMAND,
+                             ids=[c.replace("{p}/", "").replace("{tmp}/", "") for c, _, _ in EVERY_COMMAND])
+    def test_every_command_reports_alike(self, command, code, tolerances, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        argv = command.format(p=PROBLEMS, tmp=tmp_path).split()
+        if argv[0] == "simulate":
+            assert main(["synth", "fts", os.path.join(PROBLEMS, "dicke.json"), "--circuit", argv[1]]) == 0
+            capsys.readouterr()
+        rc = main(argv)
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert list(out) == REPORT_KEYS
+        assert out["task"].split()[0] == argv[0]
+        assert rc == (0 if out["pass"] else 1) == code
+        assert list(out["tolerances"]) == tolerances
+
+    @pytest.mark.parametrize("command", [
+        "synth rfts {p}/graph_cycle5.json",
+        "synth fts {p}/dicke.json",
+        "check matching-overlap-rfts {tmp}/bv.json",
+    ], ids=["synth-rfts", "synth-fts", "check-matching-overlap-rfts"])
+    def test_tol_decides_and_is_reported(self, command, tmp_path, capsys):
+        # the verdicts read 1e-15 to 1e-12 at the default 1e-8; a 1e-30 tol
+        # must reach the library and fail them, and the report names it
+        write_json(tmp_path, "bv.json", {"state": {"constructor": {"name": "bv-chain"}}})
+        argv = command.format(p=PROBLEMS, tmp=tmp_path).split()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["tol"] == 1e-8
+        assert main(argv + ["--tol", "1e-30"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["pass"] is False and out["tolerances"]["tol"] == 1e-30
+
+
 class TestShuffleSimulation:
     def test_rfts_circuit_shuffles_pass(self, tmp_path, capsys):
         path = write_json(tmp_path, "c5.json", {

@@ -970,6 +970,40 @@ class TestOrderCertificate:
         assert channels_commute_pairwise(list(line.witness_channels), line.space) < 1e-12
         assert draws == []
 
+    def test_swap_bound_stops_at_cap(self, monkeypatch):
+        # the 2x5x2 witnesses' Kraus operators do not commute (0.5); with one
+        # factor per chunk, the capped bound stops after the chunk whose
+        # partial sum first reaches the cut, and the probes decide as before
+        inst = states.nonfactorizable_252()
+        a, b = inst.witness_channels
+        uncapped = swap_bound(a, b, inst.space)
+        full_bound = rfts.swap_bound
+        monkeypatch.setattr(rfts, "swap_bound", lambda a, b, space, cap=math.inf: full_bound(a, b, space))
+        uncapped_defect = channels_commute_pairwise([a, b], inst.space)
+        monkeypatch.undo()
+
+        monkeypatch.setattr(ch, "STACK_MAX_BYTES", 1)
+        cut = DEFAULT_TOL.invariance
+        args = (a.kraus, a.support, b.kraus, b.support, inst.space)
+        partial = [0.5 * float(np.sum(c * (2.0 + c))) for c in rfts._partial_commutator_norms(*args)]
+        assert partial == sorted(partial) and partial[-1] == pytest.approx(uncapped, rel=1e-12)
+        crossing = next(k for k, bound in enumerate(partial) if bound >= cut)
+        assert crossing + 1 < len(partial)
+        seen = []
+        chunks = rfts._partial_commutator_norms
+
+        def counted(*args):
+            for c in chunks(*args):
+                seen.append(c)
+                yield c
+
+        monkeypatch.setattr(rfts, "_partial_commutator_norms", counted)
+        assert swap_bound(a, b, inst.space, cap=cut) == math.inf
+        assert len(seen) == crossing + 1
+        assert swap_bound(a, b, inst.space) == pytest.approx(uncapped, rel=1e-12)
+        defect = channels_commute_pairwise([a, b], inst.space)
+        assert defect == uncapped_defect < 1e-12
+
 
 class TestBuildCircuit:
     def test_cycle_built_channels_match_witness(self):
