@@ -50,9 +50,6 @@ class Channel:
         s = sum(dagger(k) @ k for k in self.kraus)
         return float(np.max(np.abs(s - np.eye(m))))
 
-    def adjoint_kraus(self) -> tuple[np.ndarray, ...]:
-        return tuple(dagger(k) for k in self.kraus)
-
     @cached_property
     def natural(self) -> np.ndarray:
         """The natural matrix S = sum K (x) K-bar on the support (`_natural`),
@@ -282,10 +279,7 @@ def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> lis
     if not isinstance(ch, Channel):
         raise ChannelError("permutation steps are applied only by `run`")
     psi = np.asarray(psi, dtype=complex)
-    if len(ch.support) == space.n_subsystems:
-        return [k @ psi for k in ch.kraus]
-    pp = hilbert.to_front(psi, ch.support, space)
-    return [hilbert.from_front(k @ pp, ch.support, space) for k in ch.kraus]
+    return [hilbert.act(k, ch.support, psi, space) for k in ch.kraus]
 
 
 def _monomial_forms(ch: Channel, frame: Frame, space: MultipartiteSpace):
@@ -329,7 +323,7 @@ def _apply_monomial(forms, rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An ordered basis B shared by permutation steps, held as its factors.
+    """The ordered basis B of a framed `Circuit`, held as its factors.
 
     With m = dim(region), R = D / m and n = s R (s = `schmidt_dim`,
     r = `copies`, r s <= m), B is the product of
@@ -480,44 +474,50 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class PermutationStep:
-    """The unitary B[:, perm] @ B^H on the frame B, stored as its index array.
+    """The unitary B[:, perm] @ B^H on the frame B of its circuit, stored as
+    its index array.
 
     It sends frame vector j to frame vector perm[j]. Its support is the whole
     space and it has no Kraus list; only `run` applies it.
     """
 
     perm: np.ndarray
-    frame: Frame
     support: tuple[int, ...]
     label: str = ""
     kraus: ClassVar[tuple] = ()
 
 
-def permutation_step(perm, frame: Frame, space: MultipartiteSpace, label: str = "") -> PermutationStep:
+def permutation_step(perm, space: MultipartiteSpace, label: str = "") -> PermutationStep:
     perm = np.asarray(perm)
     d = space.total_dim
-    if frame.space != space:
-        raise ChannelError("frame does not match the space")
     if perm.dtype.kind not in "iu" or perm.shape != (d,) or not np.array_equal(np.sort(perm), np.arange(d)):
         raise ChannelError(f"not a permutation of 0..{d - 1}")
-    return PermutationStep(perm, frame, tuple(range(space.n_subsystems)), label)
+    return PermutationStep(perm, tuple(range(space.n_subsystems)), label)
 
 
 @dataclass(frozen=True)
 class Circuit:
+    """Steps on `space`, run in order by `run`.
+
+    `frame` is the ordered basis B that the permutation steps index and that
+    a framed run (`run_framed`, `run_diagonal`) works in; a circuit with a
+    permutation step must have one, and it must be a frame of `space`
+    (ChannelError otherwise).
+    """
+
     steps: tuple[Channel | PermutationStep, ...]
     space: MultipartiteSpace
+    frame: Frame | None = None
+
+    def __post_init__(self):
+        if self.frame is None:
+            if any(isinstance(s, PermutationStep) for s in self.steps):
+                raise ChannelError("permutation steps need a circuit frame")
+        elif self.frame.space != self.space:
+            raise ChannelError("frame does not match the space")
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def frame(self) -> Frame | None:
-        """The frame of the permutation steps; None if there are none."""
-        frames = {s.frame for s in self.steps if isinstance(s, PermutationStep)}
-        if len(frames) > 1:
-            raise ChannelError("permutation steps use more than one frame")
-        return next(iter(frames), None)
 
 
 def frame_defect(circuit: Circuit) -> float | None:
@@ -581,9 +581,9 @@ def run(
 ) -> tuple[np.ndarray, list[TrajectoryPoint]]:
     """Apply the circuit steps in order; returns final state and trajectory.
 
-    A circuit with permutation steps runs in their frame B: the state is
-    rotated in once, the steps act on it there (`run_framed`), and the final
-    state is rotated out as B[:, S] rho[S, S] B[:, S]^H, S its occupied set.
+    A circuit with a frame B runs in it: the state is rotated in once, the
+    steps act on it there (`run_framed`), and the final state is rotated out
+    as B[:, S] rho[S, S] B[:, S]^H, S its occupied set.
     Without a frame the steps act on rho0 as it is. An input that is
     diagonal in B, such as I/D, needs no rotation at all: `run_diagonal`
     runs it as its weight vector.
@@ -688,7 +688,7 @@ def run_diagonal(
     space = circuit.space
     frame = circuit.frame
     if frame is None:
-        raise ChannelError("a diagonal run needs a circuit with permutation steps")
+        raise ChannelError("a diagonal run needs a circuit with a frame")
     p = np.asarray(p, dtype=float)
     d = space.total_dim
     if p.shape != (d,):

@@ -138,7 +138,8 @@ def frame_from_json(data, space: MultipartiteSpace) -> chan_mod.Frame:
 
 def circuit_to_json(circ: Circuit) -> dict:
     """Channel steps carry their Kraus list; permutation steps carry 0-based
-    basis indices into the circuit's one `frame`, stored once as its factors."""
+    basis indices into the circuit's `frame`, written once as its factors
+    whenever the circuit has one."""
     out: dict = {"dims": list(circ.space.dims)}
     frame = circ.frame
     if frame is not None:
@@ -159,21 +160,19 @@ def circuit_from_json(data: dict) -> Circuit:
         raise InputError(f"malformed circuit object: {exc}") from exc
     if not all(isinstance(s, dict) for s in steps_data):
         raise InputError("every circuit step must be an object")
-    frame = None
-    if any("permutation" in s for s in steps_data):
-        if "frame" not in data:
-            raise InputError("permutation steps need a top-level frame")
-        frame = frame_from_json(data["frame"], space)
+    frame = frame_from_json(data["frame"], space) if "frame" in data else None
+    if frame is None and any("permutation" in s for s in steps_data):
+        raise InputError("permutation steps need a top-level frame")
     steps = []
     for s in steps_data:
         if "permutation" not in s:
             steps.append(channel_from_json(s, space))
             continue
         try:
-            steps.append(chan_mod.permutation_step(s["permutation"], frame, space, s.get("label", "")))
+            steps.append(chan_mod.permutation_step(s["permutation"], space, s.get("label", "")))
         except ValueError as exc:  # ChannelError included
             raise InputError(f"permutation step: {exc}") from exc
-    return Circuit(steps=tuple(steps), space=space)
+    return Circuit(steps=tuple(steps), space=space, frame=frame)
 
 
 CONSTRUCTORS = {
@@ -416,18 +415,27 @@ def _check_correlations(inst, options, args):
 
 
 def _check_cmi(inst, options, args):
-    a, b = _regions_ab(options, inst.space)
+    a = _parse_region(options, "region_a", inst.space, [1])
+    exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
+    # region_b defaults to the last subsystem outside that expansion (1-based)
+    outside = [i + 1 for i in range(inst.space.n_subsystems) if i not in exp_a]
+    if not outside and "region_b" not in options:
+        raise InputError("/options: every subsystem lies in the neighborhood expansion of region_a, so "
+                         "region_b has no default; give region_b and region_c")
+    b = _parse_region(options, "region_b", inst.space, outside[-1:])
+    if set(a) & set(b):
+        raise InputError("/options: region_a and region_b must be disjoint")
     if "region_c" in options:
         c = _parse_region(options, "region_c", inst.space, None)
     else:
-        exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
         c = sorted(set(exp_a) - set(a))
     if set(c) & (set(a) | set(b)):
         raise InputError("/options: region_c (by default the neighborhood expansion of region_a, "
                          "less region_a) must be disjoint from region_a and region_b")
     val = rfts_mod.cmi(_target(inst), a, b, c, inst.space)
     ok = val < args.tol
-    return ok, {"zero_cmi": ok}, {"cmi_bits": val, "region_c": [i + 1 for i in c]}, {"tol": args.tol}
+    certificates = {"cmi_bits": val, "region_b": [i + 1 for i in b], "region_c": [i + 1 for i in c]}
+    return ok, {"zero_cmi": ok}, certificates, {"tol": args.tol}
 
 
 CHECKS = {
@@ -457,21 +465,19 @@ def cmd_synth(args):
     task = f"synth {args.what}"
     if args.what == "fts":
         try:
-            plan = fts_mod.plan_fts(
-                inst.psi, inst.neighborhoods, inst.space, force=args.force
-            )
+            frame = fts_mod.plan_fts(inst.psi, inst.neighborhoods, inst.space, force=args.force)
         except fts_mod.FtsError as exc:
-            return task, False, {"synthesized": False, "reason": str(exc)}, {}, {"tol": args.tol}
-        circ, cert = fts_mod.synthesize_fts(
-            inst.psi, inst.neighborhoods, inst.space, plan=plan
-        )
-        ver = fts_mod.verify_fts(circ, inst.psi, trials=args.trials, seed=args.seed, tol=args.tol)
+            # the cut that refused, as `check ugen` and `check sss` report it
+            cuts = {"cluster_rtol": CLUSTER_RTOL} if isinstance(exc, fts_mod.UgenError) else {}
+            return task, False, {"synthesized": False, "reason": str(exc)}, {}, cuts
+        circ, cert = fts_mod.synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=frame)
+        ver = fts_mod.verify_fts(circ, inst.psi, tol=args.tol)
         ok, verdicts = ver.passed, {"synthesized": True, "verified": ver.passed}
         certificates = {
             "ranks": list(cert.ranks),
             "steps": cert.steps,
-            "cooling_rate": plan.cooling_rate,
-            "schmidt_dim": plan.schmidt_dim,
+            "cooling_rate": frame.copies,
+            "schmidt_dim": frame.schmidt_dim,
             "final_distance": ver.max_final_distance,
             **_fts_cert(ver),
         }
@@ -482,7 +488,7 @@ def cmd_synth(args):
         )
         if not res.ok:
             return (task, False, {"synthesized": False, "reason": res.reason},
-                    {"algebra_dims": list(res.algebra_dims)}, {"tol": args.tol})
+                    {"algebra_dims": list(res.algebra_dims)}, {"cluster_rtol": CLUSTER_RTOL})
         channels = rfts_mod.build_rfts_circuit(
             res.factorization, inst.psi, cg=res.coarse, original_space=inst.space
         )
@@ -558,7 +564,7 @@ def cmd_simulate(args):
     distinct = list(dict.fromkeys(orders))
     for order in distinct:
         steps = tuple(circ.steps[i] for i in order)
-        state, traj = run_order(Circuit(steps, circ.space), args.trajectory is not None and rows is None)
+        state, traj = run_order(replace(circ, steps=steps), args.trajectory is not None and rows is None)
         if rows is None:
             rows, final = traj, state
         if target is not None and (worst_order is None or traj[-1].trace_distance > worst):
@@ -720,11 +726,10 @@ def cmd_schedule(args):
 # when an entry runs, not at import. The acceptance suite runs this table.
 # ---------------------------------------------------------------------------
 
-def _ugen_and_fts(inst, trials, seed):
+def _ugen_and_fts(inst, seed):
     ugen = lie_mod.check_unitary_generation(inst.psi, inst.neighborhoods, inst.space, seed=seed)
-    plan = fts_mod.plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
-    circ, cert = fts_mod.synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-    return ugen, cert, fts_mod.verify_fts(circ, inst.psi, trials=trials, seed=seed)
+    circ, cert = fts_mod.synthesize_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+    return ugen, cert, fts_mod.verify_fts(circ, inst.psi)
 
 
 def _fts_cert(ver) -> dict:
@@ -780,7 +785,7 @@ def _projector_commutator(inst) -> float:
 def _repro_dicke_fts(seed):
     inst = states_mod.dicke(4, 2)
     row = sub_mod.check_small_schmidt_span(inst.psi, inst.neighborhoods, inst.space).per_neighborhood[0]
-    ugen, _, ver = _ugen_and_fts(inst, trials=3, seed=seed)
+    ugen, _, ver = _ugen_and_fts(inst, seed)
     prop4 = sub_mod.check_commuting_projectors(inst.psi, inst.neighborhoods, inst.space)
     checks = {
         "schmidt_dim == 2": row["schmidt_dim"] == 2,
@@ -816,7 +821,7 @@ def _repro_aklt_not_fts(seed):
 def _repro_vbs_fts(n, spans, seed):
     inst = states_mod.vbs_1d(n)
     dims = [sub_mod.schmidt_span(inst.psi, nk, inst.space).dim for nk in inst.neighborhoods]
-    ugen, cert, ver = _ugen_and_fts(inst, trials=2, seed=seed)
+    ugen, cert, ver = _ugen_and_fts(inst, seed)
     checks = {
         f"span dims == {spans}": dims == spans,
         "unitary generation": ugen.ok,
@@ -1084,11 +1089,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--force", action="store_true",
                     help="skip the precondition checks")
     ps.add_argument("--trials", type=int, default=5,
-                    help="fts: random mixed and random pure inputs, each this many, run only for a "
-                         "circuit without permutation steps (a framed circuit is proved for every "
-                         "input from one I/D run); rfts: random step orders run beside the identity "
-                         "order when there are more than 720 orders and the commuting bound "
-                         "does not decide")
+                    help="rfts: random step orders run beside the identity order when there are "
+                         "more than 720 orders and the commuting bound does not decide; fts draws no "
+                         "input (its circuit is proved for every input from one I/D run)")
     ps.set_defaults(fn=cmd_synth)
 
     pm = sub.add_parser("simulate", parents=[common], help="run a circuit file")

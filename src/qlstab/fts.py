@@ -27,49 +27,9 @@ class FtsError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class FtsPlan:
-    """Everything needed to build the cooling map and the basis ordering.
-
-    The frame holds the neighborhood (its region), the Schmidt dimension s,
-    the cooling rate r = floor(dim H_N / s) (its copy count) and the local
-    blocks: the (m, m) unitary whose columns are the copies, then the
-    remainder.
-    """
-
-    neighborhood_index: int
-    frame: ch.Frame                  # the ordered basis, columns in cooling order
-    target: np.ndarray
-
-    @property
-    def space(self) -> MultipartiteSpace:
-        return self.frame.space
-
-    @property
-    def neighborhood(self) -> tuple[int, ...]:
-        return self.frame.region
-
-    @property
-    def schmidt_dim(self) -> int:
-        return self.frame.schmidt_dim
-
-    @property
-    def cooling_rate(self) -> int:
-        return self.frame.copies
-
-    @property
-    def local_blocks(self) -> np.ndarray:
-        return self.frame.local
-
-    @property
-    def local_dim(self) -> int:
-        return self.local_blocks.shape[0]
-
-    @property
-    def n_group_vectors(self) -> int:
-        """Basis vectors per copy family: s * dim of the complement."""
-        rest = self.space.total_dim // self.local_dim
-        return self.schmidt_dim * rest
+class UgenError(FtsError):
+    """Refusal because the neighborhood unitaries do not generate: a verdict
+    of the `CLUSTER_RTOL` cut (`lie.check_unitary_generation`)."""
 
 
 def plan_fts(
@@ -77,13 +37,13 @@ def plan_fts(
     nstruct: NeighborhoodStructure,
     space: MultipartiteSpace,
     force: bool = False,
-    local_blocks: np.ndarray | None = None,
-) -> FtsPlan:
+) -> ch.Frame:
     """Pick the neighborhood with maximal cooling rate and fix the basis order.
 
-    `local_blocks` may be supplied to pin the copy subspaces (columns: base
-    Schmidt span, then the copies, then the remainder); by default the copies
-    come from a deterministic completion of the Schmidt span.
+    Returns the frame: its region is the neighborhood, `schmidt_dim` the
+    Schmidt dimension s, `copies` the cooling rate r = floor(dim H_N / s), and
+    `local` the (m, m) unitary whose columns are the Schmidt span, its r - 1
+    copies, then the remainder, from a deterministic completion of the span.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
@@ -103,54 +63,46 @@ def plan_fts(
     if not force:
         ugen = lie.check_unitary_generation(psi, nstruct, space)
         if not ugen.ok:
-            raise FtsError(
+            raise UgenError(
                 "unitary generation fails: generated dimension "
                 f"{ugen.generated_dim} < {ugen.target_dim}"
             )
-    nk = nstruct[best]
     span = spans[best]
-    m = space.dim_of(nk)
-    s = span.dim
-    if local_blocks is None:
-        local_blocks = complete_basis(span.basis)
-    else:
-        local_blocks = np.asarray(local_blocks, dtype=complex)
-        if local_blocks.shape != (m, m):
-            raise FtsError("local_blocks must be a full local unitary")
-        p_given = local_blocks[:, :s] @ local_blocks[:, :s].conj().T
-        if np.max(np.abs(p_given - span.projector())) > 1e-9:
-            raise FtsError("leading local_blocks columns must span the Schmidt span")
-    return FtsPlan(best, _ordered_frame(psi, nk, space, local_blocks, s, r), psi)
+    return _ordered_frame(psi, nstruct[best], space, complete_basis(span.basis), span.dim, r)
 
 
 def _ordered_frame(psi, nk, space, local_blocks, s, r) -> ch.Frame:
     """Columns: psi-led copy families interleaved by copy, remainder last.
 
-    The families share the coordinates c0 of psi in (Schmidt span) x (rest);
-    `channels.Frame` completes them to a basis by a Householder reflection.
+    `local_blocks` is the (m, m) local unitary: the Schmidt span, the copies,
+    then the remainder. The families share the coordinates c0 of psi in
+    (Schmidt span) x (rest); `channels.Frame` completes them to a basis by a
+    Householder reflection.
     """
     psip = hilbert.to_front(psi, nk, space)
     c0 = (local_blocks[:, :s].conj().T @ psip).reshape(-1)
     return ch.Frame(space, nk, local_blocks, r, s, c0 / np.linalg.norm(c0))
 
 
-def cooling_map(plan: FtsPlan) -> Channel:
+def cooling_map(frame: ch.Frame) -> Channel:
     """The dissipative neighborhood map collapsing every copy onto the base."""
-    m, s, r = plan.local_dim, plan.schmidt_dim, plan.cooling_rate
-    v0 = plan.local_blocks[:, :s]
-    vr = plan.local_blocks[:, r * s :]
+    s, r, local = frame.schmidt_dim, frame.copies, frame.local
+    v0 = local[:, :s]
+    vr = local[:, r * s :]
     k0 = v0 @ v0.conj().T + vr @ vr.conj().T
     kraus = [k0]
     for i in range(1, r):
-        vi = plan.local_blocks[:, i * s : (i + 1) * s]
+        vi = local[:, i * s : (i + 1) * s]
         kraus.append(v0 @ vi.conj().T)
-    return make_channel(kraus, plan.neighborhood, label="W")
+    return make_channel(kraus, frame.region, label="W")
 
 
-def _cool_weights(w: np.ndarray, plan: FtsPlan) -> np.ndarray:
-    """Weight-vector action of the cooling map in the ordered basis."""
-    r = plan.cooling_rate
-    groups = plan.n_group_vectors
+def _cool_weights(w: np.ndarray, frame: ch.Frame) -> np.ndarray:
+    """Weight-vector action of the cooling map in the ordered basis: each copy
+    family, r consecutive vectors, merges onto its first; the s * dim(rest)
+    families come first and the remainder is left alone."""
+    r = frame.copies
+    groups = frame.schmidt_dim * (frame.dim // frame.local.shape[0])
     out = w.copy()
     for alpha in range(groups):
         base = alpha * r
@@ -171,14 +123,16 @@ def synthesize_fts(
     psi: np.ndarray,
     nstruct: NeighborhoodStructure,
     space: MultipartiteSpace,
-    plan: FtsPlan | None = None,
+    plan: ch.Frame | None = None,
     force: bool = False,
 ) -> tuple[Circuit, FtsCertificate]:
     """Alternating cooling/permutation circuit driving everything to psi.
 
-    The permutation unitaries fix the target (column 0 of the ordered basis)
-    and move the currently occupied basis vectors to the front of the order,
-    so each cooling application merges as many copies as possible.
+    `plan` is the frame `plan_fts` returns (planned here when not given); the
+    circuit holds it, one-step circuits included. The permutation unitaries
+    fix the target (column 0 of the ordered basis) and move the currently
+    occupied basis vectors to the front of the order, so each cooling
+    application merges as many copies as possible.
     """
     if plan is None:
         plan = plan_fts(psi, nstruct, space, force=force)
@@ -199,14 +153,14 @@ def synthesize_fts(
         rest = np.setdiff1d(np.arange(d), occupied, assume_unique=True)
         perm[rest] = np.arange(len(occupied), d)
         # unitary permuting ordered-basis vectors; fixes psi since occupied[0]=0
-        steps.append(ch.permutation_step(perm, plan.frame, space, label=f"U_{rounds}"))
+        steps.append(ch.permutation_step(perm, space, label=f"U_{rounds}"))
         new_w = np.zeros(d)
         new_w[perm] = weights
         weights = _cool_weights(new_w, plan)
         steps.append(w_channel)
         ranks.append(int(np.sum(weights > 1e-15)))
         rounds += 1
-    circ = Circuit(tuple(steps), space)
+    circ = Circuit(tuple(steps), space, plan)
     return circ, FtsCertificate(ranks=tuple(ranks), steps=len(steps), cooling_rounds=rounds)
 
 

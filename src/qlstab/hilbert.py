@@ -255,6 +255,14 @@ def reduced_state_of_pure(psi: np.ndarray, keep, space: MultipartiteSpace) -> np
     return m @ m.conj().T
 
 
+def reduced_state(state: np.ndarray, keep, space: MultipartiteSpace) -> np.ndarray:
+    """Reduced density matrix on `keep` of a state vector (`reduced_state_of_pure`)
+    or of a density matrix (`partial_trace`)."""
+    if np.ndim(state) == 1:
+        return reduced_state_of_pure(state, keep, space)
+    return partial_trace(state, keep, space)
+
+
 @dataclass(frozen=True)
 class CoarseGraining:
     space: MultipartiteSpace

@@ -213,10 +213,7 @@ def local_support(state, space: MultipartiteSpace, rtol: float = DEFAULT_TOL.ran
     state = np.asarray(state, dtype=complex)
     isos = []
     for i in range(space.n_subsystems):
-        if state.ndim == 1:
-            red = hilbert.reduced_state_of_pure(state, [i], space)
-        else:
-            red = hilbert.partial_trace(state, [i], space)
+        red = hilbert.reduced_state(state, [i], space)
         ev, vec = np.linalg.eigh(red)
         keep = ev > rtol * max(ev.max(), 0.0) * space.dims[i]
         cols = vec[:, keep]
@@ -990,10 +987,7 @@ def correlation(state, x_a: hilbert.RegionOperator, y_b: hilbert.RegionOperator,
         raise ValueError("regions must be disjoint")
     state = np.asarray(state, dtype=complex)
     union = sorted(set(a) | set(b))
-    if state.ndim == 1:
-        rho_ab = hilbert.reduced_state_of_pure(state, union, space)
-    else:
-        rho_ab = hilbert.partial_trace(state, union, space)
+    rho_ab = hilbert.reduced_state(state, union, space)
     sub = MultipartiteSpace([space.dims[i] for i in union])
     pos_a = [union.index(i) for i in a]
     pos_b = [union.index(i) for i in b]
@@ -1070,14 +1064,9 @@ def cmi(state, region_a, region_b, region_c, space: MultipartiteSpace) -> float:
     state = np.asarray(state, dtype=complex)
 
     def s_of(region):
-        region = sorted(region)
         if not region:
             return 0.0
-        if state.ndim == 1:
-            red = hilbert.reduced_state_of_pure(state, region, space)
-        else:
-            red = hilbert.partial_trace(state, region, space)
-        return von_neumann_entropy(red)
+        return von_neumann_entropy(hilbert.reduced_state(state, region, space))
 
     val = s_of(a + c) + s_of(b + c) - s_of(a + b + c) - s_of(c)
     return float(val)

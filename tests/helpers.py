@@ -15,9 +15,8 @@ import scipy.linalg
 
 from qlstab import channels as chan_mod
 from qlstab import lie
-from qlstab._linalg import herm, random_density, random_pure
+from qlstab._linalg import dagger, herm, random_density, random_pure
 from qlstab.channels import Channel, make_channel
-from qlstab.fts import FtsPlan
 from qlstab.hilbert import DimensionError, MultipartiteSpace, NeighborhoodStructure
 from qlstab.mixing import _half_trace_norm
 from qlstab.subspaces import ProjectorSet
@@ -96,9 +95,9 @@ def frustration_defect(pset: ProjectorSet) -> float:
     return float(np.linalg.norm(h_psi))
 
 
-def remainder_dim(plan: FtsPlan) -> int:
+def remainder_dim(frame: chan_mod.Frame) -> int:
     """Dimensions of the local block left outside the cooling copies."""
-    return plan.local_dim - plan.cooling_rate * plan.schmidt_dim
+    return frame.local.shape[0] - frame.copies * frame.schmidt_dim
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,10 @@ def eta_lower(m: Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int =
 
 
 def _adjoints(fam) -> list[Channel]:
-    """The adjoint channel of each map of a `mixing.CommutingResetFamily`."""
-    return [Channel(kraus=c.adjoint_kraus(), support=c.support, label=c.label) for c in fam.channels]
+    """The adjoint channel of each map of a `mixing.CommutingResetFamily`:
+    Kraus operators K^dagger."""
+    return [Channel(kraus=tuple(dagger(k) for k in c.kraus), support=c.support, label=c.label)
+            for c in fam.channels]
 
 
 def eta_map(fam, ts) -> Map:

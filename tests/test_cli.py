@@ -176,6 +176,25 @@ class TestCheck:
         assert rc == 0
         assert out["certificates"]["cmi_bits"] < 1e-8
 
+    def test_cmi_default_region_b_outside_expansion(self, tmp_path, capsys):
+        # on the 7-cycle the expansion of site 1 is {6, 7, 1, 2, 3}, so
+        # region_b defaults to site 5, not to site 7 inside region_c
+        cycle7 = {"state": {"constructor": {"name": "graph-cycle", "params": {"n": 7}}}}
+        certs = []
+        for options in ({}, {"options": {"region_b": [5]}}):
+            assert main(["check", "cmi", write_json(tmp_path, "c7.json", {**cycle7, **options})]) == 0
+            certs.append(json.loads(capsys.readouterr().out)["certificates"])
+        assert certs[0] == certs[1]
+        assert (certs[0]["region_b"], certs[0]["region_c"]) == ([5], [2, 3, 6, 7])
+        assert certs[0]["cmi_bits"] < 1e-8
+
+    def test_cmi_without_default_region_b_names_options(self, capsys):
+        # on the 5-cycle the expansion of any site is the whole cycle
+        rc = main(["check", "cmi", os.path.join(PROBLEMS, "graph_cycle5.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "input error" in err and "expansion" in err and "region_b" in err and "region_c" in err
+
     def test_bad_file_exit_2(self, capsys):
         rc = main(["check", "qls", "/nonexistent/problem.json"])
         assert rc == 2
@@ -277,6 +296,8 @@ class TestSynthSimulate:
         assert rc == 1
         assert out["verdicts"]["synthesized"] is False
         assert "Schmidt span" in out["verdicts"]["reason"]
+        # decided by the Schmidt rate alone, as `check sss` is: no tolerance
+        assert out["tolerances"] == {}
 
     def test_synth_rfts_graph_cycle(self, tmp_path, capsys):
         path = write_json(tmp_path, "c5.json", {
@@ -514,11 +535,12 @@ EVERY_COMMAND = [
     ("check algebraic-rfts {p}/graph_cycle5.json", 0, ["cluster_rtol"]),
     ("check matching-overlap-rfts {p}/graph_cycle5.json", 1, ["tol"]),
     ("check correlations {p}/graph_cycle5.json", 0, ["tol"]),
-    # the default regions of the 5-cycle overlap (exit 2); Dicke's do not
+    # the 5-cycle has no default region_b (exit 2); Dicke has one
     ("check cmi {p}/dicke.json", 1, ["tol"]),
     ("synth fts {p}/dicke.json --circuit {tmp}/fts.json", 0, ["tol", "frame"]),
+    ("synth fts {p}/ghz3.json", 1, ["cluster_rtol"]),
     ("synth rfts {p}/graph_cycle5.json", 0, ["tol"]),
-    ("synth rfts {p}/ghz3.json", 1, ["tol"]),
+    ("synth rfts {p}/ghz3.json", 1, ["cluster_rtol"]),
     ("simulate {tmp}/fts.json --problem {p}/dicke.json", 0, ["tol", "frame"]),
     ("mixing --no-go", 0, ["floor"]),
     ("mixing --family-sizes 3 4", 0, ["gamma_slack", "delta_cap", "fit_ceiling"]),
@@ -674,10 +696,10 @@ MALFORMED_PROBLEMS = {
     "cmi-region-a-zero": ("cmi", {**_CHAIN3, "options": {"region_a": [0]}}),
     "correlations-region-a-zero": ("correlations", {**_CHAIN3, "options": {"region_a": [0]}}),
     "correlations-region-b-out-of-range": ("correlations", {**_CHAIN3, "options": {"region_b": [4]}}),
-    "cmi-region-c-out-of-range": ("cmi", {**_CHAIN3, "options": {"region_c": [7]}}),
-    "cmi-region-c-not-a-list": ("cmi", {**_CHAIN3, "options": {"region_c": 2}}),
+    "cmi-region-c-out-of-range": ("cmi", {**_CHAIN3, "options": {"region_b": [3], "region_c": [7]}}),
+    "cmi-region-c-not-a-list": ("cmi", {**_CHAIN3, "options": {"region_b": [3], "region_c": 2}}),
     "cmi-regions-overlap": ("cmi", {**_CHAIN3, "options": {"region_a": [1], "region_b": [1]}}),
-    "cmi-region-c-overlaps-b": ("cmi", {**_CHAIN3, "options": {"region_c": [2, 3]}}),
+    "cmi-region-c-overlaps-b": ("cmi", {**_CHAIN3, "options": {"region_b": [3], "region_c": [2, 3]}}),
     "correlations-regions-overlap": ("correlations", {**_CHAIN3, "options": {"region_a": [2],
                                                                              "region_b": [2, 3]}}),
     "constructor-param-missing": ("qls", {"state": {"constructor": {"name": "graph-line",
@@ -808,10 +830,27 @@ class TestFramedCircuitFile:
         for a, b in zip(circ.steps, circ2.steps):
             assert type(a) is type(b) and a.label == b.label and a.support == b.support
             if hasattr(a, "perm"):
-                assert b.frame is circ2.frame
                 assert np.array_equal(a.perm, b.perm)
             else:
                 assert all(ka.tobytes() == kb.tobytes() for ka, kb in zip(a.kraus, b.kraus))
+
+    @pytest.mark.parametrize("constructor", [{"name": "graph-line", "params": {"n": 3}}, {"name": "ccz-triangle"}],
+                             ids=["graph-line3", "ccz-triangle"])
+    def test_one_step_circuit_proved_and_framed(self, constructor, tmp_path, capsys):
+        # the cooling map alone reaches psi, so the circuit has no permutation
+        # step; it keeps its frame, in the report's proof and in the file
+        problem = write_json(tmp_path, "problem.json", {"state": {"constructor": constructor}})
+        circuit_path = str(tmp_path / "circuit.json")
+        assert main(["synth", "fts", problem, "--circuit", circuit_path]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert cert["steps"] == 1
+        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        with open(circuit_path) as fh:
+            data = json.load(fh)
+        assert "frame" in data and not any("permutation" in s for s in data["steps"])
+        assert main(["simulate", circuit_path, "--problem", problem]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert (cert["method"], cert["final_rank"]) == ("diagonal", 1)
 
     def test_vbs6_file_small(self, tmp_path, capsys):
         # D = 729: the factored frame is 9 x 9 plus 162 coordinates; the file
@@ -921,7 +960,7 @@ class TestSimulatePaths:
         assert sorted(order) == list(range(len(circ)))
         psi = load_problem(problem)[0].psi
         d = circ.space.total_dim
-        rerun = Circuit(tuple(circ.steps[i] for i in order), circ.space)
+        rerun = replace(circ, steps=tuple(circ.steps[i] for i in order))
         last = ch.run(rerun, np.eye(d, dtype=complex) / d, target=psi, record=False)[1][-1]
         assert abs(last.trace_distance - cert["final_distance"]) < 1e-14
 

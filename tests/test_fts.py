@@ -5,7 +5,7 @@ import pytest
 
 from helpers import basis_state, remainder_dim
 from qlstab import channels as ch
-from qlstab import states
+from qlstab import fts, states
 from qlstab._linalg import random_density, random_pure, trace_distance
 from qlstab.channels import Circuit, apply, check_invariance, superoperator
 from qlstab.fts import (
@@ -22,25 +22,25 @@ from qlstab.subspaces import check_qls
 class TestPlan:
     def test_dicke_plan(self):
         inst = states.dicke(4, 2)
-        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        assert plan.schmidt_dim == 2
-        assert plan.cooling_rate == 4  # floor(8/2)
-        assert remainder_dim(plan) == 0
-        assert plan.neighborhood_index == 0  # tie-break lowest index
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space)
+        assert frame.schmidt_dim == 2
+        assert frame.copies == 4  # floor(8/2)
+        assert remainder_dim(frame) == 0
+        assert frame.region == tuple(inst.neighborhoods[0])  # tie-break lowest index
 
     def test_vbs3_plan(self):
         inst = states.vbs_1d(3)
-        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        assert plan.schmidt_dim == 2
-        assert plan.cooling_rate == 4  # floor(9/2)
-        assert remainder_dim(plan) == 1
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space)
+        assert frame.schmidt_dim == 2
+        assert frame.copies == 4  # floor(9/2)
+        assert remainder_dim(frame) == 1
 
     def test_product_rate_is_local_dim(self):
         sp = uniform_space(2, 3)
         psi = np.kron([1, 0, 0], [0, 1, 0]).astype(complex)
-        plan = plan_fts(psi, NeighborhoodStructure([[0], [1]]), sp, force=True)
-        assert plan.schmidt_dim == 1
-        assert plan.cooling_rate == 3
+        frame = plan_fts(psi, NeighborhoodStructure([[0], [1]]), sp, force=True)
+        assert frame.schmidt_dim == 1
+        assert frame.copies == 3
 
     def test_aklt_refused(self):
         inst = states.aklt32_cubic()
@@ -49,8 +49,7 @@ class TestPlan:
 
     def test_basis_order_unitary_and_psi_first(self):
         inst = states.dicke(4, 2)
-        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        b = plan.frame.basis
+        b = plan_fts(inst.psi, inst.neighborhoods, inst.space).basis
         assert np.max(np.abs(b.conj().T @ b - np.eye(16))) < 1e-12
         assert np.max(np.abs(b[:, 0] - inst.psi)) < 1e-12
 
@@ -58,18 +57,17 @@ class TestPlan:
 class TestCoolingMap:
     def test_invariance(self):
         inst = states.dicke(4, 2)
-        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        w = cooling_map(plan)
+        w = cooling_map(plan_fts(inst.psi, inst.neighborhoods, inst.space))
         rep = check_invariance(w, inst.psi, inst.space)
         assert rep.ok
 
     def test_rank_collapse_on_mixed(self):
         inst = states.dicke(4, 2)
-        plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
-        w = cooling_map(plan)
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space)
+        w = cooling_map(frame)
         out = apply(w, np.eye(16, dtype=complex) / 16, inst.space)
         # each copy family collapses: rank (s + remainder) * dim(rest)
-        expected = (plan.schmidt_dim + remainder_dim(plan)) * 2
+        expected = (frame.schmidt_dim + remainder_dim(frame)) * 2
         ev = np.linalg.eigvalsh(out)
         assert int(np.sum(ev > 1e-12)) == expected
 
@@ -105,10 +103,9 @@ class TestCoolingMap:
             ],
             axis=1,
         )
-        plan = plan_fts(
-            inst.psi, inst.neighborhoods, inst.space, local_blocks=blocks, force=True
-        )
-        ours = cooling_map(plan)
+        # Schmidt dimension 2, so 4 copies fill the 8-dimensional neighborhood
+        frame = fts._ordered_frame(inst.psi, inst.neighborhoods[0], inst.space, blocks, 2, 4)
+        ours = cooling_map(frame)
         k_paper = [
             np.outer(s001, s001.conj()) + np.outer(s011, s011.conj()),
             np.outer(s001, basis_state(sp3, [0, 0, 0]).conj())
@@ -175,7 +172,8 @@ class TestVerify:
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-        truncated = Circuit(circ.steps[:-1], circ.space)
+        truncated = replace(circ, steps=circ.steps[:-1])
+        assert truncated.frame is circ.frame
         rep = verify_fts(truncated, inst.psi, trials=2)
         assert not rep.passed
         # the proof path ran, and its final occupied set is not the target's
@@ -249,7 +247,8 @@ class TestFramedRun:
         inst = states.dicke(4, 2)
         circ = _fts_circuit(inst)
         order = np.random.default_rng(5).permutation(len(circ))
-        shuffled = Circuit(tuple(circ.steps[i] for i in order), circ.space)
+        shuffled = replace(circ, steps=tuple(circ.steps[i] for i in order))
+        assert shuffled.frame is circ.frame
         rho0 = random_density(16, np.random.default_rng(6))
         framed, _ = ch.run(shuffled, rho0, record=False)
         dense, _ = ch.run(Circuit(tuple(densify(shuffled)), circ.space), rho0, record=False)
@@ -268,7 +267,7 @@ class TestFactoredFrame:
     @pytest.mark.parametrize("make", _FRAMED_STATES, ids=_FRAMED_IDS)
     def test_basis_unitary_psi_first_and_apply_matches(self, make):
         inst = make()
-        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True).frame
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
         d = inst.space.total_dim
         b = frame.basis
         assert np.max(np.abs(b.conj().T @ b - np.eye(d))) < 1e-12
@@ -286,7 +285,7 @@ class TestFactoredFrame:
         from qlstab import hilbert
 
         inst = make()
-        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True).frame
+        frame = plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
         s, r, loc, c0 = frame.schmidt_dim, frame.copies, frame.local, frame.psi_coords
         m, n = loc.shape[0], c0.size
         rest = inst.space.total_dim // m
@@ -337,14 +336,14 @@ class TestOccupiedSetProof:
             assert abs(dist - rep.max_final_distance) < 1e-14
 
     def test_occupied_sets_shrink_to_target_on_vbs6(self):
-        # the final occupied set of each framed prefix (the first step alone
-        # has no frame); only the whole circuit passes
+        # the final occupied set of each prefix, which keeps the circuit's
+        # frame; only the whole circuit passes
         inst = states.vbs_1d(6)
         circ = _fts_circuit(inst)
-        reps = [verify_fts(Circuit(circ.steps[:k], circ.space), inst.psi) for k in range(2, len(circ) + 1)]
-        assert [len(r.final_occupied) for r in reps] == [243, 61, 61, 16, 16, 4, 4, 1]
+        reps = [verify_fts(replace(circ, steps=circ.steps[:k]), inst.psi) for k in range(1, len(circ) + 1)]
+        assert [len(r.final_occupied) for r in reps] == [243, 243, 61, 61, 16, 16, 4, 4, 1]
         assert reps[-1].final_occupied == (0,)
-        assert [r.passed for r in reps] == [False] * 7 + [True]
+        assert [r.passed for r in reps] == [False] * 8 + [True]
 
     def test_occupied_set_decides_where_id_distance_does_not(self):
         # without its last cooling step the I/D distance is 0.75, below a
@@ -352,7 +351,7 @@ class TestOccupiedSetProof:
         # orthogonal to psi; the final occupied set {0, 1, 2, 3} shows it
         inst = states.dicke(4, 2)
         circ = _fts_circuit(inst)
-        truncated = Circuit(circ.steps[:-1], circ.space)
+        truncated = replace(circ, steps=circ.steps[:-1])
         rep = verify_fts(truncated, inst.psi, tol=1.0)
         assert rep.worst_input_bound < 1.0 and not rep.passed
         assert rep.final_occupied == (0, 1, 2, 3)
@@ -370,7 +369,7 @@ class TestOccupiedSetProof:
             replace(s, kraus=tuple((1 - 1e-6) * k for k in s.kraus)) if isinstance(s, ch.Channel) else s
             for s in circ.steps
         )
-        lossy = Circuit(steps, circ.space)
+        lossy = replace(circ, steps=steps)
         rep = verify_fts(lossy, inst.psi)
         n_w = sum(isinstance(s, ch.Channel) for s in steps)
         assert not rep.passed and rep.final_occupied == (0,)
@@ -421,13 +420,6 @@ class TestFinalPoint:
         assert abs(rep.max_final_distance - worst) < 1e-14
 
 
-def _with_identity_permutation(circ, k):
-    """The first k steps of a framed circuit, then the identity permutation on
-    its frame, so that every prefix keeps the frame, the first step included."""
-    ident = ch.permutation_step(np.arange(circ.space.total_dim), circ.frame, circ.space)
-    return Circuit(circ.steps[:k] + (ident,), circ.space)
-
-
 class TestDiagonalRun:
     """`run_diagonal` on the weight vector of I/D against `run_framed` on the
     dense framed I/D, the exact diagonal 1/D."""
@@ -439,7 +431,7 @@ class TestDiagonalRun:
         d = inst.space.total_dim
         rho0, p0 = np.eye(d, dtype=complex) / d, np.full(d, 1.0 / d)
         for k in range(len(circ) + 1):
-            prefix = _with_identity_permutation(circ, k)
+            prefix = replace(circ, steps=circ.steps[:k])
             dense = ch.run_framed(prefix, rho0, record=False)[0]
             diag = ch.run_diagonal(prefix, p0, record=False)[0]
             assert np.array_equal(ch.occupied(dense), np.flatnonzero(diag))
