@@ -24,8 +24,10 @@ class Tolerances:
 
     rank_rtol is the relative singular-value cutoff: sigma counts as nonzero
     iff sigma > rank_rtol * sigma_max * max(rows, cols). frame bounds the
-    unitarity defect of a circuit frame and the largest entry a channel's
-    Kraus operators may have off their monomial pattern in that frame.
+    unitarity defect of a circuit frame and the defect of a channel's Kraus
+    operators written in that frame: an upper bound, read from the frame's
+    factors (`channels._monomial_forms`), on every entry off their
+    monomial pattern.
     """
 
     rank_rtol: float = 1e-10
@@ -139,6 +141,41 @@ def trace_distance_to_pure_on(block: np.ndarray, idx: np.ndarray, psi: np.ndarra
         block = np.pad(block, (0, 1))
         c = np.append(c, tail)
     return trace_distance(block, np.outer(c, c.conj()))
+
+
+def diagonal_distance_to_pure_on(p: np.ndarray, idx: np.ndarray, psi: np.ndarray) -> float:
+    """`trace_distance_to_pure_on` for the diagonal block diag(p), p >= 0,
+    with no eigensolve: O(|idx|) per bisection step.
+
+    In the frame of `trace_distance_to_pure_on` the difference is
+    diag(p, 0) - c c^H, a positive diagonal less a rank-one term, so it has
+    at most one negative eigenvalue lambda, and its eigenvalues sum to
+    sum(p) - |c|^2. The distance is therefore
+    (1/2)(sum(p) - |c|^2 - lambda) - lambda/2 with lambda <= 0, the part in
+    parentheses being the sum of the other eigenvalues (clamped at 0). A
+    negative lambda is the root of the secular equation
+    1 = sum_i |c_i|^2 / (p_i - lambda) on [-|c|^2, 0), whose right side
+    increases with lambda, and bisection finds it; when there is none the
+    right end of the bracket never moves and lambda is 0.
+    """
+    p = np.asarray(p, dtype=float)
+    w = np.abs(psi[idx]) ** 2
+    tail = np.linalg.norm(np.delete(psi, idx))
+    if tail > 0.0:
+        p = np.append(p, 0.0)
+        w = np.append(w, tail * tail)
+    norm2 = float(w.sum())
+    lo, hi = -norm2, 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.sum(w / (p - mid)) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+    lam = 0.5 * (lo + hi) if hi < 0.0 else 0.0
+    return 0.5 * (max(0.0, float(p.sum()) - norm2 - lam) - lam)
 
 
 def trace_distance_to_pure_bound(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from . import hilbert
 from ._linalg import (
     DEFAULT_TOL,
     dagger,
+    diagonal_distance_to_pure_on,
     frob,
     kron_all,
     orthonormal_columns,
@@ -284,34 +285,105 @@ def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> lis
 
 def _monomial_forms(ch: Channel, frame: Frame, space: MultipartiteSpace):
     """Each Kraus operator of `ch` in the frame B, B^H K B, as (rows, cols, vals)
-    with B^H K B = sum_j vals[j] |rows[j]><cols[j]|, plus the largest entry
-    left off that pattern. Raises ChannelError unless every operator is
-    monomial (at most one entry above `DEFAULT_TOL.frame` per row and per
-    column) with nothing above it left over.
+    with B^H K B = sum_j vals[j] |rows[j]><cols[j]|, plus an upper bound on
+    the largest entry left off that pattern. Raises ChannelError unless the
+    channel acts inside the frame's region and every operator is monomial
+    (at most one entry above `DEFAULT_TOL.frame` per row and per column)
+    with the bound at most that tolerance.
 
-    B is built once; each operator then costs O(D^2 (m + m_K)): K on its
-    support applied to B, and the factored B^H (`Frame.apply`)."""
+    The forms come from the frame's factors, never from a D x D basis. With
+    K~ the operator on the sorted region, B^H K B = Pi^H Q~^H (M (x) I_R) Q~ Pi
+    for the m x m matrix M = L^H K~ L (`Frame`), so M is read once per
+    operator (`_region_forms`) and expanded to D entries by index arithmetic
+    (`Frame._coords`): O(K m^3 + K D) for K operators.
+    """
     tol = DEFAULT_TOL.frame
     if space.dim_of(ch.support) != ch.local_dim:
         raise ChannelError("channel support does not match the space")
-    b = frame.basis
-    forms = []
-    defect = 0.0
-    for k in ch.kraus:
-        kf = frame.apply(hilbert.act(k, ch.support, b, space), adjoint=True)
-        cols = np.arange(kf.shape[1])
-        rows = np.argmax(np.abs(kf), axis=0)
-        vals = kf[rows, cols]
-        keep = np.abs(vals) > tol
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        if np.unique(rows).size != rows.size:
-            raise ChannelError(f"channel {ch.label!r} is not monomial in the frame: a row holds two entries")
-        kf[rows, cols] = 0.0
-        defect = max(defect, float(np.max(np.abs(kf))))
-        forms.append((rows, cols, vals))
+    if not set(ch.support) <= set(frame.region):
+        raise ChannelError(f"channel {ch.label!r} acts on subsystems {list(ch.support)}, "
+                           f"outside the frame region {list(frame.region)}")
+    local, sub = relocate(ch, frame.region, space)
+    if len(local.support) == sub.n_subsystems:
+        kt = np.stack(ch.kraus)
+    else:
+        kt = np.stack([hilbert.embed(hilbert.RegionOperator(k, local.support), sub) for k in ch.kraus])
+    b, v, keep, defect = _region_forms(dagger(frame.local) @ kt @ frame.local, frame, ch.label)
     if defect > tol:
         raise ChannelError(f"channel {ch.label!r} is not monomial in the frame, defect {defect:.3e}")
+    index, a_of, rho_of, phase = frame._coords
+    forms = []
+    for bk, vk, keepk in zip(b, v, keep):
+        cols = np.flatnonzero(keepk[a_of])
+        a, rho = a_of[cols], rho_of[cols]
+        rows = index[bk[a], rho]
+        vals = vk[a] if phase is None else vk[a] * phase[cols] * phase[rows].conj()
+        forms.append((rows, cols, vals))
     return tuple(forms), defect
+
+
+def _argmax_pattern(x: np.ndarray, label: str):
+    """For a stack x of shape (K, p, q): the row of the largest |entry| of
+    each column, and which columns keep it (above `DEFAULT_TOL.frame`), both
+    of shape (K, q), plus |x| with the kept entries set to 0. ChannelError
+    when two kept columns of one matrix share a row."""
+    n, p, q = x.shape
+    off = np.abs(x)
+    if not off.size:
+        return np.zeros((n, q), dtype=np.intp), np.zeros((n, q), dtype=bool), off
+    rows = np.argmax(off, axis=1)
+    keep = np.take_along_axis(off, rows[:, None, :], axis=1)[:, 0] > DEFAULT_TOL.frame
+    k, c = np.nonzero(keep)
+    if np.bincount(k * p + rows[k, c], minlength=n * p).max(initial=0) > 1:
+        raise ChannelError(f"channel {label!r} is not monomial in the frame: a row holds two entries")
+    off[k, rows[k, c], c] = 0.0
+    return rows, keep, off
+
+
+def _region_forms(mk: np.ndarray, frame: Frame, label: str):
+    """The monomial patterns of a stack of operators M = L^H K~ L, of shape
+    (K, m, m), on the frame's region.
+
+    Returns (b, v, keep, bound), the first three of shape (K, m): region
+    coordinate a goes to b[k, a] with value v[k, a] where keep[k, a], and
+    bound is at least every entry of every B^H K B off the pattern that
+    this sends to the D frame indices.
+    - When the Householder factor Q is diagonal (c0 a phase times e_0), B is
+      a phased permutation of F (L (x) I_R): the pattern is M's and the bound
+      is exact, the largest entry of M off it.
+    - Otherwise each s x s block A_ij of the r copy blocks is a_ij I_s plus a
+      residual E_ij, a_ij = tr(A_ij) / s. Q commutes with a_ij I and
+      Q^H (E_ij (x) I_R) Q is unitarily equivalent to E_ij (x) I_R, so the
+      pattern is that of the r x r matrix (a_ij), and an entry of block
+      (i, j) is at most ||E_ij||_2, plus |a_ij| off the pattern. The blocks
+      between the copies and the remainder must vanish: an entry is at most
+      the largest norm of a copy block's part of a column (or of a row).
+      The remainder block is not touched by Q; its pattern is its own and
+      its bound exact.
+    """
+    n, m, _ = mk.shape
+    if frame._coords[3] is not None:
+        b, keep, off = _argmax_pattern(mk, label)
+        return b, np.take_along_axis(mk, b[:, None, :], axis=1)[:, 0], keep, float(off.max())
+    r, s = frame.copies, frame.schmidt_dim
+    rs = r * s
+    blocks = mk[:, :rs, :rs].reshape(n, r, s, r, s).transpose(0, 1, 3, 2, 4)
+    a = np.trace(blocks, axis1=3, axis2=4) / s
+    resid = np.linalg.svd(blocks - a[..., None, None] * np.eye(s), compute_uv=False)[..., 0]
+    ci, ckeep, off_a = _argmax_pattern(a, label)
+    rem = mk[:, rs:, rs:]
+    ri, rkeep, off_rem = _argmax_pattern(rem, label)
+    bound = max(
+        float(np.max(resid + off_a)),
+        float(np.linalg.norm(mk[:, :rs, rs:].reshape(n, r, s, -1), axis=2).max(initial=0.0)),
+        float(np.linalg.norm(mk[:, rs:, :rs].reshape(n, -1, r, s), axis=3).max(initial=0.0)),
+        float(off_rem.max(initial=0.0)),
+    )
+    j = np.arange(rs) // s
+    b = np.concatenate([ci[:, j] * s + np.arange(rs) % s, rs + ri], axis=1)
+    v = np.concatenate([np.take_along_axis(a, ci[:, None, :], axis=1)[:, 0, j],
+                        np.take_along_axis(rem, ri[:, None, :], axis=1)[:, 0]], axis=1)
+    return b, v, np.concatenate([ckeep[:, j], rkeep], axis=1), bound
 
 
 def _apply_monomial(forms, rho: np.ndarray) -> np.ndarray:
@@ -342,11 +414,14 @@ class Frame:
     Column 0 is (L[:, :s] c0 reshaped to (s, R)) regrouped: the target.
 
     `apply` multiplies a (D,) or (D, N) stack by B or B^H at O(D N m), and
-    `basis` builds the dense B on request. The frame caches each channel
-    step's Kraus operators written in it, keyed by the channel's content, so
-    a circuit pays the change of basis once per distinct channel however
-    often it runs, and a channel loaded as several equal objects is written
-    in the frame once.
+    `basis` builds the dense B on request; the package never does. A channel
+    step on the region is written in the frame from the factors alone: its
+    form is fixed by the m x m matrix L^H K L (`_monomial_forms`), at
+    O(m^3 + D) per Kraus operator, and its defect is an upper bound on the
+    entries off the monomial pattern. The frame caches each channel step's
+    forms, keyed by the channel's content, so a circuit pays for them once
+    per distinct channel however often it runs, and a channel loaded as
+    several equal objects is written in the frame once.
 
     The constructor checks shapes and counts (ChannelError); unitarity is
     `unitary_defect`, which `frame_defect` checks before a run.
@@ -404,6 +479,34 @@ class Frame:
         w = np.conj(phase) * c0
         w[0] += 1.0
         return phase, w, 2.0 / np.vdot(w, w).real
+
+    @cached_property
+    def _coords(self):
+        """Where each column of F (L (x) I_R) lands among the frame vectors.
+
+        Returns (index, a_of, rho_of, phase): index[a, rho] is the frame index
+        of region coordinate a and rest index rho, (alpha r + i for copy i of
+        entry alpha = (a mod s) R + rho, a R + rho in the remainder), and
+        a_of, rho_of invert it. When Q is diagonal (c0 a phase times e_0),
+        `phase` holds the entry of Q each frame vector carries, and 1 on the
+        remainder; otherwise it is None.
+        """
+        m = self.local.shape[0]
+        rest = self.dim // m
+        r, s = self.copies, self.schmidt_dim
+        a = np.arange(m)[:, None]
+        rho = np.arange(rest)[None, :]
+        index = np.where(a < r * s, ((a % s) * rest + rho) * r + a // s, a * rest + rho)
+        a_of = np.empty(self.dim, dtype=np.intp)
+        rho_of = np.empty(self.dim, dtype=np.intp)
+        a_of[index] = a
+        rho_of[index] = rho
+        if np.any(self.psi_coords[1:]):
+            return index, a_of, rho_of, None
+        ph, w, scale = self._householder
+        phase = np.ones(self.dim, dtype=complex)
+        phase[: r * s * rest] = np.repeat(ph * (scale * np.abs(w) ** 2 - 1.0), r)
+        return index, a_of, rho_of, phase
 
     def _reflect(self, z: np.ndarray, out: np.ndarray, adjoint: bool) -> None:
         """out = Q z, or Q^H z, on each copy block: z and out of shape (r, n, N),
@@ -681,8 +784,10 @@ def run_diagonal(
     terms, so an exact zero stays zero and `flatnonzero(p)` is the occupied
     set of the framed state. Each point takes the rank from p over that set
     S (`diagonal_rank`) and the distance to the framed target B^H psi from
-    `trace_distance_to_pure_on(diag(p[S]), S, target)`, as `run_framed`
-    does. Returns the final p and the trajectory, which `run` documents.
+    the secular equation of diag(p[S]) less a rank-one term
+    (`diagonal_distance_to_pure_on`), at O(|S|) per bisection step and with
+    no eigensolve. Returns the final p and the trajectory, which `run`
+    documents.
     The circuit must have a frame; the caller checks `frame_defect`.
     """
     space = circuit.space
@@ -696,7 +801,7 @@ def run_diagonal(
 
     def point(t, w):
         s = np.flatnonzero(w)
-        dist = None if target is None else trace_distance_to_pure_on(np.diag(w[s]), s, target)
+        dist = None if target is None else diagonal_distance_to_pure_on(w[s], s, target)
         return TrajectoryPoint(t, diagonal_rank(w), dist)
 
     def step(ch, w):

@@ -281,13 +281,21 @@ def _parse_region(options: dict, key: str, space: MultipartiteSpace, default) ->
         raise InputError(f"/options/{key}: {exc}") from exc
 
 
-def _regions_ab(options: dict, space: MultipartiteSpace) -> tuple[list[int], list[int]]:
-    """`region_a` (default: subsystem 1) and `region_b` (default: the last), disjoint."""
-    a = _parse_region(options, "region_a", space, [1])
-    b = _parse_region(options, "region_b", space, [space.n_subsystems])
+def _regions_ab(inst, options: dict, also: str = "") -> tuple[list[int], list[int], list[int]]:
+    """`region_a` (default: subsystem 1), its neighbourhood expansion, and a
+    `region_b` disjoint from it (default: the last subsystem outside that
+    expansion). Without such a subsystem `region_b` must be given, with the
+    options named in `also`."""
+    a = _parse_region(options, "region_a", inst.space, [1])
+    exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
+    outside = [i + 1 for i in range(inst.space.n_subsystems) if i not in exp_a]
+    if not outside and "region_b" not in options:
+        raise InputError("/options: every subsystem lies in the neighborhood expansion of region_a, so "
+                         f"region_b has no default; give region_b{also}")
+    b = _parse_region(options, "region_b", inst.space, outside[-1:])
     if set(a) & set(b):
         raise InputError("/options: region_a and region_b must be disjoint")
-    return a, b
+    return a, exp_a, b
 
 
 def _emit(report: dict, out_path: str | None):
@@ -404,27 +412,19 @@ def _check_matching_overlap_rfts(inst, options, args):
 
 
 def _check_correlations(inst, options, args):
-    a, b = _regions_ab(options, inst.space)
+    a, _, b = _regions_ab(inst, options)
     probe = rfts_mod.correlation_probe(_target(inst), a, b, inst.space, nstruct=inst.neighborhoods)
     ok = probe.max_abs_covariance < args.tol
     certificates = {
         "max_abs_covariance": probe.max_abs_covariance,
         "expansions_disjoint": probe.expansions_disjoint,
+        "region_b": [i + 1 for i in b],
     }
     return ok, {"uncorrelated": ok}, certificates, {"tol": args.tol}
 
 
 def _check_cmi(inst, options, args):
-    a = _parse_region(options, "region_a", inst.space, [1])
-    exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
-    # region_b defaults to the last subsystem outside that expansion (1-based)
-    outside = [i + 1 for i in range(inst.space.n_subsystems) if i not in exp_a]
-    if not outside and "region_b" not in options:
-        raise InputError("/options: every subsystem lies in the neighborhood expansion of region_a, so "
-                         "region_b has no default; give region_b and region_c")
-    b = _parse_region(options, "region_b", inst.space, outside[-1:])
-    if set(a) & set(b):
-        raise InputError("/options: region_a and region_b must be disjoint")
+    a, exp_a, b = _regions_ab(inst, options, also=" and region_c")
     if "region_c" in options:
         c = _parse_region(options, "region_c", inst.space, None)
     else:

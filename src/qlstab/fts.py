@@ -177,7 +177,10 @@ class FtsVerification:
     occupied set of the framed I/D run's final state; `tp_defect`, the
     largest |c_j - 1| over the column sums c_j of the channel steps' monomial
     forms; `worst_input_bound`, the bound on the final distance of every
-    input; and `frame_defect` (`channels.frame_defect`).
+    input; and `frame_defect` (`channels.frame_defect`): the frame's
+    unitarity defect or an upper bound, read from the frame's factors, on
+    every entry of a channel step off its monomial form, whichever is
+    larger.
     """
 
     passed: bool

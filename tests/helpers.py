@@ -14,9 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from qlstab import channels as chan_mod
+from qlstab import hilbert
 from qlstab import lie
-from qlstab._linalg import dagger, herm, random_density, random_pure
-from qlstab.channels import Channel, make_channel
+from qlstab._linalg import DEFAULT_TOL, dagger, herm, random_density, random_pure
+from qlstab.channels import Channel, ChannelError, make_channel
 from qlstab.hilbert import DimensionError, MultipartiteSpace, NeighborhoodStructure
 from qlstab.mixing import _half_trace_norm
 from qlstab.subspaces import ProjectorSet
@@ -98,6 +99,33 @@ def frustration_defect(pset: ProjectorSet) -> float:
 def remainder_dim(frame: chan_mod.Frame) -> int:
     """Dimensions of the local block left outside the cooling copies."""
     return frame.local.shape[0] - frame.copies * frame.schmidt_dim
+
+
+def dense_monomial_forms(ch: Channel, frame: chan_mod.Frame, space: MultipartiteSpace):
+    """The oracle of `channels._monomial_forms`: each Kraus operator in the
+    dense frame B, B^H K B, read off as (rows, cols, vals) by the largest
+    entry of each column, with the exact largest entry left off that
+    pattern. Raises ChannelError on the same rule, at O(D^2 m) per operator.
+    """
+    tol = DEFAULT_TOL.frame
+    b = frame.basis
+    forms = []
+    defect = 0.0
+    for k in ch.kraus:
+        kf = frame.apply(hilbert.act(k, ch.support, b, space), adjoint=True)
+        cols = np.arange(kf.shape[1])
+        rows = np.argmax(np.abs(kf), axis=0)
+        vals = kf[rows, cols]
+        keep = np.abs(vals) > tol
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if np.unique(rows).size != rows.size:
+            raise ChannelError(f"channel {ch.label!r} is not monomial in the frame: a row holds two entries")
+        kf[rows, cols] = 0.0
+        defect = max(defect, float(np.max(np.abs(kf))))
+        forms.append((rows, cols, vals))
+    if defect > tol:
+        raise ChannelError(f"channel {ch.label!r} is not monomial in the frame, defect {defect:.3e}")
+    return tuple(forms), defect
 
 
 # ---------------------------------------------------------------------------

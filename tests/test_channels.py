@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_unitary, unitary_channel
+from helpers import dense_monomial_forms, random_hermitian, random_unitary, unitary_channel
 from qlstab import channels as ch
 from qlstab import hilbert
 from qlstab import states
-from qlstab._linalg import random_density, random_pure, trace_distance
+from qlstab._linalg import DEFAULT_TOL, random_density, random_pure, trace_distance
 from qlstab.channels import (
     Channel,
     ChannelError,
@@ -449,6 +449,198 @@ class TestFactoredFrame:
         block = random_density(size, rng)
         bs = b[:, s]
         assert np.max(np.abs(frame.rotate_out(block, s) - bs @ block @ bs.conj().T)) < 1e-12
+
+
+def _rotated(c: Channel, eps: float, rng) -> Channel:
+    """`c` with its first Kraus operator turned by exp(i eps H), H a random
+    Hermitian on its support: still trace preserving, off the pattern by
+    about eps."""
+    ev, v = np.linalg.eigh(random_hermitian(c.local_dim, rng))
+    u = (v * np.exp(1j * eps * ev)) @ v.conj().T
+    return make_channel((u @ c.kraus[0],) + c.kraus[1:], c.support, label=c.label)
+
+
+def _monomial_unitary(frame, rng) -> Channel:
+    """A unitary on the frame's region that is a phased permutation M of the
+    columns of L: whole copy blocks, each times a phase, and the remainder
+    coordinates, unless Q is diagonal, when any coordinates may be permuted."""
+    m, r, s = frame.local.shape[0], frame.copies, frame.schmidt_dim
+    if np.any(frame.psi_coords[1:]):
+        perm = np.concatenate([(rng.permutation(r)[:, None] * s + np.arange(s)).ravel(),
+                               r * s + rng.permutation(m - r * s)])
+        phase = np.concatenate([np.repeat(np.exp(2j * np.pi * rng.random(r)), s),
+                                np.exp(2j * np.pi * rng.random(m - r * s))])
+    else:
+        perm, phase = rng.permutation(m), np.exp(2j * np.pi * rng.random(m))
+    mono = np.zeros((m, m), dtype=complex)
+    mono[perm, np.arange(m)] = phase
+    return unitary_channel(frame.local @ mono @ frame.local.conj().T, frame.region, label="M")
+
+
+# the FTS families whose cooling maps are checked in their planned frames;
+# line 3 is a one-step circuit
+_FTS_STATES = {"dicke": lambda: states.dicke(4, 2), "line3": lambda: states.line_graph_state(3),
+               **{f"vbs{n}": (lambda n=n: states.vbs_1d(n)) for n in (3, 4, 5, 6)}}
+
+
+class TestFactoredForms:
+    """`_monomial_forms`, read from the frame's factors, against the dense
+    oracle `helpers.dense_monomial_forms` that builds B: the same pattern,
+    values within 1e-12, a defect that bounds the dense one from above, and
+    the same refusals."""
+
+    @staticmethod
+    def check(c, frame, space):
+        forms, defect = ch._monomial_forms(c, frame, space)
+        dense, dense_defect = dense_monomial_forms(c, frame, space)
+        assert len(forms) == len(dense) == len(c.kraus)
+        for (rows, cols, vals), (drows, dcols, dvals) in zip(forms, dense):
+            assert np.array_equal(rows, drows) and np.array_equal(cols, dcols)
+            assert np.max(np.abs(vals - dvals), initial=0.0) < 1e-12
+        assert defect >= dense_defect - 1e-14
+        return defect
+
+    @staticmethod
+    def both_refuse(c, frame, space):
+        for forms in (ch._monomial_forms, dense_monomial_forms):
+            with pytest.raises(ChannelError, match="monomial"):
+                forms(c, frame, space)
+
+    @pytest.mark.parametrize("name", sorted(_FTS_STATES))
+    def test_fts_cooling_maps(self, name, rng):
+        from qlstab import fts
+
+        inst = _FTS_STATES[name]()
+        frame = fts.plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+        c = fts.cooling_map(frame)
+        assert self.check(c, frame, inst.space) < 1e-14
+        self.both_refuse(_rotated(c, 1e-6, rng), frame, inst.space)
+
+    def test_shuffled_whole_space_frame(self, rng):
+        # the computational basis of three qubits in a shuffled order: Q is
+        # the 1 x 1 identity, and local channels embed into the region
+        sp = uniform_space(3)
+        frame = _whole_frame(sp, np.eye(8, dtype=complex)[:, rng.permutation(8)])
+        for c in (unitary_channel(X, [1]), reset_channel(np.array([1.0, 0.0]), [2]),
+                  make_channel([np.diag([1.0, 0.0]), np.array([[0, 0], [0, 1j]])], [0])):
+            assert self.check(c, frame, sp) == 0.0
+            self.both_refuse(_rotated(c, 1e-6, rng), frame, sp)
+
+    @pytest.mark.parametrize("c0", [
+        np.exp(0.7j) * np.eye(6)[0],
+        np.eye(6)[3],
+        np.array([0.6, 0, 0, 0, 0, 0.8j]),
+        None,
+    ], ids=["phase-e0", "c0[0]-zero", "sparse", "random"])
+    @pytest.mark.parametrize("region", [[2, 0], [0, 1]])
+    def test_random_frames(self, c0, region, rng):
+        # dims (2, 3, 2): region {0, 2} has m = 4, R = 3; region {0, 1} has
+        # m = 6, R = 2 and a remainder of 2; s = 2 and r = 2 on both
+        from qlstab import fts
+
+        sp = MultipartiteSpace([2, 3, 2])
+        m = sp.dim_of(region)
+        n = 2 * (12 // m)
+        if c0 is None or c0.size != n:
+            c0 = random_pure(n, rng) if c0 is None else np.exp(0.7j) * np.eye(n)[0]
+        frame = ch.Frame(sp, region, random_unitary(m, rng), 2, 2, c0)
+        for c in (fts.cooling_map(frame), _monomial_unitary(frame, rng), _monomial_unitary(frame, rng)):
+            assert self.check(c, frame, sp) < 1e-13
+            self.both_refuse(_rotated(c, 1e-6, rng), frame, sp)
+        # a random unitary on the region is monomial in neither
+        self.both_refuse(unitary_channel(random_unitary(m, rng), region), frame, sp)
+
+    @pytest.mark.parametrize("block", ["residual", "copy-off-pattern", "copy-remainder", "remainder-copy",
+                                       "remainder"])
+    @pytest.mark.parametrize("c0", ["random", "phase-e0"])
+    def test_each_block_bound(self, block, c0, rng):
+        # the identity channel on region {0, 1} of dims (2, 3, 2), with one
+        # entry pattern P added to M = I in the named block: m = 6, s = r = 2,
+        # so rows and columns 0..3 are the copies and 4, 5 the remainder.
+        # The factored defect must bound the dense one where both accept,
+        # and both must refuse once it passes the tolerance.
+        sp = MultipartiteSpace([2, 3, 2])
+        coords = random_pure(4, rng) if c0 == "random" else np.exp(0.7j) * np.eye(4)[0]
+        frame = ch.Frame(sp, [0, 1], random_unitary(6, rng), 2, 2, coords)
+        p = np.zeros((6, 6))
+        if block == "residual":
+            p[0, 1] = 1.0  # traceless, inside the pattern block (0, 0)
+        elif block == "copy-off-pattern":
+            p[2:4, 0:2] = np.eye(2)  # a multiple of I in block (1, 0)
+        elif block == "copy-remainder":
+            p[0, 4] = 1.0
+        elif block == "remainder-copy":
+            p[4, 0] = 1.0
+        else:
+            p[5, 4] = 1.0
+        for eps in (1e-10, 1e-6):
+            k = frame.local @ (np.eye(6) + eps * p) @ frame.local.conj().T
+            c = Channel(kraus=(k,), support=(0, 1), label="P")
+            if eps < DEFAULT_TOL.frame:
+                defect, dense_defect = ch._monomial_forms(c, frame, sp)[1], dense_monomial_forms(c, frame, sp)[1]
+                assert dense_defect > 1e-12 and defect >= dense_defect - 1e-14
+            else:
+                self.both_refuse(c, frame, sp)
+
+    def test_support_outside_region_refused(self, monkeypatch):
+        sp = MultipartiteSpace([2, 3, 2])
+        frame = ch.Frame(sp, [0], np.eye(2), 1, 1, np.eye(6)[0])
+        monkeypatch.setattr(ch.Frame, "basis", property(lambda self: pytest.fail("dense basis built")))
+        with pytest.raises(ChannelError, match=r"\[1\]"):
+            ch._monomial_forms(unitary_channel(np.eye(3)[[1, 2, 0]], [1], label="P"), frame, sp)
+
+    def test_vbs6_forms_hold_no_dense_array(self):
+        import tracemalloc
+
+        from qlstab import fts
+
+        inst = states.vbs_1d(6)
+        frame = fts.plan_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+        w = fts.cooling_map(frame)
+        tracemalloc.start()
+        try:
+            frame.monomial_kraus(w, inst.space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 729 x 729 complex array is 8.5 MB
+        assert peak < 1 << 20
+
+
+class TestDiagonalDistance:
+    """`diagonal_distance_to_pure_on`, the secular-equation distance of
+    `run_diagonal`, against the eigensolve of `trace_distance_to_pure_on`."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 12])
+    @pytest.mark.parametrize("tail", [0.0, 1e-16, 1e-8, None])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_eigensolve(self, size, tail, zeros, rng):
+        from qlstab._linalg import diagonal_distance_to_pure_on, trace_distance_to_pure_on
+
+        d = 12
+        for _ in range(5):
+            s = np.sort(rng.choice(d, size=size, replace=False))
+            p = rng.random(size) ** 2
+            if zeros:
+                p[rng.random(size) < 0.5] = 0.0
+                p[0] = max(p[0], 0.1)
+            p /= p.sum()
+            t = random_pure(d, rng)
+            if tail is not None:
+                off = np.setdiff1d(np.arange(d), s)
+                t[off] *= tail
+                t /= np.linalg.norm(t)
+            dense = trace_distance_to_pure_on(np.diag(p), s, t)
+            assert abs(diagonal_distance_to_pure_on(p, s, t) - dense) < 1e-14
+
+    def test_target_state_and_orthogonal_state(self):
+        from qlstab._linalg import diagonal_distance_to_pure_on
+
+        e0 = np.eye(5)[0].astype(complex)
+        assert diagonal_distance_to_pure_on(np.array([1.0]), np.array([0]), e0) == 0.0
+        assert diagonal_distance_to_pure_on(np.array([1.0]), np.array([3]), e0) == pytest.approx(1.0, abs=1e-15)
+        # I/D against a pure state: 1 - 1/D
+        assert diagonal_distance_to_pure_on(np.full(5, 0.2), np.arange(5), e0) == pytest.approx(0.8, abs=1e-15)
 
 
 class TestOccupiedBlock:

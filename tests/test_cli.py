@@ -188,6 +188,25 @@ class TestCheck:
         assert (certs[0]["region_b"], certs[0]["region_c"]) == ([5], [2, 3, 6, 7])
         assert certs[0]["cmi_bits"] < 1e-8
 
+    def test_correlations_default_region_b_outside_expansion(self, tmp_path, capsys):
+        # as for `check cmi`: site 5 on the 7-cycle, reported beside the verdict
+        cycle7 = {"state": {"constructor": {"name": "graph-cycle", "params": {"n": 7}}}}
+        certs = []
+        for options in ({}, {"options": {"region_b": [5]}}):
+            assert main(["check", "correlations", write_json(tmp_path, "c7.json", {**cycle7, **options})]) == 0
+            certs.append(json.loads(capsys.readouterr().out)["certificates"])
+        assert certs[0] == certs[1]
+        assert certs[0]["region_b"] == [5] and certs[0]["max_abs_covariance"] < 1e-8
+
+    def test_correlations_without_default_region_b_exit_2(self, capsys):
+        # on the 5-cycle every site is a neighbour of a neighbour of site 1;
+        # the last site, the old default, gave a pass that said nothing
+        rc = main(["check", "correlations", os.path.join(PROBLEMS, "graph_cycle5.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "input error" in captured.err and "expansion" in captured.err and "region_b" in captured.err
+        assert "region_c" not in captured.err
+
     def test_cmi_without_default_region_b_names_options(self, capsys):
         # on the 5-cycle the expansion of any site is the whole cycle
         rc = main(["check", "cmi", os.path.join(PROBLEMS, "graph_cycle5.json")])
@@ -525,7 +544,8 @@ class TestReportDeterminism:
 REPORT_KEYS = ["task", "pass", "verdicts", "certificates", "tolerances", "seed", "elapsed_seconds", "version"]
 
 # one invocation of every command kind: (argv, exit code, tolerance keys);
-# {p} is the problems directory and {tmp} the test's own
+# {p} is the problems directory and {tmp} the test's own. Exit code 2 is an
+# input error, with no report
 EVERY_COMMAND = [
     ("check qls {p}/dicke.json", 0, ["intersect_eig"]),
     ("check sss {p}/dicke.json", 0, []),
@@ -534,8 +554,10 @@ EVERY_COMMAND = [
     ("check matching-overlap {p}/graph_cycle5.json", 1, []),
     ("check algebraic-rfts {p}/graph_cycle5.json", 0, ["cluster_rtol"]),
     ("check matching-overlap-rfts {p}/graph_cycle5.json", 1, ["tol"]),
-    ("check correlations {p}/graph_cycle5.json", 0, ["tol"]),
-    # the 5-cycle has no default region_b (exit 2); Dicke has one
+    # the 5-cycle has no default region_b outside the expansion of site 1;
+    # Dicke has one, site 4
+    ("check correlations {p}/graph_cycle5.json", 2, None),
+    ("check correlations {p}/dicke.json", 1, ["tol"]),
     ("check cmi {p}/dicke.json", 1, ["tol"]),
     ("synth fts {p}/dicke.json --circuit {tmp}/fts.json", 0, ["tol", "frame"]),
     ("synth fts {p}/ghz3.json", 1, ["cluster_rtol"]),
@@ -562,7 +584,11 @@ class TestReportPath:
             assert main(["synth", "fts", os.path.join(PROBLEMS, "dicke.json"), "--circuit", argv[1]]) == 0
             capsys.readouterr()
         rc = main(argv)
-        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert rc == 2 and captured.out == "" and "input error" in captured.err
+            return
+        out = json.loads(captured.out, parse_constant=reject)
         assert list(out) == REPORT_KEYS
         assert out["task"].split()[0] == argv[0]
         assert rc == (0 if out["pass"] else 1) == code
@@ -817,6 +843,19 @@ class TestFramedCircuitFile:
         assert perms and all(sorted(p) == list(range(16)) for p in perms)
         assert all("kraus" in s for s in data["steps"] if "permutation" not in s)
 
+    def test_channel_outside_frame_region_exit_2(self, tmp_path, capsys):
+        from qlstab import channels as ch
+        from qlstab.hilbert import uniform_space
+
+        # the frame covers qubit 1 only; the channel acts on qubit 2
+        sp = uniform_space(2)
+        frame = ch.Frame(sp, [0], np.eye(2), 1, 1, np.eye(2)[0])
+        circ = Circuit((make_channel([np.array([[0, 1], [1, 0]])], [1], label="X"),), sp, frame)
+        path = write_json(tmp_path, "outside.json", circuit_to_json(circ))
+        assert main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert "'X'" in err and "outside the frame region" in err
+
     def test_round_trip_bit_identical(self, tmp_path, capsys):
         from qlstab import states
         from qlstab.fts import plan_fts, synthesize_fts
@@ -937,8 +976,11 @@ class TestSimulatePaths:
 
         circuit, problem = _simulate_cases(tmp_path, capsys)[case]
         calls = []
-        dist = ch.trace_distance_to_pure_on
-        monkeypatch.setattr(ch, "trace_distance_to_pure_on", lambda *a: calls.append(1) or dist(*a))
+        # the dense run takes its distances from an eigensolve, the diagonal
+        # run from the secular equation; count both
+        for name in ("trace_distance_to_pure_on", "diagonal_distance_to_pure_on"):
+            dist = getattr(ch, name)
+            monkeypatch.setattr(ch, name, lambda *a, dist=dist: calls.append(1) or dist(*a))
         # the FTS circuit is not robust: some shuffled orders miss psi
         rc = main(["simulate", circuit, "--problem", problem, "--shuffle", "--trials", "6", "--seed", "3"])
         cert = json.loads(capsys.readouterr().out)["certificates"]
