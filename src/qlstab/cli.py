@@ -281,17 +281,23 @@ def _parse_region(options: dict, key: str, space: MultipartiteSpace, default) ->
         raise InputError(f"/options/{key}: {exc}") from exc
 
 
-def _regions_ab(inst, options: dict, also: str = "") -> tuple[list[int], list[int], list[int]]:
+def _regions_ab(inst, options: dict, also: str = "", apart: bool = False) -> tuple[list[int], list[int], list[int]]:
     """`region_a` (default: subsystem 1), its neighbourhood expansion, and a
-    `region_b` disjoint from it (default: the last subsystem outside that
-    expansion). Without such a subsystem `region_b` must be given, with the
-    options named in `also`."""
+    `region_b` disjoint from it. By default `region_b` is the last subsystem
+    outside that expansion or, with `apart`, the last one whose own
+    expansion is disjoint from it. Without such a subsystem `region_b` must
+    be given, with the options named in `also`."""
     a = _parse_region(options, "region_a", inst.space, [1])
     exp_a = hilbert.neighborhood_expansion(inst.neighborhoods, a)
-    outside = [i + 1 for i in range(inst.space.n_subsystems) if i not in exp_a]
+    if apart:
+        outside = [i + 1 for i in range(inst.space.n_subsystems)
+                   if not set(hilbert.neighborhood_expansion(inst.neighborhoods, [i])) & set(exp_a)]
+        why = "no subsystem has a neighborhood expansion disjoint from that of region_a"
+    else:
+        outside = [i + 1 for i in range(inst.space.n_subsystems) if i not in exp_a]
+        why = "every subsystem lies in the neighborhood expansion of region_a"
     if not outside and "region_b" not in options:
-        raise InputError("/options: every subsystem lies in the neighborhood expansion of region_a, so "
-                         f"region_b has no default; give region_b{also}")
+        raise InputError(f"/options: {why}, so region_b has no default; give region_b{also}")
     b = _parse_region(options, "region_b", inst.space, outside[-1:])
     if set(a) & set(b):
         raise InputError("/options: region_a and region_b must be disjoint")
@@ -412,7 +418,7 @@ def _check_matching_overlap_rfts(inst, options, args):
 
 
 def _check_correlations(inst, options, args):
-    a, _, b = _regions_ab(inst, options)
+    a, _, b = _regions_ab(inst, options, apart=True)
     probe = rfts_mod.correlation_probe(_target(inst), a, b, inst.space, nstruct=inst.neighborhoods)
     ok = probe.max_abs_covariance < args.tol
     certificates = {

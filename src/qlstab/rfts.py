@@ -46,6 +46,9 @@ from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
 # Largest memory `commutant` will use for its commutator system and its SVD.
 COMMUTANT_MAX_BYTES = 1 << 30
+# Largest memory `verify_robustness` will use for its input stacks and the
+# applies of its walk (`_input_stacks`).
+ROBUSTNESS_MAX_BYTES = 1 << 30
 # (largest merged gap, smallest split gap) of a clustering that split nothing
 # and merged nothing.
 NO_GAPS = (0.0, math.inf)
@@ -835,6 +838,40 @@ def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: 
             held.pop()
 
 
+# D x D buffers of one stacked apply at its peak, each the size of the stack:
+# the state it reads, the regrouped copy, K @ x, the sum and one term
+# (`channels._apply_local`, `channels._kraus_blocks`)
+APPLY_BUFFERS = 5
+
+
+def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[int, type]]:
+    """(size, dtype) of each stack of `verify_robustness`'s inputs, I/D first.
+
+    The inputs are taken `channels.stack_size(D)` at a time, as complex
+    stacks. When every map is real and I/D has a stack of its own (no random
+    input, or one state per stack: D > 256), that stack is float64: real maps
+    keep it real, at half the bytes and a quarter of the flops. At smaller D
+    I/D shares a complex stack with the random inputs: a stack of its own
+    would double the number of applies of the walk. Raises CapExceeded when
+    the stacks and the `APPLY_BUFFERS` of the largest one pass
+    `ROBUSTNESS_MAX_BYTES` (the walk's held states add at most
+    `channels.STACK_MAX_BYTES`).
+    """
+    per = ch.stack_size(d)
+    sizes = [min(per, n_inputs - start) for start in range(0, n_inputs, per)]
+    real = sizes[0] == 1 and all(c.real_kraus is not None for c in channels)
+    layout = [(n, float if real and i == 0 else complex) for i, n in enumerate(sizes)]
+    nbytes = [n * d * d * np.dtype(t).itemsize for n, t in layout]
+    need = sum(nbytes) + APPLY_BUFFERS * max(nbytes) + ch.STACK_MAX_BYTES
+    if need > ROBUSTNESS_MAX_BYTES:
+        kind = "float64" if real else "complex"
+        raise ch.CapExceeded(
+            f"robustness walk over {n_inputs} inputs of D = {d} ({kind} I/D) needs {need / 2**30:.1f} GiB, "
+            f"capped at {ROBUSTNESS_MAX_BYTES / 2**30:.1f} GiB"
+        )
+    return layout
+
+
 def verify_robustness(
     channels: list[Channel],
     target,
@@ -861,10 +898,17 @@ def verify_robustness(
     prefix walk). A sampled order that repeats is counted in
     `orders_run` but computed once. The distinct orders run as one walk over
     their prefix tree (`_prefix_walk`), on the inputs stacked
-    `channels.stack_size(D)` at a time. `worst_order` is the first order, in
-    the sampled or enumerated sequence, that reached `max_final_distance`.
+    `channels.stack_size(D)` at a time; with real maps, I/D in a stack of its
+    own runs in float64 (`_input_stacks`, which also refuses, with
+    CapExceeded, a walk over `ROBUSTNESS_MAX_BYTES` before anything is
+    allocated). `worst_order` is the first order, in the sampled or
+    enumerated sequence, that reached `max_final_distance`.
     """
     target = np.asarray(target, dtype=complex)
+    if not np.any(target.imag):
+        target = np.ascontiguousarray(target.real)  # real states meet it in real arithmetic
+    d = space.total_dim
+    layout = _input_stacks(channels, d, 1 + n_random_inputs)
     rng = np.random.default_rng(seed)
     t = len(channels)
     inv_defect = 0.0
@@ -888,11 +932,12 @@ def verify_robustness(
             orders.append(tuple(rng.permutation(t)))
         exhaustive = False
 
-    d = space.total_dim
-    inputs = np.empty((1 + n_random_inputs, d, d), dtype=complex)
-    inputs[0] = np.eye(d) / d
-    for j in range(n_random_inputs):
-        inputs[1 + j] = random_density(d, rng)
+    stacks = [np.empty((n, d, d), dtype=dtype) for n, dtype in layout]
+    states = [r for stack in stacks for r in stack]  # views, I/D first
+    states[0][...] = 0.0
+    np.fill_diagonal(states[0], 1.0 / d)
+    for r in states[1:]:
+        r[...] = random_density(d, rng)
     distinct = dict.fromkeys(orders)
     identity = orders[0]
     bound = _order_bound(channels, space, cap=tol)
@@ -901,12 +946,12 @@ def verify_robustness(
         """Worst final distance of each order, in the order given, and the
         target fidelity of the identity order's output from I/D."""
         final, fidelity = dict.fromkeys(run_orders, 0.0), 1.0
-        walk, per = sorted(final), ch.stack_size(d)
-        for start in range(0, len(inputs), per):
-            for order, rho in _prefix_walk(channels, walk, inputs[start:start + per], space):
+        walk = sorted(final)
+        for i, stack in enumerate(stacks):
+            for order, rho in _prefix_walk(channels, walk, stack, space):
                 dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
                 final[order] = max(final[order], *dists)
-                if order == identity and start == 0 and target.ndim == 1:
+                if order == identity and i == 0 and target.ndim == 1:
                     fidelity = float(np.vdot(target, rho[0] @ target).real)
                 del rho  # not alive while the walk computes the next order
         return final, fidelity

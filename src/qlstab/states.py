@@ -355,15 +355,14 @@ def w_product_9() -> StateInstance:
 
 
 def w_product_commuting_hamiltonian(inst: StateInstance) -> np.ndarray:
-    """Non-canonical commuting parent Hamiltonian for the W-product state."""
-    w = w_state(3)
-    h = np.zeros((512, 512), dtype=complex)
-    for triple in ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
-        p = hilbert.embed(
-            hilbert.RegionOperator(np.outer(w, w.conj()), triple), inst.space
-        )
-        h += np.eye(512) - p
-    return h
+    """Non-canonical commuting parent Hamiltonian for the W-product state:
+    the sum over the three triples of (I - |W><W|) on the triple, identity
+    elsewhere. The triples are consecutive sites, so each term is a Kronecker
+    product, and W is real, so the matrix is float64 and its `eigh` runs in
+    real arithmetic."""
+    w = w_state(3).real
+    q = np.eye(8) - np.outer(w, w)
+    return sum(np.kron(np.kron(np.eye(8**k), q), np.eye(8 ** (2 - k))) for k in range(3))
 
 
 # ---------------------------------------------------------------------------

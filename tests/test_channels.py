@@ -111,6 +111,114 @@ class TestApply:
             assert trace_distance(out, rho) < 1e-9
 
 
+def _real_channel(support, m: int, nk: int, rng) -> Channel:
+    """A channel with nk real Kraus operators, cut from a real isometry; make_channel
+    stores them as complex with zero imaginary parts."""
+    v, _ = np.linalg.qr(rng.normal(size=(nk * m, m)))
+    return make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
+
+
+def _real_density(d: int, rng) -> np.ndarray:
+    g = rng.normal(size=(d, d))
+    rho = g @ g.T
+    return rho / np.trace(rho)
+
+
+def _complex_reference(c: Channel, rho: np.ndarray, space) -> np.ndarray:
+    """sum K rho K^H with every operator embedded, in complex arithmetic."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for k in c.kraus:
+        big = embed(RegionOperator(k, c.support), space)
+        out += big @ rho.astype(complex) @ big.conj().T
+    return out
+
+
+# (dims, support, Kraus count, branch): each branch of `apply` on a real channel
+REAL_BRANCHES = {
+    "kraus": ([2, 3, 2, 3], [1, 3], 1),
+    "liouville": ([2, 3, 2, 3], [0, 2], 2),
+    "full": ([3, 2, 2], [0, 1, 2], 3),
+}
+
+
+class TestRealApply:
+    """A real channel runs in real arithmetic: float64 on a float64 state, and
+    the float64 view of the regrouped blocks on a complex one."""
+
+    @pytest.mark.parametrize("state", ["float64", "complex", "float64-stack", "complex-stack"])
+    @pytest.mark.parametrize("branch", list(REAL_BRANCHES))
+    def test_matches_complex_reference(self, branch, state, rng):
+        dims, support, nk = REAL_BRANCHES[branch]
+        sp = MultipartiteSpace(dims)
+        m, d = sp.dim_of(support), sp.total_dim
+        c = _real_channel(support, m, nk, rng)
+        assert c.real_kraus is not None
+        if branch != "full":
+            assert ch._liouville_pays(m, nk, d) == (branch == "liouville")
+        draw = _real_density if state.startswith("float64") else random_density
+        rho = np.stack([draw(d, rng) for _ in range(3)]) if state.endswith("stack") else draw(d, rng)
+        out = apply(c, rho, sp)
+        assert out.dtype == (np.float64 if state.startswith("float64") else np.complex128)
+        assert out.shape == rho.shape
+        expected = np.stack([_complex_reference(c, r, sp) for r in rho.reshape(-1, d, d)]).reshape(rho.shape)
+        assert np.max(np.abs(out - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("branch", ["kraus", "liouville"])
+    def test_complex_state_multiplies_float64_view(self, branch, rng, monkeypatch):
+        # the local products see float64 blocks whose last axis is twice the
+        # complex one: real and imaginary parts interleaved
+        dims, support, nk = REAL_BRANCHES[branch]
+        sp = MultipartiteSpace(dims)
+        m, d = sp.dim_of(support), sp.total_dim
+        c = _real_channel(support, m, nk, rng)
+        seen = []
+        to_blocks = hilbert.to_blocks
+        monkeypatch.setattr(hilbert, "to_blocks", lambda *a: seen.append(to_blocks(*a)) or seen[-1])
+        kraus_blocks = ch._kraus_blocks
+        monkeypatch.setattr(ch, "_kraus_blocks", lambda x, k: seen.append(x) or kraus_blocks(x, k))
+        apply(c, random_density(d, rng), sp)
+        assert seen[0].dtype == complex and seen[0].shape == (m, m, d * d // (m * m))
+        if branch == "kraus":
+            assert seen[1].dtype == np.float64 and seen[1].shape == (m, m, 2 * d * d // (m * m))
+        else:
+            assert c.natural.dtype == np.float64
+
+    def test_tiny_imaginary_part_stays_complex(self, rng):
+        # exactly zero is the rule, with no tolerance: 1e-300 keeps the channel complex
+        sp = MultipartiteSpace([2, 3, 2])
+        v, _ = np.linalg.qr(rng.normal(size=(12, 6)))
+        kraus = [v[:6].astype(complex), v[6:].astype(complex)]
+        kraus[0][1, 2] += 1e-300j
+        c = make_channel(kraus, [0, 1])
+        assert c.real_kraus is None and c.natural.dtype == complex
+        rho = _real_density(12, rng)
+        out = apply(c, rho, sp)
+        assert out.dtype == complex
+        assert np.max(np.abs(out - _complex_reference(c, rho, sp))) <= 1e-14
+
+    def test_dtype_contract(self, rng):
+        # float64 out only for a real channel on a float64 state; every other
+        # pair is complex128, and the input is never written
+        sp = MultipartiteSpace([2, 3, 2])
+        real = _real_channel([1], 3, 2, rng)
+        cplx = reset_channel(random_pure(3, rng), [1])
+        assert real.real_kraus is not None and cplx.real_kraus is None
+        assert all(k.dtype == np.float64 for k in real.real_kraus)
+        rho = _real_density(12, rng)
+        for c, x, dtype in [
+            (real, rho, np.float64),
+            (real, rho[None], np.float64),
+            (real, rho.astype(complex), np.complex128),
+            (real, rho.astype(np.float32), np.complex128),
+            (real, np.eye(12, dtype=int), np.complex128),
+            (cplx, rho, np.complex128),
+            (cplx, rho[None], np.complex128),
+        ]:
+            before = x.copy()
+            assert apply(c, x, sp).dtype == dtype
+            assert np.array_equal(x, before)
+
+
 class TestInvariance:
     def test_identity_zero_defect(self, rng):
         sp = uniform_space(2)

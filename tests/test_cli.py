@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qlstab import mixing, states
+from qlstab import rfts as rfts_mod
 from qlstab.cli import (
     CONSTRUCTORS,
     REPRODUCTIONS,
@@ -189,14 +190,31 @@ class TestCheck:
         assert certs[0]["cmi_bits"] < 1e-8
 
     def test_correlations_default_region_b_outside_expansion(self, tmp_path, capsys):
-        # as for `check cmi`: site 5 on the 7-cycle, reported beside the verdict
+        # the default region_b needs an expansion disjoint from that of
+        # region_a, where the paper's condition applies. On the 7-cycle the
+        # expansion of site 1 is {6, 7, 1, 2, 3} and every other site's
+        # meets it, so there is no default (exit 2); site 5, given, still
+        # runs and says that the expansions meet
         cycle7 = {"state": {"constructor": {"name": "graph-cycle", "params": {"n": 7}}}}
-        certs = []
-        for options in ({}, {"options": {"region_b": [5]}}):
-            assert main(["check", "correlations", write_json(tmp_path, "c7.json", {**cycle7, **options})]) == 0
-            certs.append(json.loads(capsys.readouterr().out)["certificates"])
-        assert certs[0] == certs[1]
-        assert certs[0]["region_b"] == [5] and certs[0]["max_abs_covariance"] < 1e-8
+        assert main(["check", "correlations", write_json(tmp_path, "c7.json", cycle7)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "disjoint from that of region_a" in captured.err
+        assert main(["check", "correlations",
+                     write_json(tmp_path, "c7.json", {**cycle7, "options": {"region_b": [5]}})]) == 0
+        cert = json.loads(capsys.readouterr().out)["certificates"]
+        assert cert["region_b"] == [5] and cert["expansions_disjoint"] is False
+        # on the 6-site line and the 10-cycle the default is site 6, whose
+        # expansion ({4, 5, 6}, {4, ..., 8}) misses that of site 1
+        for name, n in (("graph-line", 6), ("graph-cycle", 10)):
+            problem = {"state": {"constructor": {"name": name, "params": {"n": n}}}}
+            certs = []
+            for options in ({}, {"options": {"region_b": [6]}}):
+                path = write_json(tmp_path, "p.json", {**problem, **options})
+                assert main(["check", "correlations", path]) == 0
+                certs.append(json.loads(capsys.readouterr().out)["certificates"])
+            assert certs[0] == certs[1]
+            assert certs[0]["region_b"] == [6] and certs[0]["expansions_disjoint"] is True
+            assert certs[0]["max_abs_covariance"] < 1e-8
 
     def test_correlations_without_default_region_b_exit_2(self, capsys):
         # on the 5-cycle every site is a neighbour of a neighbour of site 1;
@@ -226,6 +244,13 @@ class TestCheck:
         rc = main(["check", "algebraic-rfts", problem])
         assert rc == 3
         assert "cap exceeded: commutant system" in capsys.readouterr().err
+
+    def test_robustness_cap_exit_3(self, capsys, monkeypatch):
+        # the 5-cycle's robustness walk (D = 32) under a cap of one byte
+        monkeypatch.setattr(rfts_mod, "ROBUSTNESS_MAX_BYTES", 1)
+        assert main(["synth", "rfts", os.path.join(PROBLEMS, "graph_cycle5.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap exceeded: robustness walk over 2 inputs of D = 32" in captured.err
 
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         from qlstab import lie
@@ -554,10 +579,12 @@ EVERY_COMMAND = [
     ("check matching-overlap {p}/graph_cycle5.json", 1, []),
     ("check algebraic-rfts {p}/graph_cycle5.json", 0, ["cluster_rtol"]),
     ("check matching-overlap-rfts {p}/graph_cycle5.json", 1, ["tol"]),
-    # the 5-cycle has no default region_b outside the expansion of site 1;
-    # Dicke has one, site 4
+    # neither the 5-cycle nor Dicke(4, 2) has a subsystem whose expansion
+    # misses that of site 1, so region_b has no default; the 6-site line
+    # has one, site 6
     ("check correlations {p}/graph_cycle5.json", 2, None),
-    ("check correlations {p}/dicke.json", 1, ["tol"]),
+    ("check correlations {p}/dicke.json", 2, None),
+    ("check correlations {tmp}/line6.json", 0, ["tol"]),
     ("check cmi {p}/dicke.json", 1, ["tol"]),
     ("synth fts {p}/dicke.json --circuit {tmp}/fts.json", 0, ["tol", "frame"]),
     ("synth fts {p}/ghz3.json", 1, ["cluster_rtol"]),
@@ -583,6 +610,7 @@ class TestReportPath:
         if argv[0] == "simulate":
             assert main(["synth", "fts", os.path.join(PROBLEMS, "dicke.json"), "--circuit", argv[1]]) == 0
             capsys.readouterr()
+        write_json(tmp_path, "line6.json", {"state": {"constructor": {"name": "graph-line", "params": {"n": 6}}}})
         rc = main(argv)
         captured = capsys.readouterr()
         if code == 2:

@@ -718,6 +718,104 @@ class TestRobustness:
         assert defect < 1e-9
 
 
+ROBUSTNESS_CASES = {
+    "kagome-3x1": (lambda: states.ccz_kagome(3, 1), dict(trials=3, n_random_inputs=0, distance_exact_limit=256)),
+    "w-product": (states.w_product_9, dict(distance_exact_limit=256)),
+    "w-product-sampled": (states.w_product_9, dict(exhaustive_limit=1, trials=12)),
+}
+
+
+class TestRealRobustness:
+    """Real maps run I/D as a float64 stack; the certificates are those of the
+    complex arithmetic up to roundoff."""
+
+    @pytest.mark.parametrize("name", list(ROBUSTNESS_CASES))
+    def test_certificates_match_complex_arithmetic(self, name, monkeypatch):
+        build, kw = ROBUSTNESS_CASES[name]
+        inst = build()
+        chans = list(inst.witness_channels)
+        assert all(c.real_kraus is not None for c in chans)
+        real = verify_robustness(chans, inst.psi, inst.space, **kw)
+        with monkeypatch.context() as m:
+            # every channel complex: the stacks and products of complex arithmetic
+            m.setattr(Channel, "real_kraus", property(lambda self: None))
+            cplx = verify_robustness(chans, inst.psi, inst.space, **kw)
+        same = ("passed", "orders_run", "distinct_orders", "exhaustive", "invariance_ok", "worst_order",
+                "method", "orders_computed", "order_bound", "max_invariance_defect")
+        assert [getattr(real, f) for f in same] == [getattr(cplx, f) for f in same]
+        assert real.passed and real.method == "commuting"
+        assert abs(real.max_final_distance - cplx.max_final_distance) <= 1e-14
+        d = inst.space.total_dim
+        assert abs(real.worst_input_bound - cplx.worst_input_bound) <= d * rfts._fidelity_roundoff(d)
+
+    @pytest.mark.parametrize("name, n_random, dtypes", [
+        ("kagome-3x1", 0, [np.float64]),
+        ("w-product", 1, [np.float64, np.complex128]),  # D = 512: one state per stack
+        ("grid-2x3", 1, [np.complex128]),  # D = 64: I/D shares its stack with the random input
+    ])
+    def test_stack_dtypes(self, name, n_random, dtypes, monkeypatch):
+        inst = states.grid_graph_state(2, 3) if name == "grid-2x3" else ROBUSTNESS_CASES[name][0]()
+        seen = []
+        apply = ch.apply
+        monkeypatch.setattr(ch, "apply", lambda c, rho, sp: seen.append((rho.shape, rho.dtype)) or apply(c, rho, sp))
+        rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space, n_random_inputs=n_random)
+        assert rep.passed and rep.method == "commuting"
+        d = inst.space.total_dim
+        walk = [dtype for shape, dtype in seen if shape[1:] == (d, d) and len(shape) == 3]
+        t = len(inst.witness_channels)
+        assert walk == [dt for dt in dtypes for _ in range(t)]
+
+    def test_complex_map_keeps_complex_stack(self):
+        chans, sp = eps_pair(1e-12), uniform_space(2)
+        assert chans[1].real_kraus is None
+        assert rfts._input_stacks(chans, 4, 1) == [(1, complex)]
+        assert rfts._input_stacks(chans[:1], 4, 1) == [(1, float)]
+        # at D = 4 I/D shares a complex stack with the random inputs
+        per = ch.stack_size(4)
+        assert rfts._input_stacks(chans[:1], 4, per + 2) == [(per, complex), (2, complex)]
+
+    def test_cap_sizes(self):
+        # kagome 2x2 (D = 4096) with I/D alone: 6 float64 states, 0.75 GiB,
+        # runs; D = 2^13 refuses, and so does a complex random input at D = 4096
+        chans = list(states.ccz_kagome(3, 1).witness_channels)
+        assert rfts._input_stacks(chans, 4096, 1) == [(1, float)]
+        with pytest.raises(ch.CapExceeded, match="D = 8192"):
+            rfts._input_stacks(chans, 8192, 1)
+        with pytest.raises(ch.CapExceeded, match="D = 4096"):
+            rfts._input_stacks(chans, 4096, 2)
+
+    def test_d_2_13_refused_before_allocating(self):
+        # 13 qubits, each reset to |0>: refused before any D x D array exists
+        sp = uniform_space(13)
+        zero = np.array([1.0, 0.0])
+        chans = [reset_channel(zero, [i]) for i in range(13)]
+        target = np.zeros(sp.total_dim)
+        target[0] = 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ch.CapExceeded, match="capped at 1.0 GiB"):
+                verify_robustness(chans, target, sp, n_random_inputs=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_patched_cap_refuses(self, monkeypatch):
+        # the estimate for kagome 3x1 (D = 512, I/D in float64): the stack,
+        # the five apply buffers and the held-state budget
+        inst = states.ccz_kagome(3, 1)
+        chans = list(inst.witness_channels)
+        need = 6 * 8 * 512**2 + ch.STACK_MAX_BYTES
+        monkeypatch.setattr(rfts, "ROBUSTNESS_MAX_BYTES", need)
+        kw = dict(trials=3, n_random_inputs=0, distance_exact_limit=256)
+        assert verify_robustness(chans, inst.psi, inst.space, **kw).passed
+        monkeypatch.setattr(rfts, "ROBUSTNESS_MAX_BYTES", need - 1)
+        calls = _count_applies(monkeypatch)
+        with pytest.raises(ch.CapExceeded, match="robustness walk"):
+            verify_robustness(chans, inst.psi, inst.space, **kw)
+        assert calls == []
+
+
 def union_embed_norms(xs, x_support, ys, y_support, space) -> np.ndarray:
     """Oracle for `_commutator_norms`: every operator embedded on the union
     of the two supports (`hilbert.act` on the identity), and each commutator
