@@ -805,12 +805,11 @@ def run_diagonal(
     """`run_framed` on the framed state diag(p), held as its weight vector p.
 
     A monomial channel step maps a state diagonal in the frame B to one
-    diagonal in B, out[rows] += |vals|^2 p[cols] over its forms, and a
-    permutation step reindexes p; so every input diagonal in B, I/D among
-    them, stays diagonal, and the run costs O(D) per step with no D x D
-    state, `rotate_in` or `rotate_out`. The entries are sums of nonnegative
-    terms, so an exact zero stays zero and `flatnonzero(p)` is the occupied
-    set of the framed state. Each point takes the rank from p over that set
+    diagonal in B, and a permutation step reindexes it; so every input
+    diagonal in B, I/D among them, stays diagonal, and each step is one
+    `diagonal_step` on p, at O(D) with no D x D state, `rotate_in` or
+    `rotate_out`; `flatnonzero(p)` is the occupied set of the framed state.
+    Each point takes the rank from p over that set
     S (`diagonal_rank`) and the distance to the framed target B^H psi from
     the secular equation of diag(p[S]) less a rank-one term
     (`diagonal_distance_to_pure_on`), at O(|S|) per bisection step and with
@@ -818,13 +817,11 @@ def run_diagonal(
     documents.
     The circuit must have a frame; the caller checks `frame_defect`.
     """
-    space = circuit.space
     frame = circuit.frame
     if frame is None:
         raise ChannelError("a diagonal run needs a circuit with a frame")
     p = np.asarray(p, dtype=float)
-    d = space.total_dim
-    if p.shape != (d,):
+    if p.shape != (circuit.space.total_dim,):
         raise ChannelError("weight vector does not match the space")
 
     def point(t, w):
@@ -832,15 +829,21 @@ def run_diagonal(
         dist = None if target is None else diagonal_distance_to_pure_on(w[s], s, target)
         return TrajectoryPoint(t, diagonal_rank(w), dist)
 
-    def step(ch, w):
-        if isinstance(ch, PermutationStep):
-            return w[np.argsort(ch.perm)]
-        out = np.zeros(d)
-        for rows, cols, vals in frame.monomial_kraus(ch, space)[0]:
-            out[rows] += (vals * vals.conj()).real * w[cols]
-        return out
+    return _walk(circuit, p, lambda st, w: diagonal_step(st, w, frame), point, target is not None, record)
 
-    return _walk(circuit, p, step, point, target is not None, record)
+
+def diagonal_step(step: Channel | PermutationStep, w: np.ndarray, frame: Frame) -> np.ndarray:
+    """One step on the framed state diag(w), held as its weight vector w: a
+    permutation step reindexes w, and a channel step sums out[rows] +=
+    |vals|^2 w[cols] over its forms (`Frame.monomial_kraus`). With
+    |vals| > `DEFAULT_TOL.frame`, the support of the output is the image of
+    that of w exactly."""
+    if isinstance(step, PermutationStep):
+        return w[np.argsort(step.perm)]
+    out = np.zeros(w.size)
+    for rows, cols, vals in frame.monomial_kraus(step, frame.space)[0]:
+        out[rows] += (vals * vals.conj()).real * w[cols]
+    return out
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from . import rfts as rfts_mod
 from . import scheduler as sched_mod
 from . import states as states_mod
 from . import subspaces as sub_mod
-from ._linalg import CLUSTER_RTOL, DEFAULT_TOL
+from ._linalg import CLUSTER_RTOL, DEFAULT_TOL, random_density
 from .channels import CapExceeded, Channel, ChannelError, Circuit
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
@@ -59,12 +59,34 @@ def _j2array(data, ndim: int) -> np.ndarray:
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise InputError(f"expected a {'vector' if ndim == 1 else 'matrix'} of [re, im] pairs, "
                          f"got an array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError("expected finite [re, im] pairs, got NaN or infinity")
     # reinterpret each (re, im) pair in place, bit for bit
     return a.view(complex)[..., 0]
 
 
 def _j2vec(data) -> np.ndarray:
     return _j2array(data, 1)
+
+
+def _unit_vector(v: np.ndarray, where: str) -> np.ndarray:
+    """A state vector read from a file, normalized; zero norm is refused."""
+    nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < math.inf:
+        raise InputError(f"{where}: a state vector needs a positive, finite norm, got {nrm}")
+    return v / nrm
+
+
+def _density_matrix(rho: np.ndarray, where: str) -> np.ndarray:
+    """A density matrix read from a file, scaled to unit trace; it must be
+    nonzero, Hermitian to 1e-9 of its largest entry and positive
+    semidefinite to 1e-9 of its largest eigenvalue."""
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    ev = np.linalg.eigvalsh(rho)
+    if herm > 1e-9 * np.max(np.abs(rho)) or not ev[-1] > 0 or ev[0] < -1e-9 * ev[-1]:
+        raise InputError(f"{where}: not a nonzero positive semidefinite Hermitian matrix (Hermitian "
+                         f"defect {herm:.1e}, eigenvalues {ev[0]:.1e} to {ev[-1]:.1e})")
+    return rho / np.sum(ev)
 
 
 def _j2mat(data) -> np.ndarray:
@@ -252,11 +274,12 @@ def load_problem(path: str):
         psi = _j2vec(state_spec["vector"])
         if psi.shape[0] != space.total_dim:
             raise InputError("/state/vector: length does not match the space")
-        psi = psi / np.linalg.norm(psi)
+        psi = _unit_vector(psi, "/state/vector")
     else:
         rho = _j2mat(state_spec["matrix"])
         if rho.shape != (space.total_dim, space.total_dim):
             raise InputError("/state/matrix: shape does not match the space")
+        rho = _density_matrix(rho, "/state/matrix")
     inst = states_mod.StateInstance(
         name=data.get("name", "problem"),
         space=space, neighborhoods=nstruct, psi=psi, rho=rho,
@@ -481,7 +504,7 @@ def cmd_synth(args):
         ok, verdicts = ver.passed, {"synthesized": True, "verified": ver.passed}
         certificates = {
             "ranks": list(cert.ranks),
-            "steps": cert.steps,
+            "steps": len(circ),
             "cooling_rate": frame.copies,
             "schmidt_dim": frame.schmidt_dim,
             "final_distance": ver.max_final_distance,
@@ -534,8 +557,6 @@ def cmd_simulate(args):
         target = inst.psi
     rho0 = None  # I/D, for --initial mixed
     if args.initial == "random":
-        from ._linalg import random_density
-
         rho0 = random_density(d, rng)
     elif args.initial != "mixed":
         try:
@@ -543,7 +564,7 @@ def cmd_simulate(args):
                 v = _j2vec(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read initial state: {exc}") from exc
-        v = v / np.linalg.norm(v)
+        v = _unit_vector(v, "initial state")
         rho0 = np.outer(v, v.conj())
     orders = [tuple(range(len(circ.steps)))]
     if args.shuffle:
@@ -739,12 +760,10 @@ def _ugen_and_fts(inst, seed):
 
 
 def _fts_cert(ver) -> dict:
-    """The path that decided an FTS verification and its proof's margins."""
-    occ = ver.final_occupied
+    """The proof that decided an FTS verification and its margins."""
     return {
-        "method": ver.method,
-        "drawn_inputs": ver.trials,
-        "final_occupied": None if occ is None else list(occ),
+        "method": "occupied-set",
+        "final_occupied": list(ver.final_occupied),
         "tp_defect": ver.tp_defect,
         "worst_input_bound": ver.worst_input_bound,
         "frame_defect": ver.frame_defect,

@@ -18,7 +18,7 @@ from . import channels as ch
 from . import hilbert
 from . import lie
 from . import subspaces
-from ._linalg import complete_basis, random_density, random_pure
+from ._linalg import complete_basis
 from .channels import Channel, Circuit, make_channel
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
@@ -97,26 +97,9 @@ def cooling_map(frame: ch.Frame) -> Channel:
     return make_channel(kraus, frame.region, label="W")
 
 
-def _cool_weights(w: np.ndarray, frame: ch.Frame) -> np.ndarray:
-    """Weight-vector action of the cooling map in the ordered basis: each copy
-    family, r consecutive vectors, merges onto its first; the s * dim(rest)
-    families come first and the remainder is left alone."""
-    r = frame.copies
-    groups = frame.schmidt_dim * (frame.dim // frame.local.shape[0])
-    out = w.copy()
-    for alpha in range(groups):
-        base = alpha * r
-        total = out[base : base + r].sum()
-        out[base : base + r] = 0.0
-        out[base] = total
-    return out
-
-
 @dataclass(frozen=True)
 class FtsCertificate:
-    ranks: tuple[int, ...]
-    steps: int
-    cooling_rounds: int
+    ranks: tuple[int, ...]  # after each cooling round
 
 
 def synthesize_fts(
@@ -133,64 +116,53 @@ def synthesize_fts(
     fix the target (column 0 of the ordered basis) and move the currently
     occupied basis vectors to the front of the order, so each cooling
     application merges as many copies as possible.
+
+    The occupied sets are those of I/D's weight vector, stepped through the
+    circuit as it grows (`channels.diagonal_step`), the run `verify_fts`
+    proves with; each rank counts exact nonzeros. The cooling map's forms
+    are built once and cached on the frame, for the proof and framed runs.
     """
     if plan is None:
         plan = plan_fts(psi, nstruct, space, force=force)
     d = space.total_dim
     w_channel = cooling_map(plan)
-    weights = np.full(d, 1.0 / d)
     steps: list[Channel | ch.PermutationStep] = [w_channel]
-    weights = _cool_weights(weights, plan)
-    ranks = [int(np.sum(weights > 1e-15))]
-    guard = 4 * d
-    rounds = 1
+    weights = ch.diagonal_step(w_channel, np.full(d, 1.0 / d), plan)
+    ranks = [int(np.count_nonzero(weights))]
     while ranks[-1] > 1:
-        if rounds > guard:
+        if len(ranks) > 4 * d:
             raise FtsError("cooling did not terminate; preconditions violated?")
-        occupied = np.flatnonzero(weights > 1e-15)
-        perm = np.empty(d, dtype=int)
-        perm[occupied] = np.arange(len(occupied))
-        rest = np.setdiff1d(np.arange(d), occupied, assume_unique=True)
-        perm[rest] = np.arange(len(occupied), d)
-        # unitary permuting ordered-basis vectors; fixes psi since occupied[0]=0
-        steps.append(ch.permutation_step(perm, space, label=f"U_{rounds}"))
-        new_w = np.zeros(d)
-        new_w[perm] = weights
-        weights = _cool_weights(new_w, plan)
-        steps.append(w_channel)
-        ranks.append(int(np.sum(weights > 1e-15)))
-        rounds += 1
-    circ = Circuit(tuple(steps), space, plan)
-    return circ, FtsCertificate(ranks=tuple(ranks), steps=len(steps), cooling_rounds=rounds)
+        # frame vector j goes to perm[j]: the occupied vectors to the front,
+        # the rest after them, each in index order; fixes psi since weights[0] > 0
+        occupied, perm = weights != 0, np.empty(d, dtype=int)
+        perm[occupied], perm[~occupied] = np.arange(ranks[-1]), np.arange(ranks[-1], d)
+        steps += [ch.permutation_step(perm, space, label=f"U_{len(ranks)}"), w_channel]
+        for step in steps[-2:]:
+            weights = ch.diagonal_step(step, weights, plan)
+        ranks.append(int(np.count_nonzero(weights)))
+    return Circuit(tuple(steps), space, plan), FtsCertificate(ranks=tuple(ranks))
 
 
 @dataclass(frozen=True)
 class FtsVerification:
-    """What `verify_fts` proved or sampled.
+    """What `verify_fts` proved, from one framed run of I/D.
 
-    `method` is "occupied-set" (every input, from one framed I/D run) or
-    "drawn-inputs" (I/D plus the drawn inputs, for a circuit without a frame).
-    `max_final_distance` is the largest final trace distance to the target
-    over the inputs run: on the occupied-set path, that of I/D alone.
-    `trials` counts the drawn inputs run, 0 on the occupied-set path. The
-    other fields are None on the drawn-inputs path: `final_occupied`, the
-    occupied set of the framed I/D run's final state; `tp_defect`, the
-    largest |c_j - 1| over the column sums c_j of the channel steps' monomial
-    forms; `worst_input_bound`, the bound on the final distance of every
-    input; and `frame_defect` (`channels.frame_defect`): the frame's
-    unitarity defect or an upper bound, read from the frame's factors, on
-    every entry of a channel step off its monomial form, whichever is
-    larger.
+    `max_final_distance` is the final trace distance of I/D to the target;
+    `final_occupied`, the occupied set of its final framed state;
+    `tp_defect`, the largest |c_j - 1| over the column sums c_j of the
+    channel steps' monomial forms; `worst_input_bound`, the bound on the
+    final distance of every input; and `frame_defect`
+    (`channels.frame_defect`): the frame's unitarity defect or an upper
+    bound, read from the frame's factors, on every entry of a channel step
+    off its monomial form, whichever is larger.
     """
 
     passed: bool
     max_final_distance: float
-    trials: int
-    method: str
-    final_occupied: tuple[int, ...] | None = None
-    tp_defect: float | None = None
-    worst_input_bound: float | None = None
-    frame_defect: float | None = None
+    final_occupied: tuple[int, ...]
+    tp_defect: float
+    worst_input_bound: float
+    frame_defect: float
 
 
 def verify_fts(
@@ -201,8 +173,8 @@ def verify_fts(
     tol: float = 1e-8,
 ) -> FtsVerification:
     """Prove that the circuit drives every input to psi, from one run of I/D
-    in its frame; a circuit without a frame runs I/D plus `trials` random
-    mixed and `trials` random pure inputs.
+    in its frame. A circuit without a frame is refused (ChannelError).
+    `trials` and `seed` are accepted and not read: the proof draws no input.
 
     The proof holds under the model every framed run uses (`channels.run`):
     the frame B is unitary and every channel step is its monomial form in B,
@@ -213,32 +185,20 @@ def verify_fts(
     rows[cols in S], S the occupied set of its input; a permutation step
     reindexes S. I/D is the exact diagonal 1/D in the frame, and it stays
     diagonal, so it runs as its weight vector p (`channels.run_diagonal`),
-    with out[rows] += |vals|^2 p[cols]: every entry of that image is a sum of
-    positive terms (|vals| > `DEFAULT_TOL.frame`), so the I/D run's occupied
-    set, the support of p, is the image exactly, and by induction it holds
-    every input's framed state at every step. If the final set is {0},
-    every input ends as tau |e_0><e_0|. Each channel step scales the trace
-    of a positive input by between 1 - delta and 1 + delta, delta =
-    `tp_defect`, so any two inputs' final traces differ by at most
-    (1 + delta)^n - (1 - delta)^n over the n channel steps, and every input's final distance to psi is at most
-    `worst_input_bound` = I/D's final distance + half that. The check passes
-    iff the final set is {0} and `worst_input_bound` < tol.
+    whose support fills that image exactly (`channels.diagonal_step`); by
+    induction it holds every input's framed state at every step. If the
+    final set is {0}, every input ends as tau |e_0><e_0|. Each channel step
+    scales the trace of a positive input by between 1 - delta and
+    1 + delta, delta = `tp_defect`, so any two inputs' final traces differ
+    by at most (1 + delta)^n - (1 - delta)^n over the n channel steps, and
+    every input's final distance to psi is at most `worst_input_bound` =
+    I/D's final distance + half that. The check passes iff the final set is
+    {0} and `worst_input_bound` < tol.
     """
-    d = circuit.space.total_dim
-    psi = np.asarray(psi, dtype=complex)
     frame = circuit.frame
     if frame is None:
-        rng = np.random.default_rng(seed)
-        inputs = [np.eye(d, dtype=complex) / d]
-        for _ in range(trials):
-            inputs.append(random_density(d, rng))
-            v = random_pure(d, rng)
-            inputs.append(np.outer(v, v.conj()))
-        worst = max(
-            ch.run(circuit, rho, target=psi, record=False)[1][-1].trace_distance for rho in inputs
-        )
-        return FtsVerification(passed=worst < tol, max_final_distance=worst, trials=2 * trials,
-                               method="drawn-inputs")
+        raise ch.ChannelError("verify_fts needs a circuit with a frame")
+    d = circuit.space.total_dim
     defect = ch.frame_defect(circuit)
     final, last = ch.run_diagonal(circuit, np.full(d, 1.0 / d), frame.apply(psi, adjoint=True), record=False)
     dist = last[-1].trace_distance
@@ -250,8 +210,6 @@ def verify_fts(
     return FtsVerification(
         passed=final_occupied == (0,) and bound < tol,
         max_final_distance=dist,
-        trials=0,
-        method="occupied-set",
         final_occupied=final_occupied,
         tp_defect=delta,
         worst_input_bound=bound,

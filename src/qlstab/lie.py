@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, subspaces
 from ._linalg import (
     CLUSTER_RTOL,
     DEFAULT_TOL,
@@ -24,7 +24,7 @@ from ._linalg import (
 from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
 
-# largest memory one pass of `lie_closure` may hold (`_pass_bytes`)
+# largest memory a `lie_closure` pass (`_pass_bytes`) or the certificate (`_generator_bytes`) may hold
 UGEN_MAX_BYTES = 1 << 30
 
 
@@ -229,14 +229,33 @@ class UgenVerdict:
     weakest_edge: float | None
 
 
+def _generator_count(psi, nstruct, space) -> int:
+    """G from Schmidt ranks alone: anti-Hermitian X on neighborhood k (dim m_k)
+    stabilizes psi iff it is i theta on the Schmidt span (dimension s_k) and
+    anything on its complement, so G = sum_k (1 + (m_k - s_k)^2)."""
+    return sum(1 + (space.dim_of(nk) - subspaces.schmidt_span(psi, nk, space).dim) ** 2 for nk in nstruct)
+
+
+def _generator_bytes(g: int, n: int) -> int:
+    """Bytes the certificate holds: the (g, n, n) complex stacks y_g, V^H y_g
+    and V^H y_g V (`_certificate`), and four complex n x n arrays' worth of V,
+    the differences, their order and the link weights."""
+    return 16 * n * n * (3 * g + 4)
+
+
 def _rotated_generators(psi, nstruct, space):
     """Neighborhood stabilizer generators in the frame where psi = e_0.
 
     Returns (c values, Y blocks, largest ||X psi - <psi|X psi> psi||);
-    each generator is ic ⊕ Y in that frame.
+    each generator is ic ⊕ Y in that frame. Raises `CapExceeded`, before any
+    D x D array is built, when the certificate would exceed `UGEN_MAX_BYTES`.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
+    g, n = _generator_count(psi, nstruct, space), space.total_dim - 1
+    if (nbytes := _generator_bytes(g, n)) > UGEN_MAX_BYTES:
+        raise CapExceeded(f"ugen certificate on {g} generators of size {n} needs {nbytes / 2**30:.1f} GiB, "
+                          f"capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB")
     q = complete_basis(psi)
     cs, ys, resid = [], [], 0.0
     for nk in nstruct:

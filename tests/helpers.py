@@ -2,9 +2,10 @@
 
 The package never builds basis vectors, random unitaries or unitary channels,
 never needs a projector set's dense Hamiltonian, never forms or exponentiates
-a dense generator, and never estimates eta from drawn inputs, from below by
-ascents or from above by power iteration; the tests do, to state inputs and
-oracles.
+a dense generator, never estimates eta from drawn inputs, from below by
+ascents or from above by power iteration, never runs an FTS circuit on drawn
+inputs, and never steps the cooling map's weight vector by hand; the tests
+do, to state inputs and oracles.
 """
 
 import math
@@ -126,6 +127,62 @@ def dense_monomial_forms(ch: Channel, frame: chan_mod.Frame, space: Multipartite
     if defect > tol:
         raise ChannelError(f"channel {ch.label!r} is not monomial in the frame, defect {defect:.3e}")
     return tuple(forms), defect
+
+
+def cool_weights(w: np.ndarray, frame: chan_mod.Frame) -> np.ndarray:
+    """The oracle of the cooling map's `channels.diagonal_step`: its
+    weight-vector action in the ordered basis, written by hand. Each copy
+    family, r consecutive vectors, merges onto its first; the s * dim(rest)
+    families come first and the remainder is left alone."""
+    r = frame.copies
+    groups = frame.schmidt_dim * (frame.dim // frame.local.shape[0])
+    out = w.copy()
+    for alpha in range(groups):
+        base = alpha * r
+        total = out[base : base + r].sum()
+        out[base : base + r] = 0.0
+        out[base] = total
+    return out
+
+
+def cool_schedule(frame: chan_mod.Frame):
+    """The oracle of `fts.synthesize_fts`: the ranks and permutation arrays of
+    its cooling schedule, from `cool_weights` with occupied meaning a weight
+    above 1e-15."""
+    d = frame.dim
+    weights = cool_weights(np.full(d, 1.0 / d), frame)
+    ranks, perms = [int(np.sum(weights > 1e-15))], []
+    while ranks[-1] > 1:
+        occupied = np.flatnonzero(weights > 1e-15)
+        perm = np.empty(d, dtype=int)
+        perm[occupied] = np.arange(len(occupied))
+        rest = np.setdiff1d(np.arange(d), occupied, assume_unique=True)
+        perm[rest] = np.arange(len(occupied), d)
+        perms.append(perm)
+        new_w = np.zeros(d)
+        new_w[perm] = weights
+        weights = cool_weights(new_w, frame)
+        ranks.append(int(np.sum(weights > 1e-15)))
+    return ranks, perms
+
+
+def drawn_inputs(d: int, trials: int, seed: int) -> list[np.ndarray]:
+    """I/D, then `trials` random mixed and `trials` random pure states."""
+    rng = np.random.default_rng(seed)
+    inputs = [np.eye(d, dtype=complex) / d]
+    for _ in range(trials):
+        inputs.append(random_density(d, rng))
+        v = random_pure(d, rng)
+        inputs.append(np.outer(v, v.conj()))
+    return inputs
+
+
+def drawn_input_distance(circuit: chan_mod.Circuit, psi: np.ndarray, trials: int = 5, seed: int = 1) -> float:
+    """The drawn-input oracle of `fts.verify_fts`: the largest final trace
+    distance to psi over `drawn_inputs`, each run through `channels.run`,
+    with or without a frame."""
+    return max(chan_mod.run(circuit, rho, target=psi, record=False)[1][-1].trace_distance
+               for rho in drawn_inputs(circuit.space.total_dim, trials, seed))
 
 
 # ---------------------------------------------------------------------------

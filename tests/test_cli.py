@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,18 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "cap exceeded: robustness walk over 2 inputs of D = 32" in captured.err
 
+    def test_ugen_generator_cap_exit_3(self, tmp_path, capsys):
+        # VBS 6: 178 generators of size 728 would need 4.2 GiB; the cap is
+        # decided from Schmidt ranks before any D x D array is built
+        problem = write_json(tmp_path, "problem.json", {"state": {"constructor": {"name": "vbs1d",
+                                                                                  "params": {"n": 6}}}})
+        tracemalloc.start()
+        rc = main(["check", "ugen", problem])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == 3 and peak < 50e6
+        assert "cap exceeded: ugen certificate on 178 generators of size 728" in capsys.readouterr().err
+
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         from qlstab import lie
 
@@ -294,8 +307,8 @@ class TestSynthSimulate:
         assert rc == 0
         assert out["certificates"]["final_distance"] < 1e-10
         cert = out["certificates"]
-        # the framed circuit is proved for every input; no input was drawn
-        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        # the framed circuit is proved for every input
+        assert (cert["method"], cert["final_occupied"]) == ("occupied-set", [0])
         assert cert["final_distance"] <= cert["worst_input_bound"] < 1e-10
         assert 0.0 <= cert["tp_defect"] < 1e-12
         traj_path = str(tmp_path / "traj.csv")
@@ -515,7 +528,7 @@ class TestReproduce:
     def test_fts_path_reported(self, name, capsys):
         assert main(["reproduce", name]) == 0
         cert = json.loads(capsys.readouterr().out)["certificates"][name]["certificates"]
-        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        assert (cert["method"], cert["final_occupied"]) == ("occupied-set", [0])
         assert cert["final_distance"] <= cert["worst_input_bound"] < 1e-10
         assert cert["tp_defect"] < 1e-12 and cert["frame_defect"] < 1e-12
 
@@ -737,8 +750,8 @@ _GHZ3 = {
 }
 
 # (check subcommand, problem) pairs, each breaking one index rule on a
-# 3-site chain or one shape rule of the problem file; every one must end
-# with exit code 2, not a traceback
+# 3-site chain, one shape rule of the problem file or one rule of a state
+# vector or matrix; every one must end with exit code 2, not a traceback
 MALFORMED_PROBLEMS = {
     "neighborhood-out-of-range": ("qls", {**_CHAIN3, "neighborhoods": [[1, 2], [3, 9]]}),
     "neighborhood-zero": ("qls", {**_CHAIN3, "neighborhoods": [[0, 1], [2, 3]]}),
@@ -768,6 +781,17 @@ MALFORMED_PROBLEMS = {
     "explicit-space-dims-not-integers": ("qls", {**_GHZ3, "space": {"dims": "ab"}, "neighborhoods": [[1]]}),
     "explicit-space-dim-zero": ("qls", {**_GHZ3, "space": {"dims": [2, 0]}, "neighborhoods": [[1], [2]]}),
     "explicit-space-missing": ("qls", {"state": _GHZ3["state"], "neighborhoods": [[1, 2, 3]]}),
+    "vector-zero": ("qls", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]], "state": {"vector": [[0.0, 0.0]] * 8}}),
+    "vector-nan": ("sss", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]],
+                           "state": {"vector": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}}),
+    "matrix-zero": ("cmi", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]],
+                            "state": {"matrix": _pairs(np.zeros((8, 8)))}}),
+    "matrix-not-hermitian": ("cmi", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]],
+                                     "state": {"matrix": _pairs(np.eye(8) / 8 + 0.1 * np.eye(8, k=1))}}),
+    "matrix-not-psd": ("cmi", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]],
+                               "state": {"matrix": _pairs(np.diag([1.0, -0.5] + [0.0] * 6))}}),
+    "matrix-infinite": ("cmi", {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]],
+                                "state": {"matrix": _pairs(np.diag([np.inf] + [0.0] * 7))}}),
 }
 
 # lattice files for `schedule`, each malformed
@@ -795,16 +819,25 @@ class TestMalformedProblem:
         assert rc in (0, 1)
         assert json.loads(capsys.readouterr().out)["task"] == f"check {sub}"
 
+    def test_matrix_state_scaled_to_unit_trace(self, tmp_path):
+        # the well-formed sibling of the matrix cases: twice the GHZ projector
+        ghz = np.zeros(8)
+        ghz[[0, 7]] = 0.5 ** 0.5
+        problem = {**_GHZ3, "neighborhoods": [[1, 2], [2, 3]], "state": {"matrix": _pairs(2 * np.outer(ghz, ghz))}}
+        inst, _ = load_problem(write_json(tmp_path, "problem.json", problem))
+        assert np.allclose(inst.rho, np.outer(ghz, ghz), atol=1e-15)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_LATTICES))
     def test_schedule_exit_2(self, case, tmp_path, capsys):
         rc = main(["schedule", write_json(tmp_path, "lattice.json", MALFORMED_LATTICES[case])])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("initial", ["nosuch.json", "wrong-length.json"])
+    @pytest.mark.parametrize("initial", ["nosuch.json", "wrong-length.json", "zero.json"])
     def test_simulate_initial_exit_2(self, initial, tmp_path, capsys):
         circuit = write_json(tmp_path, "circuit.json", {"dims": [2, 2], "steps": [{"support": [2], "kraus": [_X]}]})
         write_json(tmp_path, "wrong-length.json", [[1.0, 0.0], [0.0, 0.0]])
+        write_json(tmp_path, "zero.json", [[0.0, 0.0]] * 4)
         rc = main(["simulate", circuit, "--initial", str(tmp_path / initial)])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
@@ -911,7 +944,7 @@ class TestFramedCircuitFile:
         assert main(["synth", "fts", problem, "--circuit", circuit_path]) == 0
         cert = json.loads(capsys.readouterr().out)["certificates"]
         assert cert["steps"] == 1
-        assert (cert["method"], cert["final_occupied"], cert["drawn_inputs"]) == ("occupied-set", [0], 0)
+        assert (cert["method"], cert["final_occupied"]) == ("occupied-set", [0])
         with open(circuit_path) as fh:
             data = json.load(fh)
         assert "frame" in data and not any("permutation" in s for s in data["steps"])

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import basis_state, remainder_dim
+from helpers import basis_state, cool_schedule, drawn_input_distance, drawn_inputs, remainder_dim
 from qlstab import channels as ch
 from qlstab import fts, states
-from qlstab._linalg import random_density, random_pure, trace_distance
+from qlstab._linalg import random_density, trace_distance
 from qlstab.channels import Circuit, apply, check_invariance, superoperator
 from qlstab.fts import (
     FtsError,
@@ -121,7 +121,27 @@ class TestCoolingMap:
         assert np.max(np.abs(sa - sb)) < 1e-9
 
 
+_SCHEDULE_STATES = {
+    "dicke": lambda: states.dicke(4, 2),
+    **{f"vbs{n}": (lambda n=n: states.vbs_1d(n)) for n in range(3, 8)},
+    "line3": lambda: states.line_graph_state(3),
+    "ccz-triangle": states.ccz_triangle,
+}
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("name", _SCHEDULE_STATES)
+    def test_schedule_matches_hand_written_weights(self, name):
+        # the schedule stepped through the cooling map's frame forms, with
+        # exact nonzeros, against the hand-written merge of copy families
+        # with a 1e-15 cut: the same ranks and the same permutation arrays
+        inst = _SCHEDULE_STATES[name]()
+        circ, cert = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+        ranks, perms = cool_schedule(circ.frame)
+        assert list(cert.ranks) == ranks
+        ours = [s.perm for s in circ.steps if isinstance(s, ch.PermutationStep)]
+        assert len(ours) == len(perms) and all(np.array_equal(a, b) for a, b in zip(ours, perms))
+
     def test_dicke_circuit(self):
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
@@ -146,7 +166,7 @@ class TestSynthesize:
         inst = states.vbs_1d(3)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         circ, cert = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-        assert cert.cooling_rounds <= 3
+        assert len(cert.ranks) <= 3
         rho = np.eye(27, dtype=complex) / 27
         final, _ = ch.run(circ, rho, record=False)
         assert trace_distance(final, inst.density()) < 1e-10
@@ -164,9 +184,11 @@ class TestVerify:
         inst = states.dicke(4, 2)
         plan = plan_fts(inst.psi, inst.neighborhoods, inst.space)
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
-        rep = verify_fts(circ, inst.psi, trials=3)
+        rep = verify_fts(circ, inst.psi)
         assert rep.passed
         assert rep.max_final_distance < 1e-10
+        # trials and seed are accepted and not read: the proof draws nothing
+        assert verify_fts(circ, inst.psi, trials=3, seed=9) == rep
 
     def test_truncated_circuit_fails(self):
         inst = states.dicke(4, 2)
@@ -174,19 +196,29 @@ class TestVerify:
         circ, _ = synthesize_fts(inst.psi, inst.neighborhoods, inst.space, plan=plan)
         truncated = replace(circ, steps=circ.steps[:-1])
         assert truncated.frame is circ.frame
-        rep = verify_fts(truncated, inst.psi, trials=2)
+        rep = verify_fts(truncated, inst.psi)
         assert not rep.passed
-        # the proof path ran, and its final occupied set is not the target's
-        assert rep.method == "occupied-set" and len(rep.final_occupied) > 1
+        # its final occupied set is not the target's
+        assert len(rep.final_occupied) > 1
 
     def test_identity_circuit_not_attractive(self):
+        # the empty circuit on the Dicke frame leaves I/D, and every frame
+        # vector, where it is
         inst = states.dicke(4, 2)
-        circ = Circuit((), inst.space)
-        rep = verify_fts(circ, inst.psi, trials=1)
+        circ = Circuit((), inst.space, plan_fts(inst.psi, inst.neighborhoods, inst.space))
+        rep = verify_fts(circ, inst.psi)
         assert not rep.passed
-        # no frame: the drawn inputs decide, one mixed and one pure
-        assert (rep.method, rep.trials) == ("drawn-inputs", 2)
-        assert rep.final_occupied is rep.tp_defect is rep.worst_input_bound is rep.frame_defect is None
+        assert rep.final_occupied == tuple(range(16))
+        assert rep.tp_defect == 0.0 and rep.worst_input_bound == rep.max_final_distance
+        # the drawn-input oracle agrees, without the frame
+        assert drawn_input_distance(Circuit((), inst.space), inst.psi, trials=1) > 1e-8
+
+    def test_frameless_circuit_refused(self):
+        inst = states.dicke(4, 2)
+        w = cooling_map(plan_fts(inst.psi, inst.neighborhoods, inst.space))
+        for steps in ((), (w,)):
+            with pytest.raises(ch.ChannelError, match="frame"):
+                verify_fts(Circuit(steps, inst.space), inst.psi)
 
     def test_fts_implies_qls(self):
         for inst in (states.dicke(4, 2), states.vbs_1d(3)):
@@ -194,7 +226,7 @@ class TestVerify:
             circ, _ = synthesize_fts(
                 inst.psi, inst.neighborhoods, inst.space, plan=plan
             )
-            rep = verify_fts(circ, inst.psi, trials=2)
+            rep = verify_fts(circ, inst.psi)
             assert rep.passed
             assert check_qls(inst.psi, inst.neighborhoods, inst.space).qls
 
@@ -300,17 +332,6 @@ class TestFactoredFrame:
         assert np.max(np.abs(frame.basis - ref)) < 1e-13
 
 
-def _drawn_inputs(d, trials, seed):
-    """I/D, then `trials` random mixed and `trials` random pure states."""
-    rng = np.random.default_rng(seed)
-    inputs = [np.eye(d, dtype=complex) / d]
-    for _ in range(trials):
-        inputs.append(random_density(d, rng))
-        v = random_pure(d, rng)
-        inputs.append(np.outer(v, v.conj()))
-    return inputs
-
-
 def _framed_final(circ, rho):
     return ch.run_framed(circ, circ.frame.rotate_in(rho), record=False)[0]
 
@@ -326,10 +347,10 @@ class TestOccupiedSetProof:
         inst = make()
         circ = _fts_circuit(inst)
         rep = verify_fts(circ, inst.psi)
-        assert rep.passed and (rep.method, rep.trials, rep.final_occupied) == ("occupied-set", 0, (0,))
+        assert rep.passed and rep.final_occupied == (0,)
         assert rep.max_final_distance <= rep.worst_input_bound < 1e-12
         assert 0.0 <= rep.tp_defect < 1e-12 and rep.frame_defect == ch.frame_defect(circ)
-        for rho in _drawn_inputs(inst.space.total_dim, 2, 7):
+        for rho in drawn_inputs(inst.space.total_dim, 2, 7):
             assert set(ch.occupied(_framed_final(circ, rho))) <= set(rep.final_occupied)
             dist = ch.run(circ, rho, target=inst.psi, record=False)[1][-1].trace_distance
             assert dist <= rep.worst_input_bound
@@ -376,9 +397,7 @@ class TestOccupiedSetProof:
         assert abs(rep.tp_defect - (1 - (1 - 1e-6) ** 2)) < 1e-12
         # half of (1 + delta)^n - (1 - delta)^n is n delta to first order
         assert rep.worst_input_bound == pytest.approx(rep.max_final_distance + n_w * rep.tp_defect, rel=1e-9)
-        for rho in _drawn_inputs(16, 2, 8):
-            dist = ch.run(lossy, rho, target=inst.psi, record=False)[1][-1].trace_distance
-            assert dist <= rep.worst_input_bound
+        assert drawn_input_distance(lossy, inst.psi, trials=2, seed=8) <= rep.worst_input_bound
 
     def test_wrong_target_fails(self):
         inst = states.dicke(4, 2)
@@ -413,8 +432,8 @@ class TestFinalPoint:
     def test_verify_matches_distance_of_rotated_out_state(self, make):
         inst = make()
         circ = _fts_circuit(inst)
-        rep = verify_fts(circ, inst.psi, trials=2, seed=4)
-        inputs = _drawn_inputs(inst.space.total_dim, 2, 4)
+        rep = verify_fts(circ, inst.psi)
+        inputs = drawn_inputs(inst.space.total_dim, 2, 4)
         finals = [ch.run(circ, rho, record=False)[0] for rho in inputs]
         worst = max(trace_distance(f, inst.density()) for f in finals)
         assert abs(rep.max_final_distance - worst) < 1e-14

@@ -155,8 +155,18 @@ class TestUnitaryGeneration:
         sp = uniform_space(2)
         psi = np.kron([1, 0], [1, 0]).astype(complex)
         n = NeighborhoodStructure([[0], [1]])
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 1024)
+        # the certificate's generator stack fits (4 generators of size 3);
+        # the closure's first pass does not
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", lie_mod._generator_bytes(4, 3))
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
+            check_unitary_generation(psi, n, sp)
+
+    def test_generator_stack_over_cap_raises(self, monkeypatch):
+        sp = uniform_space(2)
+        psi = np.kron([1, 0], [1, 0]).astype(complex)
+        n = NeighborhoodStructure([[0], [1]])
+        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", lie_mod._generator_bytes(4, 3) - 1)
+        with pytest.raises(CapExceeded, match="ugen certificate on 4 generators of size 3"):
             check_unitary_generation(psi, n, sp)
 
 
@@ -326,3 +336,27 @@ class TestUgenDifferential:
             assert v.generated_dim == v.target_dim
             assert v.weakest_edge > lie_mod.CLUSTER_RTOL
             assert v.cluster_gaps[0] <= lie_mod.CLUSTER_RTOL < v.cluster_gaps[1]
+
+
+class TestGeneratorCap:
+    """The `UGEN_MAX_BYTES` guard of the certificate, decided from Schmidt
+    ranks before any D x D array is built."""
+
+    @pytest.mark.parametrize("name", [*INSTANCES, "disconnected-product", "dicke-5-2"])
+    def test_count_matches_generators(self, name):
+        if name == "dicke-5-2":
+            inst = states.dicke(5, 2)
+            problem = inst.psi, inst.neighborhoods, inst.space
+        else:
+            problem = _problem(name)
+        cs, ys, _ = lie_mod._rotated_generators(*problem)
+        assert lie_mod._generator_count(*problem) == len(cs) == len(ys)
+
+    def test_estimate_bounds_traced_peak(self):
+        inst = states.vbs_1d(4)
+        g = lie_mod._generator_count(inst.psi, inst.neighborhoods, inst.space)
+        tracemalloc.start()
+        assert check_unitary_generation(inst.psi, inst.neighborhoods, inst.space).ok
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= lie_mod._generator_bytes(g, inst.space.total_dim - 1)
