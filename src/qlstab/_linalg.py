@@ -101,12 +101,19 @@ def nullspace(
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of `a`.
 
-    The rank follows `rank_cutoff`, relative to `scale` when given.
+    The rank follows `rank_cutoff` at the shape of `a`, relative to `scale`
+    when given. A tall `a` (more rows than columns k) is first reduced to the
+    k x k triangular factor of its QR decomposition, which has the same
+    singular values and right singular vectors, so the SVD never forms the
+    tall left factor.
     """
     a = np.atleast_2d(np.asarray(a))
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    if a.shape[0] > a.shape[1]:
+        _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    else:
+        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     r = rank_cutoff(s, a.shape, rtol, scale)
     return vh[r:].conj().T
 

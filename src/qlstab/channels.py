@@ -7,6 +7,7 @@ lazily at application time, which keeps memory at the local dimension.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -66,6 +67,14 @@ class Channel:
         built on first use and kept with the channel; float64 for a real
         channel."""
         return _natural(self.real_kraus or self.kraus, self.local_dim, len(self.kraus))
+
+    @cached_property
+    def factor_memo(self) -> dict:
+        """The operator Schmidt factors of the Kraus operators across an
+        overlap, with their owners, kept with the channel: filled and read by
+        `rfts._channel_factors`, keyed by the overlap's positions in the
+        support and the dims of the support's sites."""
+        return {}
 
 
 def make_channel(kraus, support, label: str = "") -> Channel:
@@ -193,11 +202,14 @@ def _liouville_pays(m: int, n_kraus: int, d: int) -> bool:
     Per (m x m) block of the state S costs m^4 flops against 2 K m^3 for the
     Kraus operators one at a time, but it is one GEMM on a matrix cached with
     the channel (`Channel.natural`), where the Kraus form is 2 K smaller
-    products. Measured with 1 BLAS thread, per apply of a 2-Kraus channel:
-    on a D = 64 state, m = 4 took 73 us by Kraus operators against 43 us by
-    S, and m = 8 took 80 against 67 us; on a D = 256 state, m = 16 took 2245
-    against 2980 us. So S is used up to twice the Kraus form's flops,
-    m <= 4 K, and only when it has no more entries than the D x D state.
+    products. Measured with 1 BLAS thread, per apply of a real 2-Kraus
+    channel on a float64 state with a reused `Workspace` (Kraus operators
+    against S): on a D = 64 state, m = 4 took 43 against 29 us, m = 8 51
+    against 44 us and m = 16 85 against 115 us; on D = 256, 308 against 171,
+    360 against 295 and 514 against 1024 us; on D = 512, 2132 against 1041,
+    2253 against 1537 and 2835 against 3727 us. So S is used up to twice the
+    Kraus form's flops, m <= 4 K, and only when it has no more entries than
+    the D x D state.
     """
     return m <= 4 * n_kraus and m * m <= d
 
@@ -222,7 +234,55 @@ def _natural(mats, m: int, chunk: int) -> np.ndarray:
     return g.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
 
 
-def _apply_local(rho: np.ndarray, ch: Channel, space: MultipartiteSpace) -> np.ndarray:
+class Workspace:
+    """Scratch arrays that `apply` reuses from one call to the next.
+
+    The local branch takes its regrouped copy, its K @ x buffer, its sum and
+    its one term from here (`_apply_local`, `_kraus_blocks`) instead of
+    allocating them fresh: a fresh D x D array below numpy's 4 MiB huge-page
+    threshold is faulted in 4 KiB at a time on every apply. The regrouped
+    copy is one of two state buffers used in turn, and once the product no
+    longer reads it the result is written back into it; so a result returned
+    with a workspace is a view of the workspace, overwritten by a later apply
+    with the same workspace (copy it to keep it), and an input is never
+    written. Each buffer holds at most one state stack (N D^2 entries) and is
+    grown on first use, so the workspace holds at most `BUFFERS` times the
+    largest stack applied; it is freed with the workspace.
+    """
+
+    BUFFERS = ("state0", "state1", "kx", "sum", "term")
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._last = 1  # the state buffer written last
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self._buffers.values())
+
+    def array(self, name: str, shape, dtype) -> np.ndarray:
+        """The buffer `name` as an array of `shape` and `dtype`, grown first
+        when it is smaller."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            self._buffers.pop(name, None)  # freed before its successor is allocated
+            buf = self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+    def state(self, rho: np.ndarray) -> np.ndarray:
+        """The state buffer not written last, shaped and typed as rho, or the
+        other one when that one holds rho; the two are grown together."""
+        pair = [self.array(f"state{i}", rho.shape, rho.dtype) for i in (0, 1)]
+        turn = 1 - self._last
+        if np.may_share_memory(pair[turn], rho):
+            turn = self._last
+        self._last = turn
+        return pair[turn]
+
+
+def _apply_local(rho: np.ndarray, ch: Channel, space: MultipartiteSpace, work: Workspace | None = None) -> np.ndarray:
     """Apply a channel given by local Kraus matrices; one regrouping round trip.
 
     In the regrouped frame rho is x of shape (m, m, r^2 N): row region, column
@@ -237,8 +297,12 @@ def _apply_local(rho: np.ndarray, ch: Channel, space: MultipartiteSpace) -> np.n
     the float64 view of x, whose last axis interleaves the two parts (2 r^2 N
     real columns), at half the flops of the complex products. On a float64 x
     everything is float64.
+
+    With a workspace every buffer comes from it (`Workspace`), and the result
+    is written into the regrouped copy's buffer; the operations are the same.
     """
-    x = hilbert.to_blocks(rho, ch.support, space)
+    buf = None if work is None else work.state(rho)
+    x = hilbert.to_blocks(rho, ch.support, space, buf)
     kraus = ch.real_kraus
     if kraus is None:
         kraus = ch.kraus
@@ -246,23 +310,27 @@ def _apply_local(rho: np.ndarray, ch: Channel, space: MultipartiteSpace) -> np.n
         x = np.ascontiguousarray(x).view(float)
     m, _, cols = x.shape
     if _liouville_pays(m, len(kraus), space.total_dim):
-        out = ch.natural @ x.reshape(m * m, cols)
+        out = None if work is None else work.array("sum", (m * m, cols), x.dtype)
+        out = np.matmul(ch.natural, x.reshape(m * m, cols), out=out)
     else:
-        out = _kraus_blocks(x, kraus)
-    return hilbert.from_blocks(out.view(rho.dtype), ch.support, space, rho.shape[:-2])
+        out = _kraus_blocks(x, kraus, work)
+    return hilbert.from_blocks(out.view(rho.dtype), ch.support, space, rho.shape[:-2], out=buf)
 
 
-def _kraus_blocks(x: np.ndarray, kraus) -> np.ndarray:
+def _kraus_blocks(x: np.ndarray, kraus, work: Workspace | None = None) -> np.ndarray:
     """sum_k K-bar applied to the (m, c) slices of K @ x, for x of shape (m, m, c).
 
     One K @ x buffer and one term buffer serve every Kraus operator: a fresh
-    D x D temporary per operator costs a page fault per 4 KiB touched.
+    D x D temporary per operator costs a page fault per 4 KiB touched. With a
+    workspace those two and the sum are its buffers.
     """
     m, _, r2 = x.shape
     x = x.reshape(m, m * r2)
-    y = np.empty_like(x)
-    out = np.empty((m, m, r2), dtype=x.dtype)
-    term = None
+    if work is None:
+        y, out, term = np.empty_like(x), np.empty((m, m, r2), dtype=x.dtype), None
+    else:
+        y, out = work.array("kx", x.shape, x.dtype), work.array("sum", (m, m, r2), x.dtype)
+        term = work.array("term", (m, m, r2), x.dtype) if len(kraus) > 1 else None
     for i, k in enumerate(kraus):
         np.matmul(k, x, out=y)
         if i == 0:
@@ -273,7 +341,7 @@ def _kraus_blocks(x: np.ndarray, kraus) -> np.ndarray:
     return out
 
 
-def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
+def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace, work: Workspace | None = None) -> np.ndarray:
     """E(rho) for a D x D operator, or E of each operator of an (N, D, D) stack.
 
     A stack runs through the same kernel as one operator: the local branch
@@ -283,6 +351,12 @@ def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
     The arithmetic follows the data. A real channel (`Channel.real_kraus`)
     on a float64 rho runs in float64 and returns float64; every other pair
     returns complex128, rho converted as needed.
+
+    With a `Workspace` the local branch allocates no D x D array: it takes
+    its buffers from the workspace and returns its result in one of them, to
+    be copied if it must outlive a later apply with the workspace. The
+    result is bit for bit the one without. The full-support branch does not
+    use it.
     """
     if not isinstance(ch, Channel):
         raise ChannelError("permutation steps are applied only by `run`")
@@ -300,7 +374,7 @@ def apply(ch: Channel, rho: np.ndarray, space: MultipartiteSpace) -> np.ndarray:
         for k in ch.real_kraus if real else ch.kraus:
             out += k @ rho @ dagger(k)
         return out
-    return _apply_local(rho, ch, space)
+    return _apply_local(rho, ch, space, work)
 
 
 def apply_to_pure(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> list[np.ndarray]:
@@ -775,6 +849,11 @@ def run_framed(
     and the distance to the pure target t is `trace_distance_to_pure_on` of
     the same block: two eigensolves of at most |S| + 1 rows. Without a
     frame, or with S every index, these are the dense D x D computations.
+    One `eigh` of the block would give both, the distance from the secular
+    equation of diag(ev) less the rank-one term of V^H t[S]
+    (`diagonal_distance_to_pure_on`), but with 1 BLAS thread an `eigh` with
+    vectors of a 729 x 729 complex block took 0.60 s against 0.19 s for
+    `eigvalsh`, so the two value-only solves are the cheaper pair.
     """
     space = circuit.space
     frame = circuit.frame

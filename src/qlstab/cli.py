@@ -1080,25 +1080,41 @@ def cmd_reproduce(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """A `--tol` value: a positive, finite float (argparse exits 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+# the flags every command takes, before or after the subcommand, with their defaults
+GLOBAL_FLAGS = {
+    "--tol": dict(type=_tolerance, default=1e-8, help="verdict tolerance, positive and finite"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--threads": dict(type=int, default=None, help="BLAS thread bound"),
+    "--cap-superop": dict(type=int, default=4096, help="max superoperator side length"),
+    "--output": dict(default=None, help="write the JSON report here"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand
+    # The top-level parser holds the defaults of the global flags. Each
+    # subcommand has its own copies, which default to SUPPRESS, so a
+    # subcommand writes only the flags given after it and never resets one
+    # given before it. The two sets must be distinct actions: a default set on
+    # an action shared with the subcommands would be theirs too.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="verdict tolerance")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="random seed")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="BLAS thread bound")
-    common.add_argument("--cap-superop", type=int, default=argparse.SUPPRESS,
-                        help="max superoperator side length")
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write the JSON report here")
     p = argparse.ArgumentParser(
         prog="qlstab",
-        parents=[common],
         description="Finite-time stabilization by quasi-local dissipative circuits",
     )
-    p.set_defaults(tol=1e-8, seed=0, threads=None, cap_superop=4096, output=None)
+    for flag, kw in GLOBAL_FLAGS.items():
+        p.add_argument(flag, **kw)
+        common.add_argument(flag, **{**kw, "default": argparse.SUPPRESS})
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", parents=[common],

@@ -183,28 +183,39 @@ def _block_order(region: tuple[int, ...], dims: tuple[int, ...], stacked: bool):
     return forward, tuple(int(i) for i in np.argsort(forward))
 
 
-def to_blocks(rho: np.ndarray, region, space: MultipartiteSpace) -> np.ndarray:
+def to_blocks(rho: np.ndarray, region, space: MultipartiteSpace, out: np.ndarray | None = None) -> np.ndarray:
     """A D x D operator as (m, m, r * r): the row factors of the sorted
     `region`, its column factors, then the rest of the row and column index.
 
     An (N, D, D) stack gives (m, m, r * r * N): the stack index joins the rest
     as its fastest axis, so a map acting on the region treats the N operators
-    as N times the columns.
+    as N times the columns. With `out`, a contiguous array of as many entries
+    and rho's dtype, the result is written into it and returned as its view.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
     m = space.dim_of(region)
     forward, _ = _block_order(_key(region), space.dims, bool(lead))
-    return rho.reshape(lead + space.dims * 2).transpose(forward).reshape(m, m, -1)
+    t = rho.reshape(lead + space.dims * 2).transpose(forward)
+    if out is None:
+        return t.reshape(m, m, -1)
+    np.copyto(out.reshape(t.shape), t)
+    return out.reshape(m, m, -1)
 
 
-def from_blocks(y: np.ndarray, region, space: MultipartiteSpace, stack: tuple[int, ...] = ()) -> np.ndarray:
+def from_blocks(y: np.ndarray, region, space: MultipartiteSpace, stack: tuple[int, ...] = (),
+                out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of `to_blocks`: any array of N * D * D entries in block order
-    -> (D, D), or (N, D, D) with `stack` = (N,)."""
+    -> (D, D), or (N, D, D) with `stack` = (N,); written into `out` when
+    given, as `to_blocks` does."""
     forward, inverse = _block_order(_key(region), space.dims, bool(stack))
     dims = tuple(stack) + space.dims * 2
     t = np.asarray(y).reshape([dims[i] for i in forward]).transpose(inverse)
-    return t.reshape(tuple(stack) + (space.total_dim, space.total_dim))
+    shape = tuple(stack) + (space.total_dim, space.total_dim)
+    if out is None:
+        return t.reshape(shape)
+    np.copyto(out.reshape(t.shape), t)
+    return out.reshape(shape)
 
 
 def act(op: np.ndarray, region, x: np.ndarray, space: MultipartiteSpace) -> np.ndarray:

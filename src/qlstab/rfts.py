@@ -170,7 +170,8 @@ def commutant(ops: list[np.ndarray], dim: int | None = None) -> AlgebraBasis:
     label = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, dim)))
     rows, cols = np.nonzero(label[:, None] == label[None, :])
     k = len(rows)
-    # the system, the SVD's copy of it, and its left singular vectors
+    # the system, the factorization's copy of it, and a left factor of its size
+    # (an upper bound: `nullspace` takes a tall system through QR and forms none)
     nbytes = 3 * len(ops) * dim * dim * k * 16
     if nbytes > COMMUTANT_MAX_BYTES:
         raise ch.CapExceeded(
@@ -260,7 +261,32 @@ def _commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace) ->
     return norms
 
 
-def _partial_commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace):
+def _overlap_factors(ops, support, overlap, space: MultipartiteSpace):
+    """Every operator Schmidt factor on `overlap` of the operators `ops` on
+    the sites `support` of `space`, every nonzero singular value kept
+    (`_operator_schmidt_factors` at rtol = 0): the factors stacked (F, do, do),
+    and their owners one-hot (F, len(ops))."""
+    sub = MultipartiteSpace([space.dims[i] for i in support])
+    pos = [list(support).index(i) for i in overlap]
+    do = space.dim_of(overlap)
+    per_op = [_operator_schmidt_factors(op, pos, sub, rtol=0.0) for op in ops]
+    owner = np.repeat(np.arange(len(ops)), [len(f) for f in per_op])
+    stack = np.array([f for fs in per_op for f in fs], dtype=complex).reshape(-1, do, do)
+    return stack, np.eye(len(ops))[owner]
+
+
+def _channel_factors(c: Channel, overlap, space: MultipartiteSpace):
+    """`_overlap_factors` of the Kraus operators of `c`, memoized with the
+    channel (`Channel.factor_memo`) under the overlap's positions in its
+    support and the dims of its sites, so the pairs of a family factor each
+    (channel, overlap) once however many bounds read it."""
+    key = (tuple(c.support.index(i) for i in overlap), tuple(space.dims[i] for i in c.support))
+    if key not in c.factor_memo:
+        c.factor_memo[key] = _overlap_factors(c.kraus, c.support, overlap, space)
+    return c.factor_memo[key]
+
+
+def _partial_commutator_norms(xs, x_support, ys, y_support, space: MultipartiteSpace, factors=None):
     """Yield the `_commutator_norms` matrix over the A factors seen so far,
     once per chunk of them; nothing when the supports are disjoint. No entry
     ever decreases, and the last yield is the whole matrix.
@@ -272,23 +298,16 @@ def _partial_commutator_norms(xs, x_support, ys, y_support, space: MultipartiteS
     trace expansion of the square loses half the digits), as two GEMMs per
     chunk of A factors: the chunk stacked times the C factors side by side,
     and the C factors stacked times the chunk side by side. One chunk's
-    product fits in `channels.STACK_MAX_BYTES`.
+    product fits in `channels.STACK_MAX_BYTES`. `factors`, when given, is
+    the pair of `_overlap_factors` of the two sides, already computed.
     """
     overlap = sorted(set(x_support) & set(y_support))
     if not overlap:
         return
     do = space.dim_of(overlap)
-
-    def factors(ops, support):
-        # every overlap factor of `ops` stacked (F, do, do), and their owners one-hot (F, len(ops))
-        sub = MultipartiteSpace([space.dims[i] for i in support])
-        pos = [list(support).index(i) for i in overlap]
-        per_op = [_operator_schmidt_factors(op, pos, sub, rtol=0.0) for op in ops]
-        owner = np.repeat(np.arange(len(ops)), [len(f) for f in per_op])
-        stack = np.array([f for fs in per_op for f in fs], dtype=complex).reshape(-1, do, do)
-        return stack, np.eye(len(ops))[owner]
-
-    (a, a_owner), (c, c_owner) = factors(xs, x_support), factors(ys, y_support)
+    if factors is None:
+        factors = (_overlap_factors(xs, x_support, overlap, space), _overlap_factors(ys, y_support, overlap, space))
+    (a, a_owner), (c, c_owner) = factors
     side = c.transpose(1, 0, 2).reshape(do, -1)
     sq = np.zeros((len(xs), len(ys)))
     chunk = max(1, ch.STACK_MAX_BYTES // (16 * do * do * max(len(c), 1)))
@@ -779,10 +798,16 @@ def swap_bound(a: Channel, b: Channel, space: MultipartiteSpace, cap: float = ma
     C rho (L_j K_i)^H + L_j K_i rho C^H + C rho C^H, and every Kraus operator
     has operator norm at most 1. Zero for disjoint supports. The sum is taken
     after each chunk of `_partial_commutator_norms`, whose norms only grow,
-    so stopping at the first partial sum that reaches `cap` is exact.
+    so stopping at the first partial sum that reaches `cap` is exact. The
+    overlap factors of both channels are read from their memos
+    (`_channel_factors`).
     """
+    overlap = sorted(set(a.support) & set(b.support))
+    if not overlap:
+        return 0.0
+    factors = (_channel_factors(a, overlap, space), _channel_factors(b, overlap, space))
     bound = 0.0
-    for c in _partial_commutator_norms(a.kraus, a.support, b.kraus, b.support, space):
+    for c in _partial_commutator_norms(a.kraus, a.support, b.kraus, b.support, space, factors):
         bound = 0.5 * float(np.sum(c * (2.0 + c)))
         if bound >= cap:
             return math.inf
@@ -810,7 +835,8 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: np.ndarray, space):
+def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: np.ndarray, space,
+                 work: ch.Workspace):
     """Yield (order, final states) for each of the sorted, distinct `orders`,
     the channels applied in that order to each state of the (N, D, D) `stack`.
 
@@ -823,6 +849,10 @@ def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: 
     replayed from the nearest held state or the inputs: with one state over
     the budget nothing is held, and every order runs from the inputs, channel
     by channel.
+
+    Every apply runs in the workspace `work` (`channels.Workspace`), whose
+    state buffers a later apply overwrites: a held state is a copy, and the
+    final states yielded are valid until the walk resumes.
     """
     held: list[tuple[int, np.ndarray]] = []  # (prefix length, state), deepest last
     room = ch.STACK_MAX_BYTES - stack.nbytes
@@ -830,18 +860,19 @@ def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: 
         share = _common_prefix(order, orders[i + 1]) if i + 1 < len(orders) else 0
         depth, rho = held[-1] if held else (0, stack)
         for k in range(depth, len(order)):
-            rho = ch.apply(channels[order[k]], rho, space)
+            rho = ch.apply(channels[order[k]], rho, space, work)
             if k < share and sum(h.nbytes for _, h in held) + 2 * rho.nbytes <= room:
-                held.append((k + 1, rho))
+                held.append((k + 1, rho.copy()))
         yield order, rho
         while held and held[-1][0] > share:
             held.pop()
 
 
-# D x D buffers of one stacked apply at its peak, each the size of the stack:
-# the state it reads, the regrouped copy, K @ x, the sum and one term
-# (`channels._apply_local`, `channels._kraus_blocks`)
-APPLY_BUFFERS = 5
+# D x D buffers of one stacked apply, each the size of the largest stack: the
+# buffers of the walk's `channels.Workspace` (the two states read and written
+# in turn, K @ x, the sum and one term); the inputs and the held states are
+# counted apart
+APPLY_BUFFERS = len(ch.Workspace.BUFFERS)
 
 
 def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[int, type]]:
@@ -853,9 +884,9 @@ def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[
     keep it real, at half the bytes and a quarter of the flops. At smaller D
     I/D shares a complex stack with the random inputs: a stack of its own
     would double the number of applies of the walk. Raises CapExceeded when
-    the stacks and the `APPLY_BUFFERS` of the largest one pass
-    `ROBUSTNESS_MAX_BYTES` (the walk's held states add at most
-    `channels.STACK_MAX_BYTES`).
+    the stacks and the walk's workspace, `APPLY_BUFFERS` buffers of the
+    largest stack, pass `ROBUSTNESS_MAX_BYTES` (the walk's held states add at
+    most `channels.STACK_MAX_BYTES`).
     """
     per = ch.stack_size(d)
     sizes = [min(per, n_inputs - start) for start in range(0, n_inputs, per)]
@@ -898,7 +929,8 @@ def verify_robustness(
     prefix walk). A sampled order that repeats is counted in
     `orders_run` but computed once. The distinct orders run as one walk over
     their prefix tree (`_prefix_walk`), on the inputs stacked
-    `channels.stack_size(D)` at a time; with real maps, I/D in a stack of its
+    `channels.stack_size(D)` at a time, every apply in one workspace that
+    lives as long as this call; with real maps, I/D in a stack of its
     own runs in float64 (`_input_stacks`, which also refuses, with
     CapExceeded, a walk over `ROBUSTNESS_MAX_BYTES` before anything is
     allocated). `worst_order` is the first order, in the sampled or
@@ -941,6 +973,7 @@ def verify_robustness(
     distinct = dict.fromkeys(orders)
     identity = orders[0]
     bound = _order_bound(channels, space, cap=tol)
+    work = ch.Workspace()  # every apply of the walks; freed on return
 
     def run(run_orders) -> tuple[dict, float]:
         """Worst final distance of each order, in the order given, and the
@@ -948,7 +981,7 @@ def verify_robustness(
         final, fidelity = dict.fromkeys(run_orders, 0.0), 1.0
         walk = sorted(final)
         for i, stack in enumerate(stacks):
-            for order, rho in _prefix_walk(channels, walk, stack, space):
+            for order, rho in _prefix_walk(channels, walk, stack, space, work):
                 dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
                 final[order] = max(final[order], *dists)
                 if order == identity and i == 0 and target.ndim == 1:

@@ -175,7 +175,7 @@ class TestRealApply:
         to_blocks = hilbert.to_blocks
         monkeypatch.setattr(hilbert, "to_blocks", lambda *a: seen.append(to_blocks(*a)) or seen[-1])
         kraus_blocks = ch._kraus_blocks
-        monkeypatch.setattr(ch, "_kraus_blocks", lambda x, k: seen.append(x) or kraus_blocks(x, k))
+        monkeypatch.setattr(ch, "_kraus_blocks", lambda x, k, *work: seen.append(x) or kraus_blocks(x, k, *work))
         apply(c, random_density(d, rng), sp)
         assert seen[0].dtype == complex and seen[0].shape == (m, m, d * d // (m * m))
         if branch == "kraus":
@@ -217,6 +217,104 @@ class TestRealApply:
             before = x.copy()
             assert apply(c, x, sp).dtype == dtype
             assert np.array_equal(x, before)
+
+
+# (dims, support, Kraus count) for each branch of `apply`: m = 9 with m^2 > D
+# takes the Kraus operators one at a time (three of them, so the term buffer
+# is used), m = 4 the natural matrix, and a full support the dense products
+WORKSPACE_BRANCHES = {
+    "kraus": ([2, 3, 2, 3], [1, 3], 3),
+    "natural": ([2, 3, 2, 3], [0, 2], 2),
+    "full": ([3, 2, 2], [0, 1, 2], 3),
+}
+
+
+def _complex_channel(support, m: int, nk: int, rng) -> Channel:
+    v = random_unitary(nk * m, rng)[:, :m]
+    return make_channel([v[i * m:(i + 1) * m] for i in range(nk)], support)
+
+
+class TestWorkspace:
+    """`apply` with a `Workspace` returns the same bits as without one, and
+    never writes its input."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("state", ["float64", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("branch", list(WORKSPACE_BRANCHES))
+    def test_bit_identical(self, branch, kind, state, stacked, rng):
+        dims, support, nk = WORKSPACE_BRANCHES[branch]
+        sp = MultipartiteSpace(dims)
+        m, d = sp.dim_of(support), sp.total_dim
+        if branch != "full":
+            assert ch._liouville_pays(m, nk, d) == (branch == "natural")
+        c = (_real_channel if kind == "real" else _complex_channel)(support, m, nk, rng)
+        draw = _real_density if state == "float64" else random_density
+        rho = np.stack([draw(d, rng) for _ in range(3)]) if stacked else draw(d, rng)
+        work = ch.Workspace()
+        # a chain of applies, each fed the previous result of its own kind
+        plain, worked = rho, rho.copy()
+        for _ in range(4):
+            before = worked.copy()
+            plain, out = apply(c, plain, sp), apply(c, worked, sp, work)
+            assert np.array_equal(worked, before)
+            assert out.dtype == plain.dtype and out.shape == plain.shape
+            assert np.array_equal(out, plain)
+            worked = out
+
+    def test_buffers_grow_and_states_alternate(self, rng):
+        dims, support, nk = WORKSPACE_BRANCHES["kraus"]
+        sp = MultipartiteSpace(dims)
+        d = sp.total_dim
+        c = _complex_channel(support, sp.dim_of(support), nk, rng)
+        work = ch.Workspace()
+        one = apply(c, random_density(d, rng), sp, work)
+        assert work.nbytes == len(ch.Workspace.BUFFERS) * one.nbytes
+        # a larger stack grows every buffer to its size; the results are
+        # still the plain ones
+        stack = np.stack([random_density(d, rng) for _ in range(3)])
+        first = apply(c, stack, sp, work)
+        assert work.nbytes == len(ch.Workspace.BUFFERS) * stack.nbytes
+        assert np.array_equal(first, apply(c, stack, sp))
+        # each result is written into the state buffer that the input is not
+        second = apply(c, first, sp, work)
+        assert not np.may_share_memory(first, second)
+        kept = first.copy()
+        third = apply(c, first, sp, work)
+        assert np.array_equal(first, kept) and not np.may_share_memory(first, third)
+        assert np.array_equal(third, apply(c, kept, sp))
+
+    def test_walk_allocates_no_state_after_the_first_apply(self):
+        # the kagome 3x1 witnesses from I/D in float64 (D = 512): without a
+        # workspace each apply raises the traced peak by about four D x D
+        # arrays (the regrouped copy, K @ x, the sum and a term), with one
+        # by less than one array once the first apply has made the buffers
+        import tracemalloc
+
+        inst = states.ccz_kagome(3, 1)
+        sp, d = inst.space, inst.space.total_dim
+        one = 8 * d * d
+
+        def rises(work):
+            rho = np.zeros((1, d, d))
+            np.fill_diagonal(rho[0], 1.0 / d)
+            out = []
+            tracemalloc.start()
+            try:
+                for c in inst.witness_channels:
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    rho = apply(c, rho, sp, work)
+                    out.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            return out
+
+        plain, worked = rises(None), rises(ch.Workspace())
+        assert len(worked) == 9
+        assert min(plain[1:]) > 3.5 * one
+        assert worked[0] >= len(ch.Workspace.BUFFERS) * one
+        assert max(worked[1:]) < one
 
 
 class TestInvariance:
@@ -503,6 +601,28 @@ class TestFramedRun:
             apply(step, np.eye(4) / 4, sp)
         with pytest.raises(ChannelError):
             ch.apply_to_pure(step, np.eye(4)[0], sp)
+
+
+class TestFramedTrajectory:
+    """`run`'s trajectory points on a random input, each read from the
+    framed state's occupied block, against the dense state: the rank of the
+    D x D state and its trace distance to the target, by eigensolves."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_vbs_points_match_dense(self, n, rng):
+        from qlstab import fts
+
+        inst = states.vbs_1d(n)
+        circ, _ = fts.synthesize_fts(inst.psi, inst.neighborhoods, inst.space, force=True)
+        rho0 = random_density(inst.space.total_dim, rng)
+        _, traj = run(circ, rho0, target=inst.psi)
+        target = np.outer(inst.psi, inst.psi.conj())
+        assert len(traj) == len(circ) + 1
+        for t in range(0, len(circ) + 1, 1 if n < 6 else 2):
+            rho, _ = run(Circuit(circ.steps[:t], circ.space, circ.frame), rho0, record=False)
+            assert traj[t].step == t
+            assert traj[t].rank == ch.state_rank(rho)
+            assert abs(traj[t].trace_distance - trace_distance(rho, target)) < 1e-12
 
 
 class TestFactoredFrame:

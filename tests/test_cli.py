@@ -12,7 +12,9 @@ from qlstab import mixing, states
 from qlstab import rfts as rfts_mod
 from qlstab.cli import (
     CONSTRUCTORS,
+    GLOBAL_FLAGS,
     REPRODUCTIONS,
+    build_parser,
     channel_from_json,
     channel_to_json,
     circuit_from_json,
@@ -576,7 +578,54 @@ class TestReportDeterminism:
         rc2 = main(["--seed", "7", "check", "ugen", problem])
         out2 = json.loads(capsys.readouterr().out)
         del out1["elapsed_seconds"], out2["elapsed_seconds"]
+        assert out1["seed"] == 7
         assert out1 == out2
+
+
+class TestGlobalFlags:
+    """The five global flags mean the same before and after the subcommand."""
+
+    @pytest.mark.parametrize("flag, text, value", [
+        ("--tol", "1e-3", 1e-3), ("--seed", "7", 7), ("--threads", "1", 1),
+        ("--cap-superop", "256", 256), ("--output", "r.json", "r.json"),
+    ])
+    def test_before_and_after_parse_alike(self, flag, text, value):
+        parser = build_parser()
+        dest = flag.lstrip("-").replace("-", "_")
+        command = ["check", "qls", "p.json"]
+        before = parser.parse_args([flag, text] + command)
+        after = parser.parse_args(command + [flag, text])
+        assert getattr(before, dest) == getattr(after, dest) == value
+        # the other flags keep their defaults either way
+        for other, kw in GLOBAL_FLAGS.items():
+            if other != flag:
+                name = other.lstrip("-").replace("-", "_")
+                assert getattr(before, name) == getattr(after, name) == kw["default"]
+
+    def test_after_wins_over_before(self):
+        args = build_parser().parse_args(["--seed", "3", "check", "qls", "p.json", "--seed", "5"])
+        assert args.seed == 5
+
+    def test_output_before_the_subcommand_writes_the_file(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["--seed", "3", "--output", str(out), "check", "qls", os.path.join(PROBLEMS, "dicke.json")]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text())["seed"] == 3
+
+    def test_tol_before_the_subcommand_reaches_the_report(self, capsys):
+        assert main(["--tol", "1e-3", "synth", "rfts", os.path.join(PROBLEMS, "graph_cycle5.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["tol"] == 1e-3
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1", "0", "tiny"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_bad_tol_exits_2(self, text, where, capsys):
+        command = ["check", "qls", os.path.join(PROBLEMS, "dicke.json")]
+        argv = ["--tol", text] + command if where == "before" else command + ["--tol", text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--tol" in captured.err
 
 
 REPORT_KEYS = ["task", "pass", "verdicts", "certificates", "tolerances", "seed", "elapsed_seconds", "version"]

@@ -536,9 +536,9 @@ def _count_applies(monkeypatch) -> list:
     calls = []
     apply = ch.apply
 
-    def counted(c, rho, space):
+    def counted(c, rho, space, *work):
         calls.append(rho.shape)
-        return apply(c, rho, space)
+        return apply(c, rho, space, *work)
 
     monkeypatch.setattr(ch, "apply", counted)
     return calls
@@ -757,7 +757,8 @@ class TestRealRobustness:
         inst = states.grid_graph_state(2, 3) if name == "grid-2x3" else ROBUSTNESS_CASES[name][0]()
         seen = []
         apply = ch.apply
-        monkeypatch.setattr(ch, "apply", lambda c, rho, sp: seen.append((rho.shape, rho.dtype)) or apply(c, rho, sp))
+        monkeypatch.setattr(ch, "apply", lambda c, rho, sp, *work: seen.append((rho.shape, rho.dtype))
+                            or apply(c, rho, sp, *work))
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space, n_random_inputs=n_random)
         assert rep.passed and rep.method == "commuting"
         d = inst.space.total_dim
@@ -800,9 +801,34 @@ class TestRealRobustness:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("name, n_random, buffers", [
+        ("kagome-3x1", 0, 5),  # Kraus operators one at a time: every buffer
+        ("w-product", 1, 3),  # the natural matrix: two states and the sum
+        ("grid-2x3", 1, 5),
+    ])
+    def test_cap_counts_the_workspace(self, name, n_random, buffers, monkeypatch):
+        # the walk's workspace ends holding at most APPLY_BUFFERS buffers of
+        # the largest input stack, the count `_input_stacks` charges
+        inst = states.grid_graph_state(2, 3) if name == "grid-2x3" else ROBUSTNESS_CASES[name][0]()
+        chans, d = list(inst.witness_channels), inst.space.total_dim
+        works = []
+
+        class Spy(ch.Workspace):
+            def __init__(self):
+                super().__init__()
+                works.append(self)
+
+        monkeypatch.setattr(ch, "Workspace", Spy)
+        monkeypatch.setattr(rfts, "swap_bound", lambda *a, **k: math.inf)  # walk every order
+        verify_robustness(chans, inst.psi, inst.space, n_random_inputs=n_random, exhaustive_limit=6, trials=3)
+        layout = rfts._input_stacks(chans, d, 1 + n_random)
+        largest = max(n * d * d * np.dtype(t).itemsize for n, t in layout)
+        assert len(works) == 1 and rfts.APPLY_BUFFERS == len(ch.Workspace.BUFFERS) == 5
+        assert works[0].nbytes == buffers * largest
+
     def test_patched_cap_refuses(self, monkeypatch):
         # the estimate for kagome 3x1 (D = 512, I/D in float64): the stack,
-        # the five apply buffers and the held-state budget
+        # the workspace's five buffers and the held-state budget
         inst = states.ccz_kagome(3, 1)
         chans = list(inst.witness_channels)
         need = 6 * 8 * 512**2 + ch.STACK_MAX_BYTES
@@ -1101,6 +1127,60 @@ class TestOrderCertificate:
         assert swap_bound(a, b, inst.space) == pytest.approx(uncapped, rel=1e-12)
         defect = channels_commute_pairwise([a, b], inst.space)
         assert defect == uncapped_defect < 1e-12
+
+
+def fresh_copies(chans) -> list[Channel]:
+    """The channels as new objects, with nothing memoized."""
+    return [Channel(kraus=c.kraus, support=c.support, label=c.label) for c in chans]
+
+
+class TestFactorMemo:
+    """`swap_bound` reads each channel's overlap factors from its memo
+    (`_channel_factors`), with the same bits as factoring afresh."""
+
+    @pytest.mark.parametrize("name", ["kagome-3x1", "built-2x5x2"])
+    def test_memo_matches_fresh(self, name):
+        chans, space = commutator_case(name)
+        memo = fresh_copies(chans)
+        pairs = list(itertools.combinations(range(len(chans)), 2))
+        first = [swap_bound(memo[i], memo[j], space) for i, j in pairs]
+        assert any(c.factor_memo for c in memo)
+        # read back from the memos, and against a factoring with no memo
+        assert [swap_bound(memo[i], memo[j], space) for i, j in pairs] == first
+        for (i, j), bound in zip(pairs, first):
+            a, b = fresh_copies([chans[i], chans[j]])
+            assert swap_bound(a, b, space) == bound
+            norms = _commutator_norms(a.kraus, a.support, b.kraus, b.support, space)
+            assert 0.5 * float(np.sum(norms * (2.0 + norms))) == bound
+
+    @pytest.mark.parametrize("name", ["kagome-3x1", "built-2x5x2"])
+    def test_commute_then_order_bound_factor_once(self, name, monkeypatch):
+        chans, space = commutator_case(name)
+        chans = fresh_copies(chans)
+        calls = []
+        factor = rfts._overlap_factors
+        monkeypatch.setattr(rfts, "_overlap_factors", lambda *a: calls.append(1) or factor(*a))
+        channels_commute_pairwise(chans, space)
+        after_commute = len(calls)
+        rfts._order_bound(chans, space, cap=math.inf)
+        # one factoring per memo entry, all of them made by the first pass
+        assert len(calls) == after_commute == sum(len(c.factor_memo) for c in chans) > 0
+
+    def test_same_channel_in_two_spaces(self, rng):
+        # one channel on sites (0, 1) of dims (2, 3) and of dims (3, 2): the
+        # overlap with site 1 factors differently, and each space has its entry
+        k = [random_unitary(6, rng)]
+        c = make_channel(k, [0, 1])
+        bounds = []
+        for dims in ([2, 3], [3, 2]):
+            space = MultipartiteSpace(dims)
+            other = make_channel([random_unitary(dims[1], rng)], [1])
+            bounds.append(swap_bound(c, other, space))
+            fresh = swap_bound(*fresh_copies([c, other]), space)
+            assert bounds[-1] == fresh
+        assert set(c.factor_memo) == {((1,), (2, 3)), ((1,), (3, 2))}
+        do = [f[0].shape[1:] for f in c.factor_memo.values()]
+        assert do == [(3, 3), (2, 2)]
 
 
 class TestBuildCircuit:

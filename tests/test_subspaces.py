@@ -596,3 +596,41 @@ def test_sweep_order_invariant_on_planted_spans(dims, c, seed):
     dim, qls = verdict(range(len(spans)))
     assert dim == intersect(spans).dim
     assert verdict(rng.permutation(len(spans))) == (dim, qls)
+
+
+def svd_nullspace(a, rtol=DEFAULT_TOL.rank_rtol, scale=None):
+    """Oracle for a tall `nullspace`: the SVD of the whole system."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh[rank_cutoff(s, a.shape, rtol, scale):].conj().T
+
+
+class TestTallNullspace:
+    """A tall system goes through QR before its SVD: the same kernel, the
+    same rank decision, as the SVD of the whole system."""
+
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (3072, 64, 60), (400, 16, 16), (400, 16, 1), (400, 16, 0), (50, 49, 48), (3, 2, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_full_svd(self, rows, cols, rank, dtype, rng):
+        def draw(*shape):
+            g = rng.normal(size=shape)
+            return g + 1j * rng.normal(size=shape) if dtype is complex else g
+
+        a = draw(rows, rank) @ draw(rank, cols)
+        for scale in (None, 10.0):
+            got, want = nullspace(a, scale=scale), svd_nullspace(a, scale=scale)
+            assert got.shape == want.shape == (cols, cols - rank)
+            assert np.max(np.abs(got.conj().T @ got - np.eye(cols - rank)), initial=0.0) < 1e-12
+            assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T), initial=0.0) < 1e-10
+            assert np.max(np.abs(a @ got), initial=0.0) < 1e-10 * max(1.0, np.linalg.norm(a, 2))
+
+    def test_margin_at_the_cut(self, rng):
+        # singular values 1 and 1e-9 on a 2000 x 8 system: the cut is
+        # 1e-10 * 1 * 2000 = 2e-7, so 1e-9 is dropped by both routes, and a
+        # value of 1e-6 is kept by both
+        q, _ = np.linalg.qr(rng.normal(size=(2000, 8)))
+        v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        for small, kept in ((1e-9, 4), (1e-6, 5)):
+            a = q @ np.diag([1.0, 1.0, 1.0, 1.0, small, 0.0, 0.0, 0.0]) @ v.T
+            assert nullspace(a).shape[1] == svd_nullspace(a).shape[1] == 8 - kept
