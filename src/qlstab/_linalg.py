@@ -42,6 +42,22 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# The memory budget of every guarded computation: one whose byte estimate,
+# made beside its kernel before anything is allocated, passes it raises
+# CapExceeded (exit code 3) through `check_budget`.
+MAX_BYTES = 1 << 30
+
+
+class CapExceeded(RuntimeError):
+    """A computation would need more than `MAX_BYTES`."""
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise CapExceeded, naming `what`, when it needs more than `MAX_BYTES`."""
+    if nbytes > MAX_BYTES:
+        raise CapExceeded(f"{what} needs {nbytes / 2**30:.1f} GiB, capped at {MAX_BYTES / 2**30:.1f} GiB")
+
+
 # Two sorted values belong to one cluster iff their gap is at most
 # CLUSTER_RTOL * max|value|; two clusters are linked iff their coupling weight
 # is above CLUSTER_RTOL^2 * the coupling operators' squared Frobenius norm.

@@ -15,8 +15,10 @@ from typing import ClassVar
 import numpy as np
 
 from . import hilbert
-from ._linalg import (
+from ._linalg import (  # noqa: F401  (CapExceeded is re-exported)
     DEFAULT_TOL,
+    CapExceeded,
+    check_budget,
     dagger,
     diagonal_distance_to_pure_on,
     frob,
@@ -30,10 +32,6 @@ from .hilbert import MultipartiteSpace
 
 
 class ChannelError(ValueError):
-    pass
-
-
-class CapExceeded(RuntimeError):
     pass
 
 
@@ -225,6 +223,7 @@ def _natural(mats, m: int, chunk: int) -> np.ndarray:
     g = None
     while batch := list(itertools.islice(it, chunk)):
         a = np.stack(batch).reshape(len(batch), m * m)
+        del batch
         term = a.T @ a.conj()
         if g is None:
             g = term
@@ -998,17 +997,17 @@ def restrict_to_support(ch: Channel, space: MultipartiteSpace, tol: float = 1e-9
     return make_channel(new_kraus, actual, label=ch.label)
 
 
-def superoperator(ch: Channel, space: MultipartiteSpace, max_side: int = 4096) -> np.ndarray:
+def superoperator(ch: Channel, space: MultipartiteSpace) -> np.ndarray:
     """Dense matrix of the map in the row-major vectorized basis.
 
-    The matrix has side D^2; more than `max_side` raises CapExceeded before
-    anything is allocated. It is the natural matrix of the embedded Kraus
+    The matrix has side D^2. It is the natural matrix of the embedded Kraus
     operators (`_natural`), embedded and stacked D^2 at a time, so the stack
-    never holds more entries than the D^4 output.
+    never holds more entries than the D^4 output. Counting four such arrays
+    (the output, the chunk stack, its conjugate and the product term), it
+    raises CapExceeded past `_linalg.MAX_BYTES` (D > 64) before allocating.
     """
     d = space.total_dim
-    if d * d > max_side:
-        raise CapExceeded(f"superoperator side {d * d} exceeds cap {max_side}")
+    check_budget(4 * 16 * d**4, f"superoperator of side {d * d}")
     if len(ch.support) == space.n_subsystems:
         mats = iter(ch.kraus)
     else:

@@ -675,11 +675,11 @@ def cmd_mixing(args):
     if not inst.witness_channels:
         raise InputError("mixing analysis needs an instance with witness channels")
     fam = mixing_mod.CommutingResetFamily(list(inst.witness_channels), inst.space, _target(inst))
-    gap = fam.per_channel_gap(max_side=args.cap_superop)
     ts_src = options.get("ts") if options.get("ts") is not None else args.ts
     ts = [float(t) for t in (ts_src or [])]
     proof = fam.proof
     try:
+        gap = fam.per_channel_gap()
         samples = [{"t": es.t, "lower": es.lower, "upper": es.upper} for es in fam.eta_samples(ts)]
     except ValueError as exc:
         raise InputError(f"mixing: {exc}") from exc
@@ -1096,7 +1096,6 @@ GLOBAL_FLAGS = {
     "--tol": dict(type=_tolerance, default=1e-8, help="verdict tolerance, positive and finite"),
     "--seed": dict(type=int, default=0, help="random seed"),
     "--threads": dict(type=int, default=None, help="BLAS thread bound"),
-    "--cap-superop": dict(type=int, default=4096, help="max superoperator side length"),
     "--output": dict(default=None, help="write the JSON report here"),
 }
 

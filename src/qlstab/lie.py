@@ -15,17 +15,14 @@ from . import hilbert, subspaces
 from ._linalg import (
     CLUSTER_RTOL,
     DEFAULT_TOL,
+    check_budget,
     cluster_starts,
     complete_basis,
     connected_components,
     nullspace,
     rank_cutoff,
 )
-from .channels import CapExceeded
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
-
-# largest memory a `lie_closure` pass (`_pass_bytes`) or the certificate (`_generator_bytes`) may hold
-UGEN_MAX_BYTES = 1 << 30
 
 
 class _Packer:
@@ -171,7 +168,7 @@ def lie_closure(bases: list[LieBasis]) -> LieBasis:
     until a pass admits nothing, then confirms with one pass against the whole
     span. A span invariant under ad of every generator is invariant under ad of
     the algebra they generate, so it is that algebra. A pass that would hold
-    more than `UGEN_MAX_BYTES` (`_pass_bytes`) raises `CapExceeded` before it
+    more than `_linalg.MAX_BYTES` (`_pass_bytes`) raises `CapExceeded` before it
     allocates anything. The basis records the number of passes run.
     """
     gen_stack = np.stack([x for b in bases for x in b.elements])
@@ -181,12 +178,8 @@ def lie_closure(bases: list[LieBasis]) -> LieBasis:
     span.admit(packer.pack(gen_stack))
     fresh, passes = span.rows, 0
     while True:
-        nbytes = _pass_bytes(g, len(fresh), n, span.dim)
-        if nbytes > UGEN_MAX_BYTES:
-            raise CapExceeded(
-                f"exhaustive ugen pass of {g} x {len(fresh)} brackets of size {n} needs "
-                f"{nbytes / 2**30:.1f} GiB, capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB"
-            )
+        check_budget(_pass_bytes(g, len(fresh), n, span.dim),
+                     f"exhaustive ugen pass of {g} x {len(fresh)} brackets of size {n}")
         mats = packer.unpack(fresh)
         cands = np.einsum("gab,nbc->gnac", gen_stack, mats, optimize=True) - np.einsum(
             "nab,gbc->gnac", mats, gen_stack, optimize=True
@@ -248,14 +241,12 @@ def _rotated_generators(psi, nstruct, space):
 
     Returns (c values, Y blocks, largest ||X psi - <psi|X psi> psi||);
     each generator is ic ⊕ Y in that frame. Raises `CapExceeded`, before any
-    D x D array is built, when the certificate would exceed `UGEN_MAX_BYTES`.
+    D x D array is built, when the certificate would exceed `_linalg.MAX_BYTES`.
     """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     g, n = _generator_count(psi, nstruct, space), space.total_dim - 1
-    if (nbytes := _generator_bytes(g, n)) > UGEN_MAX_BYTES:
-        raise CapExceeded(f"ugen certificate on {g} generators of size {n} needs {nbytes / 2**30:.1f} GiB, "
-                          f"capped at {UGEN_MAX_BYTES / 2**30:.1f} GiB")
+    check_budget(_generator_bytes(g, n), f"ugen certificate on {g} generators of size {n}")
     q = complete_basis(psi)
     cs, ys, resid = [], [], 0.0
     for nk in nstruct:

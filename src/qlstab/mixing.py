@@ -2,11 +2,10 @@
 envelope of commuting reset families, the rapid-mixing fit over it, and the
 finite-time no-go probe.
 
-Every map here is a `channels.Channel`, and there is no dense generator.
-Each E_k - I is exponentiated in closed form: for idempotent E_k,
-e^{(E_k - I)t} = I + (1 - e^{-t})(E_k - I), which keeps everything at matrix
-level. The only superoperator formed is each channel's own, on its support,
-for `per_channel_gap` (capped, default side 4096, i.e. m <= 64).
+Every map here is a `channels.Channel`, and no superoperator or dense
+generator is formed. Each E_k - I is exponentiated in closed form: for
+idempotent E_k, e^{(E_k - I)t} = I + (1 - e^{-t})(E_k - I), which keeps
+everything at matrix level, and gap(E_k - I) is 1, or 0 when E_k = id.
 
 eta(t) of a `CommutingResetFamily` is proven, never estimated, and nothing
 here draws an input. The hypotheses (`ResetProof`, checked once per family
@@ -43,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as chan_mod
-from ._linalg import DEFAULT_TOL, complete_basis, herm, rank_cutoff, trace_distance
+from ._linalg import DEFAULT_TOL, check_budget, complete_basis, herm, rank_cutoff, trace_distance
 from .channels import Channel, make_channel
 from .hilbert import MultipartiteSpace, uniform_space
 from .subspaces import ExtendedSpan, _sweep, _tightest
-
-DEFAULT_SUPEROP_SIDE = 4096
 
 # The rapid-mixing fit reads only envelope values below FIT_CEILING, and
 # passes when gamma >= nu - GAMMA_SLACK and delta <= DELTA_CAP.
@@ -162,11 +159,12 @@ class CommutingResetFamily:
         self.space = space
         self.applies = 0  # channels.apply calls made through this family
         self.target = np.asarray(target, dtype=complex)
-        self.rho_star = (
-            np.outer(self.target, self.target.conj())
-            if self.target.ndim == 1
-            else self.target
-        )
+
+    @functools.cached_property
+    def rho_star(self) -> np.ndarray:
+        """The target as a density matrix, built on first read: a pure
+        target's |psi><psi| is D x D, and `proof` never reads it."""
+        return np.outer(self.target, self.target.conj()) if self.target.ndim == 1 else self.target
 
     def _apply(self, c: Channel, x: np.ndarray, space: MultipartiteSpace | None = None) -> np.ndarray:
         self.applies += 1
@@ -178,23 +176,29 @@ class CommutingResetFamily:
         eigenvalues of E_k(I_m) in descending order, (1/2)||v v^H -
         E_k(v v^H)||_1 at the eigenvector v of the smallest one, or 0 when
         W_k is the whole support, and its idempotency defect, or None when
-        the identity defect passes)."""
+        the identity defect passes). Each defect holds four stacks of its n
+        matrix units' size at once (in `apply`: the units, the output, the
+        two products of a term; then the units, the difference and the two
+        factors of its norm), refused past `_linalg.MAX_BYTES`."""
         out = []
-        for c in self.channels:
+        for k, c in enumerate(self.channels):
             remap, sub = chan_mod.relocate(c, c.support, self.space)
             m = sub.total_dim
             ev, vec = np.linalg.eigh(herm(self._apply(remap, np.eye(m, dtype=complex), sub)))
             ev, vec = ev[::-1], vec[:, ::-1]
             r = rank_cutoff(ev, (m, m))
             w = vec[:, :r]
+            check_budget(4 * 16 * r * r * m * m, f"identity defect of channel {k} on {r}^2 units of size {m}")
             units = np.einsum("ai,bj->ijab", w, w.conj()).reshape(r * r, m, m)
             defect = float(np.max(np.linalg.norm(self._apply(remap, units, sub) - units, axis=(1, 2)), initial=0.0))
+            del units
             away = 0.0
             if r < m:
                 x = np.outer(vec[:, -1], vec[:, -1].conj())
                 away = float(_half_trace_norm(x - self._apply(remap, x, sub)))
             idempotency = None
             if defect > DEFAULT_TOL.invariance:
+                check_budget(4 * 16 * m**4, f"idempotency check of channel {k} on {m}^2 units of size {m}")
                 once = self._apply(remap, np.eye(m * m, dtype=complex).reshape(m * m, m, m), sub)
                 idempotency = float(np.max(np.linalg.norm(self._apply(remap, once, sub) - once, axis=(1, 2))))
             out.append((w, defect, ev, away, idempotency))
@@ -268,19 +272,21 @@ class CommutingResetFamily:
             rho, w = np.repeat(np.asarray(rho)[None], t.size, axis=0), w[:, None, None]
         return self._evolve(rho, w, self.channels)
 
-    def per_channel_gap(self, max_side: int = DEFAULT_SUPEROP_SIDE) -> float:
-        """min_k gap(E_k - I), from the eigenvalues of each E_k's
-        superoperator on its support minus 1 (CapExceeded past `max_side`).
-        The gap is the smallest |Re| among the decaying eigenvalues, those
-        with Re below -1e-9 max(1, the largest modulus); idempotent channels
-        give exactly 1."""
-        gaps = []
-        for c in self.channels:
-            remap, sub = chan_mod.relocate(c, c.support, self.space)
-            ev = np.linalg.eigvals(chan_mod.superoperator(remap, sub, max_side=max_side)) - 1.0
-            decaying = ev.real[ev.real < -1e-9 * max(1.0, float(np.max(np.abs(ev))))]
-            gaps.append(float(np.min(-decaying)) if decaying.size else 0.0)
-        return float(min(gaps))
+    def per_channel_gap(self) -> float:
+        """min_k gap(E_k - I), the smallest |Re| of a decaying eigenvalue of
+        E_k - I, or 0 when none decays. The maps must be commuting
+        idempotents (ValueError naming `ResetProof.product_failure`), so E_k
+        has spectrum in {0, 1}: the gap is 0 when E_k is the identity and 1
+        otherwise. E_k is the identity when W_k is its whole support and the
+        identity defect passes; when only idempotency was checked, when its
+        rank, its trace sum_j |tr K_j|^2 for an idempotent map, is m_k^2."""
+        failure = self.proof.product_failure
+        if failure is not None:
+            raise ValueError(f"per_channel_gap needs commuting idempotent maps: {failure}")
+        identity = [w.shape[1] == w.shape[0] if defect <= DEFAULT_TOL.invariance
+                    else round(sum(abs(np.trace(k)) ** 2 for k in c.kraus)) == w.shape[0] ** 2
+                    for c, (w, defect, *_) in zip(self.channels, self._local)]
+        return 0.0 if any(identity) else 1.0
 
     def eta_samples(self, ts) -> list[EtaSample]:
         """Bounds on eta(t), the largest half trace norm of e^{Lt}(rho) -

@@ -24,6 +24,7 @@ from . import subspaces
 from ._linalg import (
     CLUSTER_RTOL,
     DEFAULT_TOL,
+    check_budget,
     cluster_starts,
     connected_components,
     frob,
@@ -44,11 +45,6 @@ from .hilbert import MultipartiteSpace, NeighborhoodStructure
 # commutants and algebra bases
 # ---------------------------------------------------------------------------
 
-# Largest memory `commutant` will use for its commutator system and its SVD.
-COMMUTANT_MAX_BYTES = 1 << 30
-# Largest memory `verify_robustness` will use for its input stacks and the
-# applies of its walk (`_input_stacks`).
-ROBUSTNESS_MAX_BYTES = 1 << 30
 # (largest merged gap, smallest split gap) of a clustering that split nothing
 # and merged nothing.
 NO_GAPS = (0.0, math.inf)
@@ -172,12 +168,7 @@ def commutant(ops: list[np.ndarray], dim: int | None = None) -> AlgebraBasis:
     k = len(rows)
     # the system, the factorization's copy of it, and a left factor of its size
     # (an upper bound: `nullspace` takes a tall system through QR and forms none)
-    nbytes = 3 * len(ops) * dim * dim * k * 16
-    if nbytes > COMMUTANT_MAX_BYTES:
-        raise ch.CapExceeded(
-            f"commutant system of {len(ops)} x {dim}^2 x {k} needs {nbytes / 2**30:.1f} GiB, "
-            f"capped at {COMMUTANT_MAX_BYTES / 2**30:.1f} GiB"
-        )
+    check_budget(3 * len(ops) * dim * dim * k * 16, f"commutant system of {len(ops)} x {dim}^2 x {k}")
     system = np.zeros((len(ops), dim, dim, k), dtype=complex)
     unknown = np.arange(k)
     for block, s in zip(system, ops):
@@ -885,7 +876,7 @@ def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[
     I/D shares a complex stack with the random inputs: a stack of its own
     would double the number of applies of the walk. Raises CapExceeded when
     the stacks and the walk's workspace, `APPLY_BUFFERS` buffers of the
-    largest stack, pass `ROBUSTNESS_MAX_BYTES` (the walk's held states add at
+    largest stack, pass `_linalg.MAX_BYTES` (the walk's held states add at
     most `channels.STACK_MAX_BYTES`).
     """
     per = ch.stack_size(d)
@@ -894,12 +885,8 @@ def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[
     layout = [(n, float if real and i == 0 else complex) for i, n in enumerate(sizes)]
     nbytes = [n * d * d * np.dtype(t).itemsize for n, t in layout]
     need = sum(nbytes) + APPLY_BUFFERS * max(nbytes) + ch.STACK_MAX_BYTES
-    if need > ROBUSTNESS_MAX_BYTES:
-        kind = "float64" if real else "complex"
-        raise ch.CapExceeded(
-            f"robustness walk over {n_inputs} inputs of D = {d} ({kind} I/D) needs {need / 2**30:.1f} GiB, "
-            f"capped at {ROBUSTNESS_MAX_BYTES / 2**30:.1f} GiB"
-        )
+    kind = "float64" if real else "complex"
+    check_budget(need, f"robustness walk over {n_inputs} inputs of D = {d} ({kind} I/D)")
     return layout
 
 
@@ -932,7 +919,7 @@ def verify_robustness(
     `channels.stack_size(D)` at a time, every apply in one workspace that
     lives as long as this call; with real maps, I/D in a stack of its
     own runs in float64 (`_input_stacks`, which also refuses, with
-    CapExceeded, a walk over `ROBUSTNESS_MAX_BYTES` before anything is
+    CapExceeded, a walk over `_linalg.MAX_BYTES` before anything is
     allocated). `worst_order` is the first order, in the sampled or
     enumerated sequence, that reached `max_final_distance`.
     """

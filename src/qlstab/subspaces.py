@@ -18,13 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from ._linalg import DEFAULT_TOL, projector, rank_cutoff
-from .channels import CapExceeded
+from ._linalg import DEFAULT_TOL, check_budget, projector, rank_cutoff
 from .hilbert import MultipartiteSpace, NeighborhoodStructure
-
-# bytes an intersection or a commutator norm may allocate; the same cap as
-# rfts.COMMUTANT_MAX_BYTES and lie.UGEN_MAX_BYTES
-INTERSECT_MAX_BYTES = 1 << 30
 
 
 class _Span:
@@ -143,18 +138,13 @@ def extended_schmidt_span(
 
 
 def _check_bytes(d: int, r: int, what: str) -> None:
-    """Refuse work on a (d, r) basis whose arrays would pass INTERSECT_MAX_BYTES.
+    """Refuse work on a (d, r) basis whose arrays would pass `_linalg.MAX_BYTES`.
 
     Counted: the basis, the permuted copy, the product and the permuted-back
     result of one projector application, their difference, and two r x r
     matrices (the compressed operator and its eigenvectors or R factors).
     """
-    nbytes = 16 * (5 * d * r + 2 * r * r)
-    if nbytes > INTERSECT_MAX_BYTES:
-        raise CapExceeded(
-            f"{what} on a {d} x {r} basis needs {nbytes / 2**30:.1f} GiB, "
-            f"capped at {INTERSECT_MAX_BYTES / 2**30:.1f} GiB"
-        )
+    check_budget(16 * (5 * d * r + 2 * r * r), f"{what} on a {d} x {r} basis")
 
 
 @dataclass(frozen=True, init=False)

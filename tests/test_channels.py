@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_monomial_forms, random_hermitian, random_unitary, unitary_channel
+from qlstab import _linalg
 from qlstab import channels as ch
 from qlstab import hilbert
 from qlstab import states
@@ -408,13 +409,17 @@ class TestSuperoperator:
         expected = sum(np.kron(k, k.conj()) for k in big)
         assert np.max(np.abs(superoperator(c, sp) - expected)) < 1e-14
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # four arrays of D^4 complex entries at D = 16: 4 MiB
         sp = uniform_space(4)
-        with pytest.raises(ch.CapExceeded):
-            superoperator(unitary_channel(np.eye(16), list(range(4))), sp, max_side=8)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", 4 * 16 * 16**4 - 1)
+        with pytest.raises(ch.CapExceeded, match="superoperator of side 256 needs"):
+            superoperator(unitary_channel(np.eye(16), list(range(4))), sp)
 
     def test_default_cap_is_on_the_side(self, monkeypatch):
-        # 7 qubits: side 4^7 = 16384 > 4096, refused before any allocation
+        # 6 qubits fit the budget exactly (4 x 64^4 x 16 B = 1 GiB); 7 qubits
+        # need 16 GiB and are refused before any allocation
+        assert 4 * 16 * 64**4 == _linalg.MAX_BYTES
         c = unitary_channel(np.eye(2), [0])
 
         def no_alloc(*args, **kwargs):

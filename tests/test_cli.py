@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qlstab import mixing, states
+from qlstab import _linalg, channels, lie, mixing, states, subspaces
 from qlstab import rfts as rfts_mod
 from qlstab.cli import (
     CONSTRUCTORS,
@@ -22,7 +22,7 @@ from qlstab.cli import (
     load_problem,
     main,
 )
-from qlstab.channels import Circuit, make_channel
+from qlstab.channels import STACK_MAX_BYTES, Circuit, make_channel
 
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -89,9 +89,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("what", ["qls", "commuting-projectors"])
     def test_intersection_cap_exit_3(self, tmp_path, capsys, monkeypatch, what):
-        from qlstab import subspaces
-
-        monkeypatch.setattr(subspaces, "INTERSECT_MAX_BYTES", 4096)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", 4096)
         assert main(["check", what, dicke_problem(tmp_path)]) == 3
         assert "cap exceeded" in capsys.readouterr().err
 
@@ -246,11 +244,15 @@ class TestCheck:
         })
         rc = main(["check", "algebraic-rfts", problem])
         assert rc == 3
-        assert "cap exceeded: commutant system" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("cap exceeded: commutant system of 32 x 128^2 x 5296 needs 124.1 GiB, "
+                                           "capped at 1.0 GiB\n")
 
     def test_robustness_cap_exit_3(self, capsys, monkeypatch):
-        # the 5-cycle's robustness walk (D = 32) under a cap of one byte
-        monkeypatch.setattr(rfts_mod, "ROBUSTNESS_MAX_BYTES", 1)
+        # the 5-cycle's robustness walk (D = 32, two complex inputs in one
+        # stack) one byte over the budget; the commutants that `synth rfts`
+        # builds before it need 384 KiB each, and fit
+        need = 2 * 32**2 * 16 * (1 + rfts_mod.APPLY_BUFFERS) + STACK_MAX_BYTES
+        monkeypatch.setattr(_linalg, "MAX_BYTES", need - 1)
         assert main(["synth", "rfts", os.path.join(PROBLEMS, "graph_cycle5.json")]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "cap exceeded: robustness walk over 2 inputs of D = 32" in captured.err
@@ -295,6 +297,69 @@ class TestCheck:
         })
         rc = main(["check", "qls", path])
         assert rc == 2
+
+
+# The guarded entry points: a command, and the start of the `what` of the
+# guard under test, whose estimate is the largest on that path. "{tmp}/product.json"
+# is |00> with one-site neighbourhoods, which the ugen certificate cannot
+# decide, so the bracket closure runs.
+GUARDED = [
+    ("check qls {p}/dicke.json", "intersection on a"),
+    ("check commuting-projectors {p}/dicke.json", "commutator on a"),
+    ("check algebraic-rfts {p}/graph_cycle5.json", "commutant system of"),
+    ("check ugen {p}/dicke.json", "ugen certificate on"),
+    ("check ugen {tmp}/product.json", "exhaustive ugen pass of"),
+    ("synth rfts {p}/graph_cycle5.json", "robustness walk over"),
+    ("reproduce nonfactorizable-252", "superoperator of side"),
+    ("mixing {p}/graph_cycle5.json --ts 1", "identity defect of channel"),
+]
+
+
+class TestMemoryBudget:
+    """Every refusal goes through `_linalg.check_budget` against the one
+    budget `_linalg.MAX_BYTES`, with one message format."""
+
+    @pytest.mark.parametrize("command, what", GUARDED,
+                             ids=[c.replace("{p}/", "").replace("{tmp}/", "") for c, _ in GUARDED])
+    def test_refuses_below_its_estimate_and_decides_at_it(self, command, what, tmp_path, capsys, monkeypatch):
+        write_json(tmp_path, "product.json", {"space": {"dims": [2, 2]}, "neighborhoods": [[1], [2]],
+                                              "state": {"vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}})
+        argv = command.format(p=PROBLEMS, tmp=tmp_path).split()
+        estimates = []
+        real = _linalg.check_budget
+
+        def spy(nbytes, name):
+            estimates.append((nbytes, name))
+            real(nbytes, name)
+
+        for module in (channels, lie, mixing, rfts_mod, subspaces):
+            monkeypatch.setattr(module, "check_budget", spy)
+        decided = main(argv)
+        capsys.readouterr()
+        assert decided in (0, 1)
+        own = max(n for n, name in estimates if name.startswith(what))
+        assert own == max(n for n, _ in estimates)
+        first = next(name for n, name in estimates if n == own)
+        assert first.startswith(what)
+
+        monkeypatch.setattr(_linalg, "MAX_BYTES", own - 1)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"cap exceeded: {first} needs {own / 2**30:.1f} GiB, "
+                                f"capped at {(own - 1) / 2**30:.1f} GiB\n")
+
+        monkeypatch.setattr(_linalg, "MAX_BYTES", own)
+        assert main(argv) == decided
+
+    def test_dicke_5_2_closure_refused(self, tmp_path, capsys):
+        # a degenerate h splits the certificate's edges, and the closure's
+        # pass over 598 fresh directions would hold 3.5 GiB
+        problem = write_json(tmp_path, "d52.json", {"state": {"constructor": {"name": "dicke",
+                                                                              "params": {"n": 5, "k": 2}}}})
+        assert main(["check", "ugen", problem]) == 3
+        assert capsys.readouterr().err == ("cap exceeded: exhaustive ugen pass of 78 x 598 brackets of size 32 "
+                                           "needs 3.5 GiB, capped at 1.0 GiB\n")
 
 
 class TestSynthSimulate:
@@ -583,11 +648,11 @@ class TestReportDeterminism:
 
 
 class TestGlobalFlags:
-    """The five global flags mean the same before and after the subcommand."""
+    """The four global flags mean the same before and after the subcommand."""
 
     @pytest.mark.parametrize("flag, text, value", [
         ("--tol", "1e-3", 1e-3), ("--seed", "7", 7), ("--threads", "1", 1),
-        ("--cap-superop", "256", 256), ("--output", "r.json", "r.json"),
+        ("--output", "r.json", "r.json"),
     ])
     def test_before_and_after_parse_alike(self, flag, text, value):
         parser = build_parser()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import gram_defect
+from qlstab import _linalg
 from qlstab import lie as lie_mod
 from qlstab import states
 from qlstab._linalg import connected_components
@@ -157,7 +158,7 @@ class TestUnitaryGeneration:
         n = NeighborhoodStructure([[0], [1]])
         # the certificate's generator stack fits (4 generators of size 3);
         # the closure's first pass does not
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", lie_mod._generator_bytes(4, 3))
+        monkeypatch.setattr(_linalg, "MAX_BYTES", lie_mod._generator_bytes(4, 3))
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
             check_unitary_generation(psi, n, sp)
 
@@ -165,13 +166,13 @@ class TestUnitaryGeneration:
         sp = uniform_space(2)
         psi = np.kron([1, 0], [1, 0]).astype(complex)
         n = NeighborhoodStructure([[0], [1]])
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", lie_mod._generator_bytes(4, 3) - 1)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", lie_mod._generator_bytes(4, 3) - 1)
         with pytest.raises(CapExceeded, match="ugen certificate on 4 generators of size 3"):
             check_unitary_generation(psi, n, sp)
 
 
 class TestClosureCap:
-    """The `UGEN_MAX_BYTES` guard of `lie_closure` counts the whole pass."""
+    """The budget guard of `lie_closure` counts the whole pass."""
 
     @staticmethod
     def _generators():
@@ -198,13 +199,13 @@ class TestClosureCap:
 
     def test_fitting_closure_decides(self, monkeypatch):
         ref, sizes, _ = self._estimates(monkeypatch)
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", max(sizes))
+        monkeypatch.setattr(_linalg, "MAX_BYTES", max(sizes))
         capped = lie_closure(self._generators())
         assert (capped.dim, capped.passes) == (ref.dim, ref.passes)
 
     def test_oversized_pass_refused_before_allocation(self, monkeypatch):
         _, sizes, _ = self._estimates(monkeypatch)
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", sizes[0] - 1)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", sizes[0] - 1)
         brackets = []
         monkeypatch.setattr(lie_mod.np, "einsum", lambda *a, **k: brackets.append(a[0]))
         with pytest.raises(CapExceeded, match="exhaustive ugen"):
@@ -323,7 +324,7 @@ class TestUgenDifferential:
     def test_matches_closure(self, name, seed, monkeypatch):
         # the VBS 3 oracle's confirming pass brackets 100 generators with all
         # 677 directions: 2.4 GiB, above the production cap
-        monkeypatch.setattr(lie_mod, "UGEN_MAX_BYTES", 4 << 30)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", 4 << 30)
         v = check_unitary_generation(*_problem(name), seed=seed)
         assert v.generated_dim == _closure_dim(name)
         assert v.ok == (_closure_dim(name) == v.target_dim)
@@ -339,7 +340,7 @@ class TestUgenDifferential:
 
 
 class TestGeneratorCap:
-    """The `UGEN_MAX_BYTES` guard of the certificate, decided from Schmidt
+    """The budget guard of the certificate, decided from Schmidt
     ranks before any D x D array is built."""
 
     @pytest.mark.parametrize("name", [*INSTANCES, "disconnected-product", "dicke-5-2"])

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,6 +19,7 @@ from helpers import (
     stack_trace,
     unitary_channel,
 )
+from qlstab import _linalg, mixing
 from qlstab import channels as chan_mod
 from qlstab import states
 from qlstab._linalg import random_density, trace_distance
@@ -130,6 +134,15 @@ def witness_distances(fam, ts) -> list[float]:
     s = dense_generator(fam)
     phi = np.outer(fam._witness, fam._witness.conj()).reshape(-1)
     return [trace_distance((expm(t * s) @ phi).reshape(d, d), fam.rho_star) for t in ts]
+
+
+def dephase_reset_family():
+    """One idempotent channel on two qubits that dephases the first and
+    resets the second to |0>: W = span(|00>, |10>), on which it is not the
+    identity, so only its idempotency is checked."""
+    e = np.eye(4)
+    kraus = [np.outer(e[2 * a], e[2 * a + j]) for a in range(2) for j in range(2)]
+    return CommutingResetFamily([make_channel(kraus, [0, 1])], uniform_space(2), e[0])
 
 
 def non_idempotent_family(eps):
@@ -341,16 +354,47 @@ class TestCommutingFamily:
         fam = family_for(3)
         assert abs(fam.per_channel_gap() - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("kind, n", [("line", 3), ("line", 5), ("gibbs", 3), ("gibbs", 4)])
+    @pytest.mark.parametrize("kind, n", [("line", 3), ("line", 5), ("gibbs", 3), ("gibbs", 4),
+                                         ("dephase-reset", 2), ("with-identity", 3)])
     def test_per_channel_gap_matches_dense_generator(self, kind, n):
         if kind == "line":
             fam = family_for(n)
-        else:
+        elif kind == "gibbs":
             inst = states.graph_gibbs(n, beta=1.0)
             fam = CommutingResetFamily(list(inst.witness_channels), inst.space, inst.rho)
+        elif kind == "dephase-reset":
+            fam = dephase_reset_family()
+            assert fam.proof.identity_defects[0] > 0.5 and fam.proof.idempotency_defects[0] < 1e-14
+        else:
+            line = family_for(n)
+            fam = CommutingResetFamily(line.channels + [make_channel([np.eye(2)], [0])], line.space, line.target)
         dense = min(spectral_gap(liouvillian_from_channel(*chan_mod.relocate(c, c.support, fam.space))).gap
                     for c in fam.channels)
         assert fam.per_channel_gap() == pytest.approx(dense, abs=1e-12)
+
+    def test_per_channel_gap_forms_no_superoperator(self, monkeypatch):
+        fam = dephase_reset_family()
+        fam.proof
+
+        def fail(*args, **kwargs):
+            raise AssertionError("formed a superoperator")
+
+        monkeypatch.setattr(chan_mod, "superoperator", fail)
+        monkeypatch.setattr(chan_mod, "_natural", fail)
+        assert fam.per_channel_gap() == 1.0
+
+    @pytest.mark.parametrize("make, failure", [
+        (lambda: non_idempotent_family(0.2), "channel 0 is not idempotent"),
+        (lambda: CommutingResetFamily([reset_channel(np.eye(81)[0], [0, 1, 2, 3]),
+                                       reset_channel(np.full(81, 1 / 9), [1, 2, 3, 4])],
+                                      uniform_space(5, 3), np.eye(243)[0]),
+         "the maps do not commute"),
+    ], ids=["non-idempotent", "non-commuting-support-81"])
+    def test_per_channel_gap_needs_commuting_idempotents(self, make, failure):
+        # the supports of the second family have 81 > 64 dimensions, where
+        # the gap once came from a refused 6561-side superoperator
+        with pytest.raises(ValueError, match=f"per_channel_gap needs commuting idempotent maps: {failure}"):
+            make().per_channel_gap()
 
     def test_propagate_matches_dense_exponential(self, rng):
         fam = family_for(3)
@@ -550,3 +594,55 @@ class TestNoGo:
         l = amplitude_damping_generator(rate)
         for t in (0.0, 0.1, 0.5, 1.0, 2.5, 7.0):
             assert np.abs(superoperator(semigroup(t), uniform_space(1)) - l.propagator(t)).max() < 1e-12
+
+
+class TestProofBudget:
+    """The reset proof's unit stacks are guarded by the package budget."""
+
+    @staticmethod
+    def _estimates(fam, monkeypatch):
+        seen = []
+        real = _linalg.check_budget
+        monkeypatch.setattr(mixing, "check_budget", lambda n, what: (seen.append((n, what)), real(n, what)))
+        fam._local
+        monkeypatch.setattr(mixing, "check_budget", real)
+        return seen
+
+    def test_refused_below_each_estimate(self, monkeypatch):
+        # W = span(|00>, |10>) of the 4-dim support: 2^2 units for the
+        # identity defect, which fails, then 4^2 for the idempotency check
+        seen = self._estimates(dephase_reset_family(), monkeypatch)
+        assert seen == [(4 * 16 * 4 * 16, "identity defect of channel 0 on 2^2 units of size 4"),
+                        (4 * 16 * 4**4, "idempotency check of channel 0 on 4^2 units of size 4")]
+        for nbytes, what in seen:
+            monkeypatch.setattr(_linalg, "MAX_BYTES", nbytes - 1)
+            with pytest.raises(chan_mod.CapExceeded, match=re.escape(f"{what} needs 0.0 GiB, capped at 0.0 GiB")):
+                dephase_reset_family().proof
+            monkeypatch.setattr(_linalg, "MAX_BYTES", nbytes)
+        assert dephase_reset_family().proof.idempotency_defects[0] < 1e-14
+
+    def test_estimate_bounds_traced_peak(self, monkeypatch):
+        # a reset of 4 qubits mixed with the identity: full-rank E(I), so both
+        # checks run on 256 units of size 16, 1 MiB a stack
+        reset = reset_channel(np.eye(16)[0], [0, 1, 2, 3])
+        mixed = make_channel([np.sqrt(0.8) * k for k in reset.kraus] + [np.sqrt(0.2) * np.eye(16)], [0, 1, 2, 3])
+        fam = CommutingResetFamily([mixed], uniform_space(4), np.eye(16)[0])
+        tracemalloc.start()
+        seen = self._estimates(fam, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert [n for n, _ in seen] == [4 << 20, 4 << 20]
+        assert 3 << 20 < peak <= (4 << 20) + (64 << 10)  # the m x m arrays beside the stacks
+
+    def test_kagome_2x2_proof_holds_no_dense_state(self):
+        # rho_star = |psi><psi| is built only when read; the proof never reads it
+        inst = states.ccz_kagome(2, 2)
+        d = inst.space.total_dim
+        tracemalloc.start()
+        fam = CommutingResetFamily(list(inst.witness_channels), inst.space, inst.psi)
+        assert fam.proof.holds
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert d == 4096 and peak < 16 * d * d
+        assert "rho_star" not in vars(fam)
+        assert np.array_equal(fam.rho_star, np.outer(fam.target, fam.target.conj()))

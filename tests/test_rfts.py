@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import block_diag, expm
 
 from helpers import basis_state, random_hermitian, random_unitary, unitary_channel
+from qlstab import _linalg
 from qlstab import channels as ch
 from qlstab import hilbert, rfts, states, subspaces
 from qlstab._linalg import (
@@ -832,10 +833,10 @@ class TestRealRobustness:
         inst = states.ccz_kagome(3, 1)
         chans = list(inst.witness_channels)
         need = 6 * 8 * 512**2 + ch.STACK_MAX_BYTES
-        monkeypatch.setattr(rfts, "ROBUSTNESS_MAX_BYTES", need)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", need)
         kw = dict(trials=3, n_random_inputs=0, distance_exact_limit=256)
         assert verify_robustness(chans, inst.psi, inst.space, **kw).passed
-        monkeypatch.setattr(rfts, "ROBUSTNESS_MAX_BYTES", need - 1)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", need - 1)
         calls = _count_applies(monkeypatch)
         with pytest.raises(ch.CapExceeded, match="robustness walk"):
             verify_robustness(chans, inst.psi, inst.space, **kw)

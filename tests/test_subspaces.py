@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import basis_state, frustration_defect
-from qlstab import states
+from qlstab import _linalg, states
 from qlstab import hilbert, subspaces
 from qlstab._linalg import DEFAULT_TOL, nullspace, orthonormal_columns, projector, rank_cutoff
 from qlstab.channels import CapExceeded
@@ -410,7 +410,7 @@ class TestIntersectionMargin:
 
 class TestIntersectionCap:
     def test_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(subspaces, "INTERSECT_MAX_BYTES", 4096)
+        monkeypatch.setattr(_linalg, "MAX_BYTES", 4096)
         args = _args(states.dicke(4, 2))
         with pytest.raises(CapExceeded):
             check_qls(*args)
