@@ -182,10 +182,11 @@ def factor_reset_channel(state, factors, virtual_dims, g, isometries, support, l
     return make_channel(out.kraus, support, label=label)
 
 
-# Byte budget of the stacked state work: a stack of N states pushed through
-# `apply` at once, and the branch states `rfts.verify_robustness` holds for
-# its prefix walk, stay under it together. A single state above it (D >= 363)
-# is applied alone and nothing is held.
+# Byte budget of stacked work: a stack of N complex D x D states pushed
+# through `apply` at once (`stack_size`: the inputs of
+# `rfts.verify_robustness`, the times of `mixing`'s eta samples), and a chunk
+# of `rfts._partial_commutator_norms`. A single state above it (D >= 363) is
+# applied alone.
 STACK_MAX_BYTES = 2 << 20
 
 

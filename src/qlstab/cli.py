@@ -633,6 +633,13 @@ def _line_graph_families(sizes):
     return fams
 
 
+def _parse_times(data) -> list[float]:
+    """The problem option `ts`: a list of non-negative finite times."""
+    if not (isinstance(data, list) and all(type(t) in (int, float) and 0 <= t < math.inf for t in data)):
+        raise InputError(f"/options/ts: expected a list of non-negative finite times, got {data!r}")
+    return [float(t) for t in data]
+
+
 def _mixing_proof_fields(rep) -> dict:
     """The path and hypothesis defects of a `RapidMixingReport`."""
     return {"method": rep.method, "identity_defect": rep.identity_defect,
@@ -671,12 +678,13 @@ def cmd_mixing(args):
             {"gamma_slack": mixing_mod.GAMMA_SLACK, "delta_cap": mixing_mod.DELTA_CAP,
              "fit_ceiling": mixing_mod.FIT_CEILING},
         )
+    if args.problem is None:
+        raise InputError("mixing needs a problem file, --no-go or --family-sizes")
     inst, options = load_problem(args.problem)
     if not inst.witness_channels:
         raise InputError("mixing analysis needs an instance with witness channels")
     fam = mixing_mod.CommutingResetFamily(list(inst.witness_channels), inst.space, _target(inst))
-    ts_src = options.get("ts") if options.get("ts") is not None else args.ts
-    ts = [float(t) for t in (ts_src or [])]
+    ts = _parse_times(options["ts"]) if options.get("ts") is not None else args.ts or []
     proof = fam.proof
     try:
         gap = fam.per_channel_gap()
@@ -1080,15 +1088,24 @@ def cmd_reproduce(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _tolerance(text: str) -> float:
-    """A `--tol` value: a positive, finite float (argparse exits 2 otherwise)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert(text)`, which must satisfy `ok`; argparse
+    exits 2, naming the flag, otherwise."""
+
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+    return parse
+
+
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_time = _checked(float, lambda v: 0 <= v < math.inf, "a non-negative finite number")
+_count = _checked(int, lambda v: v > 0, "a positive integer")
 
 
 # the flags every command takes, before or after the subcommand, with their defaults
@@ -1148,12 +1165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     px = sub.add_parser("mixing", parents=[common], help="continuous-time mixing analysis")
     px.add_argument("problem", nargs="?")
-    px.add_argument("--ts", type=float, nargs="*", default=None)
+    px.add_argument("--ts", type=_time, nargs="*", default=None, help="times of the eta samples, at least 0")
     px.add_argument("--no-go", action="store_true",
                     help="run the amplitude-damping finite-time no-go probe")
-    px.add_argument("--family-sizes", type=int, nargs="*", default=None,
+    px.add_argument("--family-sizes", type=_count, nargs="+", default=None,
                     help="rapid-mixing fit over line-graph chains of these sizes")
-    px.add_argument("--samples", type=int, default=21)
+    px.add_argument("--samples", type=_count, default=21, help="no-go: times sampled on [0, 10]")
     px.set_defaults(fn=cmd_mixing)
 
     pl = sub.add_parser("schedule", parents=[common], help="lattice layering and depth report")

@@ -53,6 +53,11 @@ GAMMA_SLACK = 0.05
 DELTA_CAP = 1.1
 FIT_CEILING = 0.5
 
+# D x D complex arrays per state of a stack that `eta_samples` holds at once:
+# the stack, the two terms of each step and their sum, the apply's
+# temporaries, the distance and its Hermitian part (traced peak: about 7)
+ETA_ARRAYS = 8
+
 
 # ---------------------------------------------------------------------------
 # contraction coefficient
@@ -245,10 +250,14 @@ class CommutingResetFamily:
         """Ground vector of sum_k P_k, P_k the projector onto W_k (x) I: the
         input farthest from every W_k. When every W_k is its whole support,
         sum_k P_k = N I picks no vector, and the witness is the eigenvector of
-        rho_star for its smallest eigenvalue, the input farthest from it."""
-        if all(w.shape[0] == w.shape[1] for w, *_ in self._local):
-            return np.linalg.eigh(self.rho_star)[1][:, 0]
-        return np.linalg.eigh(sum(span.projector() for span in self._spans))[1][:, 0]
+        rho_star for its smallest eigenvalue, the input farthest from it.
+        Guarded at six D x D complex arrays: `eigh` holds five (the matrix,
+        LAPACK's copy and two work arrays, the eigenvectors) and small ones."""
+        d = self.space.total_dim
+        check_budget(6 * 16 * d * d, f"witness eigenproblem of D = {d}")
+        whole = all(w.shape[0] == w.shape[1] for w, *_ in self._local)
+        h = self.rho_star if whole else sum(span.projector() for span in self._spans)
+        return np.linalg.eigh(h)[1][:, 0].copy()  # a view would keep every eigenvector
 
     def _evolve(self, x: np.ndarray, w, chans) -> np.ndarray:
         """Each channel E of `chans` in turn as (1 - w) I + w E; w a scalar,
@@ -294,22 +303,31 @@ class CommutingResetFamily:
 
         With commuting idempotent maps, e^{Lt} = prod_k ((1 - w) id + w E_k)
         with w = 1 - e^{-t} (`propagate`). `lower` is the exact distance at
-        the witness input (`_witness`), propagated to every t as one stack.
-        When `proof` holds, the product of all N is the reset to rho_star and
-        every other product over a subset of the channels maps states to
-        states, so eta(t) <= 1 - w^N <= N e^{-t}: that envelope is `upper`.
-        Otherwise `upper` is 1 (`method` "unproven"). Raises ValueError,
-        naming the hypothesis, when the maps do not commute or one is not
-        idempotent: the product is then not e^{tL}.
+        the witness input (`_witness`), propagated to the times
+        `channels.stack_size(D)` at a time. When `proof` holds, the product
+        of all N is the reset to rho_star and every other product over a
+        subset of the channels maps states to states, so
+        eta(t) <= 1 - w^N <= N e^{-t}: that envelope is `upper`. Otherwise
+        `upper` is 1 (`method` "unproven"). Raises ValueError on a negative
+        or non-finite t, and, naming the hypothesis, when the maps do not
+        commute or one is not idempotent: the product is then not e^{tL}.
+        Raises CapExceeded before the witness is built when rho_star, the
+        witness input and `ETA_ARRAYS` arrays per state of a stack pass
+        `_linalg.MAX_BYTES`.
         """
+        ts = [float(t) for t in ts]
+        if not all(0 <= t < math.inf for t in ts):
+            raise ValueError(f"eta needs non-negative finite times, got {ts}")
         failure = self.proof.product_failure
         if failure is not None:
             raise ValueError(f"eta needs commuting idempotent maps: {failure}")
-        ts = [float(t) for t in ts]
         if not ts:
             return []
+        d = self.space.total_dim
+        per = chan_mod.stack_size(d)
+        size = min(per, len(ts))
+        check_budget(16 * d * d * (2 + ETA_ARRAYS * size), f"eta samples of D = {d}, {size} at a time")
         phi = np.outer(self._witness, self._witness.conj())
-        per = chan_mod.stack_size(self.space.total_dim)
         lo = np.concatenate([_half_trace_norm(self.propagate(phi, ts[g:g + per]) - self.rho_star)
                              for g in range(0, len(ts), per)])
         n, proven = len(self.channels), self.proof.holds

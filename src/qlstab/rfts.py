@@ -414,8 +414,8 @@ def _factor_split(a: np.ndarray, x: np.ndarray):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Change of basis H ~ (tensor of virtual factors) (+) H0, held as one
-    local split per coarse neighborhood.
+    """Change of basis H ~ (tensor of virtual factors) (+) H0, stored as
+    one local split per coarse neighborhood.
 
     `splits[j] = (g_j, f_j, q_j)`: on the local support of neighborhood j (the
     range of `support.region_isometry(neighborhoods[j])`), the unitary g_j,
@@ -743,17 +743,18 @@ def _distance_to_target(rho: np.ndarray, target, exact_limit: int = 768) -> floa
 @dataclass(frozen=True)
 class RobustnessReport:
     """`method` is the path that decided the verdict: "commuting" (the
-    identity order plus `order_bound`, for all t! orders), or the prefix walk
-    over the drawn orders, "exhaustive" or "sampled". `orders_computed` counts
-    the distinct orders whose final states were computed. `order_bound` bounds
-    the trace distance from any order's output to the identity order's, on
-    every input; it is inf when the Kraus commutators do not bound it below
-    `tol`. For a pure target, `worst_input_bound` bounds 1 - <psi|E(rho)|psi>
-    over every input state rho and every order E, from the identity order's
-    output on I/D: D (|1 - F| + eps_F) + `order_bound`, with F the computed
-    fidelity <psi|E(I/D)|psi> and eps_F its roundoff (`_fidelity_roundoff`),
-    since rho <= D I/D. So the bound stays above zero when F reads 1 or more
-    in floating point. It is None for a mixed target.
+    identity order plus `order_bound`, for all t! orders), or every distinct
+    drawn order run in turn, "exhaustive" or "sampled". `orders_computed`
+    counts the distinct orders whose final states were computed, each once.
+    `order_bound` bounds the trace distance from any order's output to the
+    identity order's, on every input; it is inf when the Kraus commutators
+    do not bound it below `tol`. For a pure target, `worst_input_bound`
+    bounds 1 - <psi|E(rho)|psi> over every input state rho and every order
+    E, from the identity order's output on I/D: D (|1 - F| + eps_F) +
+    `order_bound`, with F the computed fidelity <psi|E(I/D)|psi> and eps_F
+    its roundoff (`_fidelity_roundoff`), since rho <= D I/D. So the bound
+    stays above zero when F reads 1 or more in floating point. It is None
+    for a mixed target.
     """
 
     passed: bool
@@ -822,47 +823,19 @@ def _order_bound(channels: list[Channel], space: MultipartiteSpace, cap: float) 
     return total
 
 
-def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
-def _prefix_walk(channels: list[Channel], orders: list[tuple[int, ...]], stack: np.ndarray, space,
-                 work: ch.Workspace):
-    """Yield (order, final states) for each of the sorted, distinct `orders`,
-    the channels applied in that order to each state of the (N, D, D) `stack`.
-
-    A depth-first walk over the prefix tree of the orders. Each order starts
-    from the deepest state held for a prefix it shares with the order before
-    it. Its state after k channels is held only while a sibling still needs
-    it, that is while the next order (sorted, the one that shares the most)
-    shares those k channels, and only if the inputs, the held states and the
-    next working stack fit in `channels.STACK_MAX_BYTES`. A prefix not held is
-    replayed from the nearest held state or the inputs: with one state over
-    the budget nothing is held, and every order runs from the inputs, channel
-    by channel.
-
-    Every apply runs in the workspace `work` (`channels.Workspace`), whose
-    state buffers a later apply overwrites: a held state is a copy, and the
-    final states yielded are valid until the walk resumes.
-    """
-    held: list[tuple[int, np.ndarray]] = []  # (prefix length, state), deepest last
-    room = ch.STACK_MAX_BYTES - stack.nbytes
-    for i, order in enumerate(orders):
-        share = _common_prefix(order, orders[i + 1]) if i + 1 < len(orders) else 0
-        depth, rho = held[-1] if held else (0, stack)
-        for k in range(depth, len(order)):
-            rho = ch.apply(channels[order[k]], rho, space, work)
-            if k < share and sum(h.nbytes for _, h in held) + 2 * rho.nbytes <= room:
-                held.append((k + 1, rho.copy()))
-        yield order, rho
-        while held and held[-1][0] > share:
-            held.pop()
+def _apply_order(channels: list[Channel], order: tuple[int, ...], stack: np.ndarray, space,
+                 work: ch.Workspace) -> np.ndarray:
+    """The (N, D, D) `stack` after the channels applied in `order`. Every
+    apply runs in the workspace `work` (`channels.Workspace`): the result is
+    one of its state buffers, which a later apply overwrites."""
+    for k in order:
+        stack = ch.apply(channels[k], stack, space, work)
+    return stack
 
 
 # D x D buffers of one stacked apply, each the size of the largest stack: the
 # buffers of the walk's `channels.Workspace` (the two states read and written
-# in turn, K @ x, the sum and one term); the inputs and the held states are
-# counted apart
+# in turn, K @ x, the sum and one term); the inputs are counted apart
 APPLY_BUFFERS = len(ch.Workspace.BUFFERS)
 
 
@@ -876,15 +849,15 @@ def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[
     I/D shares a complex stack with the random inputs: a stack of its own
     would double the number of applies of the walk. Raises CapExceeded when
     the stacks and the walk's workspace, `APPLY_BUFFERS` buffers of the
-    largest stack, pass `_linalg.MAX_BYTES` (the walk's held states add at
-    most `channels.STACK_MAX_BYTES`).
+    largest stack, pass `_linalg.MAX_BYTES`: that is everything the walk
+    allocates.
     """
     per = ch.stack_size(d)
     sizes = [min(per, n_inputs - start) for start in range(0, n_inputs, per)]
     real = sizes[0] == 1 and all(c.real_kraus is not None for c in channels)
     layout = [(n, float if real and i == 0 else complex) for i, n in enumerate(sizes)]
     nbytes = [n * d * d * np.dtype(t).itemsize for n, t in layout]
-    need = sum(nbytes) + APPLY_BUFFERS * max(nbytes) + ch.STACK_MAX_BYTES
+    need = sum(nbytes) + APPLY_BUFFERS * max(nbytes)
     kind = "float64" if real else "complex"
     check_budget(need, f"robustness walk over {n_inputs} inputs of D = {d} ({kind} I/D)")
     return layout
@@ -912,16 +885,16 @@ def verify_robustness(
     every input, so the check passes iff its worst distance + B < tol
     ("commuting"). Above `distance_exact_limit` that distance is an upper
     bound, which the argument allows. Otherwise, and when the identity order
-    is below tol but its distance + B is not, the drawn orders decide (the
-    prefix walk). A sampled order that repeats is counted in
-    `orders_run` but computed once. The distinct orders run as one walk over
-    their prefix tree (`_prefix_walk`), on the inputs stacked
-    `channels.stack_size(D)` at a time, every apply in one workspace that
-    lives as long as this call; with real maps, I/D in a stack of its
-    own runs in float64 (`_input_stacks`, which also refuses, with
-    CapExceeded, a walk over `_linalg.MAX_BYTES` before anything is
-    allocated). `worst_order` is the first order, in the sampled or
-    enumerated sequence, that reached `max_final_distance`.
+    is below tol but its distance + B is not, the drawn orders decide: each
+    distinct order other than the identity then runs too, once. A sampled
+    order that repeats is counted in `orders_run` but computed once. Each
+    order runs on the inputs stacked `channels.stack_size(D)` at a time
+    (`_apply_order`), every apply in one workspace that lives as long as
+    this call; with real maps, I/D in a stack of its own runs in float64
+    (`_input_stacks`, which also refuses, with CapExceeded, a walk over
+    `_linalg.MAX_BYTES` before anything is allocated). `worst_order` is the
+    first order, in the sampled or enumerated sequence, that reached
+    `max_final_distance`.
     """
     target = np.asarray(target, dtype=complex)
     if not np.any(target.imag):
@@ -960,27 +933,27 @@ def verify_robustness(
     distinct = dict.fromkeys(orders)
     identity = orders[0]
     bound = _order_bound(channels, space, cap=tol)
-    work = ch.Workspace()  # every apply of the walks; freed on return
+    work = ch.Workspace()  # every apply of the walk; freed on return
 
-    def run(run_orders) -> tuple[dict, float]:
-        """Worst final distance of each order, in the order given, and the
-        target fidelity of the identity order's output from I/D."""
-        final, fidelity = dict.fromkeys(run_orders, 0.0), 1.0
-        walk = sorted(final)
+    def run(order) -> tuple[float, float]:
+        """Worst final distance of `order` over the inputs, and the target
+        fidelity of its output from I/D."""
+        worst, fidelity = 0.0, 1.0
         for i, stack in enumerate(stacks):
-            for order, rho in _prefix_walk(channels, walk, stack, space, work):
-                dists = (_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho)
-                final[order] = max(final[order], *dists)
-                if order == identity and i == 0 and target.ndim == 1:
-                    fidelity = float(np.vdot(target, rho[0] @ target).real)
-                del rho  # not alive while the walk computes the next order
-        return final, fidelity
+            rho = _apply_order(channels, order, stack, space, work)
+            worst = max(worst, *(_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho))
+            if i == 0 and target.ndim == 1:
+                fidelity = float(np.vdot(target, rho[0] @ target).real)
+            del rho  # not alive while the next stack runs, so a growing buffer frees its old array
+        return worst, fidelity
 
-    commuting = bound < tol
-    final, fidelity = run([identity] if commuting else distinct)
-    if commuting and final[identity] < tol <= final[identity] + bound:
-        commuting = False  # the bound cannot decide; the drawn orders can
-        final, fidelity = run(distinct)
+    dist, fidelity = run(identity)
+    final = {identity: dist}
+    # the bound decides unless it is too large, or the identity order passes
+    # and the bound cannot carry the other orders below tol
+    commuting = bound < tol and not dist < tol <= dist + bound
+    if not commuting:
+        final.update((order, run(order)[0]) for order in distinct if order != identity)
     # from here on the commuting path, worst + bound < tol iff worst < tol
     worst = 0.0
     worst_order = orders[0]

@@ -80,17 +80,10 @@ def instantiate(lattice: LatticeSpec) -> Instantiation:
     seen = set()
     for cell in lattice.cells():
         for tmpl_idx, template in enumerate(lattice.templates):
-            sites = []
-            ok = True
-            for offset, s in template:
-                idx = lattice.translate_site(cell, offset, s)
-                if idx is None:
-                    ok = False
-                    break
-                sites.append(idx)
-            if not ok:
+            sites = _template_sites(lattice, template, cell)
+            if sites is None:
                 continue
-            key = tuple(sorted(set(sites)))
+            key = tuple(sorted(sites))
             if key in seen:
                 continue
             seen.add(key)
@@ -117,6 +110,8 @@ class Layering:
 
 
 def _template_sites(lattice: LatticeSpec, template, cell):
+    """The sites of `template` translated to `cell`, or None when one of them
+    falls off the patch."""
     out = []
     for offset, s in template:
         idx = lattice.translate_site(cell, offset, s)
@@ -179,21 +174,13 @@ def layer_generic(lattice: LatticeSpec) -> tuple[Instantiation, Layering]:
         raise ValueError(
             f"periodic widths {lattice.widths} are not multiples of the diameter {d}"
         )
-    index_of = {}
-    for pos, (tmpl_idx, cell) in enumerate(inst.origin):
-        index_of[(tmpl_idx, cell)] = pos
     layers = []
     for tmpl_idx in range(len(lattice.templates)):
-        for residue in itertools.product(*(range(d) for _ in range(lattice.dimension))):
-            layer = [
-                index_of[(t, c)]
-                for (t, c), pos in (
-                    ((inst.origin[p][0], inst.origin[p][1]), p) for p in range(len(inst.origin))
-                )
-                if t == tmpl_idx and all(x % d == r for x, r in zip(c, residue))
-            ]
+        for residue in itertools.product(range(d), repeat=lattice.dimension):
+            layer = tuple(pos for pos, (t, c) in enumerate(inst.origin)
+                          if t == tmpl_idx and all(x % d == r for x, r in zip(c, residue)))
             if layer:
-                layers.append(tuple(sorted(layer)))
+                layers.append(layer)
     return inst, Layering(tuple(layers))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -22,10 +23,13 @@ from qlstab.cli import (
     load_problem,
     main,
 )
-from qlstab.channels import STACK_MAX_BYTES, Circuit, make_channel
+from qlstab.channels import Circuit, make_channel
 
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+# D = 128: a cycle whose robustness walk (3 MiB) outweighs the commutants
+# `synth rfts` builds before it (384 KiB each)
+CYCLE7 = {"state": {"constructor": {"name": "graph-cycle", "params": {"n": 7}}}}
 
 
 def write_json(tmp_path, name, data):
@@ -247,15 +251,16 @@ class TestCheck:
         assert capsys.readouterr().err == ("cap exceeded: commutant system of 32 x 128^2 x 5296 needs 124.1 GiB, "
                                            "capped at 1.0 GiB\n")
 
-    def test_robustness_cap_exit_3(self, capsys, monkeypatch):
-        # the 5-cycle's robustness walk (D = 32, two complex inputs in one
-        # stack) one byte over the budget; the commutants that `synth rfts`
-        # builds before it need 384 KiB each, and fit
-        need = 2 * 32**2 * 16 * (1 + rfts_mod.APPLY_BUFFERS) + STACK_MAX_BYTES
+    def test_robustness_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the 7-cycle's robustness walk (D = 128, two complex inputs in one
+        # stack, 3 MiB) one byte over the budget; the commutants that `synth
+        # rfts` builds before it need 384 KiB each, and fit
+        problem = write_json(tmp_path, "graph_cycle7.json", CYCLE7)
+        need = 2 * 128**2 * 16 * (1 + rfts_mod.APPLY_BUFFERS)
         monkeypatch.setattr(_linalg, "MAX_BYTES", need - 1)
-        assert main(["synth", "rfts", os.path.join(PROBLEMS, "graph_cycle5.json")]) == 3
+        assert main(["synth", "rfts", problem]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and "cap exceeded: robustness walk over 2 inputs of D = 32" in captured.err
+        assert captured.out == "" and "cap exceeded: robustness walk over 2 inputs of D = 128" in captured.err
 
     def test_ugen_generator_cap_exit_3(self, tmp_path, capsys):
         # VBS 6: 178 generators of size 728 would need 4.2 GiB; the cap is
@@ -309,9 +314,10 @@ GUARDED = [
     ("check algebraic-rfts {p}/graph_cycle5.json", "commutant system of"),
     ("check ugen {p}/dicke.json", "ugen certificate on"),
     ("check ugen {tmp}/product.json", "exhaustive ugen pass of"),
-    ("synth rfts {p}/graph_cycle5.json", "robustness walk over"),
+    ("synth rfts {tmp}/graph_cycle7.json", "robustness walk over"),
     ("reproduce nonfactorizable-252", "superoperator of side"),
-    ("mixing {p}/graph_cycle5.json --ts 1", "identity defect of channel"),
+    ("mixing {p}/graph_cycle5.json", "identity defect of channel"),
+    ("mixing {p}/graph_cycle5.json --ts 1", "eta samples of D ="),
 ]
 
 
@@ -324,6 +330,7 @@ class TestMemoryBudget:
     def test_refuses_below_its_estimate_and_decides_at_it(self, command, what, tmp_path, capsys, monkeypatch):
         write_json(tmp_path, "product.json", {"space": {"dims": [2, 2]}, "neighborhoods": [[1], [2]],
                                               "state": {"vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}})
+        write_json(tmp_path, "graph_cycle7.json", CYCLE7)
         argv = command.format(p=PROBLEMS, tmp=tmp_path).split()
         estimates = []
         real = _linalg.check_budget
@@ -564,6 +571,50 @@ class TestScheduleMixing:
         rc = main(["mixing", "--family-sizes", "3", "4", "--ts", "60"])
         assert rc == 2
         assert "not enough usable samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ts", [[-1], 5, ["x"], [1, float("nan")], [True]])
+    def test_mixing_bad_ts_option_exit_2(self, ts, tmp_path, capsys):
+        # eta is a trace distance; at t = -1 the closed form would read
+        # lower 44.2 above upper 6.1
+        path = write_json(tmp_path, "g.json", {
+            "state": {"constructor": {"name": "graph-line", "params": {"n": 3}}}, "options": {"ts": ts},
+        })
+        rc = main(["mixing", path])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("input error: /options/ts: ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mixing", "{p}", "--ts", "nan"], "--ts"),
+        (["mixing", "{p}", "--ts", "1", "-1"], "--ts"),
+        (["mixing", "--family-sizes", "3", "4", "--ts", "inf"], "--ts"),
+        (["mixing", "--no-go", "--samples", "0"], "--samples"),
+        (["mixing", "--family-sizes", "0"], "--family-sizes"),
+        (["mixing", "--family-sizes"], "--family-sizes"),
+    ])
+    def test_mixing_bad_flag_exit_2(self, argv, flag, capsys):
+        problem = os.path.join(PROBLEMS, "graph_cycle5.json")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(p=problem) for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {flag}" in captured.err
+
+    def test_mixing_without_problem_exit_2(self, capsys):
+        assert main(["mixing"]) == 2
+        assert "needs a problem file" in capsys.readouterr().err
+
+    def test_mixing_kagome_2x2_refused_within_seconds(self, tmp_path, capsys):
+        # D = 4096: the eta stacks would need 2.5 GiB; the proof runs first
+        path = write_json(tmp_path, "k.json", {
+            "state": {"constructor": {"name": "ccz-kagome", "params": {"cells_x": 2, "cells_y": 2}}},
+        })
+        start = time.perf_counter()
+        rc = main(["mixing", path, "--ts", "1"])
+        elapsed = time.perf_counter() - start
+        assert rc == 3 and elapsed < 20
+        assert capsys.readouterr().err == ("cap exceeded: eta samples of D = 4096, 1 at a time needs 2.5 GiB, "
+                                           "capped at 1.0 GiB\n")
 
 
 class TestReproduce:

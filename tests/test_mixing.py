@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -423,6 +424,13 @@ class TestClosedForm:
     """The proven envelope 1 - (1 - e^{-t})^N against the sampled estimator,
     which is the oracle here."""
 
+    @pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_invalid_time_raises(self, t):
+        # eta is a trace distance: at t = -1 the closed form would read
+        # lower 44.2 and upper 6.1
+        with pytest.raises(ValueError, match="non-negative finite times"):
+            family_for(3).eta_samples([1.0, t])
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_hypotheses_hold_on_lines(self, n):
         fam = family_for(n)
@@ -646,3 +654,72 @@ class TestProofBudget:
         assert d == 4096 and peak < 16 * d * d
         assert "rho_star" not in vars(fam)
         assert np.array_equal(fam.rho_star, np.outer(fam.target, fam.target.conj()))
+
+
+def proven(build, target="psi"):
+    inst = build()
+    fam = CommutingResetFamily(list(inst.witness_channels), inst.space, getattr(inst, target))
+    fam.proof  # read before any budget is traced
+    return fam
+
+
+ETA_CASES = {
+    "line-6": (lambda: proven(lambda: states.line_graph_state(6)), [1.0, 2.0, 3.0, 4.0, 5.0]),
+    "line-9": (lambda: proven(lambda: states.line_graph_state(9)), [1.0]),
+    "kagome-3x1": (lambda: proven(lambda: states.ccz_kagome(3, 1)), [1.0, 2.0]),
+    "gibbs-8": (lambda: proven(lambda: states.graph_gibbs(8, beta=1.0), "rho"), [1.0, 2.0, 3.0]),
+}
+
+
+class TestEtaBudget:
+    """The witness eigenproblem and the eta stacks are guarded by the package
+    budget, before either is allocated."""
+
+    @staticmethod
+    def _traced(read, monkeypatch):
+        seen = []
+        real = _linalg.check_budget
+        monkeypatch.setattr(mixing, "check_budget", lambda n, what: (seen.append((n, what)), real(n, what)))
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(mixing, "check_budget", real)
+        return seen, peak
+
+    @pytest.mark.parametrize("name", list(ETA_CASES))
+    def test_estimates_bound_traced_peaks(self, name, monkeypatch):
+        build, ts = ETA_CASES[name]
+        fam = build()
+        d = fam.space.total_dim
+        seen, peak = self._traced(lambda: fam._witness, monkeypatch)
+        assert seen == [(6 * 16 * d * d, f"witness eigenproblem of D = {d}")]
+        assert peak <= seen[0][0]
+        fam = build()
+        seen, peak = self._traced(lambda: fam.eta_samples(ts), monkeypatch)
+        size = min(chan_mod.stack_size(d), len(ts))
+        assert seen[0] == (16 * d * d * (2 + mixing.ETA_ARRAYS * size), f"eta samples of D = {d}, {size} at a time")
+        assert seen[0][0] / 2 < peak <= seen[0][0]
+
+    @pytest.mark.parametrize("name", ["line-9", "gibbs-8"])
+    def test_refused_below_each_estimate(self, name, monkeypatch):
+        build, ts = ETA_CASES[name]
+        fam = build()
+        expected = [s.lower for s in fam.eta_samples(ts)]
+        fam = build()
+        (eta, what), (witness, witness_what) = self._traced(lambda: fam.eta_samples(ts), monkeypatch)[0]
+        assert what.startswith("eta samples") and witness_what.startswith("witness eigenproblem")
+        assert witness < eta
+        fam = build()
+        applies = fam.applies
+        monkeypatch.setattr(_linalg, "MAX_BYTES", eta - 1)
+        with pytest.raises(chan_mod.CapExceeded, match=re.escape(f"{what} needs")):
+            fam.eta_samples(ts)
+        assert "_witness" not in vars(fam) and fam.applies == applies
+        monkeypatch.setattr(_linalg, "MAX_BYTES", witness - 1)
+        with pytest.raises(chan_mod.CapExceeded, match=re.escape(f"{witness_what} needs")):
+            fam._witness
+        monkeypatch.setattr(_linalg, "MAX_BYTES", eta)
+        assert [s.lower for s in fam.eta_samples(ts)] == expected

@@ -508,7 +508,7 @@ class TestFullRankReduction:
 
 def per_order_robustness(channels, target, space, trials=200, seed=5, n_random_inputs=1,
                          exhaustive_limit=720, distance_exact_limit=768):
-    """Oracle for the prefix walk of `verify_robustness`: every distinct order
+    """Oracle for the per-order walk of `verify_robustness`: every distinct order
     run on every input, one state and one channel at a time.
 
     Returns (max final distance, first order reaching it, orders, distinct).
@@ -546,9 +546,9 @@ def _count_applies(monkeypatch) -> list:
 
 
 class TestPrefixWalk:
-    """The prefix walk is the path of record whenever the Kraus commutators
-    cannot bound the order effect; these witnesses all commute, so the walk
-    is forced by certifying no pair."""
+    """The walk over the drawn orders is the path of record whenever the
+    Kraus commutators cannot bound the order effect; these witnesses all
+    commute, so the walk is forced by certifying no pair."""
 
     @pytest.fixture(autouse=True)
     def force_walk(self, monkeypatch):
@@ -588,19 +588,19 @@ class TestPrefixWalk:
         self._compare(name)
 
     def test_each_prefix_applied_once(self, monkeypatch):
-        # t = 6, exhaustive: one stacked apply per node of the prefix tree,
-        # sum over k of 6!/(6 - k)! = 1956, against 720 * 6 * 2 single applies
+        # t = 6, exhaustive: each order runs once, one stacked apply per
+        # channel, 720 * 6 = 4320, against 720 * 6 * 2 single applies
         inst = states.grid_graph_state(2, 3)
         calls = _count_applies(monkeypatch)
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space)
         d = inst.space.total_dim
         walk = [s for s in calls if s == (2, d, d)]
         assert rep.exhaustive and rep.distinct_orders == 720
-        assert len(walk) == 1956
+        assert len(walk) == 720 * 6
 
     def test_state_over_budget_runs_every_order_from_inputs(self, monkeypatch):
-        # D = 512: one state is over the budget, so each order runs from each
-        # input, channel by channel, as a one-state stack
+        # D = 512: one state is over the stack budget, so each order runs
+        # from each input as a one-state stack, channel by channel
         inst = states.w_product_9()
         calls = _count_applies(monkeypatch)
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space,
@@ -610,8 +610,9 @@ class TestPrefixWalk:
         assert len(walk) == rep.distinct_orders * 3 * 2
 
     def test_kagome_holds_no_more_than_per_order(self):
-        # one D = 512 state is over the budget: the walk holds no branch state
-        # and no input copy, so the traced peak stays at the per-order loop's
+        # D = 512: the walk holds its inputs and its workspace, no state
+        # between orders and no input copy, so the traced peak stays at the
+        # per-order loop's
         inst = states.ccz_kagome(3, 1)
         tracemalloc.start()
         try:
@@ -828,11 +829,11 @@ class TestRealRobustness:
         assert works[0].nbytes == buffers * largest
 
     def test_patched_cap_refuses(self, monkeypatch):
-        # the estimate for kagome 3x1 (D = 512, I/D in float64): the stack,
-        # the workspace's five buffers and the held-state budget
+        # the estimate for kagome 3x1 (D = 512, I/D in float64): the stack
+        # and the workspace's five buffers
         inst = states.ccz_kagome(3, 1)
         chans = list(inst.witness_channels)
-        need = 6 * 8 * 512**2 + ch.STACK_MAX_BYTES
+        need = 6 * 8 * 512**2
         monkeypatch.setattr(_linalg, "MAX_BYTES", need)
         kw = dict(trials=3, n_random_inputs=0, distance_exact_limit=256)
         assert verify_robustness(chans, inst.psi, inst.space, **kw).passed
@@ -1047,7 +1048,11 @@ class TestOrderCertificate:
         assert (first.method, first.passed) == ("commuting", False)
         assert 0.0 < first.order_bound < 1e-10
         tol = first.max_final_distance + first.order_bound / 2
+        calls = _count_applies(monkeypatch)
         rep = verify_robustness(chans, ZERO2, sp, tol=tol)
+        # two orders of two channels on one stack of I/4 and a random input:
+        # the fallback does not run the identity order a second time
+        assert calls.count((2, 4, 4)) == 2 * 2
         walk = forced_walk(monkeypatch, chans, ZERO2, sp, tol=tol)
         assert (rep.method, rep.orders_computed) == ("exhaustive", 2)
         assert rep.order_bound == first.order_bound
