@@ -182,17 +182,9 @@ def factor_reset_channel(state, factors, virtual_dims, g, isometries, support, l
     return make_channel(out.kraus, support, label=label)
 
 
-# Byte budget of stacked work: a stack of N complex D x D states pushed
-# through `apply` at once (`stack_size`: the inputs of
-# `rfts.verify_robustness`, the times of `mixing`'s eta samples), and a chunk
-# of `rfts._partial_commutator_norms`. A single state above it (D >= 363) is
-# applied alone.
+# Byte bound of one chunk of `rfts._partial_commutator_norms`: the product of
+# a block of its A factors with every C factor
 STACK_MAX_BYTES = 2 << 20
-
-
-def stack_size(d: int) -> int:
-    """How many D x D complex states fit in `STACK_MAX_BYTES`, at least 1."""
-    return max(1, STACK_MAX_BYTES // (16 * d * d))
 
 
 def _liouville_pays(m: int, n_kraus: int, d: int) -> bool:

@@ -258,6 +258,10 @@ def load_problem(path: str):
             inst = CONSTRUCTORS[name](spec.get("params", {}))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"/state/constructor/params: {type(exc).__name__}: {exc}") from exc
+        state, size = ((inst.rho, abs(np.trace(inst.rho))) if inst.psi is None
+                       else (inst.psi, np.linalg.norm(inst.psi)))
+        if not (np.isfinite(state).all() and size > 0):  # refused, never rescaled
+            raise InputError("/state/constructor/params: the state built is not finite, or has zero norm or trace")
         if "neighborhoods" in data:
             inst = replace(inst, neighborhoods=_parse_neighborhoods(data["neighborhoods"], inst.space))
         return inst, options
@@ -568,7 +572,7 @@ def cmd_simulate(args):
         rho0 = np.outer(v, v.conj())
     orders = [tuple(range(len(circ.steps)))]
     if args.shuffle:
-        for _ in range(max(args.trials - 1, 0)):
+        for _ in range(args.trials - 1):
             orders.append(tuple(rng.permutation(len(circ.steps))))
     defect = chan_mod.frame_defect(circ)
     # I/D is diagonal in the frame and stays so: it runs as its weight vector
@@ -733,12 +737,11 @@ def cmd_schedule(args):
         lat = LATTICES[kind](data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{kind} lattice: {type(exc).__name__}: {exc}") from exc
-    if kind == "graph2d":
-        inst, layering = sched_mod.layer_graph2d(lat)
-        bound = 5
-    else:
-        inst, layering = sched_mod.layer_generic(lat)
-        bound = len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
+    try:
+        inst, layering = (sched_mod.layer_graph2d if kind == "graph2d" else sched_mod.layer_generic)(lat)
+    except ValueError as exc:
+        raise InputError(f"{kind} lattice: {type(exc).__name__}: {exc}") from exc
+    bound = 5 if kind == "graph2d" else len(lat.templates) * sched_mod.template_diameter(lat) ** lat.dimension
     rep = sched_mod.depth_report(inst, layering, bound=bound)
     return (
         "schedule", rep.disjoint_ok and rep.coverage_ok,
@@ -1106,13 +1109,14 @@ def _checked(convert, ok, what: str):
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 _time = _checked(float, lambda v: 0 <= v < math.inf, "a non-negative finite number")
 _count = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 # the flags every command takes, before or after the subcommand, with their defaults
 GLOBAL_FLAGS = {
     "--tol": dict(type=_tolerance, default=1e-8, help="verdict tolerance, positive and finite"),
     "--seed": dict(type=int, default=0, help="random seed"),
-    "--threads": dict(type=int, default=None, help="BLAS thread bound"),
+    "--threads": dict(type=_count, default=None, help="BLAS thread bound, at least 1"),
     "--output": dict(default=None, help="write the JSON report here"),
 }
 
@@ -1145,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--circuit", default=None, help="write the circuit JSON here")
     ps.add_argument("--force", action="store_true",
                     help="skip the precondition checks")
-    ps.add_argument("--trials", type=int, default=5,
+    ps.add_argument("--trials", type=_nonnegative, default=5,
                     help="rfts: random step orders run beside the identity order when there are "
                          "more than 720 orders and the commuting bound does not decide; fts draws no "
                          "input (its circuit is proved for every input from one I/D run)")
@@ -1156,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--problem", default=None, help="problem file holding the target")
     pm.add_argument("--initial", default="mixed",
                     help="'mixed', 'random', or a state-vector JSON file")
-    pm.add_argument("--trials", type=int, default=1)
+    pm.add_argument("--trials", type=_count, default=1)
     pm.add_argument("--shuffle", action="store_true",
                     help="also run random step orders")
     pm.add_argument("--trajectory", default=None,

@@ -53,9 +53,9 @@ GAMMA_SLACK = 0.05
 DELTA_CAP = 1.1
 FIT_CEILING = 0.5
 
-# D x D complex arrays per state of a stack that `eta_samples` holds at once:
-# the stack, the two terms of each step and their sum, the apply's
-# temporaries, the distance and its Hermitian part (traced peak: about 7)
+# D x D complex arrays that `eta_samples` holds at once besides rho_star and
+# the witness input: the state, the two terms of each step and their sum, the
+# apply's temporaries, the distance and its Hermitian part (traced peak: about 7)
 ETA_ARRAYS = 8
 
 
@@ -267,19 +267,11 @@ class CommutingResetFamily:
             out = (1.0 - w) * out + w * self._apply(c, out)
         return out
 
-    def propagate(self, rho: np.ndarray, t) -> np.ndarray:
+    def propagate(self, rho: np.ndarray, t: float) -> np.ndarray:
         """e^{sum_k L_k t}(rho) using e^{L_k t} = I + (1 - e^{-t}) (E_k - I),
         exact when the maps commute and each is idempotent
-        (`ResetProof.product_failure`).
-
-        t is a scalar, or a 1-d array of times: then one stack holds rho
-        propagated to each time.
-        """
-        t = np.asarray(t, dtype=float)
-        w = 1.0 - np.exp(-t)
-        if t.ndim:
-            rho, w = np.repeat(np.asarray(rho)[None], t.size, axis=0), w[:, None, None]
-        return self._evolve(rho, w, self.channels)
+        (`ResetProof.product_failure`)."""
+        return self._evolve(rho, 1.0 - np.exp(-t), self.channels)
 
     def per_channel_gap(self) -> float:
         """min_k gap(E_k - I), the smallest |Re| of a decaying eigenvalue of
@@ -303,16 +295,16 @@ class CommutingResetFamily:
 
         With commuting idempotent maps, e^{Lt} = prod_k ((1 - w) id + w E_k)
         with w = 1 - e^{-t} (`propagate`). `lower` is the exact distance at
-        the witness input (`_witness`), propagated to the times
-        `channels.stack_size(D)` at a time. When `proof` holds, the product
-        of all N is the reset to rho_star and every other product over a
-        subset of the channels maps states to states, so
+        the witness input (`_witness`), propagated to one t at a time. When
+        `proof` holds, the product of all N is the reset to rho_star and
+        every other product over a subset of the channels maps states to
+        states, so
         eta(t) <= 1 - w^N <= N e^{-t}: that envelope is `upper`. Otherwise
         `upper` is 1 (`method` "unproven"). Raises ValueError on a negative
         or non-finite t, and, naming the hypothesis, when the maps do not
         commute or one is not idempotent: the product is then not e^{tL}.
         Raises CapExceeded before the witness is built when rho_star, the
-        witness input and `ETA_ARRAYS` arrays per state of a stack pass
+        witness input and `ETA_ARRAYS` more D x D arrays pass
         `_linalg.MAX_BYTES`.
         """
         ts = [float(t) for t in ts]
@@ -324,15 +316,12 @@ class CommutingResetFamily:
         if not ts:
             return []
         d = self.space.total_dim
-        per = chan_mod.stack_size(d)
-        size = min(per, len(ts))
-        check_budget(16 * d * d * (2 + ETA_ARRAYS * size), f"eta samples of D = {d}, {size} at a time")
+        check_budget(16 * d * d * (2 + ETA_ARRAYS), f"eta samples of D = {d}, 1 at a time")
         phi = np.outer(self._witness, self._witness.conj())
-        lo = np.concatenate([_half_trace_norm(self.propagate(phi, ts[g:g + per]) - self.rho_star)
-                             for g in range(0, len(ts), per)])
         n, proven = len(self.channels), self.proof.holds
-        return [EtaSample(t=t, lower=float(l), upper=1.0 - (1.0 - math.exp(-t)) ** n if proven else 1.0)
-                for t, l in zip(ts, lo)]
+        return [EtaSample(t=t, lower=float(_half_trace_norm(self.propagate(phi, t) - self.rho_star)),
+                          upper=1.0 - (1.0 - math.exp(-t)) ** n if proven else 1.0)
+                for t in ts]
 
     def eta_sample(self, t: float, seed: int = 0) -> EtaSample:
         """`eta_samples` at one t; `seed` is not read."""

@@ -823,44 +823,28 @@ def _order_bound(channels: list[Channel], space: MultipartiteSpace, cap: float) 
     return total
 
 
-def _apply_order(channels: list[Channel], order: tuple[int, ...], stack: np.ndarray, space,
-                 work: ch.Workspace) -> np.ndarray:
-    """The (N, D, D) `stack` after the channels applied in `order`. Every
-    apply runs in the workspace `work` (`channels.Workspace`): the result is
-    one of its state buffers, which a later apply overwrites."""
-    for k in order:
-        stack = ch.apply(channels[k], stack, space, work)
-    return stack
-
-
-# D x D buffers of one stacked apply, each the size of the largest stack: the
-# buffers of the walk's `channels.Workspace` (the two states read and written
-# in turn, K @ x, the sum and one term); the inputs are counted apart
+# D x D buffers of one apply, each the size of the largest input: the buffers
+# of the walk's `channels.Workspace` (the two states read and written in turn,
+# K @ x, the sum and one term); the inputs are counted apart
 APPLY_BUFFERS = len(ch.Workspace.BUFFERS)
 
 
-def _input_stacks(channels: list[Channel], d: int, n_inputs: int) -> list[tuple[int, type]]:
-    """(size, dtype) of each stack of `verify_robustness`'s inputs, I/D first.
+def _input_dtypes(channels: list[Channel], d: int, n_inputs: int) -> list[type]:
+    """dtype of each of `verify_robustness`'s D x D inputs, I/D first.
 
-    The inputs are taken `channels.stack_size(D)` at a time, as complex
-    stacks. When every map is real and I/D has a stack of its own (no random
-    input, or one state per stack: D > 256), that stack is float64: real maps
-    keep it real, at half the bytes and a quarter of the flops. At smaller D
-    I/D shares a complex stack with the random inputs: a stack of its own
-    would double the number of applies of the walk. Raises CapExceeded when
-    the stacks and the walk's workspace, `APPLY_BUFFERS` buffers of the
-    largest stack, pass `_linalg.MAX_BYTES`: that is everything the walk
-    allocates.
+    I/D is float64 when every map is real: real maps keep it real, at half
+    the bytes and a quarter of the flops. Every random input is complex.
+    Raises CapExceeded when the inputs and the walk's workspace,
+    `APPLY_BUFFERS` buffers of the largest input, pass `_linalg.MAX_BYTES`:
+    that is everything the walk allocates.
     """
-    per = ch.stack_size(d)
-    sizes = [min(per, n_inputs - start) for start in range(0, n_inputs, per)]
-    real = sizes[0] == 1 and all(c.real_kraus is not None for c in channels)
-    layout = [(n, float if real and i == 0 else complex) for i, n in enumerate(sizes)]
-    nbytes = [n * d * d * np.dtype(t).itemsize for n, t in layout]
+    real = all(c.real_kraus is not None for c in channels)
+    dtypes = [float if real else complex] + [complex] * (n_inputs - 1)
+    nbytes = [d * d * np.dtype(t).itemsize for t in dtypes]
     need = sum(nbytes) + APPLY_BUFFERS * max(nbytes)
     kind = "float64" if real else "complex"
     check_budget(need, f"robustness walk over {n_inputs} inputs of D = {d} ({kind} I/D)")
-    return layout
+    return dtypes
 
 
 def verify_robustness(
@@ -888,10 +872,9 @@ def verify_robustness(
     is below tol but its distance + B is not, the drawn orders decide: each
     distinct order other than the identity then runs too, once. A sampled
     order that repeats is counted in `orders_run` but computed once. Each
-    order runs on the inputs stacked `channels.stack_size(D)` at a time
-    (`_apply_order`), every apply in one workspace that lives as long as
-    this call; with real maps, I/D in a stack of its own runs in float64
-    (`_input_stacks`, which also refuses, with CapExceeded, a walk over
+    order runs on one D x D input at a time, every apply in one workspace
+    that lives as long as this call; with real maps, I/D runs in float64
+    (`_input_dtypes`, which also refuses, with CapExceeded, a walk over
     `_linalg.MAX_BYTES` before anything is allocated). `worst_order` is the
     first order, in the sampled or enumerated sequence, that reached
     `max_final_distance`.
@@ -900,7 +883,7 @@ def verify_robustness(
     if not np.any(target.imag):
         target = np.ascontiguousarray(target.real)  # real states meet it in real arithmetic
     d = space.total_dim
-    layout = _input_stacks(channels, d, 1 + n_random_inputs)
+    dtypes = _input_dtypes(channels, d, 1 + n_random_inputs)
     rng = np.random.default_rng(seed)
     t = len(channels)
     inv_defect = 0.0
@@ -924,12 +907,9 @@ def verify_robustness(
             orders.append(tuple(rng.permutation(t)))
         exhaustive = False
 
-    stacks = [np.empty((n, d, d), dtype=dtype) for n, dtype in layout]
-    states = [r for stack in stacks for r in stack]  # views, I/D first
-    states[0][...] = 0.0
-    np.fill_diagonal(states[0], 1.0 / d)
-    for r in states[1:]:
-        r[...] = random_density(d, rng)
+    inputs = [np.zeros((d, d), dtype=dtypes[0])]
+    np.fill_diagonal(inputs[0], 1.0 / d)
+    inputs += [random_density(d, rng) for _ in range(n_random_inputs)]
     distinct = dict.fromkeys(orders)
     identity = orders[0]
     bound = _order_bound(channels, space, cap=tol)
@@ -939,12 +919,12 @@ def verify_robustness(
         """Worst final distance of `order` over the inputs, and the target
         fidelity of its output from I/D."""
         worst, fidelity = 0.0, 1.0
-        for i, stack in enumerate(stacks):
-            rho = _apply_order(channels, order, stack, space, work)
-            worst = max(worst, *(_distance_to_target(r, target, exact_limit=distance_exact_limit) for r in rho))
+        for i, rho in enumerate(inputs):
+            for k in order:
+                rho = ch.apply(channels[k], rho, space, work)  # a view of `work`
+            worst = max(worst, _distance_to_target(rho, target, exact_limit=distance_exact_limit))
             if i == 0 and target.ndim == 1:
-                fidelity = float(np.vdot(target, rho[0] @ target).real)
-            del rho  # not alive while the next stack runs, so a growing buffer frees its old array
+                fidelity = float(np.vdot(target, rho @ target).real)
         return worst, fidelity
 
     dist, fidelity = run(identity)

@@ -34,6 +34,8 @@ class LatticeSpec:
     def __post_init__(self):
         if len(self.widths) != self.dimension:
             raise ValueError("one width per axis required")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"widths must be positive, got {self.widths}")
         if self.boundary not in ("periodic", "open"):
             raise ValueError("boundary must be 'periodic' or 'open'")
 

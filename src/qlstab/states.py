@@ -227,6 +227,8 @@ def symmetric_state(bits) -> np.ndarray:
 
 def dicke(n: int = 4, k: int = 2) -> StateInstance:
     """n-qubit Dicke state with k excitations; overlapping 3-body neighborhoods."""
+    if not 0 <= k <= n:
+        raise ValueError(f"a Dicke state needs 0 <= k <= n, got n = {n}, k = {k}")
     psi = symmetric_state([1] * k + [0] * (n - k)).astype(complex)
     space = uniform_space(n, 2)
     nbhds = NeighborhoodStructure([list(range(i, i + 3)) for i in range(n - 2)])

@@ -244,16 +244,23 @@ def spectral_gap(l: Liouvillian, tol: float = 1e-9) -> SpectralReport:
     return SpectralReport(gap=gap, eigenvalues=ev)
 
 
+def batch_size(d: int) -> int:
+    """How many D x D complex matrices the sampled estimators push through
+    at once: as many as fit in `channels.STACK_MAX_BYTES`, at least 1. Tests
+    patch that bound to 1 to run them one matrix at a time."""
+    return max(1, chan_mod.STACK_MAX_BYTES // (16 * d * d))
+
+
 def eta_upper(m, rng, iters: int = 40) -> np.ndarray:
     """(1/2) sqrt(D) * sigma_max(M_j) for every map j of the `Map` `m`, with sigma_max from power iteration on M^H M from one drawn start;
-    the maps' iterations run in lockstep, in groups of
-    `channels.stack_size(D)`. Power iteration approaches sigma_max from
+    the maps' iterations run in lockstep, in groups of `batch_size(D)`.
+    Power iteration approaches sigma_max from
     below, so this estimates a bound on eta without being one."""
     d = m.dim
     x0 = random_density(d, rng).astype(complex)
     x0 = x0 / np.linalg.norm(x0)
     out = np.zeros(m.count)
-    per = chan_mod.stack_size(d)
+    per = batch_size(d)
     for g in range(0, m.count, per):
         k = np.arange(g, min(g + per, m.count))
         x = np.repeat(x0[None], k.size, axis=0)
@@ -333,8 +340,8 @@ def eta_lower(m: Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int =
     sampling plus alternating ascent: a lower estimate.
 
     One set of samples is drawn, in order, and serves every map: the sweep
-    pushes each (map, sample) pair through as stacks of
-    `channels.stack_size(D)` inputs. Each map then refines its `n_refine`
+    pushes each (map, sample) pair through as stacks of `batch_size(D)`
+    inputs. Each map then refines its `n_refine`
     best samples, and all count * n_refine ascents run in lockstep, in groups
     of the same size; an ascent that meets its stop test leaves its group. An
     ascent draws nothing once its start is chosen, so the result equals the
@@ -353,7 +360,7 @@ def eta_lower(m: Map, rng, n_samples: int = 256, n_refine: int = 4, iters: int =
     `eigh` of the images fails, retries each image with MRRR.
     """
     d, count = m.dim, m.count
-    per = chan_mod.stack_size(d)
+    per = batch_size(d)
     vecs = np.array([random_pure(d, rng) for _ in range(n_samples)])
     # entry i of the sweep is sample i % n_samples through map i // n_samples
     vals = np.empty(count * n_samples)

@@ -27,7 +27,7 @@ from qlstab.channels import Circuit, make_channel
 
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
-# D = 128: a cycle whose robustness walk (3 MiB) outweighs the commutants
+# D = 128: a cycle whose robustness walk (1.6 MiB) outweighs the commutants
 # `synth rfts` builds before it (384 KiB each)
 CYCLE7 = {"state": {"constructor": {"name": "graph-cycle", "params": {"n": 7}}}}
 
@@ -252,11 +252,13 @@ class TestCheck:
                                            "capped at 1.0 GiB\n")
 
     def test_robustness_cap_exit_3(self, tmp_path, capsys, monkeypatch):
-        # the 7-cycle's robustness walk (D = 128, two complex inputs in one
-        # stack, 3 MiB) one byte over the budget; the commutants that `synth
-        # rfts` builds before it need 384 KiB each, and fit
+        # the 7-cycle's robustness walk (D = 128: a float64 I/D, a complex
+        # random input and the workspace's buffers of the complex one, 1.6
+        # MiB) one byte over the budget; the commutants that `synth rfts`
+        # builds before it need 384 KiB each, and fit
         problem = write_json(tmp_path, "graph_cycle7.json", CYCLE7)
-        need = 2 * 128**2 * 16 * (1 + rfts_mod.APPLY_BUFFERS)
+        need = 128**2 * (8 + 16 + 16 * rfts_mod.APPLY_BUFFERS)
+        assert need == 1_703_936 > 393_216
         monkeypatch.setattr(_linalg, "MAX_BYTES", need - 1)
         assert main(["synth", "rfts", problem]) == 3
         captured = capsys.readouterr()
@@ -744,6 +746,36 @@ class TestGlobalFlags:
         assert "--tol" in captured.err
 
 
+    @pytest.mark.parametrize("text", ["0", "-1", "x"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_bad_threads_exits_2(self, text, where, capsys):
+        # `--threads 0` would bound nothing, so it is refused, not dropped
+        command = ["check", "qls", os.path.join(PROBLEMS, "dicke.json")]
+        argv = ["--threads", text] + command if where == "before" else command + ["--threads", text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --threads: must be a positive integer" in captured.err
+
+    @pytest.mark.parametrize("argv, what", [
+        ("synth rfts {p}/graph_cycle5.json --trials -3", "a non-negative integer"),
+        ("simulate c.json --shuffle --trials 0", "a positive integer"),
+        ("simulate c.json --shuffle --trials -2", "a positive integer"),
+    ])
+    def test_bad_trials_exits_2(self, argv, what, capsys):
+        # a negative `synth --trials` would leave the sampled walk with the
+        # identity order alone, and `simulate --trials 0` would run one order
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(p=PROBLEMS).split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --trials: must be {what}" in captured.err
+
+    def test_zero_synth_trials_accepted(self):
+        assert build_parser().parse_args(["synth", "rfts", "p.json", "--trials", "0"]).trials == 0
+
+
 REPORT_KEYS = ["task", "pass", "verdicts", "certificates", "tolerances", "seed", "elapsed_seconds", "version"]
 
 # one invocation of every command kind: (argv, exit code, tolerance keys);
@@ -967,7 +999,44 @@ MALFORMED_LATTICES = {
 }
 
 
+# lattice files that parse but that the lattice or its layering refuses,
+# each with the text its message must hold
+REFUSED_LATTICES = {
+    "kagome-3x2-not-a-multiple-of-the-diameter": ({"kind": "kagome", "cells_x": 3, "cells_y": 2},
+                                                  "periodic widths (3, 2)"),
+    "graph2d-width-4": ({"kind": "graph2d", "width": 4}, "widths must be multiples of 5"),
+    "kagome-cells-x-negative": ({"kind": "kagome", "cells_x": -1, "cells_y": 2}, "widths must be positive"),
+    "chain-width-zero": ({"kind": "chain-next-nn", "width": 0}, "widths must be positive"),
+}
+
+
+def _dicke(n, k):
+    return {"state": {"constructor": {"name": "dicke", "params": {"n": n, "k": k}}}}
+
+
 class TestMalformedProblem:
+    @pytest.mark.parametrize("sub, n, k", [("sss", 3, 5), ("qls", 3, 5), ("qls", 4, -1)])
+    def test_dicke_out_of_range_exit_2(self, sub, n, k, tmp_path, capsys):
+        # k outside 0..n has no Dicke state; its vector would be NaN, on
+        # which `check sss` reads Schmidt rank 1 and passes
+        rc = main(["check", sub, write_json(tmp_path, "problem.json", _dicke(n, k))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: /state/constructor/params") and "0 <= k <= n" in err
+
+    @pytest.mark.parametrize("case", ["vector-nan", "vector-zero", "matrix-inf", "matrix-zero-trace"])
+    def test_constructor_state_not_finite_or_zero_exit_2(self, case, tmp_path, capsys, monkeypatch):
+        good = states.line_graph_state(3)
+        bad = {"vector-nan": dict(psi=np.full(8, np.nan)), "vector-zero": dict(psi=np.zeros(8)),
+               "matrix-inf": dict(psi=None, rho=np.diag([np.inf] + [0.0] * 7)),
+               "matrix-zero-trace": dict(psi=None, rho=np.diag([0.5, -0.5] + [0.0] * 6))}[case]
+        monkeypatch.setitem(CONSTRUCTORS, "broken", lambda p: replace(good, **bad))
+        problem = {"state": {"constructor": {"name": "broken"}}}
+        rc = main(["check", "qls", write_json(tmp_path, "problem.json", problem)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: /state/constructor/params") and "not finite" in err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
     def test_exit_2(self, case, tmp_path, capsys):
         sub, problem = MALFORMED_PROBLEMS[case]
@@ -997,6 +1066,14 @@ class TestMalformedProblem:
         rc = main(["schedule", write_json(tmp_path, "lattice.json", MALFORMED_LATTICES[case])])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_LATTICES))
+    def test_schedule_refused_lattice_exit_2(self, case, tmp_path, capsys):
+        lattice, text = REFUSED_LATTICES[case]
+        rc = main(["schedule", write_json(tmp_path, "lattice.json", lattice)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"input error: {lattice['kind']} lattice: ValueError") and text in err
 
     @pytest.mark.parametrize("initial", ["nosuch.json", "wrong-length.json", "zero.json"])
     def test_simulate_initial_exit_2(self, initial, tmp_path, capsys):

@@ -404,12 +404,10 @@ class TestCommutingFamily:
         t = 0.7
         lhs = (expm(t * s) @ rho.reshape(-1)).reshape(8, 8)
         rhs = fam.propagate(rho, t)
+        assert rhs.shape == (8, 8)
         assert trace_distance(lhs, rhs) < 1e-10
-        # a stack of times is each time propagated alone
-        stack = fam.propagate(rho, [t, 2.0])
-        assert stack.shape == (2, 8, 8)
-        assert np.abs(stack[0] - rhs).max() < 1e-15
-        assert trace_distance(stack[1], (expm(2.0 * s) @ rho.reshape(-1)).reshape(8, 8)) < 1e-10
+        # one call per time
+        assert trace_distance(fam.propagate(rho, 2.0), (expm(2.0 * s) @ rho.reshape(-1)).reshape(8, 8)) < 1e-10
 
     def test_additivity_bound(self):
         # eta(e^{sum L_j t}) <= sum_j eta(e^{L_j t})
@@ -471,7 +469,7 @@ class TestClosedForm:
         propagate = fam.propagate
         monkeypatch.setattr(fam, "propagate", lambda rho, t: calls.append(np.size(t)) or propagate(rho, t))
         fam.eta_samples(GRID)
-        assert calls == [len(GRID)]  # one stack of every t
+        assert calls == [1] * len(GRID)  # one state per t
 
     def test_sampled_path_ignores_roundoff_signs(self, monkeypatch):
         # the two apply branches differ by roundoff; the ascent directions
@@ -672,7 +670,7 @@ ETA_CASES = {
 
 
 class TestEtaBudget:
-    """The witness eigenproblem and the eta stacks are guarded by the package
+    """The witness eigenproblem and the eta samples are guarded by the package
     budget, before either is allocated."""
 
     @staticmethod
@@ -699,8 +697,7 @@ class TestEtaBudget:
         assert peak <= seen[0][0]
         fam = build()
         seen, peak = self._traced(lambda: fam.eta_samples(ts), monkeypatch)
-        size = min(chan_mod.stack_size(d), len(ts))
-        assert seen[0] == (16 * d * d * (2 + mixing.ETA_ARRAYS * size), f"eta samples of D = {d}, {size} at a time")
+        assert seen[0] == (16 * d * d * (2 + mixing.ETA_ARRAYS), f"eta samples of D = {d}, 1 at a time")
         assert seen[0][0] / 2 < peak <= seen[0][0]
 
     @pytest.mark.parametrize("name", ["line-9", "gibbs-8"])

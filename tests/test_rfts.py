@@ -588,25 +588,25 @@ class TestPrefixWalk:
         self._compare(name)
 
     def test_each_prefix_applied_once(self, monkeypatch):
-        # t = 6, exhaustive: each order runs once, one stacked apply per
-        # channel, 720 * 6 = 4320, against 720 * 6 * 2 single applies
+        # t = 6, exhaustive: each order runs once from each of the two
+        # inputs, one D x D apply per channel, 720 * 6 * 2
         inst = states.grid_graph_state(2, 3)
         calls = _count_applies(monkeypatch)
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space)
         d = inst.space.total_dim
-        walk = [s for s in calls if s == (2, d, d)]
+        walk = [s for s in calls if s == (d, d)]
         assert rep.exhaustive and rep.distinct_orders == 720
-        assert len(walk) == 720 * 6
+        assert len(walk) == len(calls) == 720 * 6 * 2
 
     def test_state_over_budget_runs_every_order_from_inputs(self, monkeypatch):
-        # D = 512: one state is over the stack budget, so each order runs
-        # from each input as a one-state stack, channel by channel
+        # D = 512: each order runs from each input, one D x D state,
+        # channel by channel
         inst = states.w_product_9()
         calls = _count_applies(monkeypatch)
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space,
                                 exhaustive_limit=1, trials=12)
         d = inst.space.total_dim
-        walk = [s for s in calls if s == (1, d, d)]
+        walk = [s for s in calls if s == (d, d)]
         assert len(walk) == rep.distinct_orders * 3 * 2
 
     def test_kagome_holds_no_more_than_per_order(self):
@@ -752,8 +752,8 @@ class TestRealRobustness:
 
     @pytest.mark.parametrize("name, n_random, dtypes", [
         ("kagome-3x1", 0, [np.float64]),
-        ("w-product", 1, [np.float64, np.complex128]),  # D = 512: one state per stack
-        ("grid-2x3", 1, [np.complex128]),  # D = 64: I/D shares its stack with the random input
+        ("w-product", 1, [np.float64, np.complex128]),  # D = 512
+        ("grid-2x3", 1, [np.float64, np.complex128]),  # D = 64: the same rule at every D
     ])
     def test_stack_dtypes(self, name, n_random, dtypes, monkeypatch):
         inst = states.grid_graph_state(2, 3) if name == "grid-2x3" else ROBUSTNESS_CASES[name][0]()
@@ -764,28 +764,28 @@ class TestRealRobustness:
         rep = verify_robustness(list(inst.witness_channels), inst.psi, inst.space, n_random_inputs=n_random)
         assert rep.passed and rep.method == "commuting"
         d = inst.space.total_dim
-        walk = [dtype for shape, dtype in seen if shape[1:] == (d, d) and len(shape) == 3]
+        walk = [dtype for shape, dtype in seen if shape == (d, d)]
         t = len(inst.witness_channels)
         assert walk == [dt for dt in dtypes for _ in range(t)]
 
     def test_complex_map_keeps_complex_stack(self):
         chans, sp = eps_pair(1e-12), uniform_space(2)
         assert chans[1].real_kraus is None
-        assert rfts._input_stacks(chans, 4, 1) == [(1, complex)]
-        assert rfts._input_stacks(chans[:1], 4, 1) == [(1, float)]
-        # at D = 4 I/D shares a complex stack with the random inputs
-        per = ch.stack_size(4)
-        assert rfts._input_stacks(chans[:1], 4, per + 2) == [(per, complex), (2, complex)]
+        assert rfts._input_dtypes(chans, 4, 1) == [complex]
+        assert rfts._input_dtypes(chans[:1], 4, 1) == [float]
+        # the random inputs are complex at every D
+        assert rfts._input_dtypes(chans[:1], 4, 3) == [float, complex, complex]
+        assert rfts._input_dtypes(chans, 4, 3) == [complex] * 3
 
     def test_cap_sizes(self):
         # kagome 2x2 (D = 4096) with I/D alone: 6 float64 states, 0.75 GiB,
         # runs; D = 2^13 refuses, and so does a complex random input at D = 4096
         chans = list(states.ccz_kagome(3, 1).witness_channels)
-        assert rfts._input_stacks(chans, 4096, 1) == [(1, float)]
+        assert rfts._input_dtypes(chans, 4096, 1) == [float]
         with pytest.raises(ch.CapExceeded, match="D = 8192"):
-            rfts._input_stacks(chans, 8192, 1)
+            rfts._input_dtypes(chans, 8192, 1)
         with pytest.raises(ch.CapExceeded, match="D = 4096"):
-            rfts._input_stacks(chans, 4096, 2)
+            rfts._input_dtypes(chans, 4096, 2)
 
     def test_d_2_13_refused_before_allocating(self):
         # 13 qubits, each reset to |0>: refused before any D x D array exists
@@ -810,7 +810,7 @@ class TestRealRobustness:
     ])
     def test_cap_counts_the_workspace(self, name, n_random, buffers, monkeypatch):
         # the walk's workspace ends holding at most APPLY_BUFFERS buffers of
-        # the largest input stack, the count `_input_stacks` charges
+        # the largest input, the count `_input_dtypes` charges
         inst = states.grid_graph_state(2, 3) if name == "grid-2x3" else ROBUSTNESS_CASES[name][0]()
         chans, d = list(inst.witness_channels), inst.space.total_dim
         works = []
@@ -823,13 +823,12 @@ class TestRealRobustness:
         monkeypatch.setattr(ch, "Workspace", Spy)
         monkeypatch.setattr(rfts, "swap_bound", lambda *a, **k: math.inf)  # walk every order
         verify_robustness(chans, inst.psi, inst.space, n_random_inputs=n_random, exhaustive_limit=6, trials=3)
-        layout = rfts._input_stacks(chans, d, 1 + n_random)
-        largest = max(n * d * d * np.dtype(t).itemsize for n, t in layout)
+        largest = max(d * d * np.dtype(t).itemsize for t in rfts._input_dtypes(chans, d, 1 + n_random))
         assert len(works) == 1 and rfts.APPLY_BUFFERS == len(ch.Workspace.BUFFERS) == 5
         assert works[0].nbytes == buffers * largest
 
     def test_patched_cap_refuses(self, monkeypatch):
-        # the estimate for kagome 3x1 (D = 512, I/D in float64): the stack
+        # the estimate for kagome 3x1 (D = 512, I/D in float64): the input
         # and the workspace's five buffers
         inst = states.ccz_kagome(3, 1)
         chans = list(inst.witness_channels)
@@ -1050,9 +1049,9 @@ class TestOrderCertificate:
         tol = first.max_final_distance + first.order_bound / 2
         calls = _count_applies(monkeypatch)
         rep = verify_robustness(chans, ZERO2, sp, tol=tol)
-        # two orders of two channels on one stack of I/4 and a random input:
+        # two orders of two channels, each from I/4 and from a random input:
         # the fallback does not run the identity order a second time
-        assert calls.count((2, 4, 4)) == 2 * 2
+        assert calls.count((4, 4)) == 2 * 2 * 2
         walk = forced_walk(monkeypatch, chans, ZERO2, sp, tol=tol)
         assert (rep.method, rep.orders_computed) == ("exhaustive", 2)
         assert rep.order_bound == first.order_bound

@@ -49,6 +49,12 @@ class TestInstantiate:
         inst = instantiate(lat)
         assert len(inst.neighborhoods) == 1
 
+    @pytest.mark.parametrize("widths", [(0,), (-1,), (2, 0)])
+    def test_width_below_one_rejected(self, widths):
+        # a zero width would give an empty patch whose layering passes
+        with pytest.raises(ValueError, match="widths must be positive"):
+            LatticeSpec(dimension=len(widths), widths=widths, cell_sites=1, templates=((((0,) * len(widths), 0),),))
+
 
 class TestLayerGeneric:
     def test_chain_depth3(self):
