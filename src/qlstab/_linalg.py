@@ -102,19 +102,17 @@ def rank_cutoff(
     return int(np.sum(sigmas > rtol * smax * max(shape)))
 
 
-def orthonormal_columns(a: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of `a` (SVD based)."""
     a = np.atleast_2d(np.asarray(a))
     if a.shape[1] == 0:
         return a.astype(complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = rank_cutoff(s, a.shape, rtol)
+    r = rank_cutoff(s, a.shape)
     return u[:, :r]
 
 
-def nullspace(
-    a: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol, scale: float | None = None
-) -> np.ndarray:
+def nullspace(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of `a`.
 
     The rank follows `rank_cutoff` at the shape of `a`, relative to `scale`
@@ -130,7 +128,7 @@ def nullspace(
         _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))
     else:
         _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    r = rank_cutoff(s, a.shape, rtol, scale)
+    r = rank_cutoff(s, a.shape, scale=scale)
     return vh[r:].conj().T
 
 

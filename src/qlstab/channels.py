@@ -121,8 +121,9 @@ def relocate(ch: Channel, sites, space: MultipartiteSpace) -> tuple[Channel, Mul
     return local, MultipartiteSpace([space.dims[i] for i in sites])
 
 
-def compose(second: Channel, first: Channel, space: MultipartiteSpace, label: str = "") -> Channel:
-    """Channel applying `first` then `second`, on the union support.
+def compose(second: Channel, first: Channel, space: MultipartiteSpace) -> Channel:
+    """Channel applying `first` then `second`, on the union support, labelled
+    "second*first".
 
     A product b a of their Kraus operators that vanishes (Frobenius norm at
     most `DEFAULT_TOL.rank_rtol`) is dropped.
@@ -138,7 +139,7 @@ def compose(second: Channel, first: Channel, space: MultipartiteSpace, label: st
     ka = lift(first)
     prod = (b @ a for b in lift(second) for a in ka)
     live = [k for k in prod if frob(k) > DEFAULT_TOL.rank_rtol]
-    return make_channel(live, union, label=label or f"{second.label}*{first.label}")
+    return make_channel(live, union, label=f"{second.label}*{first.label}")
 
 
 def _reinjection_channel(w: np.ndarray, position: int) -> Channel:
@@ -748,26 +749,26 @@ def occupied(rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(nz.any(axis=0) | nz.any(axis=1))
 
 
-def state_rank(rho: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
+def state_rank(rho: np.ndarray) -> int:
     """Rank under the package rule, cut at the full shape of rho.
 
     The eigenvalues come from the block on the occupied indices; the rest of
     the spectrum is exactly zero.
     """
     s = occupied(rho)
-    return _block_rank(rho[np.ix_(s, s)], rho.shape, rtol)
+    return _block_rank(rho[np.ix_(s, s)], rho.shape)
 
 
-def _block_rank(block: np.ndarray, shape, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
+def _block_rank(block: np.ndarray, shape) -> int:
     """Rank of a state that vanishes off `block`, cut at `shape`."""
     ev = np.linalg.eigvalsh(block)
-    return rank_cutoff(np.abs(ev[::-1]), shape, rtol)
+    return rank_cutoff(np.abs(ev[::-1]), shape)
 
 
-def diagonal_rank(p: np.ndarray, rtol: float = DEFAULT_TOL.rank_rtol) -> int:
+def diagonal_rank(p: np.ndarray) -> int:
     """Rank of diag(p) under the package rule, cut at (D, D): the eigenvalues
     of a diagonal matrix are its entries, so no eigensolve is needed."""
-    return rank_cutoff(np.abs(p[p != 0]), (p.size, p.size), rtol)
+    return rank_cutoff(np.abs(p[p != 0]), (p.size, p.size))
 
 
 def run(
@@ -923,13 +924,9 @@ class InvarianceReport:
     defect: float
 
 
-def check_invariance(
-    ch: Channel,
-    psi: np.ndarray,
-    space: MultipartiteSpace,
-    tol: float = DEFAULT_TOL.invariance,
-) -> InvarianceReport:
-    """Trace distance between E(|psi><psi|) and |psi><psi|.
+def check_invariance(ch: Channel, psi: np.ndarray, space: MultipartiteSpace) -> InvarianceReport:
+    """Trace distance between E(|psi><psi|) and |psi><psi|, `ok` below
+    `DEFAULT_TOL.invariance`.
 
     Computed inside the low-dimensional span of {psi, K_i psi}, so it stays
     cheap even for large total dimension.
@@ -946,15 +943,12 @@ def check_invariance(
     )
     rho_in = np.outer(coords[:, 0], coords[:, 0].conj())
     defect = trace_distance(rho_out, rho_in)
-    return InvarianceReport(ok=defect < tol, defect=defect)
+    return InvarianceReport(ok=defect < DEFAULT_TOL.invariance, defect=defect)
 
 
-def kraus_support(
-    ch: Channel,
-    space: MultipartiteSpace,
-    tol: float = 1e-9,
-) -> tuple[int, ...]:
-    """Smallest region R such that every Kraus operator is (M on R) tensor I."""
+def kraus_support(ch: Channel, space: MultipartiteSpace) -> tuple[int, ...]:
+    """Smallest region R such that every Kraus operator is (M on R) tensor I,
+    to within 1e-9 max(1, its largest entry) per entry."""
     sup = list(ch.support)
     sub_space = MultipartiteSpace([space.dims[i] for i in sup])
     keep: list[int] = []
@@ -965,7 +959,7 @@ def kraus_support(
             kt = hilbert.to_front(k, [pos], sub_space, sides=2)
             t = np.trace(kt, axis1=0, axis2=2) / d_i
             recon = np.eye(d_i)[:, None, :, None] * t[None, :, None, :]
-            if np.max(np.abs(kt - recon)) > tol * max(1.0, np.max(np.abs(k))):
+            if np.max(np.abs(kt - recon)) > 1e-9 * max(1.0, np.max(np.abs(k))):
                 trivially = False
                 break
         if not trivially:
@@ -973,9 +967,9 @@ def kraus_support(
     return tuple(keep)
 
 
-def restrict_to_support(ch: Channel, space: MultipartiteSpace, tol: float = 1e-9) -> Channel:
+def restrict_to_support(ch: Channel, space: MultipartiteSpace) -> Channel:
     """Shrink the declared support to the actual Kraus support."""
-    actual = kraus_support(ch, space, tol)
+    actual = kraus_support(ch, space)
     if actual == tuple(ch.support):
         return ch
     if not actual:

@@ -295,9 +295,13 @@ def _parse_neighborhoods(data, space: MultipartiteSpace) -> NeighborhoodStructur
     if not isinstance(data, list):
         raise InputError(f"/neighborhoods: expected a list of supports, got {data!r}")
     try:
-        return NeighborhoodStructure([_parse_support(nk, space) for nk in data], normalize=True)
+        nstruct = NeighborhoodStructure([_parse_support(nk, space) for nk in data], normalize=True)
     except (InputError, ValueError) as exc:
         raise InputError(f"/neighborhoods: {exc}") from exc
+    uncovered = [i + 1 for i in range(space.n_subsystems) if not any(i in nk for nk in nstruct)]
+    if uncovered:
+        raise InputError(f"/neighborhoods: must cover every subsystem; subsystems {uncovered} lie in none")
+    return nstruct
 
 
 def _parse_region(options: dict, key: str, space: MultipartiteSpace, default) -> list[int]:
@@ -408,6 +412,9 @@ def _check_ugen(inst, options, args):
 
 
 def _check_commuting_projectors(inst, options, args):
+    if len(inst.neighborhoods) < 2:
+        raise InputError(f"/neighborhoods: commuting-projectors needs at least two neighborhoods, "
+                         f"got {len(inst.neighborhoods)}")
     v = sub_mod.check_commuting_projectors(inst.psi, inst.neighborhoods, inst.space, tol=args.tol)
     certificates = {"max_commutator_norm": v.max_norm, "intersection_margin": _intersection_margin(v)}
     return v.ok, {"commuting_projectors": v.ok}, certificates, {"tol": args.tol}
@@ -559,6 +566,8 @@ def cmd_simulate(args):
     if args.problem:
         inst, _ = load_problem(args.problem)
         target = inst.psi
+        if target is not None and target.shape[0] != d:
+            raise InputError(f"--problem: the target has dimension {target.shape[0]}, the circuit D = {d}")
     rho0 = None  # I/D, for --initial mixed
     if args.initial == "random":
         rho0 = random_density(d, rng)
@@ -666,7 +675,7 @@ def cmd_mixing(args):
         fams = _line_graph_families(args.family_sizes)
         ts = [float(t) for t in (args.ts if args.ts else [1.5, 2.5, 4.0, 6.0])]
         try:
-            rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=args.seed)
+            rep = mixing_mod.rapid_mixing_check(fams, ts=ts)
         except ValueError as exc:
             raise InputError(f"mixing family: {exc}") from exc
         return (
@@ -1028,11 +1037,11 @@ def _repro_no_go(seed):
 def _repro_rapid_mixing(seed):
     fams = _line_graph_families((3, 4, 5, 6))
     ts = [1.5, 2.5, 4.0, 6.0]
-    rep = mixing_mod.rapid_mixing_check(fams, ts=ts, seed=seed)
+    rep = mixing_mod.rapid_mixing_check(fams, ts=ts)
     whole = {(n, t): lo for n, t, lo, _ in rep.samples}
     additive = all(
         whole[fam.space.n_subsystems, t]
-        <= sum(fam.eta_single_channel(k, t, seed=seed) for k in range(len(fam.channels))) + 1e-6
+        <= sum(fam.eta_single_channel(k, t) for k in range(len(fam.channels))) + 1e-6
         for fam in fams[:2] for t in ts
     )
     checks = {

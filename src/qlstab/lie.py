@@ -85,12 +85,7 @@ def stabilizer_algebra(psi: np.ndarray) -> LieBasis:
     return LieBasis((1j * np.outer(psi, psi.conj()), *(rest @ ys @ rest.conj().T)))
 
 
-def neighborhood_stabilizer_algebra(
-    psi: np.ndarray,
-    region,
-    space: MultipartiteSpace,
-    rtol: float = 1e-10,
-) -> LieBasis:
+def neighborhood_stabilizer_algebra(psi: np.ndarray, region, space: MultipartiteSpace) -> LieBasis:
     """Stabilizer elements of the form (X on region) tensor I."""
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
@@ -103,7 +98,7 @@ def neighborhood_stabilizer_algebra(
     # constraint matrix: coefficients -> (I - P_psi)(X ⊗ I)|psi>
     w = (packer.unpack(np.eye(m * m)) @ psip).reshape(m * m, -1)
     a = (w - np.outer(w @ psi_perm.conj(), psi_perm)).T
-    null = nullspace(np.vstack([a.real, a.imag]), rtol)  # (m^2, n_null), orthonormal real columns
+    null = nullspace(np.vstack([a.real, a.imag]))  # (m^2, n_null), orthonormal real columns
     eye = np.eye(rest_dim, dtype=complex) / np.sqrt(rest_dim)
     return LieBasis(tuple(
         hilbert.from_front(np.kron(x, eye), region, space, sides=2) for x in packer.unpack(null.T)

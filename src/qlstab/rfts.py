@@ -70,24 +70,24 @@ class AlgebraBasis:
     def dim(self) -> int:
         return len(self.elements)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         v = x.reshape(-1)
         coeffs = np.array([e.reshape(-1).conj() @ v for e in self.elements])
         recon = sum(c * e for c, e in zip(coeffs, self.elements))
-        return bool(np.max(np.abs(recon - x)) < tol * max(1.0, np.max(np.abs(x))))
+        return bool(np.max(np.abs(recon - x)) < 1e-7 * max(1.0, np.max(np.abs(x))))
 
-    def validate(self, tol: float = 1e-7) -> dict:
+    def validate(self) -> dict:
         """Adjoint closure, product closure, and identity membership defects."""
         adj = max(
-            (0.0 if self.contains(e.conj().T, tol) else 1.0) for e in self.elements
+            (0.0 if self.contains(e.conj().T) else 1.0) for e in self.elements
         )
         rng = np.random.default_rng(2)
         prod = 0.0
         for _ in range(6):
             a = self.random_element(rng, hermitian=False)
             b = self.random_element(rng, hermitian=False)
-            prod = max(prod, 0.0 if self.contains(a @ b, tol) else 1.0)
-        ident = 0.0 if self.contains(np.eye(self.ambient_dim, dtype=complex), tol) else 1.0
+            prod = max(prod, 0.0 if self.contains(a @ b) else 1.0)
+        ident = 0.0 if self.contains(np.eye(self.ambient_dim, dtype=complex)) else 1.0
         return {"adjoint": adj, "product": prod, "identity": ident}
 
     def random_element(self, rng, hermitian: bool = True) -> np.ndarray:
@@ -203,14 +203,14 @@ class LocalSupport:
         return kron_all([self.site_isometries[i] for i in sorted(region)])
 
 
-def local_support(state, space: MultipartiteSpace, rtol: float = DEFAULT_TOL.rank_rtol) -> LocalSupport:
+def local_support(state, space: MultipartiteSpace) -> LocalSupport:
     """Per-subsystem supports supp(Tr_complement rho)."""
     state = np.asarray(state, dtype=complex)
     isos = []
     for i in range(space.n_subsystems):
         red = hilbert.reduced_state(state, [i], space)
         ev, vec = np.linalg.eigh(red)
-        keep = ev > rtol * max(ev.max(), 0.0) * space.dims[i]
+        keep = ev > DEFAULT_TOL.rank_rtol * max(ev.max(), 0.0) * space.dims[i]
         cols = vec[:, keep]
         isos.append(cols[:, ::-1])
     return LocalSupport(tuple(isos), tuple(v.shape[1] for v in isos))
@@ -476,10 +476,7 @@ def _factor_state(psi, region, g, f, support: LocalSupport, space) -> tuple[np.n
 
 
 def reduce_full_rank_factors(
-    psi: np.ndarray,
-    nstruct: NeighborhoodStructure,
-    space: MultipartiteSpace,
-    tol: float = 1e-9,
+    psi: np.ndarray, nstruct: NeighborhoodStructure, space: MultipartiteSpace
 ) -> tuple[NeighborhoodStructure, tuple[tuple[int, int], ...]]:
     """Drop subsystems whose reduced state factors out at full rank.
 
@@ -504,7 +501,7 @@ def reduce_full_rank_factors(
                     continue
                 rho_i = hilbert.partial_trace(rho_nk, [pos], sub_space)
                 ev = np.linalg.eigvalsh(rho_i)
-                if ev.min() < tol:
+                if ev.min() < 1e-9:
                     continue  # not full rank
                 rest_pos = [p for p in range(len(nk)) if p != pos]
                 rho_rest = hilbert.partial_trace(rho_nk, rest_pos, sub_space)
@@ -1103,7 +1100,6 @@ def recoverability_probe(
     region_a,
     disturbance: Channel,
     space: MultipartiteSpace,
-    tol: float = 1e-8,
 ) -> RecoveryReport:
     """Disturb inside A, then apply every channel meeting A; target recovered?"""
     a = set(region_a)
@@ -1113,4 +1109,4 @@ def recoverability_probe(
         if set(c.support) & a:
             rho = ch.apply(c, rho, space)
     d = _distance_to_target(rho, psi)
-    return RecoveryReport(recovered=d < tol, distance=d, support_warning=warning)
+    return RecoveryReport(recovered=d < 1e-8, distance=d, support_warning=warning)

@@ -252,8 +252,8 @@ def depth_report(
     )
 
 
-def kagome_lattice(cells_x: int, cells_y: int, boundary: str = "periodic") -> LatticeSpec:
-    """Kagome patch with the three site+four-neighbor templates per cell."""
+def kagome_lattice(cells_x: int, cells_y: int) -> LatticeSpec:
+    """Periodic kagome patch with the three site+four-neighbor templates per cell."""
     a, b, c = 0, 1, 2
     templates = (
         # around site A of the cell
@@ -268,7 +268,6 @@ def kagome_lattice(cells_x: int, cells_y: int, boundary: str = "periodic") -> La
         widths=(cells_x, cells_y),
         cell_sites=3,
         templates=templates,
-        boundary=boundary,
     )
 
 

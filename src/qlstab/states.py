@@ -40,15 +40,15 @@ def fourier_hadamard(d: int) -> np.ndarray:
     return w ** (j * k)
 
 
-def validate_hadamard(h: np.ndarray, d: int, atol: float = 1e-10) -> None:
+def validate_hadamard(h: np.ndarray, d: int) -> None:
     h = np.asarray(h)
     if h.shape != (d, d):
         raise ValueError("Hadamard matrix has the wrong shape")
-    if np.max(np.abs(h @ h.conj().T - d * np.eye(d))) > atol:
+    if np.max(np.abs(h @ h.conj().T - d * np.eye(d))) > 1e-10:
         raise ValueError("H^dag H != d I")
-    if np.max(np.abs(h - h.T)) > atol:
+    if np.max(np.abs(h - h.T)) > 1e-10:
         raise ValueError("H is not symmetric")
-    if np.max(np.abs(np.abs(h) - 1.0)) > atol:
+    if np.max(np.abs(np.abs(h) - 1.0)) > 1e-10:
         raise ValueError("H entries must have unit modulus")
 
 
@@ -167,12 +167,11 @@ def ccz_triangle() -> StateInstance:
     return _ccz_instance(3, [(0, 1, 2)], "ccz-triangle")
 
 
-def kagome_sites(cells_x: int, cells_y: int, periodic: bool = True):
-    """Site table and triangle list of a kagome patch (3 sites per cell)."""
+def kagome_sites(cells_x: int, cells_y: int):
+    """Site count and triangle list of a periodic kagome patch (3 sites per
+    cell); a triangle that wraps onto one site lists it once."""
 
     def site(a, b, s):
-        if not periodic and not (0 <= a < cells_x and 0 <= b < cells_y):
-            return None
         return (a % cells_x) * cells_y * 3 + (b % cells_y) * 3 + s
 
     triangles = []
@@ -181,19 +180,17 @@ def kagome_sites(cells_x: int, cells_y: int, periodic: bool = True):
             up = (site(a, b, 0), site(a, b, 1), site(a, b, 2))
             down = (site(a, b, 2), site(a + 1, b, 1), site(a, b + 1, 0))
             for t in (up, down):
-                if None not in t:
-                    triangles.append(tuple(sorted(set(t))))
+                triangles.append(tuple(sorted(set(t))))
     return cells_x * cells_y * 3, triangles
 
 
-def ccz_kagome(cells_x: int = 2, cells_y: int = 2, periodic: bool = True) -> StateInstance:
-    """CCZ state on a kagome patch of cells_x x cells_y unit cells."""
-    n, triangles = kagome_sites(cells_x, cells_y, periodic=periodic)
+def ccz_kagome(cells_x: int = 2, cells_y: int = 2) -> StateInstance:
+    """CCZ state on a periodic kagome patch of cells_x x cells_y unit cells."""
+    n, triangles = kagome_sites(cells_x, cells_y)
     triangles = sorted(set(triangles))
     if any(len(set(t)) != 3 for t in triangles):
         raise ValueError("patch too small: a triangle wraps onto itself")
-    kind = "" if periodic else "-open"
-    return _ccz_instance(n, triangles, f"ccz-kagome-{cells_x}x{cells_y}{kind}")
+    return _ccz_instance(n, triangles, f"ccz-kagome-{cells_x}x{cells_y}")
 
 
 def triangular_patch(rows: int, cols: int) -> StateInstance:

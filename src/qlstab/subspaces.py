@@ -25,12 +25,12 @@ from .hilbert import MultipartiteSpace, NeighborhoodStructure
 class _Span:
     """A subspace of C^D that applies its own orthogonal projector."""
 
-    def contains(self, v: np.ndarray, atol: float = 1e-9) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v)
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        return bool(np.linalg.norm(v - self.apply_projector(v)) / nv < atol)
+        return bool(np.linalg.norm(v - self.apply_projector(v)) / nv < 1e-9)
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,8 @@ class ExtendedSpan(_Span):
         return ExtendedSpan(self.local, tuple(sites.index(i) for i in self.region), sub)
 
 
-def schmidt_span(
-    psi: np.ndarray,
-    region,
-    space: MultipartiteSpace,
-    rtol: float = DEFAULT_TOL.rank_rtol,
-) -> Subspace:
-    """Span of the region-side Schmidt vectors with nonzero singular value."""
+def schmidt_span(psi: np.ndarray, region, space: MultipartiteSpace) -> Subspace:
+    """Span of the region-side Schmidt vectors that `rank_cutoff` keeps."""
     psi = np.asarray(psi, dtype=complex)
     if np.linalg.norm(psi) == 0:
         raise ValueError("zero state vector")
@@ -122,19 +117,14 @@ def schmidt_span(
         return Subspace(psi[:, None] / np.linalg.norm(psi))
     m = hilbert.to_front(psi, region, space)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = rank_cutoff(s, m.shape, rtol)
+    r = rank_cutoff(s, m.shape)
     return Subspace(u[:, :r])
 
 
-def extended_schmidt_span(
-    psi: np.ndarray,
-    region,
-    space: MultipartiteSpace,
-    rtol: float = DEFAULT_TOL.rank_rtol,
-) -> ExtendedSpan:
+def extended_schmidt_span(psi: np.ndarray, region, space: MultipartiteSpace) -> ExtendedSpan:
     """Schmidt span of `region` tensored with the complement space."""
     region = tuple(sorted(set(region)))
-    return ExtendedSpan(schmidt_span(psi, region, space, rtol).basis, region, space)
+    return ExtendedSpan(schmidt_span(psi, region, space).basis, region, space)
 
 
 def _check_bytes(d: int, r: int, what: str) -> None:

@@ -1010,6 +1010,15 @@ REFUSED_LATTICES = {
 }
 
 
+# problems whose neighbourhoods leave subsystems out, with the subsystems
+# (1-based) the refusal must name
+UNCOVERED_NEIGHBORHOODS = {
+    "vector": ({**_GHZ3, "neighborhoods": [[1, 2]]}, [3]),
+    "constructor": ({**_CHAIN3, "neighborhoods": [[1, 2]]}, [3]),
+    "empty": ({**_GHZ3, "neighborhoods": []}, [1, 2, 3]),
+}
+
+
 def _dicke(n, k):
     return {"state": {"constructor": {"name": "dicke", "params": {"n": n, "k": k}}}}
 
@@ -1036,6 +1045,27 @@ class TestMalformedProblem:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("input error: /state/constructor/params") and "not finite" in err
+
+    @pytest.mark.parametrize("case, command", [
+        ("vector", "check qls"), ("vector", "check algebraic-rfts"), ("vector", "check matching-overlap-rfts"),
+        ("vector", "synth rfts"), ("constructor", "check qls"), ("empty", "check qls"), ("empty", "check sss"),
+    ])
+    def test_uncovered_neighborhoods_exit_2(self, case, command, tmp_path, capsys):
+        # these ended in the checks' ValueError traceback, and `check sss`
+        # passed or failed on a structure no other check accepts
+        problem, uncovered = UNCOVERED_NEIGHBORHOODS[case]
+        rc = main(command.split() + [write_json(tmp_path, "problem.json", problem)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: /neighborhoods") and f"subsystems {uncovered}" in err
+
+    def test_commuting_projectors_one_neighborhood_exit_2(self, tmp_path, capsys):
+        problem = {"space": {"dims": [2, 2]}, "neighborhoods": [[1, 2]],
+                   "state": {"vector": [[0.5 ** 0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5 ** 0.5, 0.0]]}}
+        rc = main(["check", "commuting-projectors", write_json(tmp_path, "problem.json", problem)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: /neighborhoods") and "at least two" in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
     def test_exit_2(self, case, tmp_path, capsys):
@@ -1308,6 +1338,16 @@ class TestSimulatePaths:
         rerun = replace(circ, steps=tuple(circ.steps[i] for i in order))
         last = ch.run(rerun, np.eye(d, dtype=complex) / d, target=psi, record=False)[1][-1]
         assert abs(last.trace_distance - cert["final_distance"]) < 1e-14
+
+    @pytest.mark.parametrize("case, other", [("fts", "rfts"), ("rfts", "fts")])
+    def test_target_of_other_dimension_exit_2(self, case, other, tmp_path, capsys):
+        # the FTS circuit has D = 16 and the 5-cycle target D = 32; the
+        # frameless circuit once indexed past the shorter target
+        cases = _simulate_cases(tmp_path, capsys)
+        rc = main(["simulate", cases[case][0], "--problem", cases[other][1]])
+        captured = capsys.readouterr()
+        assert rc == 2 and not captured.out
+        assert captured.err.startswith("input error: --problem")
 
     def test_no_target_reports_no_worst_order(self, tmp_path, capsys):
         circuit, _ = _simulate_cases(tmp_path, capsys)["fts"]

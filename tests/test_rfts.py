@@ -581,11 +581,22 @@ class TestPrefixWalk:
     @pytest.mark.parametrize("name", ["line-3", "line-4", "grid-2x3"])
     @pytest.mark.parametrize("budget", [6 * 16 * 16**2, 1])
     def test_smaller_budgets_match(self, name, budget, monkeypatch):
-        # 6 states of D = 16: line 4 holds one branch state, line 3 several,
-        # and the 2x3 grid (D = 64) runs its inputs one at a time; 1 byte:
-        # nothing held, one input at a time
+        # the walk reads no byte budget; `_order_bound` does, through the
+        # chunks of `_partial_commutator_norms`. With the swap bound
+        # restored, the commuting certificate at this budget must match the
+        # default budget's. At 6 * 16 * 16^2 bytes every pair still fits one
+        # chunk; at 1 byte each A factor is its own chunk (up to 15 per pair
+        # on the 2x3 grid)
+        monkeypatch.undo()
+        inst = self.CASES[name]()
+        chans = list(inst.witness_channels)
+        want = verify_robustness(chans, inst.psi, inst.space)
         monkeypatch.setattr(ch, "STACK_MAX_BYTES", budget)
-        self._compare(name)
+        got = verify_robustness(chans, inst.psi, inst.space)
+        assert got.method == want.method == "commuting"
+        assert got.passed and want.passed
+        assert got.max_final_distance == want.max_final_distance
+        assert abs(got.order_bound - want.order_bound) <= 1e-15
 
     def test_each_prefix_applied_once(self, monkeypatch):
         # t = 6, exhaustive: each order runs once from each of the two
